@@ -51,7 +51,6 @@ from .graphlu import GraphLUParams, gelu, graphlu, graphlu_reference, phi
 from .net import (
     Model,
     ModelConfig,
-    build_model,
     count_params_flops,
     deep_tiny_config,
     downsample,
@@ -62,7 +61,7 @@ from .net import (
 )
 from .optim import AdamWState, adamw_step, cosine_lr
 from .pvgt import read_tensor, write_tensor
-from .tensor import DIFFERENTIABLE_OPS, Tensor, concat, elementwise, matmul, reduce, split
+from .tensor import DIFFERENTIABLE_OPS, Tensor, concat, matmul
 from .train import EpochMetrics, OptimizerConfig, RunConfig, ScheduleConfig, evaluate, train
 
 __version__ = "0.1.0"

@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .data import load_dataset
-from .diagnostics import DiversityTrace, diversity, write_trace_csv
+from .diagnostics import trace_diversity, write_trace_csv
 from .errors import PvgError
 from .graph import export_edges
 from .net import count_params_flops, load_checkpoint
@@ -48,15 +46,9 @@ def _cmd_diag(args) -> int:
     images = read_tensor(args.data)
     if images.ndim != 4:
         raise PvgError(f"diagnostic images must be rank 4, got rank {images.ndim}")
-    batch = images[: args.batch_size]
-    collect: dict = {"blocks": []}
-    model.forward(batch, collect=collect)
-    per_block = [
-        (idx, float(np.mean([diversity(feats[im]) for im in range(feats.shape[0])])))
-        for idx, feats in collect["blocks"]
-    ]
-    write_trace_csv(args.out, DiversityTrace(run_id=args.run_id, per_block=per_block))
-    print(f"wrote {len(per_block)} block rows to {args.out}")
+    trace = trace_diversity(model, images[: args.batch_size], run_id=args.run_id)
+    write_trace_csv(args.out, trace)
+    print(f"wrote {len(trace.per_block)} block rows to {args.out}")
     return 0
 
 

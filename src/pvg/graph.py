@@ -117,32 +117,41 @@ class LocalBranchParams:
 # ---------------------------------------------------------------------------
 
 
+def similarity_matrix(xa: np.ndarray, metric: str) -> np.ndarray:
+    """Symmetric all-pairs similarity of the rows of ``xa``, in its dtype.
+
+    No input checks: the network calls this once per image per branch with
+    features of a validated shape and a metric validated at configuration
+    time. Cosine floors row norms at 1e-12, so a zero row scores 0 against
+    every row instead of dividing by zero.
+    """
+    if metric == "cosine":
+        xa = xa / np.maximum(np.linalg.norm(xa, axis=1, keepdims=True), 1e-12)
+    s = xa @ xa.T
+    if metric == "neg_euclidean":
+        sq = np.sum(xa * xa, axis=1)
+        s = -np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * s, 0.0))
+    return 0.5 * (s + s.T)
+
+
 def pairwise_similarity(x, metric: str = "dot") -> Tensor:
     """All-pairs node similarity S[i][j] under the chosen metric.
 
     dot: raw inner product; cosine: inner product of unit rows (zero-norm
     rows are a degenerate-input error); neg_euclidean: negated Euclidean
-    distance. Symmetric for all three.
+    distance. Symmetric for all three. Integer features are scored in
+    float64.
     """
     xa = _as_array(x)
     if xa.ndim != 2 or xa.shape[0] < 2 or xa.shape[1] < 1:
         raise DimensionError(f"expected [n>=2, c>=1] features, got {xa.shape}")
     if metric not in SIMILARITY_METRICS:
-        raise KeyError(f"unknown similarity metric {metric!r}")
-    if metric == "dot":
-        s = xa @ xa.T
-    elif metric == "cosine":
-        norms = np.linalg.norm(xa, axis=1)
-        if np.any(norms == 0):
-            raise DegenerateInputError("zero-norm row under cosine similarity")
-        unit = xa / norms[:, None]
-        s = unit @ unit.T
-    else:
-        sq = np.sum(xa * xa, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (xa @ xa.T)
-        s = -np.sqrt(np.maximum(d2, 0.0))
-    s = 0.5 * (s + s.T)
-    return Tensor(s.astype(xa.dtype, copy=False))
+        raise ConfigError(f"unknown similarity metric {metric!r}")
+    if not np.issubdtype(xa.dtype, np.floating):
+        xa = xa.astype(np.float64)
+    if metric == "cosine" and np.any(np.linalg.norm(xa, axis=1) == 0):
+        raise DegenerateInputError("zero-norm row under cosine similarity")
+    return Tensor(similarity_matrix(xa, metric))
 
 
 def topk_neighbors(S, k: int) -> GraphTopology:

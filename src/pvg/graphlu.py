@@ -11,10 +11,6 @@ the gate so that more small-magnitude (low-value) information survives, which
 is the mechanism that keeps deep-stack node features from collapsing onto one
 representation. epsilon is learnable per usage site and clamped so
 1 + epsilon stays positive.
-
-A printed variant that shifts the erf argument by +1 is kept behind
-``printed_form`` for comparison; it does not reduce to GELU at epsilon = 0
-and is not used by the network.
 """
 
 from __future__ import annotations
@@ -59,13 +55,11 @@ def graphlu_reference(x, epsilon: float = 0.0):
     return np.asarray(x, dtype=np.float64) * phi(x, epsilon)
 
 
-def graphlu(x: Tensor, params: GraphLUParams, printed_form: bool = False) -> Tensor:
+def graphlu(x: Tensor, params: GraphLUParams) -> Tensor:
     """Differentiable GraphLU; gradients flow to x and to epsilon."""
     eps = params.epsilon
     inv_sd = reciprocal(add_scalar(eps, 1.0))  # 1 / (1 + epsilon)
     arg = mul(x, scale(inv_sd, 1.0 / _SQRT2))
-    if printed_form:
-        return scale(mul(x, erf(add_scalar(arg, 1.0))), 0.5)
     return scale(mul(x, add_scalar(erf(arg), 1.0)), 0.5)
 
 

@@ -25,10 +25,12 @@ import numpy as np
 from .aggregators import AggregatorSpec, baseline_aggregate, make_aggregator, param_count
 from .errors import CheckpointError, ConfigError, DimensionError
 from .graph import (
+    SIMILARITY_METRICS,
     ChannelSchedule,
     GraphTopology,
     grid_offset_maps,
     psgc_schedule,
+    similarity_matrix,
     topk_neighbors,
 )
 from .graphlu import GraphLUParams, gelu, graphlu
@@ -91,6 +93,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must list {N_STAGES} stages")
         if any(d < 1 for d in self.stage_depths):
             raise ConfigError("stage depths must be >= 1")
+        if any(k < 1 for k in self.stage_k):
+            raise ConfigError("stage k must be >= 1")
         if any(w % self.granularity for w in self.stage_widths):
             raise ConfigError("stage widths must be divisible by the schedule granularity")
         if self.image_size % self.patch_size:
@@ -106,6 +110,16 @@ class ModelConfig:
             raise ConfigError(f"unknown graph mode {self.graph_mode!r}")
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
+        if self.graph_metric not in SIMILARITY_METRICS:
+            raise ConfigError(f"unknown graph metric {self.graph_metric!r}")
+        if self.radius < 0:
+            raise ConfigError("radius must be >= 0")
+        if self.ffn_ratio < 1:
+            raise ConfigError("ffn_ratio must be >= 1")
+        if not 0 <= self.layer_scale_blocks <= self.total_blocks():
+            raise ConfigError(
+                f"layer_scale_blocks must lie in [0, {self.total_blocks()}]"
+            )
 
     def stage_ratios(self, s: int) -> tuple[float, float]:
         start = self.schedule_start[s] if isinstance(self.schedule_start, list) else self.schedule_start
@@ -275,9 +289,6 @@ class Model:
 
     # -- housekeeping --------------------------------------------------------
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def n_parameters(self) -> int:
         return sum(t.size for t in self.params.values())
 
@@ -330,21 +341,6 @@ class Model:
         self._map_cache[key] = maps
         return maps
 
-    @staticmethod
-    def _similarity_for_graph(feats: np.ndarray, metric: str) -> np.ndarray:
-        # In-network variant: cosine is epsilon-guarded so constant inputs
-        # degrade to an all-zero score matrix instead of erroring.
-        if metric == "cosine":
-            norms = np.linalg.norm(feats, axis=1, keepdims=True)
-            unit = feats / np.maximum(norms, 1e-12)
-            s = unit @ unit.T
-        elif metric == "dot":
-            s = feats @ feats.T
-        else:
-            sq = np.sum(feats * feats, axis=1)
-            s = -np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T), 0.0))
-        return 0.5 * (s + s.T)
-
     def _build_graphs(
         self, feats: np.ndarray, batch: int, n: int, k: int
     ) -> tuple[np.ndarray, list[GraphTopology]]:
@@ -354,7 +350,7 @@ class Model:
         idx = np.empty((batch * n, k_eff), dtype=np.int64)
         topos: list[GraphTopology] = []
         for im in range(batch):
-            s = self._similarity_for_graph(per_image[im], self.config.graph_metric)
+            s = similarity_matrix(per_image[im], self.config.graph_metric)
             topo = topk_neighbors(s, k_eff)
             idx[im * n : (im + 1) * n] = topo.neighbor_idx + im * n
             topos.append(topo)
@@ -459,12 +455,7 @@ class Model:
             )
         batch = x.shape[0]
         grid = cfg.image_size // cfg.patch_size
-        p = cfg.patch_size
-
-        t = reshape(x, (batch, grid, p, grid, p, cfg.in_channels))
-        t = permute(t, (0, 1, 3, 2, 4, 5))
-        t = reshape(t, (batch * grid * grid, p * p * cfg.in_channels))
-        h = add_rowvec(matmul(t, self.params["stem.weight"]), self.params["stem.bias"])
+        h = node_embedding(x, self.params["stem.weight"], self.params["stem.bias"], cfg.patch_size)
 
         block_index = 0
         for s in range(N_STAGES):
@@ -474,44 +465,34 @@ class Model:
                 )
                 block_index += 1
             if s < N_STAGES - 1:
-                c = cfg.stage_widths[s]
-                h = reshape(h, (batch, grid, grid, c))
-                h = reshape(h, (batch, grid // 2, 2, grid // 2, 2, c))
-                h = permute(h, (0, 1, 3, 2, 4, 5))
-                grid //= 2
-                h = reshape(h, (batch * grid * grid, 4 * c))
-                h = add_rowvec(
-                    matmul(h, self.params[f"downsample{s}.weight"]),
-                    self.params[f"downsample{s}.bias"],
+                h = downsample(
+                    h, grid, self.params[f"downsample{s}.weight"], self.params[f"downsample{s}.bias"]
                 )
+                grid //= 2
 
         c_last = cfg.stage_widths[-1]
         pooled = reduce_mean(reshape(h, (batch, grid * grid, c_last)), axis=1)
         return add_rowvec(matmul(pooled, self.params["head.weight"]), self.params["head.bias"])
 
 
-def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
-    return Model(config, seed=seed, dtype=dtype)
-
-
 # ---------------------------------------------------------------------------
-# stand-alone pieces (kept importable for direct use and testing)
+# stem and stage transition
 # ---------------------------------------------------------------------------
 
 
-def node_embedding(image, weight: Tensor, bias: Tensor, patch_size: int) -> Tensor:
-    """Project non-overlapping p x p patches of one [h, w, c] image to node
-    vectors [n, out]."""
-    img = image if isinstance(image, Tensor) else Tensor(np.asarray(image))
-    if img.data.ndim != 3:
-        raise DimensionError("node_embedding expects a single [h, w, c] image")
-    h, w, cin = img.shape
+def node_embedding(images, weight: Tensor, bias: Tensor, patch_size: int) -> Tensor:
+    """Project non-overlapping p x p patches of [batch, h, w, c] images to
+    node vectors [batch * n, out], image-major and row-major within an image."""
+    img = images if isinstance(images, Tensor) else Tensor(np.asarray(images))
+    if img.data.ndim != 4:
+        raise DimensionError("node_embedding expects [batch, h, w, c] images")
+    batch, h, w, cin = img.shape
     if h % patch_size or w % patch_size:
         raise ConfigError(f"{h}x{w} image not divisible by patch {patch_size}")
     gh, gw = h // patch_size, w // patch_size
-    t = reshape(img, (gh, patch_size, gw, patch_size, cin))
-    t = permute(t, (0, 2, 1, 3, 4))
-    t = reshape(t, (gh * gw, patch_size * patch_size * cin))
+    t = reshape(img, (batch, gh, patch_size, gw, patch_size, cin))
+    t = permute(t, (0, 1, 3, 2, 4, 5))
+    t = reshape(t, (batch * gh * gw, patch_size * patch_size * cin))
     return add_rowvec(matmul(t, weight), bias)
 
 

@@ -15,7 +15,7 @@ is deterministic and testable.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf_f64
@@ -86,10 +86,6 @@ class Tensor:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zeros(shape, dtype=np.float32, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-    @staticmethod
     def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], op: str) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -118,19 +114,6 @@ class Tensor:
         if self.size != 1:
             raise DimensionError(f"item() on tensor of {self.size} elements")
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        out.op = "detach"
-        return out
 
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
@@ -336,23 +319,6 @@ def reciprocal(a: Tensor) -> Tensor:
     return out
 
 
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "erf": erf,
-    "max0": max0,
-}
-
-
-def elementwise(op: str, *args) -> Tensor:
-    """Dispatch an elementwise operation by name (add/sub/mul/scale/erf/max0)."""
-    if op not in _ELEMENTWISE:
-        raise KeyError(f"unknown elementwise op {op!r}")
-    return _ELEMENTWISE[op](*args)
-
-
 # ---------------------------------------------------------------------------
 # matmul
 # ---------------------------------------------------------------------------
@@ -432,16 +398,6 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
     return out
 
 
-_REDUCERS = {"max": reduce_max, "mean": reduce_mean, "sum": reduce_sum}
-
-
-def reduce(x: Tensor, axis: int, mode: str) -> Tensor:
-    """Dispatch a reduction by mode name (max/mean/sum); removes ``axis``."""
-    if mode not in _REDUCERS:
-        raise KeyError(f"unknown reduction mode {mode!r}")
-    return _REDUCERS[mode](x, axis)
-
-
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor._from_op(np.asarray(np.sum(x.data), dtype=x.data.dtype), (x,), "sum_all")
 
@@ -512,19 +468,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
     _set_backward(out, bw)
     return out
-
-
-def split(x: Tensor, axis: int, sizes: Iterable[int]) -> list[Tensor]:
-    """Partition ``x`` along ``axis`` into consecutive pieces of ``sizes``."""
-    sizes = list(sizes)
-    if sum(sizes) != x.shape[axis % x.data.ndim]:
-        raise DimensionError(f"split sizes {sizes} do not cover extent")
-    pieces = []
-    start = 0
-    for width in sizes:
-        pieces.append(narrow(x, axis, start, width))
-        start += width
-    return pieces
 
 
 def gather_rows(x: Tensor, row_idx: np.ndarray) -> Tensor:

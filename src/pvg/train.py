@@ -58,22 +58,32 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
+        """Build from plain data; a wrongly typed field is a ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"run config must be an object, got {type(d).__name__}")
         known = {f.name for f in dataclasses.fields(RunConfig)}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
         d = dict(d)
-        if "model" in d:
-            d["model"] = ModelConfig.from_dict(d["model"])
-        if "optimizer" in d:
-            d["optimizer"] = OptimizerConfig(**d["optimizer"])
-        if "schedule" in d:
-            d["schedule"] = ScheduleConfig(**d["schedule"])
-        return RunConfig(**d)
+        try:
+            if "model" in d:
+                d["model"] = ModelConfig.from_dict(d["model"])
+            if "optimizer" in d:
+                d["optimizer"] = OptimizerConfig(**d["optimizer"])
+            if "schedule" in d:
+                d["schedule"] = ScheduleConfig(**d["schedule"])
+            return RunConfig(**d)
+        except TypeError as e:
+            raise ConfigError(f"wrongly typed config field: {e}") from e
 
     @staticmethod
     def from_json(path: str | Path) -> "RunConfig":
-        return RunConfig.from_dict(json.loads(Path(path).read_text()))
+        try:
+            data = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path} is not valid JSON: {e}") from e
+        return RunConfig.from_dict(data)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from pvg.graph import (
     pairwise_similarity,
     psgc_schedule,
     second_order_similarity,
+    similarity_matrix,
     topk_neighbors,
 )
 from pvg.tensor import Tensor
@@ -68,6 +69,23 @@ class TestPairwiseSimilarity:
     def test_too_few_nodes(self):
         with pytest.raises(DimensionError):
             pairwise_similarity(np.ones((1, 3)), "dot")
+
+    def test_kernel_scores_zero_row_as_zero_under_cosine(self):
+        s = similarity_matrix(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]), "cosine")
+        np.testing.assert_array_equal(s[0], 0.0)
+        np.testing.assert_array_equal(s[:, 0], 0.0)
+
+    def test_unknown_metric(self):
+        with pytest.raises(ConfigError):
+            pairwise_similarity(np.ones((2, 3)), "bogus")
+
+    @pytest.mark.parametrize("metric", ["dot", "cosine", "neg_euclidean"])
+    def test_integer_input_scored_in_floating_point(self, metric):
+        x = [[1, 2], [2, 1], [0, 3]]
+        got = pairwise_similarity(np.array(x), metric).data
+        want = pairwise_similarity(np.array(x, dtype=np.float64), metric).data
+        assert got.dtype.kind == "f"
+        np.testing.assert_array_equal(got, want)
 
 
 class TestTopkNeighbors:

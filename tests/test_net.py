@@ -13,6 +13,7 @@ from scipy.special import erf as sp_erf
 
 from pvg.errors import CheckpointError, ConfigError, DimensionError
 from pvg.gradcheck import grad_check
+from pvg.graph import pairwise_similarity, topk_neighbors
 from pvg.net import (
     Model,
     ModelConfig,
@@ -41,7 +42,7 @@ class TestNodeEmbedding:
         w = Tensor(rng.normal(size=(4 * 4 * 3, 32)).astype(np.float32))
         b = Tensor(np.zeros(32, dtype=np.float32))
         img = rng.uniform(size=(32, 32, 3)).astype(np.float32)
-        out = node_embedding(img, w, b, patch_size=4)
+        out = node_embedding(img[None], w, b, patch_size=4)
         assert out.shape == (64, 32)
 
     def test_constant_image_identical_nodes(self):
@@ -49,7 +50,7 @@ class TestNodeEmbedding:
         w = Tensor(rng.normal(size=(4 * 4 * 3, 16)).astype(np.float32))
         b = Tensor(rng.normal(size=16).astype(np.float32))
         img = np.full((16, 16, 3), 0.37, dtype=np.float32)
-        out = node_embedding(img, w, b, patch_size=4).data
+        out = node_embedding(img[None], w, b, patch_size=4).data
         np.testing.assert_array_equal(out, np.tile(out[0], (16, 1)))
 
     def test_identity_projection_recovers_patches(self):
@@ -57,7 +58,7 @@ class TestNodeEmbedding:
         img = np.arange(36, dtype=np.float32).reshape(6, 6, 1)
         w = Tensor(np.eye(p * p, dtype=np.float32))
         b = Tensor(np.zeros(p * p, dtype=np.float32))
-        out = node_embedding(img, w, b, patch_size=p).data
+        out = node_embedding(img[None], w, b, patch_size=p).data
         # reshape oracle: explicit gathering of each patch
         gh = 6 // p
         for node in range(gh * gh):
@@ -69,7 +70,16 @@ class TestNodeEmbedding:
         w = Tensor(np.zeros((12, 4), dtype=np.float32))
         b = Tensor(np.zeros(4, dtype=np.float32))
         with pytest.raises(ConfigError):
-            node_embedding(np.zeros((5, 5, 3), dtype=np.float32), w, b, patch_size=2)
+            node_embedding(np.zeros((1, 5, 5, 3), dtype=np.float32), w, b, patch_size=2)
+
+    def test_batch_stacks_per_image_embeddings(self):
+        rng = np.random.default_rng(21)
+        w = Tensor(rng.normal(size=(2 * 2 * 3, 8)).astype(np.float32))
+        b = Tensor(rng.normal(size=8).astype(np.float32))
+        imgs = rng.uniform(size=(2, 8, 8, 3)).astype(np.float32)
+        batched = node_embedding(imgs, w, b, patch_size=2).data
+        singles = [node_embedding(imgs[i : i + 1], w, b, patch_size=2).data for i in range(2)]
+        np.testing.assert_array_equal(batched, np.concatenate(singles))
 
 
 class TestDownsample:
@@ -129,6 +139,26 @@ class TestConfig:
         cfg = tiny_config(num_classes=5)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"graph_metric": "bogus"},
+            {"radius": -1},
+            {"ffn_ratio": 0},
+            {"layer_scale_blocks": -1},
+            {"layer_scale_blocks": 6},  # the tiny config has 5 blocks
+            {"stage_k": [4, 0, 8, 8]},
+        ],
+        ids=["metric", "radius", "ffn-ratio", "layer-scale-low", "layer-scale-high", "stage-k"],
+    )
+    def test_invalid_value_rejected_at_construction(self, overrides):
+        with pytest.raises(ConfigError):
+            tiny_config(**overrides)
+
+    def test_layer_scale_on_every_block_accepted(self):
+        model = Model(tiny_config(layer_scale_blocks=5), seed=0)
+        assert "stage0.block0.scale1" in model.params
+
 
 class TestForward:
     def test_tiny_logits_shape(self):
@@ -185,6 +215,20 @@ class TestForward:
         assert np.all(np.isfinite(model.forward(imgs).data))
         params, _ = count_params_flops(cfg)
         assert params == model.n_parameters()
+
+
+class TestInNetworkGraphs:
+    @pytest.mark.parametrize("metric", ["dot", "cosine", "neg_euclidean"])
+    def test_build_graphs_matches_per_image_pipeline(self, metric):
+        model = Model(tiny_config(graph_metric=metric), seed=0)
+        batch, n, k = 2, 16, 4
+        feats = np.random.default_rng(22).normal(size=(batch * n, 8)).astype(np.float32)
+        idx, topos = model._build_graphs(feats, batch, n, k)
+        assert idx.shape == (batch * n, k) and len(topos) == batch
+        for im in range(batch):
+            want = topk_neighbors(pairwise_similarity(feats[im * n : (im + 1) * n], metric), k)
+            np.testing.assert_array_equal(idx[im * n : (im + 1) * n], want.neighbor_idx + im * n)
+            np.testing.assert_array_equal(topos[im].neighbor_sim, want.neighbor_sim)
 
 
 class TestResidualIdentity:

@@ -292,6 +292,18 @@ class TestCli:
         assert err.startswith("error:checkpoint:")
         assert "\n" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"model": ', json.dumps({"model": {"stage_depths": 3}}), "3"],
+        ids=["malformed-json", "wrong-field-type", "not-an-object"],
+    )
+    def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, text):
+        (tmp_path / "run.json").write_text(text)
+        assert cli_main(["count", "--config", str(tmp_path / "run.json")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:config:")
+        assert "\n" not in err
+
     def test_bad_data_error_category(self, workspace, capsys):
         tp = workspace
         cli_main(["train", "--config", str(tp / "run.json"), "--data", str(tp / "x.pvgt"), "--labels", str(tp / "y.csv")])
