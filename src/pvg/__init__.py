@@ -38,10 +38,8 @@ from .gradcheck import GradCheckReport, grad_check
 from .graph import (
     ChannelSchedule,
     GraphTopology,
-    LocalBranchParams,
     chebyshev_mask,
     export_edges,
-    local_branch,
     pairwise_similarity,
     psgc_schedule,
     second_order_similarity,

@@ -13,7 +13,7 @@ import sys
 
 from .data import load_dataset
 from .diagnostics import trace_diversity, write_trace_csv
-from .errors import PvgError
+from .errors import ConfigError, PvgError
 from .graph import export_edges
 from .net import count_params_flops, load_checkpoint
 from .pvgt import read_tensor
@@ -42,6 +42,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    if args.batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {args.batch_size}")
     model = load_checkpoint(args.checkpoint)
     images = read_tensor(args.data)
     if images.ndim != 4:

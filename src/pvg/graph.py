@@ -1,10 +1,11 @@
 """Per-block graph structure.
 
 Everything a trident block needs before aggregation: first-order similarity
-matrices, top-k neighbor selection, the Chebyshev-masked local branch, the
-progressive channel schedule that moves capacity from the local branch into
-the global graph branches, and the direct form of second-order similarity
-(affinity between aggregated neighborhoods) used to cross-check the pipeline.
+matrices, top-k neighbor selection, the Chebyshev window mask, the
+progressive channel schedule that moves capacity from grid-local mixing
+(``tensor.offset_mix``) into the global graph branches, and the direct form
+of second-order similarity (affinity between aggregated neighborhoods) used
+to cross-check the pipeline.
 
 Similarity computation and neighbor selection are structural: gradients never
 flow through them, so they work on plain float arrays internally.
@@ -14,14 +15,14 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
-from .tensor import Tensor, offset_mix
+from .tensor import Tensor
 
 SIMILARITY_METRICS = ("dot", "cosine", "neg_euclidean")
 
@@ -91,27 +92,6 @@ class ChannelSchedule:
             prev_local, prev_second = local_c, second_c
 
 
-@dataclass
-class LocalBranchParams:
-    """Learnable per-offset, per-channel weights of the local branch.
-
-    One weight row per (dy, dx) offset with |dy|, |dx| <= radius, shared
-    across spatial positions (translation invariance).
-    """
-
-    radius: int = 3
-    offset_weights: Tensor = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        side = 2 * self.radius + 1
-        if self.offset_weights is None:
-            raise ConfigError("offset_weights required")
-        if self.offset_weights.shape[0] != side * side:
-            raise ConfigError(
-                f"expected {side * side} offset rows, got {self.offset_weights.shape[0]}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # similarity and selection
 # ---------------------------------------------------------------------------
@@ -177,7 +157,7 @@ def topk_neighbors(S, k: int) -> GraphTopology:
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev-local branch
+# Chebyshev window
 # ---------------------------------------------------------------------------
 
 
@@ -190,54 +170,6 @@ def chebyshev_mask(h: int, w: int, r: int) -> Tensor:
     dc = np.abs(cols[:, None] - cols[None, :])
     mask = ((dr <= r) & (dc <= r)).astype(np.float32)
     return Tensor(mask)
-
-
-def grid_offset_maps(
-    h: int, w: int, r: int, coords: np.ndarray | None = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(dst, src) node-index pairs for every (dy, dx) offset with
-    |dy|, |dx| <= r, in fixed row-major offset order.
-
-    ``coords`` optionally assigns each node a (row, col); default is row-major
-    node order. Out-of-grid offsets are simply absent (zero padding).
-    """
-    n = h * w
-    if coords is None:
-        rows = np.arange(n) // w
-        cols = np.arange(n) % w
-    else:
-        coords = np.asarray(coords)
-        if coords.shape != (n, 2):
-            raise DimensionError(f"coords must be [{n}, 2]")
-        rows, cols = coords[:, 0], coords[:, 1]
-    pos_to_node = np.full((h, w), -1, dtype=np.int64)
-    pos_to_node[rows, cols] = np.arange(n)
-    maps: list[tuple[np.ndarray, np.ndarray]] = []
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            src_r = rows + dy
-            src_c = cols + dx
-            ok = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
-            dst = np.nonzero(ok)[0]
-            src = pos_to_node[src_r[ok], src_c[ok]]
-            maps.append((dst, src))
-    return maps
-
-
-def local_branch(
-    x_local: Tensor,
-    params: LocalBranchParams,
-    h: int,
-    w: int,
-    coords: np.ndarray | None = None,
-    bias: Tensor | None = None,
-) -> Tensor:
-    """Chebyshev-bounded mixing: y_i = sum over in-range grid neighbors j of
-    the per-offset, per-channel weight times x_j (zero padding at borders)."""
-    if x_local.shape[0] != h * w:
-        raise DimensionError(f"{x_local.shape[0]} nodes cannot fill a {h}x{w} grid")
-    maps = grid_offset_maps(h, w, params.radius, coords)
-    return offset_mix(x_local, params.offset_weights, maps, bias=bias)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .graph import (
     SIMILARITY_METRICS,
     ChannelSchedule,
     GraphTopology,
-    grid_offset_maps,
     psgc_schedule,
     similarity_matrix,
     topk_neighbors,
@@ -91,6 +90,16 @@ class ModelConfig:
         ):
             if len(seq) != N_STAGES:
                 raise ConfigError(f"{name} must list {N_STAGES} stages")
+        for name, ratio in (
+            ("schedule_start", self.schedule_start),
+            ("schedule_end", self.schedule_end),
+        ):
+            if isinstance(ratio, list) and len(ratio) != N_STAGES:
+                raise ConfigError(f"{name} must be one ratio or a list of {N_STAGES}")
+        if self.patch_size < 1:
+            raise ConfigError("patch_size must be >= 1")
+        if self.granularity < 1:
+            raise ConfigError("granularity must be >= 1")
         if any(d < 1 for d in self.stage_depths):
             raise ConfigError("stage depths must be >= 1")
         if any(k < 1 for k in self.stage_k):
@@ -196,7 +205,6 @@ class Model:
         self.config = config
         self.dtype = dtype
         self.schedules = [config.stage_schedule(s) for s in range(N_STAGES)]
-        self._map_cache: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
         if params is None:
             self.params = self._init_params(np.random.default_rng(seed))
         else:
@@ -323,24 +331,6 @@ class Model:
 
     # -- graph construction ---------------------------------------------------
 
-    def _batched_maps(self, grid: int, batch: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        key = (grid, batch)
-        cached = self._map_cache.get(key)
-        if cached is not None:
-            return cached
-        base = grid_offset_maps(grid, grid, self.config.radius)
-        n = grid * grid
-        shifts = np.arange(batch, dtype=np.int64)[:, None] * n
-        maps = [
-            (
-                (dst[None, :] + shifts).reshape(-1),
-                (src[None, :] + shifts).reshape(-1),
-            )
-            for dst, src in base
-        ]
-        self._map_cache[key] = maps
-        return maps
-
     def _build_graphs(
         self, feats: np.ndarray, batch: int, n: int, k: int
     ) -> tuple[np.ndarray, list[GraphTopology]]:
@@ -365,7 +355,6 @@ class Model:
         b: int,
         batch: int,
         grid: int,
-        coords: np.ndarray | None = None,
         collect: dict | None = None,
         block_index: int = -1,
     ) -> Tensor:
@@ -380,14 +369,10 @@ class Model:
 
         if local_c:
             x_local = narrow(z, 1, 0, local_c)
-            if coords is None:
-                maps = self._batched_maps(grid, batch)
-            else:
-                if batch != 1:
-                    raise DimensionError("custom grid coords require batch of 1")
-                maps = grid_offset_maps(grid, grid, cfg.radius, coords)
             branch_outs.append(
-                offset_mix(x_local, P[pre + "local.alpha"], maps, bias=P[pre + "local.pos_bias"])
+                offset_mix(
+                    x_local, P[pre + "local.alpha"], (grid, grid), bias=P[pre + "local.pos_bias"]
+                )
             )
 
         x_first = narrow(z, 1, local_c, first_c)
@@ -454,6 +439,8 @@ class Model:
                 f"got {x.shape}"
             )
         batch = x.shape[0]
+        if batch == 0:
+            raise DimensionError("forward needs at least one image")
         grid = cfg.image_size // cfg.patch_size
         h = node_embedding(x, self.params["stem.weight"], self.params["stem.bias"], cfg.patch_size)
 

@@ -15,6 +15,7 @@ is deterministic and testable.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,11 +133,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    def _accumulate_row(self, row: int, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad[row] += g
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Reverse-mode sweep from this tensor.
@@ -619,55 +615,81 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return out
 
 
+def _overlap(d: int, n: int) -> tuple[slice, slice]:
+    # Destination and source slices along one grid axis for a shift by d:
+    # dst index i reads src index i + d wherever both lie in [0, n).
+    return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n + min(0, d))
+
+
 def offset_mix(
     x: Tensor,
     weights: Tensor,
-    maps: Sequence[tuple[np.ndarray, np.ndarray]],
+    grid: tuple[int, int],
     bias: Tensor | None = None,
 ) -> Tensor:
-    """Weighted per-channel scatter over precomputed (dst, src) index pairs.
+    """Depthwise mixing over each node's Chebyshev (2r+1)^2 grid window.
 
-    ``maps[o]`` lists the destination and source rows linked by offset ``o``;
-    ``weights[o]`` is the per-channel coefficient of that offset. Computes
+    ``x`` holds ``batch`` row-major ``h x w`` grids as ``[batch·h·w, c]``
+    rows, image-major, with ``grid = (h, w)``. ``weights`` has one row per
+    offset in row-major offset order, ``o = (dy + r)·(2r + 1) + (dx + r)`` for
+    dy, dx in ``[-r, r]``, so its row count fixes the radius r. Computes
 
-        y[d, c] = sum_o weights[o, c] * x[s, c] (+ bias[o, c])
+        y[b, i, j, c] = sum_o weights[o, c] * x[b, i + dy, j + dx, c] (+ bias[o, c])
 
-    over all pairs (d, s) in ``maps[o]``. Rows never listed as a destination
-    stay zero. Source indices within one offset must be unique (they are for
-    grid shifts), which keeps the backward pass a plain fancy-indexed add.
+    over the offsets whose source lies on the grid (zero padding: an offset
+    that falls off the grid contributes neither its weight nor its bias).
     """
-    n_off = weights.shape[0]
-    if len(maps) != n_off:
-        raise DimensionError("offset_mix: one (dst, src) map required per offset")
-    if x.data.ndim != 2 or weights.shape[1] != x.shape[1]:
+    if weights.data.ndim != 2:
         raise DimensionError("offset_mix: weights must be [offsets, channels]")
+    n_off, c = weights.shape
+    side = math.isqrt(n_off)
+    if side * side != n_off or side % 2 == 0:
+        raise DimensionError(f"offset_mix: {n_off} offset rows is not an odd square")
+    r = side // 2
+    if x.data.ndim != 2 or x.shape[1] != c:
+        raise DimensionError("offset_mix: x must be [rows, channels] matching weights")
     if bias is not None and bias.shape != weights.shape:
         raise DimensionError("offset_mix: bias must match weights shape")
-    y = np.zeros_like(x.data)
-    for o, (dst, src) in enumerate(maps):
-        if len(dst) == 0:
-            continue
-        contrib = weights.data[o] * x.data[src]
+    h, w = grid
+    if h < 1 or w < 1 or x.shape[0] % (h * w):
+        raise DimensionError(f"offset_mix: {x.shape[0]} rows do not fill {h}x{w} grids")
+    batch = x.shape[0] // (h * w)
+    xg = x.data.reshape(batch, h, w, c)
+    windows = []  # (offset, dst rows, dst cols, src rows, src cols)
+    for o in range(n_off):
+        dy, dx = divmod(o, side)
+        (rd, rs), (cd, cs) = _overlap(dy - r, h), _overlap(dx - r, w)
+        if rd.start < rd.stop and cd.start < cd.stop:
+            windows.append((o, rd, cd, rs, cs))
+
+    y = np.zeros_like(xg)
+    for o, rd, cd, rs, cs in windows:
+        contrib = weights.data[o] * xg[:, rs, cs]
         if bias is not None:
             contrib = contrib + bias.data[o]
-        y[dst] += contrib
+        y[:, rd, cd] += contrib
     parents = (x, weights) if bias is None else (x, weights, bias)
-    out = Tensor._from_op(y, parents, "offset_mix")
+    out = Tensor._from_op(y.reshape(x.shape), parents, "offset_mix")
 
     def bw(g: np.ndarray) -> None:
-        dx = np.zeros_like(x.data) if x.requires_grad else None
-        for o, (dst, src) in enumerate(maps):
-            if len(dst) == 0:
-                continue
-            gd = g[dst]
-            if dx is not None:
-                dx[src] += weights.data[o] * gd
-            if weights.requires_grad:
-                weights._accumulate_row(o, (x.data[src] * gd).sum(axis=0))
-            if bias is not None and bias.requires_grad:
-                bias._accumulate_row(o, gd.sum(axis=0))
-        if dx is not None:
-            x._accumulate(dx)
+        gg = g.reshape(batch, h, w, c)
+        gx = np.zeros_like(xg) if x.requires_grad else None
+        gw = np.zeros_like(weights.data) if weights.requires_grad else None
+        gb = np.zeros_like(bias.data) if bias is not None and bias.requires_grad else None
+        for o, rd, cd, rs, cs in windows:
+            gd = gg[:, rd, cd]
+            if gx is not None:
+                gx[:, rs, cs] += weights.data[o] * gd
+            if gw is not None:
+                gw[o] = (xg[:, rs, cs] * gd).reshape(-1, c).sum(axis=0)
+            if gb is not None:
+                gb[o] = gd.reshape(-1, c).sum(axis=0)
+        if gx is not None:
+            x._accumulate(gx.reshape(x.shape))
+        if gw is not None:
+            weights._accumulate(gw)
+        if gb is not None:
+            bias._accumulate(gb)
 
     _set_backward(out, bw)
     return out

@@ -44,6 +44,11 @@ class ScheduleConfig:
             raise ConfigError("total_steps must be >= warmup_steps")
 
 
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+
+
 @dataclass
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -52,6 +57,9 @@ class RunConfig:
     batch_size: int = 32
     seed: int = 0
     output_dir: str = "run"
+
+    def __post_init__(self) -> None:
+        _check_batch_size(self.batch_size)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -113,6 +121,7 @@ def _forward_pass_metrics(model: Model, dataset: Dataset, batch_size: int) -> tu
 
 def evaluate(model_or_dir, dataset: Dataset, batch_size: int = 32) -> tuple[float, float]:
     """Top-1 accuracy and mean loss of a model (or checkpoint dir) on a split."""
+    _check_batch_size(batch_size)
     model = model_or_dir if isinstance(model_or_dir, Model) else load_checkpoint(model_or_dir)
     loss, acc = _forward_pass_metrics(model, dataset, batch_size)
     return acc, loss

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from pvg import tensor as T
-from pvg.graph import grid_offset_maps
 from pvg.tensor import Tensor
 
 
@@ -99,26 +98,25 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
         _rng(37).normal(size=(4, 3)),
     )
 
-    maps = grid_offset_maps(3, 3, 1)
     om_w = Tensor(_rng(38).normal(size=(9, 2)))
     om_b = Tensor(_rng(39).normal(size=(9, 2)))
     om_x = Tensor(_rng(40).normal(size=(9, 2)))
     case(
         "offset_mix",
         "x",
-        lambda x: _weigh(T.offset_mix(x, om_w, maps, bias=om_b)),
+        lambda x: _weigh(T.offset_mix(x, om_w, (3, 3), bias=om_b)),
         _rng(41).normal(size=(9, 2)),
     )
     case(
         "offset_mix",
         "weights",
-        lambda x: _weigh(T.offset_mix(om_x, x, maps, bias=om_b)),
+        lambda x: _weigh(T.offset_mix(om_x, x, (3, 3), bias=om_b)),
         _rng(42).normal(size=(9, 2)),
     )
     case(
         "offset_mix",
         "bias",
-        lambda x: _weigh(T.offset_mix(om_x, om_w, maps, bias=x)),
+        lambda x: _weigh(T.offset_mix(om_x, om_w, (3, 3), bias=x)),
         _rng(43).normal(size=(9, 2)),
     )
 

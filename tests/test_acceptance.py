@@ -21,7 +21,7 @@ from pvg.tensor import DIFFERENTIABLE_OPS, Tensor, softmax_cross_entropy
 from pvg.train import OptimizerConfig, RunConfig, ScheduleConfig, train
 
 from gradprobes import build_cases
-from test_graph import brute_force_topk
+from test_graph import brute_force_topk, chebyshev_neighborhoods
 from test_net import zero_residual_outputs
 
 
@@ -109,13 +109,8 @@ def test_criterion_knn_oracle_equivalence():
 def test_criterion_second_order_equivalence():
     """Aggregate-then-first-order similarity equals the direct second-order
     form within 1e-5 relative in f32, n <= 16, 50 trials."""
-    from pvg.graph import (
-        LocalBranchParams,
-        grid_offset_maps,
-        local_branch,
-        pairwise_similarity,
-        second_order_similarity,
-    )
+    from pvg.graph import pairwise_similarity, second_order_similarity
+    from pvg.tensor import offset_mix
 
     worst = 0.0
     for trial in range(50):
@@ -127,15 +122,10 @@ def test_criterion_second_order_equivalence():
         alpha = rng.normal(size=((2 * r + 1) ** 2, c)).astype(np.float32)
         x = rng.normal(size=(h * w, c)).astype(np.float32)
 
-        agg = local_branch(Tensor(x), LocalBranchParams(radius=r, offset_weights=Tensor(alpha)), h, w)
+        agg = offset_mix(Tensor(x), Tensor(alpha), (h, w))
         s_pipeline = pairwise_similarity(agg, "dot").data
 
-        nbrs = [[] for _ in range(h * w)]
-        ws = [[] for _ in range(h * w)]
-        for o, (dst, src) in enumerate(grid_offset_maps(h, w, r)):
-            for d, s_ in zip(dst, src):
-                nbrs[d].append(int(s_))
-                ws[d].append(alpha[o])
+        nbrs, ws = chebyshev_neighborhoods(alpha, h, w, r)
         s_direct = second_order_similarity(x, nbrs, ws).data
 
         rel = np.max(np.abs(s_pipeline - s_direct) / np.maximum(np.abs(s_direct), 1.0))

@@ -9,18 +9,15 @@ import pytest
 from pvg.errors import ConfigError, DegenerateInputError, DimensionError
 from pvg.graph import (
     ChannelSchedule,
-    LocalBranchParams,
     chebyshev_mask,
     export_edges,
-    grid_offset_maps,
-    local_branch,
     pairwise_similarity,
     psgc_schedule,
     second_order_similarity,
     similarity_matrix,
     topk_neighbors,
 )
-from pvg.tensor import Tensor
+from pvg.tensor import Tensor, offset_mix
 
 
 def brute_force_topk(s: np.ndarray, k: int) -> np.ndarray:
@@ -181,16 +178,28 @@ def dense_local_oracle(x, alpha, h, w, r):
     return y
 
 
-class TestLocalBranch:
-    def _params(self, r, c, alpha):
-        return LocalBranchParams(radius=r, offset_weights=Tensor(alpha))
+def chebyshev_neighborhoods(alpha, h, w, r):
+    """Per-node in-grid neighbors and their offset weights, in row-major
+    offset order, enumerated from (row, col) = divmod(node, w)."""
+    nbrs = [[] for _ in range(h * w)]
+    ws = [[] for _ in range(h * w)]
+    for i in range(h * w):
+        ri, ci = divmod(i, w)
+        for dy in range(-r, r + 1):
+            for dx in range(-r, r + 1):
+                if 0 <= ri + dy < h and 0 <= ci + dx < w:
+                    nbrs[i].append((ri + dy) * w + ci + dx)
+                    ws[i].append(alpha[(dy + r) * (2 * r + 1) + (dx + r)])
+    return nbrs, ws
 
+
+class TestLocalBranch:
     def test_delta_weights_identity(self):
         r, c = 2, 3
         alpha = np.zeros(((2 * r + 1) ** 2, c), dtype=np.float32)
         alpha[(2 * r + 1) ** 2 // 2] = 1.0  # center offset only
         x = Tensor(np.random.default_rng(4).normal(size=(20, c)).astype(np.float32))
-        y = local_branch(x, self._params(r, c, alpha), 4, 5)
+        y = offset_mix(x, Tensor(alpha), (4, 5))
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_uniform_weights_interior_mean(self):
@@ -198,7 +207,7 @@ class TestLocalBranch:
         n_off = (2 * r + 1) ** 2
         alpha = np.full((n_off, c), 1.0 / n_off, dtype=np.float32)
         x = np.random.default_rng(5).normal(size=(25, c)).astype(np.float32)
-        y = local_branch(Tensor(x), self._params(r, c, alpha), 5, 5)
+        y = offset_mix(Tensor(x), Tensor(alpha), (5, 5))
         # node 12 = center of the 5x5 grid; its 3x3 patch is rows 6..8 etc.
         patch = [6, 7, 8, 11, 12, 13, 16, 17, 18]
         np.testing.assert_allclose(y.data[12], x[patch].mean(axis=0), rtol=1e-5)
@@ -208,17 +217,40 @@ class TestLocalBranch:
         rng = np.random.default_rng(6)
         alpha = rng.normal(size=((2 * r + 1) ** 2, c)).astype(np.float32)
         x = rng.normal(size=(25, c)).astype(np.float32)
-        y = local_branch(Tensor(x), self._params(r, c, alpha), 5, 5)
+        y = offset_mix(Tensor(x), Tensor(alpha), (5, 5))
         np.testing.assert_allclose(y.data, dense_local_oracle(x, alpha, 5, 5, r), rtol=2e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("h, w, r", [(2, 2, 5), (3, 5, 1)])
+    def test_small_and_oblong_grids_match_dense_oracle(self, h, w, r):
+        # (2, 2, 5): all but 9 of the 121 offsets fall off the grid
+        c = 3
+        rng = np.random.default_rng(h * 10 + w)
+        alpha = rng.normal(size=((2 * r + 1) ** 2, c))
+        x = rng.normal(size=(h * w, c))
+        y = offset_mix(Tensor(x), Tensor(alpha), (h, w))
+        np.testing.assert_allclose(y.data, dense_local_oracle(x, alpha, h, w, r), rtol=1e-12, atol=1e-12)
+
+    def test_batch_stacks_per_image_results(self):
+        h, w, r, c = 4, 3, 1, 2
+        rng = np.random.default_rng(10)
+        alpha = Tensor(rng.normal(size=((2 * r + 1) ** 2, c)))
+        bias = Tensor(rng.normal(size=((2 * r + 1) ** 2, c)))
+        x = rng.normal(size=(3, h * w, c))
+        batched = offset_mix(Tensor(x.reshape(-1, c)), alpha, (h, w), bias=bias).data
+        per_image = [offset_mix(Tensor(img), alpha, (h, w), bias=bias).data for img in x]
+        np.testing.assert_array_equal(batched, np.concatenate(per_image))
+
     def test_grid_mismatch(self):
-        alpha = np.zeros((9, 2), dtype=np.float32)
-        with pytest.raises(DimensionError):
-            local_branch(Tensor(np.zeros((7, 2))), self._params(1, 2, alpha), 2, 3)
+        alpha = Tensor(np.zeros((9, 2), dtype=np.float32))
+        for rows in (7, 13):  # neither fills whole 2 x 3 grids
+            with pytest.raises(DimensionError):
+                offset_mix(Tensor(np.zeros((rows, 2))), alpha, (2, 3))
 
     def test_offset_weight_table_size_enforced(self):
-        with pytest.raises(ConfigError):
-            LocalBranchParams(radius=2, offset_weights=Tensor(np.zeros((9, 2))))
+        with pytest.raises(DimensionError):
+            offset_mix(Tensor(np.zeros((9, 2))), Tensor(np.zeros((8, 2))), (3, 3))
+        with pytest.raises(DimensionError):  # a square, but of even side
+            offset_mix(Tensor(np.zeros((9, 2))), Tensor(np.zeros((4, 2))), (3, 3))
 
 
 class TestPsgcSchedule:
@@ -296,18 +328,11 @@ class TestSecondOrderSimilarity:
         x = rng.normal(size=(h * w, c)).astype(np.float32)
 
         # path 1: local aggregation then plain dot-product similarity
-        params = LocalBranchParams(radius=r, offset_weights=Tensor(alpha))
-        agg = local_branch(Tensor(x), params, h, w)
+        agg = offset_mix(Tensor(x), Tensor(alpha), (h, w))
         s_pipeline = pairwise_similarity(agg, "dot").data
 
         # path 2: definitional neighborhoods from the same Chebyshev structure
-        maps = grid_offset_maps(h, w, r)
-        nbrs = [[] for _ in range(h * w)]
-        ws = [[] for _ in range(h * w)]
-        for o, (dst, src) in enumerate(maps):
-            for d, s_ in zip(dst, src):
-                nbrs[d].append(int(s_))
-                ws[d].append(alpha[o])
+        nbrs, ws = chebyshev_neighborhoods(alpha, h, w, r)
         s_direct = second_order_similarity(x, nbrs, ws).data
 
         denom = np.maximum(np.abs(s_direct), 1.0)

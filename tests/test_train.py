@@ -22,7 +22,7 @@ from pvg.errors import (
     LabelRangeError,
     NonFiniteError,
 )
-from pvg.net import Model, ModelConfig
+from pvg.net import Model, ModelConfig, save_checkpoint
 from pvg.optim import AdamWState, adamw_step, cosine_lr
 from pvg.pvgt import write_tensor
 from pvg.tensor import Tensor
@@ -245,6 +245,12 @@ class TestTraining:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"modle": {}})
 
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ConfigError):
+            RunConfig(batch_size=0)
+        with pytest.raises(ConfigError):
+            evaluate(Model(ModelConfig(), seed=0), small_dataset(4), batch_size=0)
+
 
 class TestCli:
     @pytest.fixture()
@@ -294,12 +300,28 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"model": ', json.dumps({"model": {"stage_depths": 3}}), "3"],
-        ids=["malformed-json", "wrong-field-type", "not-an-object"],
+        [
+            '{"model": ',
+            json.dumps({"model": {"stage_depths": 3}}),
+            "3",
+            json.dumps({"model": {"patch_size": 0}}),
+        ],
+        ids=["malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size"],
     )
     def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, text):
         (tmp_path / "run.json").write_text(text)
         assert cli_main(["count", "--config", str(tmp_path / "run.json")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:config:")
+        assert "\n" not in err
+
+    @pytest.mark.parametrize("command, batch_size", [("eval", "0"), ("diag", "0"), ("diag", "-3")])
+    def test_batch_size_below_one_is_one_line_error(self, tmp_path, capsys, command, batch_size):
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
+        save_checkpoint(Model(ModelConfig(), seed=0), tmp_path / "ckpt")
+        args = [command, "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path / "x.pvgt")]
+        args += ["--labels", str(tmp_path / "y.csv")] if command == "eval" else ["--out", str(tmp_path / "t.csv")]
+        assert cli_main(args + ["--batch-size", batch_size]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:config:")
         assert "\n" not in err
