@@ -30,6 +30,7 @@ from .errors import (
     DimensionError,
     EmptyReductionError,
     FileFormatError,
+    GraphReleasedError,
     LabelRangeError,
     NonFiniteError,
     PvgError,

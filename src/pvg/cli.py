@@ -13,7 +13,7 @@ import sys
 
 from .data import load_dataset
 from .diagnostics import trace_diversity, write_trace_csv
-from .errors import ConfigError, PvgError
+from .errors import ConfigError, DimensionError, PvgError
 from .graph import export_edges
 from .net import count_params_flops, load_checkpoint
 from .pvgt import read_tensor
@@ -47,7 +47,7 @@ def _cmd_diag(args) -> int:
     model = load_checkpoint(args.checkpoint)
     images = read_tensor(args.data)
     if images.ndim != 4:
-        raise PvgError(f"diagnostic images must be rank 4, got rank {images.ndim}")
+        raise DimensionError(f"diagnostic images must be rank 4, got rank {images.ndim}")
     trace = trace_diversity(model, images[: args.batch_size], run_id=args.run_id)
     write_trace_csv(args.out, trace)
     print(f"wrote {len(trace.per_block)} block rows to {args.out}")
@@ -58,7 +58,7 @@ def _cmd_export_graph(args) -> int:
     model = load_checkpoint(args.checkpoint)
     images = read_tensor(args.data)
     if not (0 <= args.image < images.shape[0]):
-        raise PvgError(f"image index {args.image} outside dataset of {images.shape[0]}")
+        raise ConfigError(f"image index {args.image} outside dataset of {images.shape[0]}")
     collect: dict = {"graphs": []}
     model.forward(images[args.image : args.image + 1], collect=collect)
     match = [
@@ -68,7 +68,7 @@ def _cmd_export_graph(args) -> int:
     ]
     if not match:
         available = sorted({(b, br) for b, br, _ in collect["graphs"]})
-        raise PvgError(
+        raise ConfigError(
             f"no {args.branch!r} graph at block {args.block}; available: {available}"
         )
     export_edges(args.out, [(args.block, match[0][0])])

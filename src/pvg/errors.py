@@ -36,6 +36,13 @@ class NonFiniteError(PvgError):
     category = "non-finite"
 
 
+class GraphReleasedError(PvgError):
+    """A backward sweep reached an autograd node that an earlier backward
+    already consumed."""
+
+    category = "graph-released"
+
+
 class ConfigError(PvgError):
     """A configuration value violates its documented constraints."""
 

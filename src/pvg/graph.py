@@ -134,6 +134,34 @@ def pairwise_similarity(x, metric: str = "dot") -> Tensor:
     return Tensor(similarity_matrix(xa, metric))
 
 
+# Rows shorter than this take the full sort, which is faster there. On a
+# 2-core x86-64 host with numpy 2.4 the two cross near n = 50; 32 calls took
+# 0.26 ms sorted vs 1.4 ms partitioned at n = 16, and 96 vs 15 ms at n = 256.
+_PARTITION_MIN_N = 64
+
+
+def _stable_argsort_prefix(a: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(a, axis=1, kind="stable")[:, :k]``, sorting whole rows
+    only where needed.
+
+    Partition finds each row's k-th smallest value. Where exactly k entries
+    are <= it, they are the sorted prefix's entries, in column order, so a
+    stable sort of just those k gives the prefix. A tie at the boundary, or a
+    NaN k-th value, leaves some other count; such rows take the full sort.
+    """
+    if k < 1 or a.shape[1] < _PARTITION_MIN_N:
+        return np.argsort(a, axis=1, kind="stable")[:, :k]
+    kth = np.partition(a, k - 1, axis=1)[:, k - 1 : k]
+    keep = a <= kth
+    exact = np.count_nonzero(keep, axis=1) == k
+    out = np.empty((a.shape[0], k), dtype=np.intp)
+    cols = np.nonzero(keep[exact])[1].reshape(-1, k)
+    by_value = np.argsort(np.take_along_axis(a[exact], cols, axis=1), axis=1, kind="stable")
+    out[exact] = np.take_along_axis(cols, by_value, axis=1)
+    out[~exact] = np.argsort(a[~exact], axis=1, kind="stable")[:, :k]
+    return out
+
+
 def topk_neighbors(S, k: int) -> GraphTopology:
     """Select each node's k most similar non-self nodes from a similarity
     matrix. Ties break toward the lower node index; rows come back sorted by
@@ -147,11 +175,13 @@ def topk_neighbors(S, k: int) -> GraphTopology:
     if k >= n:
         warnings.warn(f"k={k} >= n={n}; clamping to {n - 1}", stacklevel=2)
         k = n - 1
-    masked = sa.astype(np.float64, copy=True)
-    np.fill_diagonal(masked, -np.inf)
-    # Stable ascending sort of the negated scores == descending by score with
-    # ties resolved toward the lower index; the -inf diagonal sorts last.
-    order = np.argsort(-masked, axis=1, kind="stable")[:, :k]
+    # Negated scores with the diagonal at +inf: ascending order is descending
+    # similarity, and the diagonal and then NaN sort last. Float input keeps
+    # its dtype; integer input is promoted with float32 as numpy does, which
+    # orders it exactly as float64 would.
+    neg = np.negative(sa, dtype=np.result_type(sa.dtype, np.float32))
+    np.fill_diagonal(neg, np.inf)
+    order = _stable_argsort_prefix(neg, k)
     sims = np.take_along_axis(sa, order, axis=1)
     return GraphTopology(n_nodes=n, k=k, neighbor_idx=order, neighbor_sim=sims)
 

@@ -6,6 +6,14 @@ forward/training, float64 for oracle and gradient checks); each differentiable
 operation records a backward closure so that ``Tensor.backward()`` accumulates
 gradients into every reachable leaf.
 
+Backward consumes the graph it sweeps: each interior node drops its gradient,
+its closure and its parent links as soon as its closure has run, so the
+intermediate values of a step are freed during the sweep rather than kept
+until the caller's last reference goes. Leaves keep their gradients. A swept
+graph cannot be swept again: a second backward from the same root, or from a
+root whose graph shares nodes with a swept one, raises
+:class:`~pvg.errors.GraphReleasedError` before any gradient is accumulated.
+
 Scope is deliberately narrow: the only broadcasting is scalar-with-tensor
 (plus explicit row-vector helpers), reductions remove their axis, and there is
 no graph optimization, fusion, or device support. Max reductions route the
@@ -19,11 +27,12 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf_f64
+from scipy.special import erf as _erf
 
 from .errors import (
     DimensionError,
     EmptyReductionError,
+    GraphReleasedError,
     NonFiniteError,
 )
 
@@ -131,15 +140,26 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # 0 + g into a fresh array: the bits that adding g to a zero-filled
+            # array gives (a -0.0 entry becomes +0.0), without the fill.
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self, seed: np.ndarray | None = None) -> None:
-        """Reverse-mode sweep from this tensor.
+        """Reverse-mode sweep from this tensor that consumes its graph.
 
         ``seed`` defaults to ones and must match this tensor's shape; calling
         without a seed on a non-scalar is almost always a bug, so the default
         is only intended for scalar losses.
+
+        Every interior node (one built by an operation, this tensor included)
+        is released right after its closure has run: its ``grad``,
+        ``_backward`` and ``_parents`` are dropped. Leaves keep their
+        accumulated ``grad``. Sweeping a released node again, by a second
+        ``backward()`` from the same root or from another root over a shared
+        subgraph, raises :class:`GraphReleasedError`; the check runs before
+        any closure, so no gradient is accumulated by the failed call.
         """
         if seed is None:
             seed = np.ones_like(self.data)
@@ -158,6 +178,12 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            # Every op sets a closure on a node that needs a gradient, so an
+            # interior node without one was released by an earlier backward.
+            if node.requires_grad and node.op != "leaf" and node._backward is None:
+                raise GraphReleasedError(
+                    f"backward reached a {node.op!r} node that an earlier backward released"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -165,9 +191,16 @@ class Tensor:
                     stack.append((p, False))
 
         self._accumulate(seed)
-        for node in reversed(order):
+        # Popping drops the list's reference, so a released node and the
+        # values only it kept alive are freed as the sweep moves on.
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node.op != "leaf":
+                node.grad = None
+                node._backward = None
+                node._parents = ()
 
     # -- operator sugar ----------------------------------------------------
 
@@ -284,7 +317,9 @@ def add_scalar(a: Tensor, s: float) -> Tensor:
 
 def erf(a: Tensor) -> Tensor:
     """Gauss error function, elementwise; accurate to well under 1e-7 abs."""
-    out = Tensor._from_op(_erf_f64(a.data.astype(np.float64)).astype(a.data.dtype), (a,), "erf")
+    # scipy's float32 loop evaluates in double and rounds once, so this equals
+    # the float64 round trip bit for bit.
+    out = Tensor._from_op(_erf(a.data), (a,), "erf")
 
     def bw(g: np.ndarray) -> None:
         d = 2.0 * _INV_SQRT_PI * np.exp(-a.data.astype(np.float64) ** 2)

@@ -116,6 +116,9 @@ def _forward_pass_metrics(model: Model, dataset: Dataset, batch_size: int) -> tu
         loss = softmax_cross_entropy(logits, labels)
         total_loss += loss.item() * (stop - start)
         correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
+        # No backward consumes this graph; drop it before the next forward
+        # so the pass holds one batch's graph, not two.
+        del logits, loss
     return total_loss / n, correct / n
 
 
@@ -189,12 +192,11 @@ def train(
                 run.schedule.warmup_steps,
                 total_steps,
             )
-            grads = {
-                name: t.grad for name, t in model.params.items() if t.grad is not None
-            }
+            # Built in the call, so no name keeps this step's gradients alive
+            # through the next step's forward and backward.
             adamw_step(
                 model.params,
-                grads,
+                {name: t.grad for name, t in model.params.items() if t.grad is not None},
                 state,
                 lr_t,
                 betas=run.optimizer.betas,

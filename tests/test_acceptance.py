@@ -84,7 +84,8 @@ def test_criterion_gradient_certification():
 
 def test_criterion_knn_oracle_equivalence():
     """topk_neighbors exactly matches a full-sort oracle: all n <= 64, all k,
-    100 seeded trials, plus tie-heavy matrices."""
+    100 seeded trials, tie-heavy matrices, and n = 72 and 256 with ties and
+    NaN scores."""
     checked = 0
     for n in range(2, 65):
         rng = np.random.default_rng(n)
@@ -102,6 +103,23 @@ def test_criterion_knn_oracle_equivalence():
         s = 0.5 * (s + s.T)
         for k in range(1, n):
             np.testing.assert_array_equal(topk_neighbors(s, k).neighbor_idx, brute_force_topk(s, k))
+            checked += 1
+    # The stage-0 graph size, and NaN scores, which a diverging run sends
+    # through the graph build: random, tie-heavy, constant, and 30% NaN
+    # entries plus whole NaN rows, every k.
+    for seed, n in enumerate([256] * 4 + [72] * 4):
+        rng = np.random.default_rng(2000 + seed)
+        s = rng.normal(size=(n, n)).astype(np.float32)
+        if seed % 4 == 1:
+            s = np.round(s * 2) / 2.0
+        elif seed % 4 == 2:
+            s[:] = 0.25
+        elif seed % 4 == 3:
+            s[rng.random((n, n)) < 0.3] = np.nan
+            s[rng.random(n) < 0.1] = np.nan
+        full = brute_force_topk(s, n - 1)
+        for k in range(1, n):
+            np.testing.assert_array_equal(topk_neighbors(s, k).neighbor_idx, full[:, :k])
             checked += 1
     report("knn-oracle-equivalence", True, f"{checked} (n, k, seed) cases, exact index agreement")
 

@@ -2,6 +2,7 @@
 progressive channel schedule, and second-order equivalence."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -21,13 +22,17 @@ from pvg.tensor import Tensor, offset_mix
 
 
 def brute_force_topk(s: np.ndarray, k: int) -> np.ndarray:
-    """Full sort per row with the (similarity desc, index asc) key."""
+    """Full sort per row with the (similarity desc, index asc) key. The node
+    itself scores -inf and NaN ranks below every number, so a node is its own
+    neighbour only in a row with fewer than k other numbers to choose from."""
     n = s.shape[0]
     out = np.empty((n, k), dtype=np.int64)
     for i in range(n):
-        candidates = [j for j in range(n) if j != i]
-        candidates.sort(key=lambda j: (-float(s[i, j]), j))
-        out[i] = candidates[:k]
+        def key(j: int) -> tuple:
+            v = -math.inf if j == i else float(s[i, j])
+            return (1, 0.0, j) if math.isnan(v) else (0, -v, j)
+
+        out[i] = sorted(range(n), key=key)[:k]
     return out
 
 

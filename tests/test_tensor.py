@@ -1,6 +1,7 @@
 """Tensor core: forward semantics, gradient rules, and the PVGT format."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from pvg.errors import (
     DimensionError,
     EmptyReductionError,
     FileFormatError,
+    GraphReleasedError,
     NonFiniteError,
+    PvgError,
 )
 from pvg.gradcheck import grad_check
+from pvg.net import Model, tiny_config
 from pvg.pvgt import read_tensor, write_tensor
 from pvg.tensor import Tensor
 
@@ -224,6 +228,115 @@ class TestInvariantsAndErrors:
         t = Tensor(np.zeros((2, 3)), requires_grad=True)
         T.sum_all(t).backward()
         assert t.grad.shape == t.shape
+
+
+def graph_nodes(root: Tensor) -> list[Tensor]:
+    """Every node a sweep from ``root`` visits, consumers before producers."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if p.requires_grad)
+    return order[::-1]
+
+
+def retaining_sweep(root: Tensor) -> None:
+    """Reverse-mode sweep that leaves every node as it was: the definition a
+    consuming ``Tensor.backward`` must match at the leaves."""
+    root._accumulate(np.ones_like(root.data))
+    for node in graph_nodes(root):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestBackwardConsumesGraph:
+    @staticmethod
+    def model_loss(model: Model, images: np.ndarray) -> tuple[Tensor, Tensor]:
+        x = Tensor(images, requires_grad=True)
+        return x, T.softmax_cross_entropy(model.forward(x), np.array([0, 1]))
+
+    @staticmethod
+    def grad_bytes(t: Tensor) -> bytes | None:
+        return None if t.grad is None else t.grad.tobytes()
+
+    def test_interior_nodes_released_and_leaf_gradients_unchanged(self):
+        model = Model(tiny_config(), seed=0)
+        images = np.random.default_rng(0).random((2, 32, 32, 3)).astype(np.float32)
+        x_ref, loss_ref = self.model_loss(model, images)
+        retaining_sweep(loss_ref)
+        want = {name: self.grad_bytes(t) for name, t in model.params.items()}
+        want_x = self.grad_bytes(x_ref)
+
+        model.zero_grad()
+        x, loss = self.model_loss(model, images)
+        interior = [node for node in graph_nodes(loss) if node.op != "leaf"]
+        assert len(interior) > 100
+        loss.backward()
+        for node in interior:
+            assert node.grad is None and node._backward is None and node._parents == ()
+        assert all(t.grad is not None for t in model.params.values())
+        assert {name: self.grad_bytes(t) for name, t in model.params.items()} == want
+        assert self.grad_bytes(x) == want_x
+
+    def test_backward_frees_graph_while_root_is_held(self):
+        # numpy's buffers are traced by tracemalloc. With ``loss`` still
+        # named, what the sweep leaves behind is the parameter gradients.
+        model = Model(tiny_config(), seed=0)
+        images = np.random.default_rng(3).random((4, 32, 32, 3)).astype(np.float32)
+        grad_bytes = sum(t.data.nbytes for t in model.params.values())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = T.softmax_cross_entropy(model.forward(images), np.array([0, 1, 0, 1]))
+            graph = tracemalloc.get_traced_memory()[0] - base
+            loss.backward()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert graph > 2 * grad_bytes
+        assert held <= grad_bytes + 0.02 * graph, (held, grad_bytes, graph)
+
+    def test_second_backward_from_same_root_raises(self):
+        rng = np.random.default_rng(1)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        loss = T.sum_all(T.max0(T.matmul(Tensor(rng.normal(size=(5, 4))), w)))
+        loss.backward()
+        first = w.grad.copy()
+        with pytest.raises(GraphReleasedError):
+            loss.backward()
+        assert w.grad.tobytes() == first.tobytes()
+
+    def test_second_root_over_released_subgraph_raises(self):
+        rng = np.random.default_rng(2)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        h = T.matmul(Tensor(rng.normal(size=(5, 4))), w)
+        second = T.sum_all(T.scale(h, 2.0))
+        T.sum_all(h).backward()
+        first = w.grad.copy()
+        with pytest.raises(GraphReleasedError):
+            second.backward()
+        # The check runs before any closure: nothing reached the leaf.
+        assert w.grad.tobytes() == first.tobytes()
+
+    def test_error_has_own_category(self):
+        assert issubclass(GraphReleasedError, PvgError)
+        assert GraphReleasedError.category == "graph-released"
+
+    def test_first_contribution_is_added_to_zero(self):
+        # max0 backward over a negative input with a negative upstream
+        # gradient gives -0.0; the leaf keeps +0.0, as 0 + (-0.0) is.
+        x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
+        T.sum_all(T.mul(T.max0(x), Tensor(np.array([-3.0, -3.0])))).backward()
+        assert not np.signbit(x.grad[0])
+        np.testing.assert_array_equal(x.grad, [0.0, -3.0])
 
 
 class TestGradCheckHarness:

@@ -3,6 +3,7 @@ CLI surface."""
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,15 @@ from pvg.errors import (
 from pvg.net import Model, ModelConfig, save_checkpoint
 from pvg.optim import AdamWState, adamw_step, cosine_lr
 from pvg.pvgt import write_tensor
-from pvg.tensor import Tensor
-from pvg.train import OptimizerConfig, RunConfig, ScheduleConfig, evaluate, train
+from pvg.tensor import Tensor, softmax_cross_entropy
+from pvg.train import (
+    OptimizerConfig,
+    RunConfig,
+    ScheduleConfig,
+    _forward_pass_metrics,
+    evaluate,
+    train,
+)
 
 
 def small_dataset(n=64, seed=0):
@@ -252,6 +260,49 @@ class TestTraining:
             evaluate(Model(ModelConfig(), seed=0), small_dataset(4), batch_size=0)
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while ``fn`` runs, above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryHeld:
+    """A pass holds one batch's autograd graph at a time: numpy's buffers are
+    traced by tracemalloc, so peaks are deterministic byte counts."""
+
+    def test_forward_pass_holds_one_batch_graph(self):
+        ds = small_dataset(32, seed=10)
+        model = Model(ModelConfig(num_classes=2), seed=0)
+
+        def one_batch():
+            softmax_cross_entropy(model.forward(ds.images[:8]), ds.labels[:8]).item()
+
+        one_batch()  # first-call allocations stay out of the measurement
+        one = traced_peak(one_batch)
+        four = traced_peak(lambda: _forward_pass_metrics(model, ds, 8))
+        assert four <= 1.2 * one, (four, one)
+
+    def test_train_steps_hold_one_step_graph(self, tmp_path):
+        def run(steps: int) -> int:
+            ds = small_dataset(8 * steps, seed=11)
+            cfg = RunConfig(
+                model=ModelConfig(num_classes=2),
+                schedule=ScheduleConfig(total_steps=steps),
+                batch_size=8,
+                output_dir=str(tmp_path / f"steps{steps}"),
+            )
+            return traced_peak(lambda: train(cfg, ds))
+
+        one, three = run(1), run(3)
+        assert three <= 1.05 * one, (three, one)
+
+
 class TestCli:
     @pytest.fixture()
     def workspace(self, tmp_path):
@@ -324,6 +375,27 @@ class TestCli:
         assert cli_main(args + ["--batch-size", batch_size]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:config:")
+        assert "\n" not in err
+
+    @pytest.mark.parametrize(
+        "command, extra, category",
+        [
+            ("diag", ["--data", "rank3.pvgt", "--out", "t.csv"], "dimension"),
+            ("export-graph", ["--data", "x.pvgt", "--image", "-1", "--block", "0", "--out", "e.csv"], "config"),
+            ("export-graph", ["--data", "x.pvgt", "--image", "4", "--block", "0", "--out", "e.csv"], "config"),
+            ("export-graph", ["--data", "x.pvgt", "--image", "0", "--block", "99", "--out", "e.csv"], "config"),
+            ("export-graph", ["--data", "x.pvgt", "--image", "0", "--block", "0", "--branch", "second", "--out", "e.csv"], "config"),
+        ],
+        ids=["diag-rank3", "export-image-negative", "export-image-past-end", "export-no-block", "export-no-branch"],
+    )
+    def test_diag_and_export_error_categories(self, tmp_path, capsys, command, extra, category):
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
+        write_tensor(tmp_path / "rank3.pvgt", np.zeros((4, 32, 32), dtype=np.float32))
+        save_checkpoint(Model(ModelConfig(), seed=0), tmp_path / "ckpt")
+        extra = [str(tmp_path / a) if a.endswith((".pvgt", ".csv")) else a for a in extra]
+        assert cli_main([command, "--checkpoint", str(tmp_path / "ckpt")] + extra) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error:{category}:")
         assert "\n" not in err
 
     def test_bad_data_error_category(self, workspace, capsys):
