@@ -46,7 +46,7 @@ from .graph import (
     second_order_similarity,
     topk_neighbors,
 )
-from .graphlu import GraphLUParams, gelu, graphlu, graphlu_reference, phi
+from .graphlu import GraphLUParams, gelu, graphlu, phi
 from .net import (
     Model,
     ModelConfig,

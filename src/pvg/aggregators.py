@@ -27,7 +27,6 @@ from .graph import GraphTopology
 from .tensor import (
     Tensor,
     add,
-    add_scalar,
     concat,
     gather_rows,
     matmul,
@@ -117,15 +116,23 @@ def _neighbor_idx(topo) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def _gather_parts(x: Tensor, idx: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Neighbors [n, k, c] and the matching self rows broadcast to [n, k, c]."""
-    n, k = idx.shape
-    if x.shape[0] != n:
+def _gather_neighbors(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Neighbor rows [n, k, c] of the [n, c] features."""
+    if x.shape[0] != idx.shape[0]:
         raise DimensionError("topology row count does not match features")
-    nbh = gather_rows(x, idx)
-    self_idx = np.repeat(np.arange(n, dtype=np.int64)[:, None], k, axis=1)
-    own = gather_rows(x, self_idx)
-    return nbh, own
+    return gather_rows(x, idx)
+
+
+def _max_relative(x: Tensor, nbh: Tensor) -> Tensor:
+    """Channel-wise max_j (x_j - x_i), computed as max_j x_j - x_i.
+
+    Rounding is monotone, so max_j fl(x_j - x_i) = fl(max_j x_j - x_i) and the
+    value is exactly that of subtracting before the max. The subgradient goes
+    to the lowest-index neighbor with the largest x_j; where rounding makes
+    two differences x_j - x_i tie although the x_j differ, subtracting first
+    would have sent it to the lowest-index tied neighbor instead.
+    """
+    return sub(reduce_max(nbh, axis=1), x)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +142,8 @@ def _gather_parts(x: Tensor, idx: np.ndarray) -> tuple[Tensor, Tensor]:
 
 def maxe_aggregate(x: Tensor, topo) -> Tensor:
     """[x_i || channel-wise max_j (x_j - x_i) || mean_j x_j] per node."""
-    idx = _neighbor_idx(topo)
-    nbh, own = _gather_parts(x, idx)
-    diff_max = reduce_max(sub(nbh, own), axis=1)
-    nbh_mean = reduce_mean(nbh, axis=1)
-    return concat([x, diff_max, nbh_mean], axis=1)
+    nbh = _gather_neighbors(x, _neighbor_idx(topo))
+    return concat([x, _max_relative(x, nbh), reduce_mean(nbh, axis=1)], axis=1)
 
 
 def maxe_update(agg: Tensor, w: Tensor) -> Tensor:
@@ -170,23 +174,20 @@ def baseline_aggregate(kind: str, x: Tensor, topo, spec: AggregatorSpec) -> Tens
     n, k = idx.shape
     c = x.shape[1]
     w = spec.weights
+    nbh = _gather_neighbors(x, idx)
     if kind == "MRGraphConv":
-        nbh, own = _gather_parts(x, idx)
-        diff_max = reduce_max(sub(nbh, own), axis=1)
-        return matmul(concat([x, diff_max], axis=1), w["W"])
+        return matmul(concat([x, _max_relative(x, nbh)], axis=1), w["W"])
     if kind == "EdgeConv":
-        nbh, own = _gather_parts(x, idx)
+        own = gather_rows(x, np.repeat(np.arange(n, dtype=np.int64)[:, None], k, axis=1))
         edges = concat([own, sub(nbh, own)], axis=2)  # [n, k, 2c]
         flat = reshape(edges, (n * k, 2 * c))
         hidden = max0(matmul(flat, w["W1"]))
         per_edge = reshape(matmul(hidden, w["W2"]), (n, k, spec.out_c))
         return reduce_max(per_edge, axis=1)
     if kind == "GraphSAGE":
-        nbh = gather_rows(x, idx)
         transformed = reshape(matmul(reshape(nbh, (n * k, c)), w["Wn"]), (n, k, c))
         return matmul(concat([x, reduce_mean(transformed, axis=1)], axis=1), w["W"])
     if kind == "GIN":
-        nbh = gather_rows(x, idx)
         summed = add(scale(x, 1.0 + spec.gin_eps), reduce_sum(nbh, axis=1))
         if spec.variant == "mlp":
             return matmul(max0(matmul(summed, w["W1"])), w["W2"])

@@ -165,7 +165,11 @@ def _stable_argsort_prefix(a: np.ndarray, k: int) -> np.ndarray:
 def topk_neighbors(S, k: int) -> GraphTopology:
     """Select each node's k most similar non-self nodes from a similarity
     matrix. Ties break toward the lower node index; rows come back sorted by
-    non-increasing similarity. k >= n is clamped to n-1 with a warning."""
+    non-increasing similarity. k >= n is clamped to n-1 with a warning.
+
+    The node itself ranks with the NaN scores, below every number, so a row
+    with fewer than k non-NaN scores for other nodes raises
+    :class:`DegenerateInputError` rather than picking NaN or a self-loop."""
     sa = _as_array(S)
     if sa.ndim != 2 or sa.shape[0] != sa.shape[1]:
         raise DimensionError(f"similarity matrix must be square, got {sa.shape}")
@@ -175,13 +179,19 @@ def topk_neighbors(S, k: int) -> GraphTopology:
     if k >= n:
         warnings.warn(f"k={k} >= n={n}; clamping to {n - 1}", stacklevel=2)
         k = n - 1
-    # Negated scores with the diagonal at +inf: ascending order is descending
-    # similarity, and the diagonal and then NaN sort last. Float input keeps
-    # its dtype; integer input is promoted with float32 as numpy does, which
-    # orders it exactly as float64 would.
+    # Negated scores with the diagonal at NaN: ascending order is descending
+    # similarity, and NaN, the node itself included, sorts last. Float input
+    # keeps its dtype; integer input is promoted with float32 as numpy does,
+    # which orders it exactly as float64 would.
     neg = np.negative(sa, dtype=np.result_type(sa.dtype, np.float32))
-    np.fill_diagonal(neg, np.inf)
+    np.fill_diagonal(neg, np.nan)
     order = _stable_argsort_prefix(neg, k)
+    short = np.isnan(np.take_along_axis(neg, order, axis=1)).any(axis=1)
+    if short.any():
+        raise DegenerateInputError(
+            f"node {np.argmax(short)} has fewer than k={k} non-NaN similarity scores"
+            f" ({np.count_nonzero(short)} such rows)"
+        )
     sims = np.take_along_axis(sa, order, axis=1)
     return GraphTopology(n_nodes=n, k=k, neighbor_idx=order, neighbor_sim=sims)
 

@@ -11,6 +11,10 @@ the gate so that more small-magnitude (low-value) information survives, which
 is the mechanism that keeps deep-stack node features from collapsing onto one
 representation. epsilon is learnable per usage site and clamped so
 1 + epsilon stays positive.
+
+Both ``graphlu`` and ``gelu`` are one call to :func:`pvg.tensor.cdf_gate`,
+a single autograd node whose backward computes the input and epsilon
+gradients directly.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf as _np_erf
 
-from .tensor import Tensor, add_scalar, erf, mul, reciprocal, scale
+from .tensor import Tensor, cdf_gate
 
 EPSILON_FLOOR = -0.99
 _SQRT2 = float(np.sqrt(2.0))
@@ -50,19 +54,11 @@ def phi(x, epsilon: float = 0.0):
     return 0.5 * (1.0 + _np_erf(np.asarray(x, dtype=np.float64) / (_SQRT2 * sd)))
 
 
-def graphlu_reference(x, epsilon: float = 0.0):
-    """x * phi(x) in plain numpy; the definitional form used by tests."""
-    return np.asarray(x, dtype=np.float64) * phi(x, epsilon)
-
-
 def graphlu(x: Tensor, params: GraphLUParams) -> Tensor:
     """Differentiable GraphLU; gradients flow to x and to epsilon."""
-    eps = params.epsilon
-    inv_sd = reciprocal(add_scalar(eps, 1.0))  # 1 / (1 + epsilon)
-    arg = mul(x, scale(inv_sd, 1.0 / _SQRT2))
-    return scale(mul(x, add_scalar(erf(arg), 1.0)), 0.5)
+    return cdf_gate(x, params.epsilon)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU (the epsilon = 0 limit, without a learnable parameter)."""
-    return scale(mul(x, add_scalar(erf(scale(x, 1.0 / _SQRT2)), 1.0)), 0.5)
+    return cdf_gate(x)

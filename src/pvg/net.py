@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregators import AggregatorSpec, baseline_aggregate, make_aggregator, param_count
-from .errors import CheckpointError, ConfigError, DimensionError
+from .errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
 from .graph import (
     SIMILARITY_METRICS,
     ChannelSchedule,
@@ -112,6 +112,12 @@ class ModelConfig:
         if grid % (2 ** (N_STAGES - 1)):
             raise ConfigError(
                 f"patch grid {grid} cannot be halved {N_STAGES - 1} times"
+            )
+        last = self.stage_grid(N_STAGES - 1)
+        if last < 2:
+            raise ConfigError(
+                f"image_size {self.image_size} / patch_size {self.patch_size} leaves stage "
+                f"{N_STAGES - 1} a {last}x{last} grid; every stage needs at least 2x2 nodes"
             )
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
@@ -334,7 +340,13 @@ class Model:
     def _build_graphs(
         self, feats: np.ndarray, batch: int, n: int, k: int
     ) -> tuple[np.ndarray, list[GraphTopology]]:
-        """Per-image top-k selection, indices shifted into batched rows."""
+        """Per-image top-k selection, indices shifted into batched rows.
+
+        Non-finite features, as a diverging run produces, raise
+        :class:`NonFiniteError` here rather than scoring NaN.
+        """
+        if not np.all(np.isfinite(feats)):
+            raise NonFiniteError("non-finite node features reached the graph build")
         k_eff = min(k, n - 1)
         per_image = feats.reshape(batch, n, -1)
         idx = np.empty((batch * n, k_eff), dtype=np.int64)

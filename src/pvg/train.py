@@ -179,7 +179,10 @@ def train(
             labels = dataset.labels[batch]
 
             model.zero_grad()
-            logits = model.forward(images)
+            try:
+                logits = model.forward(images)
+            except NonFiniteError as err:
+                raise NonFiniteError(f"{err} at step {global_step}") from err
             loss = softmax_cross_entropy(logits, labels)
             loss_value = loss.item()
             if not np.isfinite(loss_value):

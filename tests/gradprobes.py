@@ -53,7 +53,6 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
     case("mul", "scalar_rhs", lambda x: _weigh(T.mul(b, x)), [1.3])
     case("scale", "x", lambda x: _weigh(T.scale(x, -2.5)), _rng(6).normal(size=(4, 3)))
     case("add_scalar", "x", lambda x: _weigh(T.add_scalar(x, 0.4)), _rng(7).normal(size=(2, 5)))
-    case("erf", "x", lambda x: _weigh(T.erf(x)), _rng(8).normal(size=(4, 4)))
     case("max0", "x", lambda x: _weigh(T.max0(x)), _away_from_zero(_rng(9).normal(size=(5, 3))))
     case("reciprocal", "x", lambda x: _weigh(T.reciprocal(x)), _away_from_zero(_rng(10).normal(size=(3, 3)), 0.5))
 
@@ -119,5 +118,11 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
         lambda x: _weigh(T.offset_mix(om_x, om_w, (3, 3), bias=x)),
         _rng(43).normal(size=(9, 2)),
     )
+
+    gate_eps = Tensor(np.array([0.3]))
+    gate_x = Tensor(_rng(44).normal(size=(4, 5)) * 2.0)
+    case("cdf_gate", "x", lambda x: _weigh(T.cdf_gate(x, gate_eps)), _rng(8).normal(size=(4, 4)) * 2.0)
+    case("cdf_gate", "x_gelu", lambda x: _weigh(T.cdf_gate(x)), _rng(45).normal(size=(4, 4)) * 2.0)
+    case("cdf_gate", "eps", lambda e: _weigh(T.cdf_gate(gate_x, e)), [-0.4])
 
     return cases

@@ -13,6 +13,7 @@ import pytest
 from pvg.aggregators import AggregatorSpec, decomposition_check, param_count
 from pvg.data import make_two_class_patches, oracle_linear_accuracy
 from pvg.diagnostics import diversity, trace_diversity, write_trace_csv
+from pvg.errors import DegenerateInputError
 from pvg.gradcheck import grad_check
 from pvg.graph import chebyshev_mask, topk_neighbors
 from pvg.graphlu import GraphLUParams, gelu, graphlu, phi
@@ -106,21 +107,32 @@ def test_criterion_knn_oracle_equivalence():
             checked += 1
     # The stage-0 graph size, and NaN scores, which a diverging run sends
     # through the graph build: random, tie-heavy, constant, and 30% NaN
-    # entries plus whole NaN rows, every k.
+    # entries, every k, then whole NaN rows. Where a row has fewer than k
+    # non-NaN scores for other nodes, topk_neighbors must raise instead.
     for seed, n in enumerate([256] * 4 + [72] * 4):
         rng = np.random.default_rng(2000 + seed)
         s = rng.normal(size=(n, n)).astype(np.float32)
+        nan_rows = None
         if seed % 4 == 1:
             s = np.round(s * 2) / 2.0
         elif seed % 4 == 2:
             s[:] = 0.25
         elif seed % 4 == 3:
             s[rng.random((n, n)) < 0.3] = np.nan
-            s[rng.random(n) < 0.1] = np.nan
-        full = brute_force_topk(s, n - 1)
-        for k in range(1, n):
-            np.testing.assert_array_equal(topk_neighbors(s, k).neighbor_idx, full[:, :k])
-            checked += 1
+            nan_rows = rng.random(n) < 0.1
+        variants = [s] if nan_rows is None else [s, np.where(nan_rows[:, None], np.nan, s)]
+        for scores in variants:
+            full = brute_force_topk(scores, n - 1)
+            usable = ~np.isnan(scores)
+            np.fill_diagonal(usable, False)
+            fewest = usable.sum(axis=1).min()
+            for k in range(1, n):
+                if k > fewest:
+                    with pytest.raises(DegenerateInputError):
+                        topk_neighbors(scores, k)
+                else:
+                    np.testing.assert_array_equal(topk_neighbors(scores, k).neighbor_idx, full[:, :k])
+                checked += 1
     report("knn-oracle-equivalence", True, f"{checked} (n, k, seed) cases, exact index agreement")
 
 

@@ -17,7 +17,7 @@ from pvg.aggregators import (
 from pvg.errors import DegenerateInputError, DimensionError
 from pvg.gradcheck import grad_check
 from pvg.graph import topk_neighbors
-from pvg.tensor import Tensor, sum_all, mul
+from pvg.tensor import Tensor, concat, gather_rows, matmul, mul, reduce_max, reduce_mean, sub, sum_all
 
 
 def _topo(idx):
@@ -67,6 +67,62 @@ class TestMaxEAggregate:
         topo = topk_neighbors(s, 3)
         agg = maxe_aggregate(Tensor(feats), topo)
         assert agg.shape == (8, 12)
+
+
+def gather_and_subtract(x, nbh, idx):
+    """max_j (x_j - x_i) as the max of differences against gathered self rows."""
+    n, k = idx.shape
+    own = gather_rows(x, np.repeat(np.arange(n)[:, None], k, axis=1))
+    return reduce_max(sub(nbh, own), axis=1)
+
+
+class TestMaxRelative:
+    """The max term is max_j x_j - x_i; rounding is monotone, so it equals the
+    max of the rounded differences exactly."""
+
+    @staticmethod
+    def _case(dtype):
+        rng = np.random.default_rng(12)
+        n, k, c = 40, 6, 8
+        x0 = rng.normal(size=(n, c)).astype(dtype)
+        x0[:10] = np.round(x0[:10])  # exact ties between neighbors
+        idx = np.stack([rng.choice(np.delete(np.arange(n), i), k, replace=False) for i in range(n)])
+        return rng, x0, idx
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outputs_equal_gather_and_subtract(self, dtype):
+        rng, x0, idx = self._case(dtype)
+        c = x0.shape[1]
+        x = Tensor(x0)
+        want = gather_and_subtract(x, gather_rows(x, idx), idx)
+        assert maxe_aggregate(x, idx).data[:, c : 2 * c].tobytes() == want.data.tobytes()
+        spec = make_aggregator("MRGraphConv", c, c, rng, dtype=dtype)
+        got = baseline_aggregate("MRGraphConv", x, idx, spec).data
+        assert got.tobytes() == matmul(concat([x, want], axis=1), spec.weights["W"]).data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxe_gradient_equals_gather_and_subtract(self, dtype):
+        _, x0, idx = self._case(dtype)
+        g = np.random.default_rng(13).normal(size=(x0.shape[0], 3 * x0.shape[1])).astype(dtype)
+        x = Tensor(x0, requires_grad=True)
+        maxe_aggregate(x, idx).backward(seed=g)
+        ref = Tensor(x0, requires_grad=True)
+        nbh = gather_rows(ref, idx)
+        concat([ref, gather_and_subtract(ref, nbh, idx), reduce_mean(nbh, axis=1)], axis=1).backward(seed=g)
+        assert x.grad.tobytes() == ref.grad.tobytes()
+
+    def test_rounding_tie_routes_to_largest_neighbor(self):
+        # 0 - 2^24 and 0.5 - 2^24 both round to -2^24 in float32: the
+        # differences tie although the neighbors do not, so the subgradient
+        # goes to the larger neighbor (row 2), not the lower index (row 1).
+        x = Tensor(np.array([[2.0**24], [0.0], [0.5]], dtype=np.float32), requires_grad=True)
+        idx = np.array([[1, 2], [0, 2], [0, 1]])
+        out = maxe_aggregate(x, idx)
+        assert out.data[0, 1] == np.float32(-(2.0**24))
+        seed = np.zeros((3, 3), dtype=np.float32)
+        seed[0, 1] = 1.0
+        out.backward(seed=seed)
+        np.testing.assert_array_equal(x.grad[:, 0], [-1.0, 0.0, 1.0])
 
 
 class TestMaxEUpdate:

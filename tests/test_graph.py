@@ -22,15 +22,15 @@ from pvg.tensor import Tensor, offset_mix
 
 
 def brute_force_topk(s: np.ndarray, k: int) -> np.ndarray:
-    """Full sort per row with the (similarity desc, index asc) key. The node
-    itself scores -inf and NaN ranks below every number, so a node is its own
-    neighbour only in a row with fewer than k other numbers to choose from."""
+    """Full sort per row with the (similarity desc, index asc) key. NaN and
+    the node itself rank below every number, so a row's first k are its k
+    best other nodes whenever it has k non-NaN scores for them."""
     n = s.shape[0]
     out = np.empty((n, k), dtype=np.int64)
     for i in range(n):
         def key(j: int) -> tuple:
-            v = -math.inf if j == i else float(s[i, j])
-            return (1, 0.0, j) if math.isnan(v) else (0, -v, j)
+            v = float(s[i, j])
+            return (1, 0.0, j) if j == i or math.isnan(v) else (0, -v, j)
 
         out[i] = sorted(range(n), key=key)[:k]
     return out
@@ -125,6 +125,27 @@ class TestTopkNeighbors:
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):
             topk_neighbors(np.ones((4, 4)), 0)
+
+    def test_too_few_scores_raises_instead_of_self_loop(self):
+        s = np.full((4, 4), np.nan)
+        s[0, 1] = 0.5
+        with pytest.raises(DegenerateInputError, match="fewer than k=2"):
+            topk_neighbors(s, 2)
+
+    def test_minus_inf_scores_rank_above_the_node_itself(self):
+        s = np.zeros((4, 4))
+        s[0] = [5.0, 1.0, -np.inf, -np.inf]
+        topo = topk_neighbors(s, 2).validate()
+        assert topo.neighbor_idx[0].tolist() == [1, 2]
+
+    @pytest.mark.parametrize("n", [4, 80])  # the full-sort and the partition path
+    def test_row_with_fewer_than_k_scores(self, n):
+        s = np.random.default_rng(n).normal(size=(n, n))
+        s[2] = np.nan
+        s[2, 0] = 0.5  # node 2 has exactly one score
+        topk_neighbors(s, 1).validate()
+        with pytest.raises(DegenerateInputError, match="node 2 "):
+            topk_neighbors(s, 2)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force_random(self, seed):

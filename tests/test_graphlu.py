@@ -1,11 +1,62 @@
 """GraphLU: CDF gating, GELU limit, and learnability of the relaxation."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from pvg.errors import DimensionError
 from pvg.gradcheck import grad_check
-from pvg.graphlu import EPSILON_FLOOR, GraphLUParams, gelu, graphlu, graphlu_reference, phi
-from pvg.tensor import Tensor, mul, sum_all
+from pvg.graphlu import EPSILON_FLOOR, GraphLUParams, gelu, graphlu, phi
+from pvg.tensor import Tensor, cdf_gate, mul, sum_all
+
+
+def graphlu_reference(x, epsilon: float = 0.0):
+    """x * phi(x) in plain numpy; the definitional form."""
+    return np.asarray(x, dtype=np.float64) * phi(x, epsilon)
+
+
+def eight_op_chain(x, eps, g, dx0=None, deps0=None):
+    """GraphLU (GELU when ``eps`` is None) as the elementwise chain
+    add_scalar, reciprocal, scale, mul, erf, add_scalar, mul, scale, in
+    numpy: the forward values, then the gradients of x and eps for the
+    upstream gradient ``g``, added onto the prior gradients ``dx0`` and
+    ``deps0`` (None: no prior) as that chain's backward sweep added them.
+    ``fresh`` is a node's first gradient, 0 + g, which turns -0.0 into +0.0.
+    """
+    dt = x.dtype
+    one, half = np.asarray(1.0, dt), np.asarray(0.5, dt)
+    c = np.asarray(1.0 / math.sqrt(2.0), dt)
+    if eps is None:
+        s = c
+    else:
+        shifted = eps + one
+        inv_sd = 1.0 / shifted
+        s = inv_sd * c
+    arg = x * s
+    e = erf(arg)
+    e1 = e + one
+    y = (x * e1) * half
+
+    def fresh(v):
+        return v + 0.0
+
+    def accumulate(prior, v):
+        return fresh(v) if prior is None else prior + v
+
+    g_m = fresh(g * half)
+    dx = accumulate(dx0, g_m * e1)
+    g_e = fresh(fresh(g_m * x))
+    d = 2.0 * (1.0 / np.sqrt(np.pi)) * np.exp(-arg.astype(np.float64) ** 2)
+    g_arg = fresh(g_e * d.astype(dt))
+    dx += g_arg * s
+    if eps is None:
+        return y, dx, None
+    g_s = fresh(np.sum(g_arg * x).reshape(eps.shape).astype(dt))
+    g_inv_sd = fresh(g_s * c)
+    d_eps = accumulate(deps0, fresh(-g_inv_sd / (shifted * shifted)))
+    return y, dx, d_eps
 
 
 def normal_cdf_oracle(x: float, sd: float = 1.0) -> float:
@@ -37,6 +88,51 @@ class TestPhi:
         xs = np.linspace(-8, 8, 400)
         for eps in (-0.9, 0.0, 1.5):
             assert np.all(np.diff(phi(xs, eps)) >= 0)
+
+
+class TestFusedGate:
+    @pytest.mark.parametrize("prior", [False, True], ids=["fresh", "prior-grad"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("eps", [0.0, 0.3, -0.5, None])
+    def test_equals_eight_op_chain_bit_for_bit(self, dtype, eps, prior):
+        rng = np.random.default_rng(11)
+        x0 = (rng.normal(size=(64, 48)) * 3.0).astype(dtype)
+        x0[0, :6] = [0.0, -0.0, 40.0, -40.0, 1e-30, -1e-30]  # zeros, saturated erf
+        g = rng.normal(size=x0.shape).astype(dtype)
+        g[1, :3] = [0.0, -0.0, 1e-30]
+        eps0 = None if eps is None else np.array([eps], dtype=dtype)
+        # A prior gradient, as from another consumer swept earlier, makes the
+        # order in which x's two terms are added show in the bits.
+        dx0 = rng.normal(size=x0.shape).astype(dtype) if prior else None
+        deps0 = np.array([0.7], dtype=dtype) if prior else None
+
+        x = Tensor(x0, requires_grad=True)
+        x.grad = None if dx0 is None else dx0.copy()
+        e = None if eps is None else Tensor(eps0, requires_grad=True)
+        if e is not None:
+            e.grad = None if deps0 is None else deps0.copy()
+        y = cdf_gate(x, e)
+        y.backward(seed=g)
+        want_y, want_dx, want_deps = eight_op_chain(x0, eps0, g, dx0, deps0)
+
+        assert y.data.dtype == x.grad.dtype == dtype
+        assert y.data.tobytes() == want_y.tobytes()
+        assert x.grad.tobytes() == want_dx.tobytes()
+        if eps is not None:
+            assert e.grad.tobytes() == want_deps.tobytes()
+
+    def test_graphlu_and_gelu_add_one_interior_node(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        params = GraphLUParams.create(0.2, dtype=np.float64)
+        y = graphlu(x, params)
+        assert y.op == "cdf_gate" and y._parents == (x, params.epsilon)
+        assert all(p.op == "leaf" for p in y._parents)
+        z = gelu(x)
+        assert z.op == "cdf_gate" and z._parents == (x,)
+
+    def test_eps_must_be_one_value(self):
+        with pytest.raises(DimensionError):
+            cdf_gate(Tensor(np.ones(3)), Tensor(np.zeros(2)))
 
 
 class TestGraphLU:

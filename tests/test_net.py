@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import erf as sp_erf
 
-from pvg.errors import CheckpointError, ConfigError, DimensionError
+from pvg.errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
 from pvg.gradcheck import grad_check
 from pvg.graph import pairwise_similarity, topk_neighbors
 from pvg.net import (
@@ -127,6 +127,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(image_size=32, patch_size=8)  # grid 4 halves twice only
 
+    @pytest.mark.parametrize(
+        "image_size, patch_size",
+        [(16, 2), (8, 1), (32, 4), (0, 2)],
+        ids=["16-2", "8-1", "32-4", "empty"],
+    )
+    def test_last_stage_below_2x2_rejected(self, image_size, patch_size):
+        # Each grid halves three times to 1x1 (or 0x0), which used to fail
+        # only at the first forward, in the graph build.
+        with pytest.raises(ConfigError, match="image_size .* patch_size"):
+            ModelConfig(image_size=image_size, patch_size=patch_size)
+
+    def test_smallest_grid_accepted(self):
+        cfg = ModelConfig(image_size=16, patch_size=1)
+        assert [cfg.stage_grid(s) for s in range(4)] == [16, 8, 4, 2]
+        logits = Model(cfg, seed=0).forward(np.zeros((1, 16, 16, 3), np.float32))
+        assert logits.shape == (1, cfg.num_classes)
+
     def test_width_granularity(self):
         with pytest.raises(ConfigError):
             ModelConfig(stage_widths=[24, 64, 128, 256])
@@ -168,6 +185,12 @@ class TestConfig:
 
 
 class TestForward:
+    def test_non_finite_features_stop_the_graph_build(self):
+        model = Model(tiny_config(), seed=0)
+        model.params["stem.weight"].data[:] = 3e38  # the patch embedding overflows
+        with pytest.raises(NonFiniteError, match="graph build"), np.errstate(all="ignore"):
+            model.forward(np.ones((1, 32, 32, 3), np.float32))
+
     def test_tiny_logits_shape(self):
         cfg = tiny_config(num_classes=7)
         model = Model(cfg, seed=0)

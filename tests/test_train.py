@@ -356,8 +356,9 @@ class TestCli:
             json.dumps({"model": {"stage_depths": 3}}),
             "3",
             json.dumps({"model": {"patch_size": 0}}),
+            json.dumps({"model": {"image_size": 16}}),
         ],
-        ids=["malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size"],
+        ids=["malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size", "1x1-last-stage"],
     )
     def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, text):
         (tmp_path / "run.json").write_text(text)
