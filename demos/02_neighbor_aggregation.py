@@ -16,8 +16,8 @@ numerically.
 import numpy as np
 
 from pvg import (
-    AggregatorSpec,
     Tensor,
+    baseline_aggregate,
     decomposition_check,
     make_aggregator,
     maxe_aggregate,
@@ -66,7 +66,7 @@ print("=" * 64)
 c = 64
 print(f"{'aggregator':>12} {'params':>8} {'ratio':>6}")
 for kind in ("GIN", "MRGraphConv", "MaxE", "GraphSAGE", "EdgeConv"):
-    count, ratio = param_count(AggregatorSpec(kind, c, c))
+    count, ratio = param_count(kind, c, c)
     print(f"{kind:>12} {count:>8} {ratio:>6.1f}")
 print(
     "\nMaxE carries three summary channels for three units of GIN cost;"
@@ -76,12 +76,10 @@ print(
 print("\n" + "=" * 64)
 print("4. Nesting: MaxE with zeroed mean rows == MR GraphConv")
 print("=" * 64)
-spec_mr = make_aggregator("MRGraphConv", 3, 3, rng)
+weights_mr = make_aggregator("MRGraphConv", 3, 3, rng)
 w_nested = np.concatenate(
-    [spec_mr.weights["W"].data, np.zeros((3, 3), dtype=np.float32)], axis=0
+    [weights_mr["W"].data, np.zeros((3, 3), dtype=np.float32)], axis=0
 )
-from pvg import baseline_aggregate
-
-out_mr = baseline_aggregate("MRGraphConv", Tensor(x), topo, spec_mr).data
+out_mr = baseline_aggregate("MRGraphConv", Tensor(x), topo, weights_mr).data
 out_nested = maxe_update(maxe_aggregate(Tensor(x), topo), Tensor(w_nested)).data
 print("max |MaxE(nested W) - MRGraphConv| =", np.max(np.abs(out_mr - out_nested)))

@@ -9,7 +9,13 @@ of their mass, which is the lever against deep-stack feature collapse.
 
 import numpy as np
 
-from pvg import GraphLUParams, Tensor, gelu, graphlu, phi
+from pvg import Tensor, gelu, graphlu, phi
+
+
+def eps(value: float) -> Tensor:
+    """A learnable one-element relaxation, as the network holds one per site."""
+    return Tensor(np.full((1,), value), requires_grad=True)
+
 
 print("=" * 64)
 print("1. Values across the relaxation range")
@@ -18,7 +24,7 @@ xs = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
 print(f"{'x':>6}", *(f"eps={e:<4}" for e in (0.0, 0.5, 1.0, 2.0)), sep="  ")
 for x in xs:
     row = [
-        graphlu(Tensor([x], dtype=np.float64), GraphLUParams.create(e, dtype=np.float64)).item()
+        graphlu(Tensor([x], dtype=np.float64), eps(e)).item()
         for e in (0.0, 0.5, 1.0, 2.0)
     ]
     print(f"{x:>6.1f}", *(f"{v:+.4f} " for v in row), sep="  ")
@@ -27,8 +33,7 @@ print("\n" + "=" * 64)
 print("2. GELU is the eps = 0 member")
 print("=" * 64)
 grid = np.linspace(-6, 6, 10_000)
-p0 = GraphLUParams.create(0.0, dtype=np.float64)
-gap = np.max(np.abs(graphlu(Tensor(grid, dtype=np.float64), p0).data - gelu(Tensor(grid, dtype=np.float64)).data))
+gap = np.max(np.abs(graphlu(Tensor(grid, dtype=np.float64), eps(0.0)).data - gelu(Tensor(grid, dtype=np.float64)).data))
 print(f"max |graphlu(eps=0) - gelu| over 10^4 points in [-6, 6]: {gap:.2e}")
 print(f"phi(0) at any eps is exactly {phi(0.0, 1.23)}")
 
@@ -55,7 +60,7 @@ from pvg.tensor import mul, sum_all
 x_fixed = Tensor(np.random.default_rng(0).normal(size=(4, 4)))
 proj = Tensor(np.random.default_rng(1).normal(size=(4, 4)))
 report = grad_check(
-    lambda e: sum_all(mul(graphlu(x_fixed, GraphLUParams(e)), proj)),
+    lambda e: sum_all(mul(graphlu(x_fixed, e), proj)),
     Tensor([0.3], dtype=np.float64),
     op_name="d graphlu / d eps",
 )

@@ -11,11 +11,9 @@ reverse-mode tensor core certified against finite differences.
 
 from .aggregators import (
     AGGREGATOR_KINDS,
-    AggregatorSpec,
     baseline_aggregate,
     decomposition_check,
     make_aggregator,
-    maxe,
     maxe_aggregate,
     maxe_update,
     param_count,
@@ -43,10 +41,9 @@ from .graph import (
     export_edges,
     pairwise_similarity,
     psgc_schedule,
-    second_order_similarity,
     topk_neighbors,
 )
-from .graphlu import GraphLUParams, gelu, graphlu, phi
+from .graphlu import gelu, graphlu, phi
 from .net import (
     Model,
     ModelConfig,

@@ -8,9 +8,15 @@ identity map; the max-of-differences term itself decomposes into
 mean + remainder + within-class bound (see :func:`decomposition_check`),
 and iterating that split telescopes like a series expansion.
 
-Four comparison aggregators (MR GraphConv, EdgeConv, GraphSAGE, GIN) share
-the same neighbor-index convention so parameter accounting is apples to
-apples; :func:`param_count` normalizes by the single-linear GIN unit.
+Four comparison aggregators (MR GraphConv, EdgeConv, GraphSAGE, GIN), as in
+the ViG ablation (Han et al., arXiv 2206.00272), share the same
+neighbor-index convention so parameter accounting is apples to apples;
+:func:`param_count` normalizes by the single-linear GIN unit.
+
+Weights are a plain ``dict[str, Tensor]`` keyed by the names that
+:data:`AGGREGATOR_WEIGHTS` lists for each kind. :func:`make_aggregator` draws
+them and :func:`baseline_aggregate` reads them per call, so the caller that
+holds the tensors (``Model.params`` in the network) is their only owner.
 
 The neighbor mean deliberately excludes the self node; identity information
 enters only through the explicit self part.
@@ -18,7 +24,7 @@ enters only through the explicit self part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,71 +41,33 @@ from .tensor import (
     reduce_mean,
     reduce_sum,
     reshape,
-    scale,
     sub,
 )
 
-AGGREGATOR_KINDS = ("MaxE", "MRGraphConv", "EdgeConv", "GraphSAGE", "GIN")
-
-
-@dataclass
-class AggregatorSpec:
-    """Weights and widths of one aggregation/update function."""
-
-    kind: str
-    in_c: int
-    out_c: int
-    weights: dict[str, Tensor] = field(default_factory=dict)
-    gin_eps: float = 0.0
-    variant: str = "linear"  # GIN only: "linear" (accounting unit) or "mlp"
-
-    def __post_init__(self) -> None:
-        if self.kind not in AGGREGATOR_KINDS:
-            raise ConfigError(f"unknown aggregator kind {self.kind!r}")
-
-    def validate(self) -> "AggregatorSpec":
-        actual = sum(w.size for w in self.weights.values())
-        expected, _ = param_count(self)
-        if actual != expected:
-            raise ConfigError(
-                f"{self.kind}: weight sizes sum to {actual}, formula says {expected}"
-            )
-        return self
+# Each kind's weights in draw order: name -> (rows, cols) as a function of
+# (in_c, out_c). Transforms only, no biases.
+AGGREGATOR_WEIGHTS = {
+    "MaxE": {"W": lambda i, o: (3 * i, o)},
+    "MRGraphConv": {"W": lambda i, o: (2 * i, o)},
+    "EdgeConv": {"W1": lambda i, o: (2 * i, 2 * i), "W2": lambda i, o: (2 * i, o)},
+    "GraphSAGE": {"W": lambda i, o: (2 * i, o), "Wn": lambda i, o: (i, i)},
+    "GIN": {"W": lambda i, o: (i, o)},
+}
+AGGREGATOR_KINDS = tuple(AGGREGATOR_WEIGHTS)
 
 
 def make_aggregator(
-    kind: str,
-    in_c: int,
-    out_c: int,
-    rng: np.random.Generator,
-    dtype=np.float32,
-    variant: str = "linear",
-) -> AggregatorSpec:
-    """Initialize an AggregatorSpec with He-scaled weights (no biases; the
-    accounting convention is bias-free transforms)."""
-
-    def init(rows: int, cols: int) -> Tensor:
-        w = rng.normal(0.0, np.sqrt(2.0 / rows), size=(rows, cols))
-        return Tensor(w.astype(dtype), requires_grad=True)
-
+    kind: str, in_c: int, out_c: int, rng: np.random.Generator, dtype=np.float32
+) -> dict[str, Tensor]:
+    """He-scaled weights of one aggregator, keyed by weight name."""
+    if kind not in AGGREGATOR_WEIGHTS:
+        raise ConfigError(f"unknown aggregator kind {kind!r}")
     weights: dict[str, Tensor] = {}
-    if kind == "MaxE":
-        weights["W"] = init(3 * in_c, out_c)
-    elif kind == "MRGraphConv":
-        weights["W"] = init(2 * in_c, out_c)
-    elif kind == "EdgeConv":
-        weights["W1"] = init(2 * in_c, 2 * in_c)
-        weights["W2"] = init(2 * in_c, out_c)
-    elif kind == "GraphSAGE":
-        weights["W"] = init(2 * in_c, out_c)
-        weights["Wn"] = init(in_c, in_c)
-    elif kind == "GIN":
-        if variant == "mlp":
-            weights["W1"] = init(in_c, in_c)
-            weights["W2"] = init(in_c, out_c)
-        else:
-            weights["W"] = init(in_c, out_c)
-    return AggregatorSpec(kind=kind, in_c=in_c, out_c=out_c, weights=weights, variant=variant)
+    for name, shape in AGGREGATOR_WEIGHTS[kind].items():
+        rows, cols = shape(in_c, out_c)
+        w = rng.normal(0.0, np.sqrt(2.0 / rows), size=(rows, cols))
+        weights[name] = Tensor(w.astype(dtype), requires_grad=True)
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +123,21 @@ def maxe_update(agg: Tensor, w: Tensor) -> Tensor:
     return matmul(agg, w)
 
 
-def maxe(x: Tensor, topo, spec: AggregatorSpec) -> Tensor:
-    return maxe_update(maxe_aggregate(x, topo), spec.weights["W"])
-
-
 # ---------------------------------------------------------------------------
 # comparison aggregators
 # ---------------------------------------------------------------------------
 
 
-def baseline_aggregate(kind: str, x: Tensor, topo, spec: AggregatorSpec) -> Tensor:
-    """Kind-specific aggregate-and-update. All use the same top-k neighbor
-    convention as MaxE; EdgeConv and the GIN MLP variant use ReLU inside
-    their per-edge / per-node MLPs."""
+def baseline_aggregate(kind: str, x: Tensor, topo, weights: dict[str, Tensor]) -> Tensor:
+    """Kind-specific aggregate-and-update with the weights
+    :func:`make_aggregator` names. All use the same top-k neighbor convention
+    as MaxE; EdgeConv uses ReLU inside its per-edge MLP."""
+    w = weights
     if kind == "MaxE":
-        return maxe(x, topo, spec)
+        return maxe_update(maxe_aggregate(x, topo), w["W"])
     idx = _neighbor_idx(topo)
     n, k = idx.shape
     c = x.shape[1]
-    w = spec.weights
     nbh = _gather_neighbors(x, idx)
     if kind == "MRGraphConv":
         return matmul(concat([x, _max_relative(x, nbh)], axis=1), w["W"])
@@ -182,16 +146,13 @@ def baseline_aggregate(kind: str, x: Tensor, topo, spec: AggregatorSpec) -> Tens
         edges = concat([own, sub(nbh, own)], axis=2)  # [n, k, 2c]
         flat = reshape(edges, (n * k, 2 * c))
         hidden = max0(matmul(flat, w["W1"]))
-        per_edge = reshape(matmul(hidden, w["W2"]), (n, k, spec.out_c))
+        per_edge = reshape(matmul(hidden, w["W2"]), (n, k, w["W2"].shape[1]))
         return reduce_max(per_edge, axis=1)
     if kind == "GraphSAGE":
         transformed = reshape(matmul(reshape(nbh, (n * k, c)), w["Wn"]), (n, k, c))
         return matmul(concat([x, reduce_mean(transformed, axis=1)], axis=1), w["W"])
     if kind == "GIN":
-        summed = add(scale(x, 1.0 + spec.gin_eps), reduce_sum(nbh, axis=1))
-        if spec.variant == "mlp":
-            return matmul(max0(matmul(summed, w["W1"])), w["W2"])
-        return matmul(summed, w["W"])
+        return matmul(add(x, reduce_sum(nbh, axis=1)), w["W"])
     raise ConfigError(f"unknown aggregator kind {kind!r}")
 
 
@@ -256,28 +217,25 @@ def decomposition_check(z, depth: int = 4) -> DecompositionReport:
 # ---------------------------------------------------------------------------
 
 
-def param_count(spec: AggregatorSpec) -> tuple[int, float]:
+def param_count(kind: str, c_in: int, c_out: int) -> tuple[int, float]:
     """Analytic parameter count and its ratio to the GIN unit.
 
     The unit is the single-linear GIN transform at the same widths
-    (in_c * out_c); transform matrices only, no biases, and GIN's epsilon is
-    not counted, matching the convention that makes MaxE land on exactly 3.
+    (c_in * c_out); transform matrices only, no biases, matching the
+    convention that makes MaxE land on exactly 3. Written out by hand rather
+    than read from :data:`AGGREGATOR_WEIGHTS`, so it checks that table.
     """
-    c_in, c_out = spec.in_c, spec.out_c
-    if spec.kind == "MaxE":
+    if kind == "MaxE":
         count = 3 * c_in * c_out
-    elif spec.kind == "MRGraphConv":
+    elif kind == "MRGraphConv":
         count = 2 * c_in * c_out
-    elif spec.kind == "EdgeConv":
+    elif kind == "EdgeConv":
         count = (2 * c_in) * (2 * c_in) + (2 * c_in) * c_out
-    elif spec.kind == "GraphSAGE":
+    elif kind == "GraphSAGE":
         count = 2 * c_in * c_out + c_in * c_in
-    elif spec.kind == "GIN":
-        if spec.variant == "mlp":
-            count = c_in * c_in + c_in * c_out
-        else:
-            count = c_in * c_out
+    elif kind == "GIN":
+        count = c_in * c_out
     else:
-        raise ConfigError(f"unknown aggregator kind {spec.kind!r}")
+        raise ConfigError(f"unknown aggregator kind {kind!r}")
     unit = c_in * c_out
     return count, count / unit

@@ -83,11 +83,3 @@ def graph_stats(topo: GraphTopology, labels=None) -> dict[str, float]:
         same = labels[topo.neighbor_idx] == labels[:, None]
         stats["label_purity"] = float(same.mean())
     return stats
-
-
-def write_graph_stats_csv(path: str | Path, stats: dict[str, float]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for key, value in stats.items():
-            writer.writerow([key, f"{value:.8g}"])

@@ -263,40 +263,6 @@ def psgc_schedule(
 
 
 # ---------------------------------------------------------------------------
-# second-order similarity (direct form)
-# ---------------------------------------------------------------------------
-
-
-def second_order_similarity(x, neighborhoods: Sequence, agg_weights: Sequence) -> Tensor:
-    """Affinity between aggregated neighborhoods, computed definitionally.
-
-    For each node, phi_i = sum over its neighbors t of w_it * x_t (weights
-    may be scalars or per-channel vectors); the result is the dot-product
-    similarity S2[i][j] = sum over channels of phi_i * phi_j. Equals the
-    first-order similarity of local-branch outputs when the neighborhoods
-    and weights come from the same Chebyshev structure.
-    """
-    xa = _as_array(x).astype(np.float64)
-    n, c = xa.shape
-    if len(neighborhoods) != n or len(agg_weights) != n:
-        raise DimensionError("one neighborhood and weight list required per node")
-    agg = np.zeros((n, c), dtype=np.float64)
-    for i, (nbrs, ws) in enumerate(zip(neighborhoods, agg_weights)):
-        nbrs = np.asarray(nbrs, dtype=np.int64)
-        if nbrs.size == 0:
-            raise DegenerateInputError(f"node {i} has an empty neighborhood")
-        ws = np.asarray(ws, dtype=np.float64)
-        for t, j in enumerate(nbrs):
-            wj = ws[t]
-            agg[i] += wj * xa[j]
-    s2 = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            s2[i, j] = float(np.dot(agg[i], agg[j]))
-    return Tensor(s2)
-
-
-# ---------------------------------------------------------------------------
 # edge export
 # ---------------------------------------------------------------------------
 

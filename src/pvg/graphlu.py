@@ -9,8 +9,9 @@ Gaussian with standard deviation (1 + epsilon) falls below it:
 At epsilon = 0 this is exactly the erf form of GELU. Raising epsilon widens
 the gate so that more small-magnitude (low-value) information survives, which
 is the mechanism that keeps deep-stack node features from collapsing onto one
-representation. epsilon is learnable per usage site and clamped so
-1 + epsilon stays positive.
+representation. epsilon is learnable per usage site: a plain one-element
+Tensor that the caller owns (``Model.params`` in the network), kept at or
+above :data:`EPSILON_FLOOR` after every update so 1 + epsilon stays positive.
 
 Both ``graphlu`` and ``gelu`` are one call to :func:`pvg.tensor.cdf_gate`,
 a single autograd node whose backward computes the input and epsilon
@@ -19,8 +20,6 @@ gradients directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erf as _np_erf
 
@@ -28,21 +27,6 @@ from .tensor import Tensor, cdf_gate
 
 EPSILON_FLOOR = -0.99
 _SQRT2 = float(np.sqrt(2.0))
-
-
-@dataclass
-class GraphLUParams:
-    """Per-layer learnable relaxation scalar, initialized at 0 (pure GELU)."""
-
-    epsilon: Tensor
-
-    @staticmethod
-    def create(init: float = 0.0, dtype=np.float32) -> "GraphLUParams":
-        return GraphLUParams(epsilon=Tensor(np.full((1,), init, dtype=dtype), requires_grad=True))
-
-    def clamp(self) -> None:
-        """Keep 1 + epsilon positive; call after every optimizer update."""
-        np.maximum(self.epsilon.data, EPSILON_FLOOR, out=self.epsilon.data)
 
 
 def phi(x, epsilon: float = 0.0):
@@ -54,9 +38,10 @@ def phi(x, epsilon: float = 0.0):
     return 0.5 * (1.0 + _np_erf(np.asarray(x, dtype=np.float64) / (_SQRT2 * sd)))
 
 
-def graphlu(x: Tensor, params: GraphLUParams) -> Tensor:
-    """Differentiable GraphLU; gradients flow to x and to epsilon."""
-    return cdf_gate(x, params.epsilon)
+def graphlu(x: Tensor, epsilon: Tensor) -> Tensor:
+    """Differentiable GraphLU; gradients flow to x and to the one-element
+    ``epsilon``."""
+    return cdf_gate(x, epsilon)
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -17,12 +17,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, baseline_aggregate, make_aggregator, param_count
+from .aggregators import (
+    AGGREGATOR_KINDS,
+    AGGREGATOR_WEIGHTS,
+    baseline_aggregate,
+    make_aggregator,
+    param_count,
+)
 from .errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
 from .graph import (
     SIMILARITY_METRICS,
@@ -32,7 +40,7 @@ from .graph import (
     similarity_matrix,
     topk_neighbors,
 )
-from .graphlu import GraphLUParams, gelu, graphlu
+from .graphlu import EPSILON_FLOOR, gelu, graphlu
 from .pvgt import read_tensor, write_tensor
 from .tensor import (
     Tensor,
@@ -60,6 +68,36 @@ N_STAGES = 4
 # ---------------------------------------------------------------------------
 
 
+def _has_type(value, tp) -> bool:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return any(_has_type(value, a) for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if origin is tuple:  # JSON has no tuples; a list of the right length will do
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == len(args)
+            and all(map(_has_type, value, args))
+        )
+    if tp is not bool and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+def check_field_types(config) -> None:
+    """Raise :class:`ConfigError` for the first dataclass field whose value
+    does not match its annotation. bool is not an int, an int is a float, and
+    list elements are checked one by one."""
+    hints = typing.get_type_hints(type(config))
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not _has_type(value, hints[f.name]):
+            raise ConfigError(
+                f"{type(config).__name__}.{f.name} must be {f.type}, got {value!r}"
+            )
+
+
 @dataclass
 class ModelConfig:
     stage_depths: list[int] = field(default_factory=lambda: [1, 1, 2, 1])
@@ -83,6 +121,7 @@ class ModelConfig:
     epsilon_shared: bool = False
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for name, seq in (
             ("stage_depths", self.stage_depths),
             ("stage_widths", self.stage_widths),
@@ -118,6 +157,10 @@ class ModelConfig:
             raise ConfigError(
                 f"image_size {self.image_size} / patch_size {self.patch_size} leaves stage "
                 f"{N_STAGES - 1} a {last}x{last} grid; every stage needs at least 2x2 nodes"
+            )
+        if self.aggregator not in AGGREGATOR_KINDS:
+            raise ConfigError(
+                f"unknown aggregator {self.aggregator!r}; expected one of {AGGREGATOR_KINDS}"
             )
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
@@ -198,7 +241,9 @@ class Model:
 
     Parameters live in a flat name -> Tensor dict built in a deterministic
     order from the seed, which is what makes checkpoints, counting, and
-    reproducibility straightforward.
+    reproducibility straightforward. ``params`` is their only home: the
+    forward looks every tensor up by name per call, so replacing an entry
+    takes effect on the next forward.
     """
 
     def __init__(
@@ -215,7 +260,6 @@ class Model:
             self.params = self._init_params(np.random.default_rng(seed))
         else:
             self.params = params
-        self._agg_specs = self._wire_aggregators()
 
     # -- parameter construction ---------------------------------------------
 
@@ -250,8 +294,8 @@ class Model:
                 for branch, width in (("first", first_c), ("second", second_c)):
                     if not width:
                         continue
-                    spec = make_aggregator(cfg.aggregator, width, width, rng, dtype=dt)
-                    for wname, tensor in spec.weights.items():
+                    weights = make_aggregator(cfg.aggregator, width, width, rng, dtype=dt)
+                    for wname, tensor in weights.items():
                         p[f"{pre}{branch}.{wname}"] = tensor
                 if cfg.activation == "graphlu" and not cfg.epsilon_shared:
                     param(pre + "act1.epsilon", np.zeros(1))
@@ -281,26 +325,6 @@ class Model:
             param("shared.epsilon", np.zeros(1))
         return p
 
-    def _wire_aggregators(self) -> dict[tuple[int, int, str], AggregatorSpec]:
-        cfg = self.config
-        specs: dict[tuple[int, int, str], AggregatorSpec] = {}
-        for s in range(N_STAGES):
-            for b in range(cfg.stage_depths[s]):
-                _, first_c, second_c = self.schedules[s].per_block[b]
-                for branch, width in (("first", first_c), ("second", second_c)):
-                    if not width:
-                        continue
-                    pre = f"stage{s}.block{b}.{branch}."
-                    weights = {
-                        name.removeprefix(pre): t
-                        for name, t in self.params.items()
-                        if name.startswith(pre)
-                    }
-                    specs[(s, b, branch)] = AggregatorSpec(
-                        kind=cfg.aggregator, in_c=width, out_c=width, weights=weights
-                    )
-        return specs
-
     # -- housekeeping --------------------------------------------------------
 
     def n_parameters(self) -> int:
@@ -319,8 +343,8 @@ class Model:
 
     def clamp_activation_params(self) -> None:
         for name, t in self.params.items():
-            if name.endswith(".epsilon") or name == "shared.epsilon":
-                GraphLUParams(t).clamp()
+            if name.endswith(".epsilon"):
+                np.maximum(t.data, EPSILON_FLOOR, out=t.data)
 
     def _eps_name(self, prefix: str, site: int) -> str:
         if self.config.epsilon_shared:
@@ -330,7 +354,7 @@ class Model:
     def _activation(self, t: Tensor, prefix: str, site: int) -> Tensor:
         act = self.config.activation
         if act == "graphlu":
-            return graphlu(t, GraphLUParams(self.params[self._eps_name(prefix, site)]))
+            return graphlu(t, self.params[self._eps_name(prefix, site)])
         if act == "gelu":
             return gelu(t)
         return max0(t)
@@ -401,14 +425,13 @@ class Model:
                     x_second.data, batch, n, cfg.stage_k[s]
                 )
 
-        y_first = baseline_aggregate(
-            cfg.aggregator, x_first, idx_first, self._agg_specs[(s, b, "first")]
-        )
+        names = AGGREGATOR_WEIGHTS[cfg.aggregator]
+        w_first = {w: P[f"{pre}first.{w}"] for w in names}
+        y_first = baseline_aggregate(cfg.aggregator, x_first, idx_first, w_first)
         branch_outs.append(self._activation(y_first, pre, 1))
         if second_c:
-            y_second = baseline_aggregate(
-                cfg.aggregator, x_second, idx_second, self._agg_specs[(s, b, "second")]
-            )
+            w_second = {w: P[f"{pre}second.{w}"] for w in names}
+            y_second = baseline_aggregate(cfg.aggregator, x_second, idx_second, w_second)
             branch_outs.append(self._activation(y_second, pre, 1))
 
         fused = branch_outs[0] if len(branch_outs) == 1 else concat(branch_outs, axis=1)
@@ -515,12 +538,6 @@ def downsample(h: Tensor, grid: int, weight: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _aggregator_param_formula(kind: str, width: int) -> int:
-    spec = AggregatorSpec(kind=kind, in_c=width, out_c=width)
-    count, _ = param_count(spec)
-    return count
-
-
 def _aggregator_multadds(kind: str, width: int, n: int, k: int) -> int:
     # Mult-adds of the transform matmuls only; gathers, maxes, and means are
     # not multiply-accumulate work.
@@ -577,7 +594,7 @@ def count_params_flops(config: ModelConfig) -> tuple[int, int]:
             for width in (first_c, second_c):
                 if not width:
                     continue
-                params += _aggregator_param_formula(cfg.aggregator, width)
+                params += param_count(cfg.aggregator, width, width)[0]
                 flops += _aggregator_multadds(cfg.aggregator, width, n, k_eff)
             if cfg.graph_mode == "shared" and second_c:
                 flops += n * n * (first_c + second_c)
@@ -654,5 +671,4 @@ def load_checkpoint(ckpt_dir: str | Path) -> Model:
                 f"{name}: checkpoint shape {arr.shape} != config shape {model.params[name].shape}"
             )
         model.params[name] = Tensor(arr, requires_grad=True)
-    model._agg_specs = model._wire_aggregators()
     return model

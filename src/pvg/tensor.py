@@ -130,11 +130,6 @@ class Tensor:
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
-    def assert_finite(self, where: str = "tensor") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError(f"non-finite values in {where}")
-        return self
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self.op})"
 
@@ -203,20 +198,6 @@ class Tensor:
                 node.grad = None
                 node._backward = None
                 node._parents = ()
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .diagnostics import DiversityTrace, trace_diversity, write_trace_csv
 from .errors import ConfigError, NonFiniteError
-from .net import Model, ModelConfig, load_checkpoint, save_checkpoint
+from .net import Model, ModelConfig, check_field_types, load_checkpoint, save_checkpoint
 from .optim import AdamWState, adamw_step, cosine_lr, decay_mask
 from .tensor import softmax_cross_entropy
 
@@ -29,6 +29,7 @@ class OptimizerConfig:
     weight_decay: float = 0.05
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.lr < 0:
             raise ConfigError("lr must be non-negative")
         self.betas = tuple(self.betas)  # type: ignore[assignment]
@@ -40,6 +41,7 @@ class ScheduleConfig:
     total_steps: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.total_steps < self.warmup_steps:
             raise ConfigError("total_steps must be >= warmup_steps")
 
@@ -59,6 +61,7 @@ class RunConfig:
     output_dir: str = "run"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         _check_batch_size(self.batch_size)
 
     def to_dict(self) -> dict:

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from pvg.aggregators import (
-    AggregatorSpec,
     baseline_aggregate,
     decomposition_check,
     make_aggregator,
-    maxe,
     maxe_aggregate,
     maxe_update,
     param_count,
 )
-from pvg.errors import DegenerateInputError, DimensionError
+from pvg.errors import ConfigError, DegenerateInputError, DimensionError
 from pvg.gradcheck import grad_check
 from pvg.graph import topk_neighbors
 from pvg.tensor import Tensor, concat, gather_rows, matmul, mul, reduce_max, reduce_mean, sub, sum_all
@@ -96,9 +94,9 @@ class TestMaxRelative:
         x = Tensor(x0)
         want = gather_and_subtract(x, gather_rows(x, idx), idx)
         assert maxe_aggregate(x, idx).data[:, c : 2 * c].tobytes() == want.data.tobytes()
-        spec = make_aggregator("MRGraphConv", c, c, rng, dtype=dtype)
-        got = baseline_aggregate("MRGraphConv", x, idx, spec).data
-        assert got.tobytes() == matmul(concat([x, want], axis=1), spec.weights["W"]).data.tobytes()
+        weights = make_aggregator("MRGraphConv", c, c, rng, dtype=dtype)
+        got = baseline_aggregate("MRGraphConv", x, idx, weights).data
+        assert got.tobytes() == matmul(concat([x, want], axis=1), weights["W"]).data.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_maxe_gradient_equals_gather_and_subtract(self, dtype):
@@ -163,27 +161,27 @@ class TestBaselines:
         c = 3
         x_row = rng.normal(size=c).astype(np.float32)
         x = Tensor(np.tile(x_row, (4, 1)))
-        spec = make_aggregator("MRGraphConv", c, c, rng)
-        out = baseline_aggregate("MRGraphConv", x, _topo([[1, 2]] * 4), spec)
-        expected = np.concatenate([x_row, np.zeros(c)]) @ spec.weights["W"].data
+        weights = make_aggregator("MRGraphConv", c, c, rng)
+        out = baseline_aggregate("MRGraphConv", x, _topo([[1, 2]] * 4), weights)
+        expected = np.concatenate([x_row, np.zeros(c)]) @ weights["W"].data
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-5)
 
     def test_gin_single_neighbor(self):
         rng = np.random.default_rng(6)
         c = 3
         x = rng.normal(size=(2, c)).astype(np.float32)
-        spec = make_aggregator("GIN", c, c, rng)
-        out = baseline_aggregate("GIN", Tensor(x), _topo([[1], [0]]), spec)
-        np.testing.assert_allclose(out.data[0], (x[0] + x[1]) @ spec.weights["W"].data, rtol=1e-5)
+        weights = make_aggregator("GIN", c, c, rng)
+        out = baseline_aggregate("GIN", Tensor(x), _topo([[1], [0]]), weights)
+        np.testing.assert_allclose(out.data[0], (x[0] + x[1]) @ weights["W"].data, rtol=1e-5)
 
     def test_edgeconv_matches_per_edge_oracle(self):
         rng = np.random.default_rng(7)
         c = 3
         x = rng.normal(size=(3, c)).astype(np.float32)
         idx = np.array([[1, 2], [0, 2], [0, 1]])
-        spec = make_aggregator("EdgeConv", c, c, rng)
-        out = baseline_aggregate("EdgeConv", Tensor(x), idx, spec).data
-        w1, w2 = spec.weights["W1"].data, spec.weights["W2"].data
+        weights = make_aggregator("EdgeConv", c, c, rng)
+        out = baseline_aggregate("EdgeConv", Tensor(x), idx, weights).data
+        w1, w2 = weights["W1"].data, weights["W2"].data
         for i in range(3):
             per_edge = []
             for j in idx[i]:
@@ -196,9 +194,9 @@ class TestBaselines:
         c = 3
         x = rng.normal(size=(3, c)).astype(np.float32)
         idx = np.array([[1, 2], [0, 2], [0, 1]])
-        spec = make_aggregator("GraphSAGE", c, c, rng)
-        out = baseline_aggregate("GraphSAGE", Tensor(x), idx, spec).data
-        wn, w = spec.weights["Wn"].data, spec.weights["W"].data
+        weights = make_aggregator("GraphSAGE", c, c, rng)
+        out = baseline_aggregate("GraphSAGE", Tensor(x), idx, weights).data
+        wn, w = weights["Wn"].data, weights["W"].data
         for i in range(3):
             mean_t = (x[idx[i]] @ wn).mean(axis=0)
             np.testing.assert_allclose(out[i], np.concatenate([x[i], mean_t]) @ w, rtol=1e-5, atol=1e-6)
@@ -212,10 +210,8 @@ class TestBaselines:
         idx = np.array([[1, 2], [0, 3], [4, 5], [2, 1], [0, 5], [3, 4]])
         w_mr = rng.normal(size=(2 * c, c)).astype(np.float32)
         w_maxe = np.concatenate([w_mr, np.zeros((c, c), dtype=np.float32)], axis=0)
-        spec_mr = AggregatorSpec("MRGraphConv", c, c, {"W": Tensor(w_mr)})
-        spec_maxe = AggregatorSpec("MaxE", c, c, {"W": Tensor(w_maxe)})
-        out_mr = baseline_aggregate("MRGraphConv", x, idx, spec_mr).data
-        out_maxe = maxe(x, idx, spec_maxe).data
+        out_mr = baseline_aggregate("MRGraphConv", x, idx, {"W": Tensor(w_mr)}).data
+        out_maxe = baseline_aggregate("MaxE", x, idx, {"W": Tensor(w_maxe)}).data
         np.testing.assert_array_equal(out_maxe, out_mr)
 
     @pytest.mark.parametrize("kind", ["MaxE", "MRGraphConv", "EdgeConv", "GraphSAGE", "GIN"])
@@ -223,27 +219,23 @@ class TestBaselines:
         rng = np.random.default_rng(10)
         c = 3
         idx = np.array([[1, 2], [0, 2], [3, 1], [2, 0]])
-        spec = make_aggregator(kind, c, c, rng, dtype=np.float64)
+        weights = make_aggregator(kind, c, c, rng, dtype=np.float64)
         proj = Tensor(rng.normal(size=(4, c)))
 
         def fn(x):
-            return sum_all(mul(baseline_aggregate(kind, x, idx, spec), proj))
+            return sum_all(mul(baseline_aggregate(kind, x, idx, weights), proj))
 
         x0 = Tensor(rng.normal(size=(4, c)))
         report = grad_check(fn, x0, probes=20, op_name=f"{kind}-features")
         assert report.passed, str(report)
 
         x_fixed = Tensor(rng.normal(size=(4, c)))
-        for wname in spec.weights:
+        for wname in weights:
             def fw(wvar, _wname=wname):
-                trial = AggregatorSpec(
-                    kind, c, c,
-                    {k: (wvar if k == _wname else v) for k, v in spec.weights.items()},
-                    variant=spec.variant,
-                )
+                trial = {k: (wvar if k == _wname else v) for k, v in weights.items()}
                 return sum_all(mul(baseline_aggregate(kind, x_fixed, idx, trial), proj))
 
-            report = grad_check(fw, spec.weights[wname], probes=20, op_name=f"{kind}-{wname}")
+            report = grad_check(fw, weights[wname], probes=20, op_name=f"{kind}-{wname}")
             assert report.passed, str(report)
 
 
@@ -279,24 +271,23 @@ class TestDecomposition:
 
 class TestParamCount:
     def test_maxe_ratio(self):
-        spec = AggregatorSpec("MaxE", 16, 16)
-        count, ratio = param_count(spec)
+        count, ratio = param_count("MaxE", 16, 16)
         assert count == 3 * 16 * 16
         assert ratio == 3.0
 
     def test_mr_ratio(self):
-        _, ratio = param_count(AggregatorSpec("MRGraphConv", 32, 32))
+        _, ratio = param_count("MRGraphConv", 32, 32)
         assert ratio == 2.0
 
     def test_gin_unit(self):
-        count, ratio = param_count(AggregatorSpec("GIN", 8, 8))
+        count, ratio = param_count("GIN", 8, 8)
         assert count == 64
         assert ratio == 1.0
 
     def test_reported_baseline_ratios(self):
         # our EdgeConv/GraphSAGE configurations; reported, not a published target
-        _, edge = param_count(AggregatorSpec("EdgeConv", 16, 16))
-        _, sage = param_count(AggregatorSpec("GraphSAGE", 16, 16))
+        _, edge = param_count("EdgeConv", 16, 16)
+        _, sage = param_count("GraphSAGE", 16, 16)
         assert edge == 6.0
         assert sage == 3.0
         assert edge > 3.0  # costlier than MaxE, as intended
@@ -304,12 +295,15 @@ class TestParamCount:
     @pytest.mark.parametrize("kind", ["MaxE", "MRGraphConv", "EdgeConv", "GraphSAGE", "GIN"])
     def test_formula_matches_actual_weights(self, kind):
         rng = np.random.default_rng(13)
-        spec = make_aggregator(kind, 8, 8, rng)
-        spec.validate()
+        for c_in, c_out in ((8, 8), (4, 12)):
+            weights = make_aggregator(kind, c_in, c_out, rng)
+            assert sum(w.size for w in weights.values()) == param_count(kind, c_in, c_out)[0]
 
-    def test_gin_mlp_variant(self):
+    def test_unknown_kind_rejected(self):
         rng = np.random.default_rng(14)
-        spec = make_aggregator("GIN", 8, 8, rng, variant="mlp")
-        spec.validate()
-        count, _ = param_count(spec)
-        assert count == 8 * 8 + 8 * 8
+        with pytest.raises(ConfigError):
+            make_aggregator("GAT", 8, 8, rng)
+        with pytest.raises(ConfigError):
+            param_count("GAT", 8, 8)
+        with pytest.raises(ConfigError):
+            baseline_aggregate("GAT", Tensor(np.ones((2, 2))), _topo([[1], [0]]), {})

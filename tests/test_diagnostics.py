@@ -10,7 +10,6 @@ from pvg.diagnostics import (
     diversity,
     graph_stats,
     trace_diversity,
-    write_graph_stats_csv,
     write_trace_csv,
 )
 from pvg.graph import topk_neighbors
@@ -154,10 +153,3 @@ class TestGraphStats:
         stats = graph_stats(self._random_topo(3))
         qs = [stats[f"similarity_q{q}"] for q in (0, 25, 50, 75, 100)]
         assert qs == sorted(qs)
-
-    def test_stats_csv(self, tmp_path):
-        path = tmp_path / "stats.csv"
-        write_graph_stats_csv(path, graph_stats(self._random_topo(4)))
-        rows = list(csv.reader(open(path)))
-        assert rows[0] == ["metric", "value"]
-        assert len(rows) > 5

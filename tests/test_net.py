@@ -169,10 +169,25 @@ class TestConfig:
             {"granularity": 0},
             {"schedule_start": [0.25, 0.25]},
             {"schedule_end": [0.75, 0.75, 0.75, 0.75, 0.75]},
+            {"aggregator": "Foo"},
+            {"radius": 1.5},
+            {"radius": True},
+            {"image_size": "32"},
+            {"epsilon_shared": "no"},
+            {"epsilon_shared": 0},
+            {"stage_k": [4, 4, 8.5, 8]},
+            {"stage_depths": (1, 1, 2, 1)},
+            {"ffn_ratio": 2.5},
+            {"layer_scale_init": "1e-5"},
+            {"schedule_start": [0.25, 0.25, None, 0.25]},
+            {"graph_mode": 1},
         ],
         ids=[
             "metric", "radius", "ffn-ratio", "layer-scale-low", "layer-scale-high", "stage-k",
             "patch-size", "granularity", "schedule-start-length", "schedule-end-length",
+            "aggregator", "radius-float", "radius-bool", "image-size-str", "epsilon-shared-str",
+            "epsilon-shared-int", "stage-k-float", "stage-depths-tuple", "ffn-ratio-float",
+            "layer-scale-init-str", "schedule-start-none", "graph-mode-int",
         ],
     )
     def test_invalid_value_rejected_at_construction(self, overrides):
@@ -471,32 +486,60 @@ class TestFullForwardGradient:
     def test_parameter_gradients_match_central_differences(self):
         cfg = tiny_config(num_classes=3)
         model = Model(cfg, seed=12).astype(np.float64)
+        # The tiny config's only second-order branch is in a LayerScale block;
+        # this model leaves that block unscaled so its weights can be probed.
+        shallow_scale = Model(tiny_config(num_classes=3, layer_scale_blocks=1), seed=12).astype(np.float64)
         rng = np.random.default_rng(16)
         img = rng.uniform(0.2, 0.8, size=(1, 32, 32, 3))
         labels = np.array([2])
         # stage2.block0 fuse is not LayerScale-suppressed; inside LayerScale
         # blocks the scale vector itself is probed (params upstream of a 1e-5
         # scale have gradients at the finite-difference noise floor)
-        for pname in (
-            "stem.weight",
-            "stage2.block0.fuse.weight",
-            "stage2.block1.act1.epsilon",
-            "stage2.block1.scale1",
-            "head.weight",
+        for probed, pname in (
+            (model, "stem.weight"),
+            (model, "stage0.block0.first.W"),
+            (model, "stage2.block0.fuse.weight"),
+            (model, "stage2.block1.act1.epsilon"),
+            (model, "stage2.block1.scale1"),
+            (model, "head.weight"),
+            (shallow_scale, "stage2.block1.second.W"),
         ):
-            original = model.params[pname]
+            original = probed.params[pname]
 
             def fn(w):
-                model.params[pname] = w
-                model._agg_specs = model._wire_aggregators()
+                probed.params[pname] = w
                 try:
-                    return softmax_cross_entropy(model.forward(img), labels)
+                    return softmax_cross_entropy(probed.forward(img), labels)
                 finally:
-                    model.params[pname] = original
-                    model._agg_specs = model._wire_aggregators()
+                    probed.params[pname] = original
 
             report = grad_check(fn, original, probes=10, seed=17, h=1e-5, op_name=f"pvg-forward/{pname}")
             assert report.passed, str(report)
+
+
+class TestParamsAreTheOnlySource:
+    """Every tensor the forward uses is looked up in ``Model.params``."""
+
+    def test_fresh_copies_take_over_forward_and_backward(self):
+        model = Model(tiny_config(), seed=3)
+        imgs = np.random.default_rng(19).uniform(size=(2, 32, 32, 3)).astype(np.float32)
+        want = model.forward(imgs).data
+        old = dict(model.params)
+        for name, t in old.items():
+            model.params[name] = Tensor(t.data.copy(), requires_grad=True)
+        logits = model.forward(imgs)
+        assert logits.data.tobytes() == want.tobytes()
+        softmax_cross_entropy(logits, np.array([0, 1])).backward()
+        assert [n for n, t in model.params.items() if t.grad is None] == []
+        assert [n for n, t in old.items() if t.grad is not None] == []
+
+    @pytest.mark.parametrize("name", ["stage0.block0.first.W", "stage2.block1.second.W"])
+    def test_replaced_aggregator_weight_changes_logits(self, name):
+        model = Model(tiny_config(), seed=3)
+        imgs = np.random.default_rng(20).uniform(size=(1, 32, 32, 3)).astype(np.float32)
+        before = model.forward(imgs).data
+        model.params[name] = Tensor(np.zeros_like(model.params[name].data), requires_grad=True)
+        assert not np.array_equal(model.forward(imgs).data, before)
 
 
 class TestDeadParameters:

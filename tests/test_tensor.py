@@ -222,13 +222,6 @@ class TestInvariantsAndErrors:
         with pytest.raises(NonFiniteError):
             Tensor([np.inf])
 
-    def test_assert_finite_flags_overflow(self):
-        t = Tensor([1e30], dtype=np.float32)
-        with np.errstate(over="ignore"):
-            t.data *= 1e30  # manufactured inf, bypassing the constructor check
-        with pytest.raises(NonFiniteError):
-            t.assert_finite("test")
-
     def test_flat_length_matches_shape(self):
         t = Tensor(np.zeros((3, 4, 5)))
         assert t.size == 60

@@ -253,6 +253,15 @@ class TestTraining:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"modle": {}})
 
+    def test_json_numbers_accepted_where_types_allow(self):
+        # JSON writes 1e-3 as a float but 1 as an int, and has no tuples.
+        run = RunConfig.from_dict({
+            "model": {"layer_scale_init": 1, "schedule_start": [0.25, 0.25, 0.5, 0.25]},
+            "optimizer": {"lr": 1, "betas": [0.9, 0.999], "weight_decay": 0},
+        })
+        assert run.optimizer.betas == (0.9, 0.999)
+        assert run.model.layer_scale_init == 1
+
     def test_batch_size_below_one_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(batch_size=0)
@@ -357,8 +366,25 @@ class TestCli:
             "3",
             json.dumps({"model": {"patch_size": 0}}),
             json.dumps({"model": {"image_size": 16}}),
+            json.dumps({"model": {"aggregator": "Foo"}}),
+            json.dumps({"model": {"radius": 1.5}}),
+            json.dumps({"model": {"epsilon_shared": "no"}}),
+            json.dumps({"model": {"stage_k": [4, 4, 8.5, 8]}}),
+            json.dumps({"model": {"ffn_ratio": 2.5}}),
+            json.dumps({"optimizer": {"lr": "fast"}}),
+            json.dumps({"optimizer": {"betas": [0.9]}}),
+            json.dumps({"schedule": {"total_steps": 2.5}}),
+            json.dumps({"batch_size": True}),
+            json.dumps({"seed": 1.0}),
+            json.dumps({"output_dir": 3}),
+            json.dumps({"model": 3}),
         ],
-        ids=["malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size", "1x1-last-stage"],
+        ids=[
+            "malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size", "1x1-last-stage",
+            "unknown-aggregator", "radius-float", "epsilon-shared-str", "stage-k-float", "ffn-ratio-float",
+            "lr-str", "betas-length", "total-steps-float", "batch-size-bool", "seed-float",
+            "output-dir-int", "model-not-an-object",
+        ],
     )
     def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, text):
         (tmp_path / "run.json").write_text(text)
