@@ -49,7 +49,6 @@ from .net import (
     ModelConfig,
     count_params_flops,
     deep_tiny_config,
-    downsample,
     load_checkpoint,
     node_embedding,
     save_checkpoint,

@@ -56,18 +56,22 @@ AGGREGATOR_WEIGHTS = {
 AGGREGATOR_KINDS = tuple(AGGREGATOR_WEIGHTS)
 
 
+def he_normal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """A float64 [rows, cols] normal draw with He scaling, std sqrt(2 / rows).
+    Every transform matrix in the package is drawn here."""
+    return rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+
+
 def make_aggregator(
     kind: str, in_c: int, out_c: int, rng: np.random.Generator, dtype=np.float32
 ) -> dict[str, Tensor]:
     """He-scaled weights of one aggregator, keyed by weight name."""
     if kind not in AGGREGATOR_WEIGHTS:
         raise ConfigError(f"unknown aggregator kind {kind!r}")
-    weights: dict[str, Tensor] = {}
-    for name, shape in AGGREGATOR_WEIGHTS[kind].items():
-        rows, cols = shape(in_c, out_c)
-        w = rng.normal(0.0, np.sqrt(2.0 / rows), size=(rows, cols))
-        weights[name] = Tensor(w.astype(dtype), requires_grad=True)
-    return weights
+    return {
+        name: Tensor(he_normal(rng, shape(in_c, out_c)).astype(dtype), requires_grad=True)
+        for name, shape in AGGREGATOR_WEIGHTS[kind].items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -28,8 +29,7 @@ from .aggregators import (
     AGGREGATOR_KINDS,
     AGGREGATOR_WEIGHTS,
     baseline_aggregate,
-    make_aggregator,
-    param_count,
+    he_normal,
 )
 from .errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
 from .graph import (
@@ -228,20 +228,83 @@ def deep_tiny_config(n_blocks: int = 21, **overrides) -> ModelConfig:
 
 
 # ---------------------------------------------------------------------------
-# model
+# parameter layout
 # ---------------------------------------------------------------------------
 
+# A layout entry's initialiser: "he" (normal, std sqrt(2 / rows)), "offsets"
+# (normal, std sqrt(1 / rows), one row per local-branch offset), or a number
+# to fill the tensor with.
+Init = str | float
 
-def _he(rng: np.random.Generator, rows: int, cols: int, dtype) -> np.ndarray:
-    return rng.normal(0.0, np.sqrt(2.0 / rows), size=(rows, cols)).astype(dtype)
+
+def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]:
+    """Every parameter the configuration implies, as name -> (shape,
+    initialiser), in the order :class:`Model` draws them.
+
+    This table is the one enumeration of the parameter set: initialisation
+    walks it, checkpoint loading checks files against it, and
+    :func:`count_params_flops` sums its sizes.
+    """
+    cfg = config
+    layout: dict[str, tuple[tuple[int, ...], Init]] = {}
+
+    def linear(weight: str, bias: str, rows: int, cols: int) -> None:
+        layout[weight] = ((rows, cols), "he")
+        layout[bias] = ((cols,), 0.0)
+
+    patch_in = cfg.patch_size * cfg.patch_size * cfg.in_channels
+    linear("stem.weight", "stem.bias", patch_in, cfg.stage_widths[0])
+
+    n_offsets = (2 * cfg.radius + 1) ** 2
+    per_site_eps = cfg.activation == "graphlu" and not cfg.epsilon_shared
+    ls_from = cfg.total_blocks() - cfg.layer_scale_blocks
+    block_idx = 0
+    for s in range(N_STAGES):
+        c = cfg.stage_widths[s]
+        hidden = cfg.ffn_ratio * c
+        for b, (local_c, first_c, second_c) in enumerate(cfg.stage_schedule(s).per_block):
+            pre = f"stage{s}.block{b}."
+            layout[pre + "norm1.gamma"] = ((c,), 1.0)
+            layout[pre + "norm1.beta"] = ((c,), 0.0)
+            if local_c:
+                layout[pre + "local.alpha"] = ((n_offsets, local_c), "offsets")
+                layout[pre + "local.pos_bias"] = ((n_offsets, local_c), 0.0)
+            for branch, width in (("first", first_c), ("second", second_c)):
+                if width:
+                    for wname, shape in AGGREGATOR_WEIGHTS[cfg.aggregator].items():
+                        layout[f"{pre}{branch}.{wname}"] = (shape(width, width), "he")
+            if per_site_eps:
+                layout[pre + "act1.epsilon"] = ((1,), 0.0)
+                layout[pre + "act2.epsilon"] = ((1,), 0.0)
+            linear(pre + "fuse.weight", pre + "fuse.bias", c, c)
+            layout[pre + "norm2.gamma"] = ((c,), 1.0)
+            layout[pre + "norm2.beta"] = ((c,), 0.0)
+            linear(pre + "ffn.w1", pre + "ffn.b1", c, hidden)
+            linear(pre + "ffn.w2", pre + "ffn.b2", hidden, c)
+            if block_idx >= ls_from:
+                layout[pre + "scale1"] = ((c,), cfg.layer_scale_init)
+                layout[pre + "scale2"] = ((c,), cfg.layer_scale_init)
+            block_idx += 1
+        if s < N_STAGES - 1:
+            nxt = cfg.stage_widths[s + 1]
+            linear(f"downsample{s}.weight", f"downsample{s}.bias", 4 * c, nxt)
+    linear("head.weight", "head.bias", cfg.stage_widths[-1], cfg.num_classes)
+    if cfg.activation == "graphlu" and cfg.epsilon_shared:
+        layout["shared.epsilon"] = ((1,), 0.0)
+    return layout
+
+
+# ---------------------------------------------------------------------------
+# model
+# ---------------------------------------------------------------------------
 
 
 class Model:
     """Parameter container plus the forward computation.
 
-    Parameters live in a flat name -> Tensor dict built in a deterministic
-    order from the seed, which is what makes checkpoints, counting, and
-    reproducibility straightforward. ``params`` is their only home: the
+    Parameters live in a flat name -> Tensor dict drawn from the seed in
+    :func:`param_layout` order, which is what makes checkpoints, counting,
+    and reproducibility straightforward. ``params`` is their only home: the
     forward looks every tensor up by name per call, so replacing an entry
     takes effect on the next forward.
     """
@@ -261,74 +324,19 @@ class Model:
         else:
             self.params = params
 
-    # -- parameter construction ---------------------------------------------
-
     def _init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
-        cfg = self.config
-        dt = self.dtype
-        p: dict[str, Tensor] = {}
-
-        def param(name: str, arr: np.ndarray) -> None:
-            p[name] = Tensor(arr.astype(dt), requires_grad=True)
-
-        patch_in = cfg.patch_size * cfg.patch_size * cfg.in_channels
-        param("stem.weight", _he(rng, patch_in, cfg.stage_widths[0], dt))
-        param("stem.bias", np.zeros(cfg.stage_widths[0]))
-
-        n_offsets = (2 * cfg.radius + 1) ** 2
-        ls_from = cfg.total_blocks() - cfg.layer_scale_blocks
-        block_idx = 0
-        for s in range(N_STAGES):
-            c = cfg.stage_widths[s]
-            for b in range(cfg.stage_depths[s]):
-                pre = f"stage{s}.block{b}."
-                local_c, first_c, second_c = self.schedules[s].per_block[b]
-                param(pre + "norm1.gamma", np.ones(c))
-                param(pre + "norm1.beta", np.zeros(c))
-                if local_c:
-                    param(
-                        pre + "local.alpha",
-                        rng.normal(0.0, np.sqrt(1.0 / n_offsets), size=(n_offsets, local_c)),
-                    )
-                    param(pre + "local.pos_bias", np.zeros((n_offsets, local_c)))
-                for branch, width in (("first", first_c), ("second", second_c)):
-                    if not width:
-                        continue
-                    weights = make_aggregator(cfg.aggregator, width, width, rng, dtype=dt)
-                    for wname, tensor in weights.items():
-                        p[f"{pre}{branch}.{wname}"] = tensor
-                if cfg.activation == "graphlu" and not cfg.epsilon_shared:
-                    param(pre + "act1.epsilon", np.zeros(1))
-                    param(pre + "act2.epsilon", np.zeros(1))
-                param(pre + "fuse.weight", _he(rng, c, c, dt))
-                param(pre + "fuse.bias", np.zeros(c))
-                param(pre + "norm2.gamma", np.ones(c))
-                param(pre + "norm2.beta", np.zeros(c))
-                hidden = cfg.ffn_ratio * c
-                param(pre + "ffn.w1", _he(rng, c, hidden, dt))
-                param(pre + "ffn.b1", np.zeros(hidden))
-                param(pre + "ffn.w2", _he(rng, hidden, c, dt))
-                param(pre + "ffn.b2", np.zeros(c))
-                if block_idx >= ls_from:
-                    param(pre + "scale1", np.full(c, cfg.layer_scale_init))
-                    param(pre + "scale2", np.full(c, cfg.layer_scale_init))
-                block_idx += 1
-            if s < N_STAGES - 1:
-                param(
-                    f"downsample{s}.weight",
-                    _he(rng, 4 * c, cfg.stage_widths[s + 1], dt),
-                )
-                param(f"downsample{s}.bias", np.zeros(cfg.stage_widths[s + 1]))
-        param("head.weight", _he(rng, cfg.stage_widths[-1], cfg.num_classes, dt))
-        param("head.bias", np.zeros(cfg.num_classes))
-        if cfg.activation == "graphlu" and cfg.epsilon_shared:
-            param("shared.epsilon", np.zeros(1))
-        return p
+        params: dict[str, Tensor] = {}
+        for name, (shape, init) in param_layout(self.config).items():
+            if init == "he":
+                arr = he_normal(rng, shape)
+            elif init == "offsets":
+                arr = rng.normal(0.0, np.sqrt(1.0 / shape[0]), size=shape)
+            else:
+                arr = np.full(shape, init)
+            params[name] = Tensor(arr.astype(self.dtype), requires_grad=True)
+        return params
 
     # -- housekeeping --------------------------------------------------------
-
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self.params.values())
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -487,8 +495,11 @@ class Model:
                 )
                 block_index += 1
             if s < N_STAGES - 1:
-                h = downsample(
-                    h, grid, self.params[f"downsample{s}.weight"], self.params[f"downsample{s}.bias"]
+                h = node_embedding(
+                    reshape(h, (batch, grid, grid, cfg.stage_widths[s])),
+                    self.params[f"downsample{s}.weight"],
+                    self.params[f"downsample{s}.bias"],
+                    2,
                 )
                 grid //= 2
 
@@ -504,7 +515,10 @@ class Model:
 
 def node_embedding(images, weight: Tensor, bias: Tensor, patch_size: int) -> Tensor:
     """Project non-overlapping p x p patches of [batch, h, w, c] images to
-    node vectors [batch * n, out], image-major and row-major within an image."""
+    node vectors [batch * n, out], image-major and row-major within an image.
+
+    This is both the stem and, with p = 2 over a stage's node grid, the
+    transition that merges 2x2 neighborhoods between stages."""
     img = images if isinstance(images, Tensor) else Tensor(np.asarray(images))
     if img.data.ndim != 4:
         raise DimensionError("node_embedding expects [batch, h, w, c] images")
@@ -515,21 +529,6 @@ def node_embedding(images, weight: Tensor, bias: Tensor, patch_size: int) -> Ten
     t = reshape(img, (batch, gh, patch_size, gw, patch_size, cin))
     t = permute(t, (0, 1, 3, 2, 4, 5))
     t = reshape(t, (batch * gh * gw, patch_size * patch_size * cin))
-    return add_rowvec(matmul(t, weight), bias)
-
-
-def downsample(h: Tensor, grid: int, weight: Tensor, bias: Tensor) -> Tensor:
-    """Merge 2x2 grid neighborhoods and linearly project C -> C'."""
-    if grid % 2:
-        raise ConfigError("downsample needs an even grid")
-    n, c = h.shape
-    if n % (grid * grid):
-        raise DimensionError("row count is not a multiple of the grid area")
-    batch = n // (grid * grid)
-    t = reshape(h, (batch, grid, grid, c))
-    t = reshape(t, (batch, grid // 2, 2, grid // 2, 2, c))
-    t = permute(t, (0, 1, 3, 2, 4, 5))
-    t = reshape(t, (batch * (grid // 2) * (grid // 2), 4 * c))
     return add_rowvec(matmul(t, weight), bias)
 
 
@@ -562,22 +561,19 @@ def _local_pair_count(grid: int, r: int) -> int:
 
 
 def count_params_flops(config: ModelConfig) -> tuple[int, int]:
-    """Analytic parameter count and per-image mult-adds.
+    """Parameter count and analytic per-image mult-adds.
 
-    The parameter count must equal the runtime enumeration exactly. Mult-adds
+    The parameter count is the total size of :func:`param_layout`. Mult-adds
     cover linear maps, local mixing, similarity construction, and LayerScale;
     normalizations, activations, and pooling are excluded by convention.
     """
     cfg = config
-    params = 0
+    params = sum(math.prod(shape) for shape, _ in param_layout(cfg).values())
     flops = 0
     grid = cfg.image_size // cfg.patch_size
     patch_in = cfg.patch_size * cfg.patch_size * cfg.in_channels
-    params += patch_in * cfg.stage_widths[0] + cfg.stage_widths[0]
     flops += grid * grid * patch_in * cfg.stage_widths[0]
 
-    n_offsets = (2 * cfg.radius + 1) ** 2
-    uses_graphlu = cfg.activation == "graphlu"
     ls_from = cfg.total_blocks() - cfg.layer_scale_blocks
     block_index = 0
     for s in range(N_STAGES):
@@ -587,14 +583,11 @@ def count_params_flops(config: ModelConfig) -> tuple[int, int]:
         schedule = cfg.stage_schedule(s)
         for b in range(cfg.stage_depths[s]):
             local_c, first_c, second_c = schedule.per_block[b]
-            params += 4 * c  # two norms, scale and shift each
             if local_c:
-                params += 2 * n_offsets * local_c
                 flops += _local_pair_count(grid, cfg.radius) * local_c
             for width in (first_c, second_c):
                 if not width:
                     continue
-                params += param_count(cfg.aggregator, width, width)[0]
                 flops += _aggregator_multadds(cfg.aggregator, width, n, k_eff)
             if cfg.graph_mode == "shared" and second_c:
                 flops += n * n * (first_c + second_c)
@@ -602,26 +595,17 @@ def count_params_flops(config: ModelConfig) -> tuple[int, int]:
                 flops += n * n * first_c
                 if second_c:
                     flops += n * n * second_c
-            if uses_graphlu and not cfg.epsilon_shared:
-                params += 2
-            params += c * c + c  # fusion
-            flops += n * c * c
+            flops += n * c * c  # fusion
             hidden = cfg.ffn_ratio * c
-            params += c * hidden + hidden + hidden * c + c
             flops += 2 * n * c * hidden
             if block_index >= ls_from:
-                params += 2 * c
                 flops += 2 * n * c
             block_index += 1
         if s < N_STAGES - 1:
             nxt = cfg.stage_widths[s + 1]
-            params += 4 * c * nxt + nxt
             grid //= 2
             flops += grid * grid * 4 * c * nxt
-    params += cfg.stage_widths[-1] * cfg.num_classes + cfg.num_classes
     flops += cfg.stage_widths[-1] * cfg.num_classes
-    if uses_graphlu and cfg.epsilon_shared:
-        params += 1
     return params, flops
 
 
@@ -648,27 +632,39 @@ def save_checkpoint(model: Model, ckpt_dir: str | Path) -> None:
 
 def load_checkpoint(ckpt_dir: str | Path) -> Model:
     """Rebuild a model from a checkpoint directory, verifying that manifest
-    and configuration agree on the exact parameter set and shapes."""
+    and :func:`param_layout` agree on the exact parameter set and shapes.
+    Nothing is drawn at random."""
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / MANIFEST_NAME
     if not manifest_path.exists():
         raise CheckpointError(f"no {MANIFEST_NAME} in {ckpt_dir}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"{manifest_path} is not valid JSON: {e}") from e
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("config"), dict)
+        and isinstance(manifest.get("params"), dict)
+    ):
+        raise CheckpointError(
+            f'{manifest_path} must be an object with "config" and "params" objects'
+        )
     config = ModelConfig.from_dict(manifest["config"])
-    model = Model(config, seed=0)
-    expected = set(model.params)
-    recorded = set(manifest["params"])
-    if expected != recorded:
-        missing = sorted(expected - recorded)
-        surplus = sorted(recorded - expected)
+    layout = param_layout(config)
+    recorded = manifest["params"]
+    if set(layout) != set(recorded):
+        missing = sorted(set(layout) - set(recorded))
+        surplus = sorted(set(recorded) - set(layout))
         raise CheckpointError(
             f"manifest/config parameter mismatch: missing={missing[:4]} surplus={surplus[:4]}"
         )
-    for name, fname in manifest["params"].items():
-        arr = read_tensor(ckpt_dir / fname)
-        if arr.shape != model.params[name].shape:
+    params: dict[str, Tensor] = {}
+    for name, (shape, _) in layout.items():
+        arr = read_tensor(ckpt_dir / recorded[name])
+        if arr.shape != shape:
             raise CheckpointError(
-                f"{name}: checkpoint shape {arr.shape} != config shape {model.params[name].shape}"
+                f"{name}: checkpoint shape {arr.shape} != config shape {shape}"
             )
-        model.params[name] = Tensor(arr, requires_grad=True)
-    return model
+        params[name] = Tensor(arr, requires_grad=True)
+    return Model(config, params=params)

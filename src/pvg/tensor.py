@@ -43,11 +43,8 @@ DIFFERENTIABLE_OPS = [
     "add",
     "sub",
     "mul",
-    "scale",
-    "add_scalar",
     "cdf_gate",
     "max0",
-    "reciprocal",
     "matmul",
     "reduce_sum",
     "reduce_mean",
@@ -276,44 +273,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = Tensor._from_op(a.data * np.asarray(s, dtype=a.data.dtype), (a,), "scale")
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(g * np.asarray(s, dtype=a.data.dtype))
-
-    _set_backward(out, bw)
-    return out
-
-
-def add_scalar(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = Tensor._from_op(a.data + np.asarray(s, dtype=a.data.dtype), (a,), "add_scalar")
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(g)
-
-    _set_backward(out, bw)
-    return out
-
-
 def max0(a: Tensor) -> Tensor:
     """ReLU: zero-or-identity mapping. Subgradient at 0 is 0."""
     out = Tensor._from_op(np.maximum(a.data, 0), (a,), "max0")
 
     def bw(g: np.ndarray) -> None:
         a._accumulate(g * (a.data > 0))
-
-    _set_backward(out, bw)
-    return out
-
-
-def reciprocal(a: Tensor) -> Tensor:
-    out = Tensor._from_op(1.0 / a.data, (a,), "reciprocal")
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(-g / (a.data * a.data))
 
     _set_backward(out, bw)
     return out

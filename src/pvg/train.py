@@ -30,8 +30,14 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.lr < 0:
-            raise ConfigError("lr must be non-negative")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and non-negative, got {self.lr}")
+        if not all(0 <= beta < 1 for beta in self.betas):
+            raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(
+                f"weight_decay must be finite and non-negative, got {self.weight_decay}"
+            )
         self.betas = tuple(self.betas)  # type: ignore[assignment]
 
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from scipy.special import erf as sp_erf
 
+from pvg import net
+from pvg.aggregators import param_count
 from pvg.errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
 from pvg.gradcheck import grad_check
 from pvg.graph import pairwise_similarity, topk_neighbors
@@ -19,13 +21,12 @@ from pvg.net import (
     ModelConfig,
     count_params_flops,
     deep_tiny_config,
-    downsample,
     load_checkpoint,
     node_embedding,
     save_checkpoint,
     tiny_config,
 )
-from pvg.tensor import Tensor, softmax_cross_entropy
+from pvg.tensor import Tensor, reshape, softmax_cross_entropy
 
 
 def zero_residual_outputs(model: Model) -> None:
@@ -82,20 +83,29 @@ class TestNodeEmbedding:
         np.testing.assert_array_equal(batched, np.concatenate(singles))
 
 
+def stage_transition(h: Tensor, grid: int, weight: Tensor, bias: Tensor) -> Tensor:
+    """The model's stage transition: node rows [batch * grid^2, c] viewed as
+    a grid and embedded in 2x2 patches."""
+    n, c = h.shape
+    return node_embedding(reshape(h, (n // (grid * grid), grid, grid, c)), weight, bias, 2)
+
+
 class TestDownsample:
+    """The stage transition, run as the forward runs it."""
+
     def test_shape(self):
         rng = np.random.default_rng(2)
         h = Tensor(rng.normal(size=(64, 8)).astype(np.float32))
         w = Tensor(rng.normal(size=(32, 12)).astype(np.float32))
         b = Tensor(np.zeros(12, dtype=np.float32))
-        assert downsample(h, 8, w, b).shape == (16, 12)
+        assert stage_transition(h, 8, w, b).shape == (16, 12)
 
     def test_constant_field_stays_constant(self):
         rng = np.random.default_rng(3)
         w = Tensor(rng.normal(size=(8, 6)).astype(np.float32))
         b = Tensor(rng.normal(size=6).astype(np.float32))
         h = Tensor(np.tile(np.array([1.5, -2.0], dtype=np.float32), (16, 1)))
-        out = downsample(h, 4, w, b).data
+        out = stage_transition(h, 4, w, b).data
         np.testing.assert_allclose(out, np.tile(out[0], (4, 1)), rtol=1e-6)
 
     def test_matches_gather_oracle(self):
@@ -104,7 +114,7 @@ class TestDownsample:
         h = rng.normal(size=(g * g, c)).astype(np.float32)
         w = rng.normal(size=(4 * c, c2)).astype(np.float32)
         b = rng.normal(size=c2).astype(np.float32)
-        out = downsample(Tensor(h), g, Tensor(w), Tensor(b)).data
+        out = stage_transition(Tensor(h), g, Tensor(w), Tensor(b)).data
         for node in range((g // 2) ** 2):
             r, col = divmod(node, g // 2)
             gathered = np.concatenate(
@@ -119,7 +129,7 @@ class TestDownsample:
 
     def test_odd_grid(self):
         with pytest.raises(ConfigError):
-            downsample(Tensor(np.zeros((9, 2))), 3, Tensor(np.zeros((8, 2))), Tensor(np.zeros(2)))
+            stage_transition(Tensor(np.zeros((9, 2))), 3, Tensor(np.zeros((8, 2))), Tensor(np.zeros(2)))
 
 
 class TestConfig:
@@ -264,7 +274,7 @@ class TestForward:
         imgs = np.random.default_rng(9).uniform(size=(2, 32, 32, 3)).astype(np.float32)
         assert np.all(np.isfinite(model.forward(imgs).data))
         params, _ = count_params_flops(cfg)
-        assert params == model.n_parameters()
+        assert params == sum(t.size for t in model.params.values())
 
 
 class TestInNetworkGraphs:
@@ -440,6 +450,39 @@ class TestLayerScalePlacement:
         }
 
 
+def analytic_param_count(cfg: ModelConfig) -> int:
+    """The parameter count written out by hand, block by block: an oracle
+    that shares no code with ``param_layout``."""
+    params = cfg.patch_size**2 * cfg.in_channels * cfg.stage_widths[0] + cfg.stage_widths[0]
+    n_offsets = (2 * cfg.radius + 1) ** 2
+    uses_graphlu = cfg.activation == "graphlu"
+    ls_from = cfg.total_blocks() - cfg.layer_scale_blocks
+    block_index = 0
+    for s in range(4):
+        c = cfg.stage_widths[s]
+        for local_c, first_c, second_c in cfg.stage_schedule(s).per_block:
+            params += 4 * c  # two norms, scale and shift each
+            params += 2 * n_offsets * local_c  # offset weights and biases
+            for width in (first_c, second_c):
+                if width:
+                    params += param_count(cfg.aggregator, width, width)[0]
+            if uses_graphlu and not cfg.epsilon_shared:
+                params += 2
+            params += c * c + c  # fusion
+            hidden = cfg.ffn_ratio * c
+            params += c * hidden + hidden + hidden * c + c
+            if block_index >= ls_from:
+                params += 2 * c
+            block_index += 1
+        if s < 3:
+            nxt = cfg.stage_widths[s + 1]
+            params += 4 * c * nxt + nxt
+    params += cfg.stage_widths[-1] * cfg.num_classes + cfg.num_classes
+    if uses_graphlu and cfg.epsilon_shared:
+        params += 1
+    return params
+
+
 class TestCounting:
     def test_analytic_equals_enumeration(self):
         for cfg in (
@@ -451,9 +494,12 @@ class TestCounting:
             tiny_config(activation="relu", graph_mode="shared"),
             tiny_config(epsilon_shared=True),
             deep_tiny_config(21),
+            tiny_config(radius=0),
+            tiny_config(layer_scale_blocks=5, schedule_end=0.95),
         ):
             params, _ = count_params_flops(cfg)
-            assert params == Model(cfg, seed=0).n_parameters(), cfg
+            assert params == analytic_param_count(cfg), cfg
+            assert params == sum(t.size for t in Model(cfg, seed=0).params.values()), cfg
 
     def test_doubling_widths_roughly_quadruples(self):
         base, _ = count_params_flops(tiny_config())
@@ -584,6 +630,23 @@ class TestCheckpoint:
         for name, t in model.params.items():
             assert np.array_equal(t.data, loaded.params[name].data), name
         np.testing.assert_array_equal(loaded.forward(imgs).data, before)
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        model = Model(tiny_config(num_classes=3), seed=17)
+        imgs = np.random.default_rng(23).uniform(size=(2, 32, 32, 3)).astype(np.float32)
+        before = model.forward(imgs).data
+        save_checkpoint(model, tmp_path / "ckpt")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(net, "he_normal", no_draw)
+        monkeypatch.setattr(net.np.random, "default_rng", no_draw)
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert list(loaded.params) == list(model.params)
+        for name, t in model.params.items():
+            assert t.data.tobytes() == loaded.params[name].data.tobytes(), name
+        assert loaded.forward(imgs).data.tobytes() == before.tobytes()
 
     def test_manifest_mismatch(self, tmp_path):
         model = Model(tiny_config(), seed=15)

@@ -262,6 +262,23 @@ class TestTraining:
         assert run.optimizer.betas == (0.9, 0.999)
         assert run.model.layer_scale_init == 1
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"betas": (1.0, 0.999)},
+            {"betas": (0.9, 1.5)},
+            {"weight_decay": -1.0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+        ],
+        ids=["beta1-one", "beta2-above-one", "weight-decay-negative", "lr-nan", "lr-inf"],
+    )
+    def test_invalid_optimizer_values_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            OptimizerConfig(**kw)
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"optimizer": kw})
+
     def test_batch_size_below_one_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(batch_size=0)
@@ -373,6 +390,7 @@ class TestCli:
             json.dumps({"model": {"ffn_ratio": 2.5}}),
             json.dumps({"optimizer": {"lr": "fast"}}),
             json.dumps({"optimizer": {"betas": [0.9]}}),
+            '{"optimizer": {"lr": NaN}}',
             json.dumps({"schedule": {"total_steps": 2.5}}),
             json.dumps({"batch_size": True}),
             json.dumps({"seed": 1.0}),
@@ -382,7 +400,7 @@ class TestCli:
         ids=[
             "malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size", "1x1-last-stage",
             "unknown-aggregator", "radius-float", "epsilon-shared-str", "stage-k-float", "ffn-ratio-float",
-            "lr-str", "betas-length", "total-steps-float", "batch-size-bool", "seed-float",
+            "lr-str", "betas-length", "lr-nan", "total-steps-float", "batch-size-bool", "seed-float",
             "output-dir-int", "model-not-an-object",
         ],
     )
@@ -391,6 +409,23 @@ class TestCli:
         assert cli_main(["count", "--config", str(tmp_path / "run.json")]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:config:")
+        assert "\n" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"config": ', json.dumps({"params": {}}), "[]", json.dumps({"config": {}, "params": 3})],
+        ids=["malformed-json", "no-config", "not-an-object", "params-not-an-object"],
+    )
+    def test_malformed_manifest_is_one_line_checkpoint_error(self, tmp_path, capsys, text):
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "ckpt" / "manifest.json").write_text(text)
+        assert cli_main([
+            "eval", "--checkpoint", str(tmp_path / "ckpt"),
+            "--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv"),
+        ]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:checkpoint:")
         assert "\n" not in err
 
     @pytest.mark.parametrize("command, batch_size", [("eval", "0"), ("diag", "0"), ("diag", "-3")])
