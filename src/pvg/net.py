@@ -18,8 +18,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import shutil
 import types
 import typing
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,10 +47,9 @@ from .pvgt import read_tensor, write_tensor
 from .tensor import (
     Tensor,
     add,
-    add_rowvec,
     concat,
     layer_norm,
-    matmul,
+    linear,
     max0,
     mul_rowvec,
     narrow,
@@ -248,12 +249,12 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
     cfg = config
     layout: dict[str, tuple[tuple[int, ...], Init]] = {}
 
-    def linear(weight: str, bias: str, rows: int, cols: int) -> None:
+    def affine(weight: str, bias: str, rows: int, cols: int) -> None:
         layout[weight] = ((rows, cols), "he")
         layout[bias] = ((cols,), 0.0)
 
     patch_in = cfg.patch_size * cfg.patch_size * cfg.in_channels
-    linear("stem.weight", "stem.bias", patch_in, cfg.stage_widths[0])
+    affine("stem.weight", "stem.bias", patch_in, cfg.stage_widths[0])
 
     n_offsets = (2 * cfg.radius + 1) ** 2
     per_site_eps = cfg.activation == "graphlu" and not cfg.epsilon_shared
@@ -276,19 +277,19 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
             if per_site_eps:
                 layout[pre + "act1.epsilon"] = ((1,), 0.0)
                 layout[pre + "act2.epsilon"] = ((1,), 0.0)
-            linear(pre + "fuse.weight", pre + "fuse.bias", c, c)
+            affine(pre + "fuse.weight", pre + "fuse.bias", c, c)
             layout[pre + "norm2.gamma"] = ((c,), 1.0)
             layout[pre + "norm2.beta"] = ((c,), 0.0)
-            linear(pre + "ffn.w1", pre + "ffn.b1", c, hidden)
-            linear(pre + "ffn.w2", pre + "ffn.b2", hidden, c)
+            affine(pre + "ffn.w1", pre + "ffn.b1", c, hidden)
+            affine(pre + "ffn.w2", pre + "ffn.b2", hidden, c)
             if block_idx >= ls_from:
                 layout[pre + "scale1"] = ((c,), cfg.layer_scale_init)
                 layout[pre + "scale2"] = ((c,), cfg.layer_scale_init)
             block_idx += 1
         if s < N_STAGES - 1:
             nxt = cfg.stage_widths[s + 1]
-            linear(f"downsample{s}.weight", f"downsample{s}.bias", 4 * c, nxt)
-    linear("head.weight", "head.bias", cfg.stage_widths[-1], cfg.num_classes)
+            affine(f"downsample{s}.weight", f"downsample{s}.bias", 4 * c, nxt)
+    affine("head.weight", "head.bias", cfg.stage_widths[-1], cfg.num_classes)
     if cfg.activation == "graphlu" and cfg.epsilon_shared:
         layout["shared.epsilon"] = ((1,), 0.0)
     return layout
@@ -443,15 +444,15 @@ class Model:
             branch_outs.append(self._activation(y_second, pre, 1))
 
         fused = branch_outs[0] if len(branch_outs) == 1 else concat(branch_outs, axis=1)
-        y = add_rowvec(matmul(fused, P[pre + "fuse.weight"]), P[pre + "fuse.bias"])
+        y = linear(fused, P[pre + "fuse.weight"], P[pre + "fuse.bias"])
         if pre + "scale1" in P:
             y = mul_rowvec(y, P[pre + "scale1"])
         h = add(h, y)
 
         z2 = layer_norm(h, P[pre + "norm2.gamma"], P[pre + "norm2.beta"])
-        f = add_rowvec(matmul(z2, P[pre + "ffn.w1"]), P[pre + "ffn.b1"])
+        f = linear(z2, P[pre + "ffn.w1"], P[pre + "ffn.b1"])
         f = self._activation(f, pre, 2)
-        f = add_rowvec(matmul(f, P[pre + "ffn.w2"]), P[pre + "ffn.b2"])
+        f = linear(f, P[pre + "ffn.w2"], P[pre + "ffn.b2"])
         if pre + "scale2" in P:
             f = mul_rowvec(f, P[pre + "scale2"])
         h = add(h, f)
@@ -505,7 +506,7 @@ class Model:
 
         c_last = cfg.stage_widths[-1]
         pooled = reduce_mean(reshape(h, (batch, grid * grid, c_last)), axis=1)
-        return add_rowvec(matmul(pooled, self.params["head.weight"]), self.params["head.bias"])
+        return linear(pooled, self.params["head.weight"], self.params["head.bias"])
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +530,7 @@ def node_embedding(images, weight: Tensor, bias: Tensor, patch_size: int) -> Ten
     t = reshape(img, (batch, gh, patch_size, gw, patch_size, cin))
     t = permute(t, (0, 1, 3, 2, 4, 5))
     t = reshape(t, (batch * gh * gw, patch_size * patch_size * cin))
-    return add_rowvec(matmul(t, weight), bias)
+    return linear(t, weight, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +619,52 @@ MANIFEST_NAME = "manifest.json"
 
 def save_checkpoint(model: Model, ckpt_dir: str | Path) -> None:
     """Write every parameter as a PVGT file plus a JSON manifest recording
-    the configuration and the name -> file mapping."""
+    the configuration and the name -> file mapping.
+
+    PVGT stores float32 only, so a model of any other dtype raises
+    :class:`CheckpointError` before anything is written. The files go to a
+    temporary directory beside ``ckpt_dir`` that is renamed into place once
+    complete: a failed save leaves any earlier checkpoint there intact and
+    no temporary directory behind. Only an earlier checkpoint or an empty
+    directory is replaced; anything else at ``ckpt_dir`` raises
+    :class:`CheckpointError`.
+    """
     ckpt_dir = Path(ckpt_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    mapping: dict[str, str] = {}
-    for name, t in model.params.items():
-        fname = name.replace(".", "__") + ".pvgt"
-        write_tensor(ckpt_dir / fname, t.data)
-        mapping[name] = fname
-    manifest = {"config": model.config.to_dict(), "params": mapping}
-    (ckpt_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    dtypes = sorted({t.data.dtype.name for t in model.params.values()} - {"float32"})
+    if dtypes:
+        raise CheckpointError(
+            f"checkpoints store float32 only; the model holds {', '.join(dtypes)} parameters"
+        )
+    if ckpt_dir.exists() and not (
+        (ckpt_dir / MANIFEST_NAME).is_file()
+        or (ckpt_dir.is_dir() and not any(ckpt_dir.iterdir()))
+    ):
+        raise CheckpointError(f"{ckpt_dir} is neither a checkpoint nor empty; not replacing it")
+    ckpt_dir.parent.mkdir(parents=True, exist_ok=True)
+    tmp = ckpt_dir.with_name(f".{ckpt_dir.name}.{uuid.uuid4().hex}.tmp")
+    old = tmp.with_suffix(".old")
+    tmp.mkdir()
+    try:
+        mapping: dict[str, str] = {}
+        for name, t in model.params.items():
+            fname = name.replace(".", "__") + ".pvgt"
+            write_tensor(tmp / fname, t.data)
+            mapping[name] = fname
+        manifest = {"config": model.config.to_dict(), "params": mapping}
+        (tmp / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        if ckpt_dir.exists():
+            ckpt_dir.rename(old)
+        try:
+            tmp.rename(ckpt_dir)
+        except BaseException:
+            if old.exists():
+                old.rename(ckpt_dir)
+            raise
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if old.exists():
+        shutil.rmtree(old)
 
 
 def load_checkpoint(ckpt_dir: str | Path) -> Model:

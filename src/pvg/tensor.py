@@ -15,11 +15,14 @@ root whose graph shares nodes with a swept one, raises
 :class:`~pvg.errors.GraphReleasedError` before any gradient is accumulated.
 
 Scope is deliberately narrow: the only broadcasting is scalar-with-tensor
-(plus explicit row-vector helpers), reductions remove their axis, and there is
-no graph optimization, automatic fusion, or device support; the fused ops
-(layer norm, the Gaussian-CDF gate, ...) are written by hand. Max reductions
-route the gradient to the lowest index among maximal entries so every
-subgradient choice is deterministic and testable.
+(plus the explicit row-vector scale ``mul_rowvec`` and the bias of
+``linear``), reductions remove their axis, and there is no graph
+optimization, automatic fusion, or device support; the fused ops are written
+by hand: ``linear`` (matmul plus bias, one node per affine map),
+``layer_norm``, ``cdf_gate`` (the Gaussian-CDF gate) and ``offset_mix`` (the
+local branch's grid-window mixing). Max reductions route the gradient to the
+lowest index among maximal entries so every subgradient choice is
+deterministic and testable.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ DIFFERENTIABLE_OPS = [
     "reshape",
     "permute",
     "mul_rowvec",
-    "add_rowvec",
+    "linear",
     "layer_norm",
     "softmax_cross_entropy",
     "offset_mix",
@@ -285,7 +288,7 @@ def max0(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# matmul and the affine map
 # ---------------------------------------------------------------------------
 
 
@@ -304,6 +307,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a._accumulate(g @ b.data.T)
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
+
+    _set_backward(out, bw)
+    return out
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map ``x @ weight + bias`` of rank-2 ``x``, ``bias`` added to every row.
+
+    One node: the bias goes in place into the product buffer, so the map
+    keeps one ``[rows, out]`` array, in the product's dtype. Values and
+    gradients equal, bit for bit, those of ``matmul`` followed by a
+    row-vector bias add of the same dtype.
+    """
+    if x.data.ndim != 2 or weight.data.ndim != 2:
+        raise DimensionError("linear requires rank-2 input and weight")
+    if x.shape[1] != weight.shape[0]:
+        raise DimensionError(f"linear inner extents differ: {x.shape} x {weight.shape}")
+    c = weight.shape[1]
+    if bias.shape != (c,):
+        raise DimensionError(f"linear: bias {bias.shape} does not match output width {c}")
+    y = x.data @ weight.data
+    y += bias.data
+    out = Tensor._from_op(y, (x, weight, bias), "linear")
+
+    def bw(g: np.ndarray) -> None:
+        if bias.requires_grad:
+            bias._accumulate(g.reshape(-1, c).sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(g @ weight.data.T)
+        if weight.requires_grad:
+            weight._accumulate(x.data.T @ g)
 
     _set_backward(out, bw)
     return out
@@ -349,7 +383,9 @@ def reduce_mean(x: Tensor, axis: int) -> Tensor:
 def reduce_max(x: Tensor, axis: int) -> Tensor:
     """Max along ``axis``; ties route the gradient to the lowest index."""
     axis = _check_axis(x, axis)
-    winners = np.argmax(x.data, axis=axis)  # argmax returns the first maximum
+    # argmax returns the first maximum; the narrowest unsigned dtype that
+    # holds every index keeps the winners small for backward.
+    winners = np.argmax(x.data, axis=axis).astype(np.min_scalar_type(x.shape[axis] - 1))
     out = Tensor._from_op(np.max(x.data, axis=axis), (x,), "reduce_max")
 
     def bw(g: np.ndarray) -> None:
@@ -487,7 +523,7 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# row-vector broadcasts (per-channel scale/shift over leading axes)
+# row-vector broadcast (per-channel scale over leading axes)
 # ---------------------------------------------------------------------------
 
 
@@ -502,22 +538,6 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
             x._accumulate(g * v.data)
         if v.requires_grad:
             v._accumulate((g * x.data).reshape(-1, v.shape[0]).sum(axis=0))
-
-    _set_backward(out, bw)
-    return out
-
-
-def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add the vector ``v`` to every row of ``x``."""
-    if v.data.ndim != 1 or v.shape[0] != x.shape[-1]:
-        raise DimensionError(f"add_rowvec: {v.shape} does not match last extent of {x.shape}")
-    out = Tensor._from_op(x.data + v.data, (x, v), "add_rowvec")
-
-    def bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g)
-        if v.requires_grad:
-            v._accumulate(g.reshape(-1, v.shape[0]).sum(axis=0))
 
     _set_backward(out, bw)
     return out

@@ -76,8 +76,12 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
     rx = Tensor(_rng(26).normal(size=(5, 4)))
     case("mul_rowvec", "x", lambda x: _weigh(T.mul_rowvec(x, rv)), _rng(27).normal(size=(5, 4)))
     case("mul_rowvec", "v", lambda x: _weigh(T.mul_rowvec(rx, x)), _rng(28).normal(size=4))
-    case("add_rowvec", "x", lambda x: _weigh(T.add_rowvec(x, rv)), _rng(29).normal(size=(5, 4)))
-    case("add_rowvec", "v", lambda x: _weigh(T.add_rowvec(rx, x)), _rng(30).normal(size=4))
+
+    lin_w = Tensor(_rng(29).normal(size=(4, 3)))
+    lin_b = Tensor(_rng(30).normal(size=3))
+    case("linear", "x", lambda x: _weigh(T.linear(x, lin_w, lin_b)), _rng(46).normal(size=(5, 4)))
+    case("linear", "weight", lambda x: _weigh(T.linear(rx, x, lin_b)), _rng(47).normal(size=(4, 3)))
+    case("linear", "bias", lambda x: _weigh(T.linear(rx, lin_w, x)), _rng(48).normal(size=3))
 
     ln_g = Tensor(0.5 + _rng(31).uniform(size=6))
     ln_b = Tensor(_rng(32).normal(size=6))

@@ -6,13 +6,14 @@ and demands agreement with the composed implementation.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erf as sp_erf
 
 from pvg import net
-from pvg.aggregators import param_count
+from pvg.aggregators import AGGREGATOR_KINDS, param_count
 from pvg.errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
 from pvg.gradcheck import grad_check
 from pvg.graph import pairwise_similarity, topk_neighbors
@@ -26,7 +27,9 @@ from pvg.net import (
     save_checkpoint,
     tiny_config,
 )
-from pvg.tensor import Tensor, reshape, softmax_cross_entropy
+from pvg.tensor import DIFFERENTIABLE_OPS, Tensor, reshape, softmax_cross_entropy
+
+from test_tensor import graph_nodes
 
 
 def zero_residual_outputs(model: Model) -> None:
@@ -275,6 +278,36 @@ class TestForward:
         assert np.all(np.isfinite(model.forward(imgs).data))
         params, _ = count_params_flops(cfg)
         assert params == sum(t.size for t in model.params.values())
+
+
+class TestAutogradGraph:
+    @pytest.mark.parametrize("graph_mode", net.GRAPH_MODES)
+    @pytest.mark.parametrize("activation", net.ACTIVATIONS)
+    @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
+    def test_every_model_op_is_registered(self, aggregator, activation, graph_mode):
+        # Gradient certification and the benchmark's per-op backward table
+        # both cover exactly DIFFERENTIABLE_OPS.
+        cfg = tiny_config(aggregator=aggregator, activation=activation, graph_mode=graph_mode)
+        model = Model(cfg, seed=0)
+        imgs = np.random.default_rng(30).uniform(size=(1, 32, 32, 3)).astype(np.float32)
+        ops = {node.op for node in graph_nodes(model.forward(imgs))} - {"leaf"}
+        assert "linear" in ops and "matmul" in ops
+        assert ops <= set(DIFFERENTIABLE_OPS), ops - set(DIFFERENTIABLE_OPS)
+
+    def test_tiny_forward_at_batch_32_holds_at_most_70_mib(self):
+        # numpy's buffers are traced by tracemalloc. What the logits keep
+        # alive is the autograd graph a train step's backward will sweep.
+        model = Model(tiny_config(), seed=0)
+        imgs = np.random.default_rng(3).random((32, 32, 32, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logits = model.forward(imgs)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (32, 2)
+        assert held <= 70 * 2**20, held / 2**20
 
 
 class TestInNetworkGraphs:
@@ -647,6 +680,48 @@ class TestCheckpoint:
         for name, t in model.params.items():
             assert t.data.tobytes() == loaded.params[name].data.tobytes(), name
         assert loaded.forward(imgs).data.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "replacing"])
+    def test_failed_save_leaves_no_partial_checkpoint(self, tmp_path, monkeypatch, earlier):
+        ckpt = tmp_path / "ckpt"
+        old = Model(tiny_config(), seed=19)
+        if earlier:
+            save_checkpoint(old, ckpt)
+        written = []
+        write_tensor = net.write_tensor
+
+        def fail_after_three(path, array):
+            if len(written) == 3:
+                raise OSError("disk full")
+            write_tensor(path, array)
+            written.append(path)
+
+        monkeypatch.setattr(net, "write_tensor", fail_after_three)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(Model(tiny_config(), seed=20), ckpt)
+        assert len(written) == 3
+        assert [p.name for p in tmp_path.iterdir()] == (["ckpt"] if earlier else [])
+        if earlier:
+            loaded = load_checkpoint(ckpt)
+            for name, t in old.params.items():
+                assert t.data.tobytes() == loaded.params[name].data.tobytes(), name
+
+    def test_save_replaces_an_earlier_checkpoint(self, tmp_path):
+        save_checkpoint(Model(tiny_config(), seed=21), tmp_path / "ckpt")
+        new = Model(tiny_config(), seed=22)
+        save_checkpoint(new, tmp_path / "ckpt")
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        for name, t in new.params.items():
+            assert t.data.tobytes() == loaded.params[name].data.tobytes(), name
+
+    def test_save_refuses_to_replace_a_non_checkpoint(self, tmp_path):
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "ckpt" / "notes.txt").write_text("keep me")
+        with pytest.raises(CheckpointError, match="neither a checkpoint nor empty"):
+            save_checkpoint(Model(tiny_config(), seed=23), tmp_path / "ckpt")
+        assert (tmp_path / "ckpt" / "notes.txt").read_text() == "keep me"
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
     def test_manifest_mismatch(self, tmp_path):
         model = Model(tiny_config(), seed=15)

@@ -79,6 +79,65 @@ class TestMatmul:
         np.testing.assert_allclose(b.grad, a.data.T @ g, rtol=1e-12)
 
 
+class TestLinear:
+    @staticmethod
+    def chain(x, w, b, g, prior):
+        """The matmul-then-bias-add chain, transcribed: each node's first
+        gradient is ``0 + g`` into a fresh array, a later one is ``+=``."""
+        y = x @ w
+        y = y + b
+        g_out = g + 0.0
+        db = g_out.reshape(-1, b.shape[0]).sum(axis=0) + 0.0
+        g_mm = g_out + 0.0
+        dx = g_mm @ w.T
+        dx = dx + 0.0 if prior is None else prior + dx
+        dw = (x.T @ g_mm) + 0.0
+        return y, dx, dw, db
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_prior", [False, True], ids=["fresh", "prior-grad"])
+    def test_matches_matmul_plus_bias_bit_for_bit(self, dtype, with_prior):
+        rng = np.random.default_rng(5)
+        x0 = rng.normal(size=(7, 5)).astype(dtype)
+        w0 = rng.normal(size=(5, 3)).astype(dtype)
+        b0 = rng.normal(size=3).astype(dtype)
+        g = rng.normal(size=(7, 3)).astype(dtype)
+        g[0, 0] = -0.0
+        prior = rng.normal(size=(7, 5)).astype(dtype) if with_prior else None
+        x = Tensor(x0, requires_grad=True)
+        w = Tensor(w0, requires_grad=True)
+        b = Tensor(b0, requires_grad=True)
+        if with_prior:
+            x.grad = prior.copy()
+        out = T.linear(x, w, b)
+        want = self.chain(x0, w0, b0, g, prior)
+        got_y = out.data.copy()
+        out.backward(seed=g)
+        for got, ref in zip((got_y, x.grad, w.grad, b.grad), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_one_node_over_input_weight_and_bias(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        out = T.linear(x, w, b)
+        assert out.op == "linear"
+        assert len(out._parents) == 3
+        assert all(p is q for p, q in zip(out._parents, (x, w, b)))
+        assert len(graph_nodes(out)) == 4
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_shape",
+        [((4, 3), (2, 2), (2,)), ((4, 3), (3, 2), (3,)), ((4, 3, 1), (3, 2), (2,)), ((4, 3), (3, 2), (1, 2))],
+        ids=["inner", "bias-width", "rank-3-input", "rank-2-bias"],
+    )
+    def test_shape_mismatch(self, x_shape, w_shape, b_shape):
+        with pytest.raises(DimensionError):
+            T.linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
+
+
 class TestElementwise:
     # The erf inside cdf_gate: y = 0.5 * x * (1 + erf(x / sqrt(2))), so
     # dy/dx at 0 is 0.5 * (1 + erf(0)), and 2 y / x - 1 recovers erf; in
@@ -150,6 +209,22 @@ class TestReduce:
         x = Tensor([2.0, 2.0], requires_grad=True)
         T.reduce_max(x, 0).backward()
         np.testing.assert_array_equal(x.grad, [1.0, 0.0])
+
+    @pytest.mark.parametrize("length", [1, 256, 257, 65537])
+    def test_max_gradient_at_index_dtype_boundaries(self, length):
+        # The winners are stored in the narrowest unsigned dtype that holds
+        # length - 1; the last index must still route its gradient.
+        x0 = np.zeros((2, length))
+        x0[0, -1] = 1.0
+        x0[1, length // 2] = 1.0
+        x = Tensor(x0, requires_grad=True)
+        T.reduce_max(x, 1).backward(seed=np.array([2.0, 3.0]))
+        want = np.zeros_like(x0)
+        want[0, -1] = 2.0
+        want[1, length // 2] = 3.0
+        if length == 1:
+            want[:, 0] = [2.0, 3.0]
+        np.testing.assert_array_equal(x.grad, want)
 
     def test_max_gradient_matches_fd_off_ties(self):
         # away from ties the subgradient is the true gradient
@@ -292,12 +367,12 @@ class TestBackwardConsumesGraph:
         # numpy's buffers are traced by tracemalloc. With ``loss`` still
         # named, what the sweep leaves behind is the parameter gradients.
         model = Model(tiny_config(), seed=0)
-        images = np.random.default_rng(3).random((4, 32, 32, 3)).astype(np.float32)
+        images = np.random.default_rng(3).random((8, 32, 32, 3)).astype(np.float32)
         grad_bytes = sum(t.data.nbytes for t in model.params.values())
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            loss = T.softmax_cross_entropy(model.forward(images), np.array([0, 1, 0, 1]))
+            loss = T.softmax_cross_entropy(model.forward(images), np.arange(8) % 2)
             graph = tracemalloc.get_traced_memory()[0] - base
             loss.backward()
             held = tracemalloc.get_traced_memory()[0] - base

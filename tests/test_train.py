@@ -17,6 +17,7 @@ from pvg.data import (
     save_dataset,
 )
 from pvg.errors import (
+    CheckpointError,
     ConfigError,
     CountMismatchError,
     FileFormatError,
@@ -420,6 +421,21 @@ class TestCli:
         save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
         (tmp_path / "ckpt").mkdir()
         (tmp_path / "ckpt" / "manifest.json").write_text(text)
+        assert cli_main([
+            "eval", "--checkpoint", str(tmp_path / "ckpt"),
+            "--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv"),
+        ]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:checkpoint:")
+        assert "\n" not in err
+
+    def test_eval_of_refused_float64_save_is_one_line_error(self, tmp_path, capsys):
+        # PVGT holds float32 only: the save is refused whole, so what eval
+        # finds is no checkpoint, not a silently narrowed one.
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
+        with pytest.raises(CheckpointError, match="float64"):
+            save_checkpoint(Model(ModelConfig(), seed=0, dtype=np.float64), tmp_path / "ckpt")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.pvgt", "y.csv"]
         assert cli_main([
             "eval", "--checkpoint", str(tmp_path / "ckpt"),
             "--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv"),
