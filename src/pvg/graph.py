@@ -1,11 +1,10 @@
 """Per-block graph structure.
 
 Everything a trident block needs before aggregation: first-order similarity
-matrices, top-k neighbor selection, the Chebyshev window mask, the
+matrices and top-k neighbor selection, both batched over images so that one
+call per branch serves a whole batch, the Chebyshev window mask, and the
 progressive channel schedule that moves capacity from grid-local mixing
-(``tensor.offset_mix``) into the global graph branches, and the direct form
-of second-order similarity (affinity between aggregated neighborhoods) used
-to cross-check the pipeline.
+(``tensor.offset_mix``) into the global graph branches.
 
 Similarity computation and neighbor selection are structural: gradients never
 flow through them, so they work on plain float arrays internally.
@@ -42,7 +41,8 @@ class GraphTopology:
 
     ``neighbor_idx[i]`` holds the k most similar non-self nodes of node i in
     non-increasing similarity order (ties broken toward lower node index);
-    ``neighbor_sim`` carries the matching scores.
+    ``neighbor_sim`` carries the matching scores. A batched selection gives
+    both arrays a leading image axis.
     """
 
     n_nodes: int
@@ -51,19 +51,17 @@ class GraphTopology:
     neighbor_sim: np.ndarray
 
     def validate(self) -> "GraphTopology":
-        if self.neighbor_idx.shape != (self.n_nodes, self.k):
-            raise DimensionError("neighbor_idx shape mismatch")
-        if self.neighbor_sim.shape != (self.n_nodes, self.k):
-            raise DimensionError("neighbor_sim shape mismatch")
-        rows = np.arange(self.n_nodes)[:, None]
-        if np.any(self.neighbor_idx == rows):
+        idx = self.neighbor_idx
+        if idx.shape[-2:] != (self.n_nodes, self.k) or self.neighbor_sim.shape != idx.shape:
+            raise DimensionError("neighbor_idx and neighbor_sim must both be [..., n, k]")
+        if np.any(idx == np.arange(self.n_nodes)[:, None]):
             raise DegenerateInputError("self-loop in topology")
-        if self.neighbor_idx.min(initial=0) < 0 or self.neighbor_idx.max(initial=0) >= self.n_nodes:
+        if idx.min(initial=0) < 0 or idx.max(initial=0) >= self.n_nodes:
             raise DimensionError("neighbor index out of range")
-        for i in range(self.n_nodes):
-            if len(set(self.neighbor_idx[i])) != self.k:
-                raise DegenerateInputError(f"duplicate neighbor in row {i}")
-        if np.any(np.diff(self.neighbor_sim, axis=1) > 1e-6):
+        dup = (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any(axis=-1)
+        if dup.any():
+            raise DegenerateInputError(f"duplicate neighbor in row {np.argwhere(dup)[0].tolist()}")
+        if np.any(np.diff(self.neighbor_sim, axis=-1) > 1e-6):
             raise DegenerateInputError("neighbor_sim rows must be non-increasing")
         return self
 
@@ -98,20 +96,23 @@ class ChannelSchedule:
 
 
 def similarity_matrix(xa: np.ndarray, metric: str) -> np.ndarray:
-    """Symmetric all-pairs similarity of the rows of ``xa``, in its dtype.
+    """Symmetric all-pairs similarity of the rows of ``xa``, in its dtype; a
+    leading batch axis, ``[batch, n, c]``, scores each image alone.
 
-    No input checks: the network calls this once per image per branch with
-    features of a validated shape and a metric validated at configuration
-    time. Cosine floors row norms at 1e-12, so a zero row scores 0 against
-    every row instead of dividing by zero.
+    Symmetric bit for bit with no symmetrising pass: numpy mirrors one syrk
+    triangle of ``xa @ xa^T``, or without BLAS sums the same products in the
+    same order for (i, j) and (j, i). No input checks: the network calls this
+    once per branch with features of a validated shape and a metric validated
+    at configuration time. Cosine floors row norms at 1e-12, so a zero row
+    scores 0 against every row instead of dividing by zero.
     """
     if metric == "cosine":
-        xa = xa / np.maximum(np.linalg.norm(xa, axis=1, keepdims=True), 1e-12)
-    s = xa @ xa.T
+        xa = xa / np.maximum(np.linalg.norm(xa, axis=-1, keepdims=True), 1e-12)
+    s = xa @ xa.swapaxes(-1, -2)
     if metric == "neg_euclidean":
-        sq = np.sum(xa * xa, axis=1)
-        s = -np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * s, 0.0))
-    return 0.5 * (s + s.T)
+        sq = np.sum(xa * xa, axis=-1)
+        s = -np.sqrt(np.maximum(sq[..., :, None] + sq[..., None, :] - 2.0 * s, 0.0))
+    return s
 
 
 def pairwise_similarity(x, metric: str = "dot") -> Tensor:
@@ -134,10 +135,10 @@ def pairwise_similarity(x, metric: str = "dot") -> Tensor:
     return Tensor(similarity_matrix(xa, metric))
 
 
-# Rows shorter than this take the full sort, which is faster there. On a
-# 2-core x86-64 host with numpy 2.4 the two cross near n = 50; 32 calls took
-# 0.26 ms sorted vs 1.4 ms partitioned at n = 16, and 96 vs 15 ms at n = 256.
-_PARTITION_MIN_N = 64
+# Rows shorter than this take the full sort, which is faster there. Over the
+# rows of 32 images at k = 4 (2-core x86-64, numpy 2.4): 0.18 vs 0.19 ms sorted
+# vs partitioned at n = 16, 0.84 vs 0.42 ms at n = 32, 113 vs 13 ms at n = 256.
+_PARTITION_MIN_N = 32
 
 
 def _stable_argsort_prefix(a: np.ndarray, k: int) -> np.ndarray:
@@ -151,12 +152,15 @@ def _stable_argsort_prefix(a: np.ndarray, k: int) -> np.ndarray:
     """
     if k < 1 or a.shape[1] < _PARTITION_MIN_N:
         return np.argsort(a, axis=1, kind="stable")[:, :k]
-    kth = np.partition(a, k - 1, axis=1)[:, k - 1 : k]
+    kth = np.partition(a, k - 1, axis=1)[:, k - 1 : k].copy()  # frees the partitioned copy
     keep = a <= kth
     exact = np.count_nonzero(keep, axis=1) == k
+    rows = slice(None) if exact.all() else exact  # a slice selects without a copy
+    cols = (np.flatnonzero(keep[rows]) % a.shape[1]).reshape(-1, k)
+    by_value = np.argsort(np.take_along_axis(a[rows], cols, axis=1), axis=1, kind="stable")
+    if rows is not exact:
+        return np.take_along_axis(cols, by_value, axis=1)
     out = np.empty((a.shape[0], k), dtype=np.intp)
-    cols = np.nonzero(keep[exact])[1].reshape(-1, k)
-    by_value = np.argsort(np.take_along_axis(a[exact], cols, axis=1), axis=1, kind="stable")
     out[exact] = np.take_along_axis(cols, by_value, axis=1)
     out[~exact] = np.argsort(a[~exact], axis=1, kind="stable")[:, :k]
     return out
@@ -165,15 +169,17 @@ def _stable_argsort_prefix(a: np.ndarray, k: int) -> np.ndarray:
 def topk_neighbors(S, k: int) -> GraphTopology:
     """Select each node's k most similar non-self nodes from a similarity
     matrix. Ties break toward the lower node index; rows come back sorted by
-    non-increasing similarity. k >= n is clamped to n-1 with a warning.
+    non-increasing similarity. k >= n is clamped to n-1 with a warning. A
+    leading batch axis, ``[batch, n, n]``, selects within each image and gives
+    the topology's arrays that axis.
 
     The node itself ranks with the NaN scores, below every number, so a row
     with fewer than k non-NaN scores for other nodes raises
     :class:`DegenerateInputError` rather than picking NaN or a self-loop."""
     sa = _as_array(S)
-    if sa.ndim != 2 or sa.shape[0] != sa.shape[1]:
+    if sa.ndim not in (2, 3) or sa.shape[-1] != sa.shape[-2]:
         raise DimensionError(f"similarity matrix must be square, got {sa.shape}")
-    n = sa.shape[0]
+    n = sa.shape[-1]
     if k < 1:
         raise ConfigError("k must be >= 1")
     if k >= n:
@@ -184,15 +190,17 @@ def topk_neighbors(S, k: int) -> GraphTopology:
     # keeps its dtype; integer input is promoted with float32 as numpy does,
     # which orders it exactly as float64 would.
     neg = np.negative(sa, dtype=np.result_type(sa.dtype, np.float32))
-    np.fill_diagonal(neg, np.nan)
-    order = _stable_argsort_prefix(neg, k)
-    short = np.isnan(np.take_along_axis(neg, order, axis=1)).any(axis=1)
+    neg[..., range(n), range(n)] = np.nan
+    order = _stable_argsort_prefix(neg.reshape(-1, n), k).reshape(sa.shape[:-1] + (k,))
+    short = np.isnan(np.take_along_axis(neg, order, axis=-1)).any(axis=-1)
     if short.any():
+        *image, node = np.unravel_index(np.argmax(short), short.shape)
+        where = f"image {image[0]} node {node}" if image else f"node {node}"
         raise DegenerateInputError(
-            f"node {np.argmax(short)} has fewer than k={k} non-NaN similarity scores"
+            f"{where} has fewer than k={k} non-NaN similarity scores"
             f" ({np.count_nonzero(short)} such rows)"
         )
-    sims = np.take_along_axis(sa, order, axis=1)
+    sims = np.take_along_axis(sa, order, axis=-1)
     return GraphTopology(n_nodes=n, k=k, neighbor_idx=order, neighbor_sim=sims)
 
 

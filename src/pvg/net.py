@@ -373,23 +373,19 @@ class Model:
     def _build_graphs(
         self, feats: np.ndarray, batch: int, n: int, k: int
     ) -> tuple[np.ndarray, list[GraphTopology]]:
-        """Per-image top-k selection, indices shifted into batched rows.
+        """Top-k selection within each image, the batch scored and selected in
+        one call each; indices shift into batched rows, topologies are views.
 
         Non-finite features, as a diverging run produces, raise
         :class:`NonFiniteError` here rather than scoring NaN.
         """
         if not np.all(np.isfinite(feats)):
             raise NonFiniteError("non-finite node features reached the graph build")
-        k_eff = min(k, n - 1)
-        per_image = feats.reshape(batch, n, -1)
-        idx = np.empty((batch * n, k_eff), dtype=np.int64)
-        topos: list[GraphTopology] = []
-        for im in range(batch):
-            s = similarity_matrix(per_image[im], self.config.graph_metric)
-            topo = topk_neighbors(s, k_eff)
-            idx[im * n : (im + 1) * n] = topo.neighbor_idx + im * n
-            topos.append(topo)
-        return idx, topos
+        s = similarity_matrix(feats.reshape(batch, n, -1), self.config.graph_metric)
+        topo = topk_neighbors(s, min(k, n - 1))
+        idx = topo.neighbor_idx + (np.arange(batch) * n)[:, None, None]
+        topos = [GraphTopology(n, topo.k, i, v) for i, v in zip(topo.neighbor_idx, topo.neighbor_sim)]
+        return idx.reshape(batch * n, topo.k), topos
 
     # -- forward ---------------------------------------------------------------
 
@@ -423,16 +419,14 @@ class Model:
         x_first = narrow(z, 1, local_c, first_c)
         x_second = narrow(z, 1, local_c + first_c, second_c) if second_c else None
 
+        k = cfg.stage_k[s]
         if cfg.graph_mode == "shared" and second_c:
-            global_feats = z.data[:, local_c:]
-            idx_first, topos_first = self._build_graphs(global_feats, batch, n, cfg.stage_k[s])
+            idx_first, topos_first = self._build_graphs(z.data[:, local_c:], batch, n, k)
             idx_second, topos_second = idx_first, topos_first
         else:
-            idx_first, topos_first = self._build_graphs(x_first.data, batch, n, cfg.stage_k[s])
+            idx_first, topos_first = self._build_graphs(x_first.data, batch, n, k)
             if second_c:
-                idx_second, topos_second = self._build_graphs(
-                    x_second.data, batch, n, cfg.stage_k[s]
-                )
+                idx_second, topos_second = self._build_graphs(x_second.data, batch, n, k)
 
         names = AGGREGATOR_WEIGHTS[cfg.aggregator]
         w_first = {w: P[f"{pre}first.{w}"] for w in names}
@@ -459,10 +453,7 @@ class Model:
 
         if collect is not None:
             if "blocks" in collect:
-                width = self.config.stage_widths[s]
-                collect["blocks"].append(
-                    (block_index, h.data.reshape(batch, n, width).copy())
-                )
+                collect["blocks"].append((block_index, h.data.reshape(batch, n, -1).copy()))
             if "graphs" in collect:
                 collect["graphs"].append((block_index, "first", topos_first))
                 if second_c:
@@ -586,16 +577,10 @@ def count_params_flops(config: ModelConfig) -> tuple[int, int]:
             local_c, first_c, second_c = schedule.per_block[b]
             if local_c:
                 flops += _local_pair_count(grid, cfg.radius) * local_c
-            for width in (first_c, second_c):
-                if not width:
-                    continue
+            for width in (first_c, second_c):  # a width of 0 adds nothing
                 flops += _aggregator_multadds(cfg.aggregator, width, n, k_eff)
-            if cfg.graph_mode == "shared" and second_c:
-                flops += n * n * (first_c + second_c)
-            else:
-                flops += n * n * first_c
-                if second_c:
-                    flops += n * n * second_c
+            # Similarity: shared or per branch, the global widths score n^2 pairs.
+            flops += n * n * (first_c + second_c)
             flops += n * c * c  # fusion
             hidden = cfg.ffn_ratio * c
             flops += 2 * n * c * hidden

@@ -20,9 +20,10 @@ Scope is deliberately narrow: the only broadcasting is scalar-with-tensor
 optimization, automatic fusion, or device support; the fused ops are written
 by hand: ``linear`` (matmul plus bias, one node per affine map),
 ``layer_norm``, ``cdf_gate`` (the Gaussian-CDF gate) and ``offset_mix`` (the
-local branch's grid-window mixing). Max reductions route the gradient to the
-lowest index among maximal entries so every subgradient choice is
-deterministic and testable.
+local branch's grid-window mixing, one ``einsum`` over padded-grid windows).
+Max reductions route the gradient to the lowest index among maximal entries
+so every subgradient choice is deterministic and testable. No op loops in
+Python over offsets, images or rows.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf as _erf
 
 from .errors import (
@@ -485,10 +487,14 @@ def gather_rows(x: Tensor, row_idx: np.ndarray) -> Tensor:
         raise DimensionError("gather_rows index out of range")
     out = Tensor._from_op(x.data[idx], (x,), "gather_rows")
     flat_idx = idx.reshape(-1)
+    c = x.shape[1]
+    elem_dtype = np.int32 if x.size <= np.iinfo(np.int32).max else np.int64
 
     def bw(g: np.ndarray) -> None:
+        # Entry by entry into the flat buffer: each sums in a row-wise np.add.at's order.
+        elems = flat_idx.astype(elem_dtype)[:, None] * elem_dtype(c) + np.arange(c, dtype=elem_dtype)
         dx = np.zeros_like(x.data)
-        np.add.at(dx, flat_idx, g.reshape(-1, x.shape[1]))
+        np.add.at(dx.reshape(-1), elems.reshape(-1), g.reshape(-1))
         x._accumulate(dx)
 
     _set_backward(out, bw)
@@ -665,10 +671,10 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return out
 
 
-def _overlap(d: int, n: int) -> tuple[slice, slice]:
-    # Destination and source slices along one grid axis for a shift by d:
-    # dst index i reads src index i + d wherever both lie in [0, n).
-    return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n + min(0, d))
+def _grid_windows(a: np.ndarray, ry: int, rx: int) -> np.ndarray:
+    # Windows of [batch, h, w, c] grids zero-padded by (ry, rx): [batch, h, w, c, 2ry+1, 2rx+1].
+    padded = np.pad(a, ((0, 0), (ry, ry), (rx, rx), (0, 0)))
+    return sliding_window_view(padded, (2 * ry + 1, 2 * rx + 1), axis=(1, 2))
 
 
 def offset_mix(
@@ -688,6 +694,8 @@ def offset_mix(
 
     over the offsets whose source lies on the grid (zero padding: an offset
     that falls off the grid contributes neither its weight nor its bias).
+    Forward, input and weight gradients are one ``einsum`` each over the zero-padded
+    grid's windows, clipped to offsets that reach it; bias adds one [h, w, c] map.
     """
     if weights.data.ndim != 2:
         raise DimensionError("offset_mix: weights must be [offsets, channels]")
@@ -704,41 +712,33 @@ def offset_mix(
     if h < 1 or w < 1 or x.shape[0] % (h * w):
         raise DimensionError(f"offset_mix: {x.shape[0]} rows do not fill {h}x{w} grids")
     batch = x.shape[0] // (h * w)
+    ry, rx = min(r, h - 1), min(r, w - 1)
+    live = (slice(r - ry, r + ry + 1), slice(r - rx, r + rx + 1))
+    kernel = weights.data.reshape(side, side, c)[live]
     xg = x.data.reshape(batch, h, w, c)
-    windows = []  # (offset, dst rows, dst cols, src rows, src cols)
-    for o in range(n_off):
-        dy, dx = divmod(o, side)
-        (rd, rs), (cd, cs) = _overlap(dy - r, h), _overlap(dx - r, w)
-        if rd.start < rd.stop and cd.start < cd.stop:
-            windows.append((o, rd, cd, rs, cs))
+    # valid[i, j, y, x] = 1 where node (i, j)'s offset (y - ry, x - rx) is on the grid.
+    valid = _grid_windows(np.ones((1, h, w, 1), dtype=xg.dtype), ry, rx)[0, :, :, 0]
 
-    y = np.zeros_like(xg)
-    for o, rd, cd, rs, cs in windows:
-        contrib = weights.data[o] * xg[:, rs, cs]
-        if bias is not None:
-            contrib = contrib + bias.data[o]
-        y[:, rd, cd] += contrib
+    # No ``optimize``: it would copy the windows out, 49 times the grid at r = 3.
+    y = np.einsum("bijcyx,yxc->bijc", _grid_windows(xg, ry, rx), kernel)
+    if bias is not None:
+        y += np.einsum("ijyx,yxc->ijc", valid, bias.data.reshape(side, side, c)[live])
     parents = (x, weights) if bias is None else (x, weights, bias)
     out = Tensor._from_op(y.reshape(x.shape), parents, "offset_mix")
 
     def bw(g: np.ndarray) -> None:
         gg = g.reshape(batch, h, w, c)
-        gx = np.zeros_like(xg) if x.requires_grad else None
-        gw = np.zeros_like(weights.data) if weights.requires_grad else None
-        gb = np.zeros_like(bias.data) if bias is not None and bias.requires_grad else None
-        for o, rd, cd, rs, cs in windows:
-            gd = gg[:, rd, cd]
-            if gx is not None:
-                gx[:, rs, cs] += weights.data[o] * gd
-            if gw is not None:
-                gw[o] = (xg[:, rs, cs] * gd).reshape(-1, c).sum(axis=0)
-            if gb is not None:
-                gb[o] = gd.reshape(-1, c).sum(axis=0)
-        if gx is not None:
+        if x.requires_grad:
+            # Node p feeds node p - offset: the adjoint flips the kernel.
+            gx = np.einsum("bijcyx,yxc->bijc", _grid_windows(gg, ry, rx), kernel[::-1, ::-1])
             x._accumulate(gx.reshape(x.shape))
-        if gw is not None:
+        if weights.requires_grad:
+            gw = np.zeros_like(weights.data)
+            gw.reshape(side, side, c)[live] = np.einsum("bijc,bijcyx->yxc", gg, _grid_windows(xg, ry, rx))
             weights._accumulate(gw)
-        if gb is not None:
+        if bias is not None and bias.requires_grad:
+            gb = np.zeros_like(bias.data)
+            gb.reshape(side, side, c)[live] = np.einsum("ijc,ijyx->yxc", gg.sum(axis=0), valid)
             bias._accumulate(gb)
 
     _set_backward(out, bw)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .diagnostics import DiversityTrace, trace_diversity, write_trace_csv
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, DegenerateInputError, NonFiniteError
 from .net import Model, ModelConfig, check_field_types, load_checkpoint, save_checkpoint
 from .optim import AdamWState, adamw_step, cosine_lr, decay_mask
 from .tensor import softmax_cross_entropy
@@ -115,6 +115,8 @@ class EpochMetrics:
 def _forward_pass_metrics(model: Model, dataset: Dataset, batch_size: int) -> tuple[float, float]:
     """Mean loss and top-1 accuracy over a split, forward only."""
     n = len(dataset)
+    if n == 0:
+        raise DegenerateInputError(f"the {dataset.split} split holds no images")
     total_loss = 0.0
     correct = 0
     for start in range(0, n, batch_size):
@@ -152,14 +154,22 @@ def train(
     evaluating the checkpoint on the train split reproduces the last row
     exactly. ``stop_accuracy`` ends the run early once that measurement
     reaches the threshold (still fully seed-deterministic). Aborts with a
-    step-stamped error if the loss goes non-finite.
+    step-stamped error if the loss goes non-finite. Arguments are checked
+    before anything is built or written.
     """
+    if len(dataset) == 0:
+        raise DegenerateInputError("the training set holds no images")
+    if run.model.num_classes != dataset.num_classes:
+        raise ConfigError(f"model has {run.model.num_classes} classes, dataset {dataset.num_classes}")
+    total_steps = run.schedule.total_steps
+    if total_steps <= 0:
+        raise ConfigError("schedule.total_steps must be positive")
+    if isinstance(trace_batch, bool) or not isinstance(trace_batch, (int, np.integer)) or trace_batch < 1:
+        raise ConfigError(f"trace_batch must be an integer >= 1, got {trace_batch!r}")
+    if stop_accuracy is not None and not 0.0 <= stop_accuracy <= 1.0:
+        raise ConfigError(f"stop_accuracy must lie in [0, 1], got {stop_accuracy!r}")
     out_dir = Path(run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if run.model.num_classes != dataset.num_classes:
-        raise ConfigError(
-            f"model has {run.model.num_classes} classes, dataset {dataset.num_classes}"
-        )
 
     model = Model(run.model, seed=run.seed)
     rng = np.random.default_rng(run.seed)
@@ -167,9 +177,6 @@ def train(
     state = AdamWState()
 
     n = len(dataset)
-    total_steps = run.schedule.total_steps
-    if total_steps <= 0:
-        raise ConfigError("schedule.total_steps must be positive")
 
     metrics: list[EpochMetrics] = []
     traces: list[DiversityTrace] = []

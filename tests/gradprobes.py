@@ -120,6 +120,29 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
         _rng(43).normal(size=(9, 2)),
     )
 
+    # r = 2 on a 2x3 grid: rows dy = -2 and dy = 2 never reach the grid.
+    omc_w = Tensor(_rng(49).normal(size=(25, 2)))
+    omc_b = Tensor(_rng(50).normal(size=(25, 2)))
+    omc_x = Tensor(_rng(51).normal(size=(12, 2)))
+    case(
+        "offset_mix",
+        "x_clipped",
+        lambda x: _weigh(T.offset_mix(x, omc_w, (2, 3), bias=omc_b)),
+        _rng(52).normal(size=(12, 2)),
+    )
+    case(
+        "offset_mix",
+        "weights_clipped",
+        lambda x: _weigh(T.offset_mix(omc_x, x, (2, 3), bias=omc_b)),
+        _rng(53).normal(size=(25, 2)),
+    )
+    case(
+        "offset_mix",
+        "bias_clipped",
+        lambda x: _weigh(T.offset_mix(omc_x, omc_w, (2, 3), bias=x)),
+        _rng(54).normal(size=(25, 2)),
+    )
+
     gate_eps = Tensor(np.array([0.3]))
     gate_x = Tensor(_rng(44).normal(size=(4, 5)) * 2.0)
     case("cdf_gate", "x", lambda x: _weigh(T.cdf_gate(x, gate_eps)), _rng(8).normal(size=(4, 4)) * 2.0)

@@ -55,6 +55,10 @@ class TestPairwiseSimilarity:
         x = np.random.default_rng(0).normal(size=(7, 5))
         s = pairwise_similarity(x, metric).data
         np.testing.assert_array_equal(s, s.T)
+        # Batched float32 at a size where BLAS blocks the product: still exact.
+        xb = np.random.default_rng(1).normal(size=(3, 300, 20)).astype(np.float32)
+        sb = similarity_matrix(xb, metric)
+        np.testing.assert_array_equal(sb, sb.swapaxes(-1, -2))
 
     def test_cosine_range(self):
         x = np.random.default_rng(1).normal(size=(20, 8))
@@ -114,6 +118,9 @@ class TestTopkNeighbors:
         s = 0.5 * (s + s.T)
         topo = topk_neighbors(s, 4).validate()
         assert np.all(np.diff(topo.neighbor_sim, axis=1) <= 0)
+        batched = topk_neighbors(np.stack([s, s[::-1, ::-1]]), 4).validate()
+        assert batched.neighbor_idx.shape == (2, 10, 4)
+        np.testing.assert_array_equal(batched.neighbor_idx[0], topo.neighbor_idx)
 
     def test_clamp_warns(self):
         s = np.random.default_rng(3).normal(size=(4, 4))
@@ -280,6 +287,34 @@ class TestLocalBranch:
         x = rng.normal(size=(h * w, c))
         y = offset_mix(Tensor(x), Tensor(alpha), (h, w))
         np.testing.assert_allclose(y.data, dense_local_oracle(x, alpha, h, w, r), rtol=1e-12, atol=1e-12)
+
+    def test_gradients_match_dense_loop_on_a_grid_smaller_than_the_window(self):
+        # r = 3 on a 2x2 grid: 40 of the 49 offsets never reach the grid.
+        batch, h, w, r, c = 2, 2, 2, 3, 3
+        side = 2 * r + 1
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=(batch * h * w, c)), requires_grad=True)
+        alpha = Tensor(rng.normal(size=(side * side, c)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(side * side, c)), requires_grad=True)
+        g = rng.normal(size=(batch * h * w, c))
+        offset_mix(x, alpha, (h, w), bias=bias).backward(g)
+
+        xg, gg = x.data.reshape(batch, h, w, c), g.reshape(batch, h, w, c)
+        gx, gw, gb = np.zeros_like(xg), np.zeros_like(alpha.data), np.zeros_like(bias.data)
+        for o in range(side * side):
+            dy, dx = o // side - r, o % side - r
+            for b in range(batch):
+                for i in range(h):
+                    for j in range(w):
+                        si, sj = i + dy, j + dx
+                        if 0 <= si < h and 0 <= sj < w:
+                            gx[b, si, sj] += alpha.data[o] * gg[b, i, j]
+                            gw[o] += gg[b, i, j] * xg[b, si, sj]
+                            gb[o] += gg[b, i, j]
+        np.testing.assert_allclose(x.grad, gx.reshape(x.shape), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(alpha.grad, gw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(bias.grad, gb, rtol=1e-12, atol=1e-12)
+        assert np.count_nonzero(gb.any(axis=1)) == 9
 
     def test_batch_stacks_per_image_results(self):
         h, w, r, c = 4, 3, 1, 2

@@ -14,9 +14,15 @@ from scipy.special import erf as sp_erf
 
 from pvg import net
 from pvg.aggregators import AGGREGATOR_KINDS, param_count
-from pvg.errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
+from pvg.errors import (
+    CheckpointError,
+    ConfigError,
+    DegenerateInputError,
+    DimensionError,
+    NonFiniteError,
+)
 from pvg.gradcheck import grad_check
-from pvg.graph import pairwise_similarity, topk_neighbors
+from pvg.graph import similarity_matrix, topk_neighbors
 from pvg.net import (
     Model,
     ModelConfig,
@@ -313,15 +319,35 @@ class TestAutogradGraph:
 class TestInNetworkGraphs:
     @pytest.mark.parametrize("metric", ["dot", "cosine", "neg_euclidean"])
     def test_build_graphs_matches_per_image_pipeline(self, metric):
+        # One batched call per branch must equal scoring and selecting each
+        # image alone, bit for bit, on both selection paths (full sort below
+        # n = 64, partition above) and under heavy ties.
         model = Model(tiny_config(graph_metric=metric), seed=0)
-        batch, n, k = 2, 16, 4
-        feats = np.random.default_rng(22).normal(size=(batch * n, 8)).astype(np.float32)
-        idx, topos = model._build_graphs(feats, batch, n, k)
-        assert idx.shape == (batch * n, k) and len(topos) == batch
-        for im in range(batch):
-            want = topk_neighbors(pairwise_similarity(feats[im * n : (im + 1) * n], metric), k)
-            np.testing.assert_array_equal(idx[im * n : (im + 1) * n], want.neighbor_idx + im * n)
-            np.testing.assert_array_equal(topos[im].neighbor_sim, want.neighbor_sim)
+        batch = 3
+        for n, k in ((16, 4), (256, 8)):
+            rng = np.random.default_rng(n)
+            feats = rng.normal(size=(batch, n, 8)).astype(np.float32)
+            feats[1] = rng.integers(-1, 2, size=(n, 8))  # many identical rows: ties
+            feats[2] = 0.5  # constant image: every score ties
+            idx, topos = model._build_graphs(feats.reshape(batch * n, 8), batch, n, k)
+            assert idx.shape == (batch * n, k) and len(topos) == batch
+            for im in range(batch):
+                want = topk_neighbors(similarity_matrix(feats[im], metric), k)
+                assert topos[im].n_nodes == n and topos[im].k == k
+                assert idx[im * n : (im + 1) * n].tobytes() == (want.neighbor_idx + im * n).tobytes()
+                assert topos[im].neighbor_idx.tobytes() == want.neighbor_idx.tobytes()
+                assert topos[im].neighbor_sim.tobytes() == want.neighbor_sim.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the deliberate overflow
+    def test_short_row_names_image_and_node(self):
+        # Squared distances between rows of 1e20 overflow float32 to inf, and
+        # inf - inf scores NaN: in image 1, nodes 2..15 keep two scores each.
+        model = Model(tiny_config(graph_metric="neg_euclidean"), seed=0)
+        n = 16
+        feats = np.random.default_rng(1).normal(size=(3, n, 8)).astype(np.float32)
+        feats[1, 2:] = 1e20
+        with pytest.raises(DegenerateInputError, match="image 1 node 2 .*fewer than k=4"):
+            model._build_graphs(feats.reshape(3 * n, 8), 3, n, 4)
 
 
 class TestResidualIdentity:

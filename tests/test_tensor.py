@@ -289,6 +289,32 @@ class TestConcatSplit:
         np.testing.assert_array_equal(b.grad, seed[:, 2:])
 
 
+class TestGatherRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["duplicates-and-hub", "negative-zero", "empty"])
+    def test_backward_equals_row_scatter_byte_for_byte(self, case, dtype):
+        rng = np.random.default_rng(12)
+        rows, c = 40, 5
+        if case == "empty":
+            idx = np.zeros((0, 4), dtype=np.int64)
+        else:
+            idx = rng.integers(0, rows, size=(60, 4))
+            idx[:, 1:3] = 7  # hub: row 7 is gathered at least 120 times
+            assert np.count_nonzero(idx == 7) > 100
+        x = Tensor(rng.normal(size=(rows, c)).astype(dtype), requires_grad=True)
+        # Magnitudes over twelve decades, so any other summation order rounds differently.
+        g = rng.normal(size=idx.shape + (c,)) * 10.0 ** rng.integers(-6, 6, size=idx.shape + (c,))
+        g = g.astype(dtype)
+        if case == "negative-zero":
+            g[::2] = -0.0
+        T.gather_rows(x, idx).backward(g)
+
+        want = np.zeros((rows, c), dtype=dtype)
+        np.add.at(want, idx.reshape(-1), g.reshape(-1, c))
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == want.tobytes()
+
+
 class TestInvariantsAndErrors:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):

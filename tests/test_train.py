@@ -2,6 +2,7 @@
 CLI surface."""
 
 import csv
+import importlib
 import json
 import tracemalloc
 
@@ -20,6 +21,7 @@ from pvg.errors import (
     CheckpointError,
     ConfigError,
     CountMismatchError,
+    DegenerateInputError,
     FileFormatError,
     LabelRangeError,
     NonFiniteError,
@@ -241,6 +243,36 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train(run, ds)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"trace_batch": 0},
+            {"trace_batch": -2},
+            {"trace_batch": True},
+            {"trace_batch": 2.0},
+            {"stop_accuracy": float("nan")},
+            {"stop_accuracy": 95.0},
+            {"stop_accuracy": -0.1},
+        ],
+        ids=["trace-0", "trace-negative", "trace-bool", "trace-float", "stop-nan", "stop-percent", "stop-negative"],
+    )
+    def test_bad_arguments_rejected_before_anything_is_built(self, tmp_path, monkeypatch, kw):
+        def no_model(*args, **kwargs):
+            raise AssertionError("model built before the arguments were checked")
+
+        # pvg/__init__.py re-exports the train function over the module name.
+        monkeypatch.setattr(importlib.import_module("pvg.train"), "Model", no_model)
+        with pytest.raises(ConfigError):
+            train(quick_run(tmp_path / "out", n=16, epochs=1), small_dataset(16), **kw)
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_dataset_rejected_before_anything_is_written(self, tmp_path):
+        with pytest.raises(DegenerateInputError, match="no images"):
+            train(quick_run(tmp_path / "out", n=16, epochs=1), small_dataset(0))
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(DegenerateInputError, match="no images"):
+            evaluate(Model(ModelConfig(), seed=0), small_dataset(0))
+
     def test_run_config_json_roundtrip(self, tmp_path):
         run = quick_run(tmp_path, n=16, epochs=1)
         path = tmp_path / "run.json"
@@ -443,6 +475,23 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:checkpoint:")
         assert "\n" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_empty_dataset_is_one_line_error(self, tmp_path, capsys, command):
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(0))
+        data = ["--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv")]
+        if command == "eval":
+            save_checkpoint(Model(ModelConfig(), seed=0), tmp_path / "ckpt")
+            args = ["eval", "--checkpoint", str(tmp_path / "ckpt")] + data
+        else:
+            run = quick_run(tmp_path / "run", n=16, epochs=1)
+            (tmp_path / "run.json").write_text(json.dumps(run.to_dict()))
+            args = ["train", "--config", str(tmp_path / "run.json")] + data
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:degenerate-input:")
+        assert "\n" not in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command, batch_size", [("eval", "0"), ("diag", "0"), ("diag", "-3")])
     def test_batch_size_below_one_is_one_line_error(self, tmp_path, capsys, command, batch_size):
