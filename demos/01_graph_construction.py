@@ -1,21 +1,17 @@
 #!/usr/bin/env python3
-"""Walk through the graph-construction machinery.
+"""Walk through the graph-construction machinery the network runs.
 
-Builds first-order similarity matrices under the three metrics, selects
-neighbors with deterministic top-k, shows the Chebyshev locality mask, and
-prints a progressive channel schedule moving capacity from the local branch
-into the global graph branches.
+Scores first-order similarity with ``similarity_matrix`` under the three
+metrics, selects neighbors with deterministic top-k, shows the Chebyshev
+window of the local branch as ``offset_mix``'s response to a unit impulse,
+and prints a progressive channel schedule moving capacity from the local
+branch into the global graph branches.
 """
 
 import numpy as np
 
-from pvg import (
-    chebyshev_mask,
-    export_edges,
-    pairwise_similarity,
-    psgc_schedule,
-    topk_neighbors,
-)
+from pvg import Tensor, export_edges, psgc_schedule, similarity_matrix, topk_neighbors
+from pvg.tensor import offset_mix
 
 rng = np.random.default_rng(0)
 
@@ -24,14 +20,13 @@ print("1. First-order similarity under three metrics")
 print("=" * 64)
 x = rng.normal(size=(6, 4)).astype(np.float32)
 for metric in ("dot", "cosine", "neg_euclidean"):
-    s = pairwise_similarity(x, metric).data
+    s = similarity_matrix(x, metric)
     print(f"\n{metric}: S[0, :] = {np.round(s[0], 3)}")
 
 print("\n" + "=" * 64)
 print("2. Top-k neighbor selection (ties break toward lower index)")
 print("=" * 64)
-s = pairwise_similarity(x, "cosine")
-topo = topk_neighbors(s, k=3)
+topo = topk_neighbors(similarity_matrix(x, "cosine"), k=3)
 for i in range(topo.n_nodes):
     pairs = ", ".join(
         f"{j} ({v:+.3f})" for j, v in zip(topo.neighbor_idx[i], topo.neighbor_sim[i])
@@ -42,12 +37,16 @@ export_edges("demo_edges.csv", [(0, topo)])
 print("\nwrote demo_edges.csv (block,node,neighbor,rank,similarity)")
 
 print("\n" + "=" * 64)
-print("3. Chebyshev mask on a 6x6 grid, r = 2")
+print("3. The local branch's Chebyshev window on a 6x6 grid, r = 2")
 print("=" * 64)
-mask = chebyshev_mask(6, 6, 2).data
-center = 2 * 6 + 2  # node at (2, 2)
-print("reach of node (2,2):")
-print(mask[center].reshape(6, 6).astype(int))
+side = 2 * 2 + 1
+weights = Tensor(np.ones((side * side, 1)))  # every offset weighs 1
+impulse = np.zeros((36, 1))
+impulse[2 * 6 + 2] = 1.0  # a unit impulse at node (2, 2)
+y = offset_mix(Tensor(impulse), weights, (6, 6), Tensor(np.zeros((side * side, 1))))
+print("nodes that see node (2,2) through offset_mix:")
+print(y.data.reshape(6, 6).astype(int))
+print("\nThe window is clipped at the grid edge: offsets that fall off the grid add nothing.")
 
 print("\n" + "=" * 64)
 print("4. Progressive channel schedule, 128 channels over 6 blocks")

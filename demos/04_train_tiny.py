@@ -5,7 +5,7 @@ Generates the two-class patch dataset, certifies it is shallow-learnable,
 trains PVG-Tiny with AdamW under a warmup + cosine schedule, then reloads
 the checkpoint and verifies the evaluation path reproduces training metrics.
 Everything is seed-deterministic; rerunning reproduces metrics.csv byte for
-byte. Takes about a minute on a laptop.
+byte. Takes about 12 seconds on two cores.
 """
 
 from pathlib import Path
@@ -21,8 +21,8 @@ from pvg import (
     make_two_class_patches,
     oracle_linear_accuracy,
     save_dataset,
-    train,
 )
+from pvg.train import train
 
 out = Path("demo_runs/tiny")
 out.mkdir(parents=True, exist_ok=True)

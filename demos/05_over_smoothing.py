@@ -19,9 +19,9 @@ from pvg import (
     deep_tiny_config,
     make_two_class_patches,
     trace_diversity,
-    train,
     write_trace_csv,
 )
+from pvg.train import train
 
 rng = np.random.default_rng(0)
 probe = rng.uniform(size=(4, 32, 32, 3)).astype(np.float32)

@@ -9,15 +9,7 @@ counteracts node-feature collapse in deep stacks). Everything runs on a small
 reverse-mode tensor core certified against finite differences.
 """
 
-from .aggregators import (
-    AGGREGATOR_KINDS,
-    baseline_aggregate,
-    decomposition_check,
-    make_aggregator,
-    maxe_aggregate,
-    maxe_update,
-    param_count,
-)
+from .aggregators import AGGREGATOR_KINDS, baseline_aggregate, maxe_aggregate
 from .data import Dataset, load_dataset, make_two_class_patches, oracle_linear_accuracy, save_dataset
 from .diagnostics import DiversityTrace, diversity, graph_stats, trace_diversity, write_trace_csv
 from .errors import (
@@ -37,13 +29,12 @@ from .gradcheck import GradCheckReport, grad_check
 from .graph import (
     ChannelSchedule,
     GraphTopology,
-    chebyshev_mask,
     export_edges,
-    pairwise_similarity,
     psgc_schedule,
+    similarity_matrix,
     topk_neighbors,
 )
-from .graphlu import gelu, graphlu, phi
+from .graphlu import gelu, phi
 from .net import (
     Model,
     ModelConfig,
@@ -57,6 +48,9 @@ from .net import (
 from .optim import AdamWState, adamw_step, cosine_lr
 from .pvgt import read_tensor, write_tensor
 from .tensor import DIFFERENTIABLE_OPS, Tensor, concat, matmul
-from .train import EpochMetrics, OptimizerConfig, RunConfig, ScheduleConfig, evaluate, train
+from .train import EpochMetrics, OptimizerConfig, RunConfig, ScheduleConfig, evaluate
+
+# ``train`` and ``graphlu`` are not re-exported: the functions would shadow
+# the submodules pvg.train and pvg.graphlu. Import them from there.
 
 __version__ = "0.1.0"

@@ -5,18 +5,18 @@ max of neighbor differences, and the neighbor mean, then apply one linear
 transform. The intuition is that a neighborhood is summarized well by two
 sampled points, its expectation and its farthest member, on top of the self
 identity map; the max-of-differences term itself decomposes into
-mean + remainder + within-class bound (see :func:`decomposition_check`),
-and iterating that split telescopes like a series expansion.
+mean + remainder + within-class bound, and iterating that split telescopes
+like a series expansion.
 
 Four comparison aggregators (MR GraphConv, EdgeConv, GraphSAGE, GIN), as in
 the ViG ablation (Han et al., arXiv 2206.00272), share the same
-neighbor-index convention so parameter accounting is apples to apples;
-:func:`param_count` normalizes by the single-linear GIN unit.
+neighbor-index convention so parameter accounting is apples to apples: under
+the single-linear GIN unit MaxE costs 3 and MR GraphConv 2.
 
 Weights are a plain ``dict[str, Tensor]`` keyed by the names that
-:data:`AGGREGATOR_WEIGHTS` lists for each kind. :func:`make_aggregator` draws
-them and :func:`baseline_aggregate` reads them per call, so the caller that
-holds the tensors (``Model.params`` in the network) is their only owner.
+:data:`AGGREGATOR_WEIGHTS` lists for each kind; :func:`baseline_aggregate`
+reads them per call, so the caller that holds the tensors (``Model.params``
+in the network) is their only owner.
 
 The neighbor mean deliberately excludes the self node; identity information
 enters only through the explicit self part.
@@ -24,12 +24,9 @@ enters only through the explicit self part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
-from .graph import GraphTopology
 from .tensor import (
     Tensor,
     add,
@@ -62,25 +59,13 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
 
 
-def make_aggregator(
-    kind: str, in_c: int, out_c: int, rng: np.random.Generator, dtype=np.float32
-) -> dict[str, Tensor]:
-    """He-scaled weights of one aggregator, keyed by weight name."""
-    if kind not in AGGREGATOR_WEIGHTS:
-        raise ConfigError(f"unknown aggregator kind {kind!r}")
-    return {
-        name: Tensor(he_normal(rng, shape(in_c, out_c)).astype(dtype), requires_grad=True)
-        for name, shape in AGGREGATOR_WEIGHTS[kind].items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # neighbor gathering
 # ---------------------------------------------------------------------------
 
 
-def _neighbor_idx(topo) -> np.ndarray:
-    idx = topo.neighbor_idx if isinstance(topo, GraphTopology) else np.asarray(topo)
+def _neighbor_idx(idx) -> np.ndarray:
+    idx = np.asarray(idx)
     if idx.ndim != 2:
         raise DimensionError("neighbor indices must be [n, k]")
     if idx.shape[1] < 1:
@@ -112,19 +97,11 @@ def _max_relative(x: Tensor, nbh: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def maxe_aggregate(x: Tensor, topo) -> Tensor:
-    """[x_i || channel-wise max_j (x_j - x_i) || mean_j x_j] per node."""
-    nbh = _gather_neighbors(x, _neighbor_idx(topo))
+def maxe_aggregate(x: Tensor, idx) -> Tensor:
+    """[x_i || channel-wise max_j (x_j - x_i) || mean_j x_j] per node, for
+    the [n, k] neighbor indices ``idx``."""
+    nbh = _gather_neighbors(x, _neighbor_idx(idx))
     return concat([x, _max_relative(x, nbh), reduce_mean(nbh, axis=1)], axis=1)
-
-
-def maxe_update(agg: Tensor, w: Tensor) -> Tensor:
-    """Linear transform of the concatenated aggregate."""
-    if agg.shape[1] != w.shape[0]:
-        raise DimensionError(
-            f"aggregate width {agg.shape[1]} does not match transform rows {w.shape[0]}"
-        )
-    return matmul(agg, w)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +109,15 @@ def maxe_update(agg: Tensor, w: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def baseline_aggregate(kind: str, x: Tensor, topo, weights: dict[str, Tensor]) -> Tensor:
-    """Kind-specific aggregate-and-update with the weights
-    :func:`make_aggregator` names. All use the same top-k neighbor convention
-    as MaxE; EdgeConv uses ReLU inside its per-edge MLP."""
+def baseline_aggregate(kind: str, x: Tensor, idx, weights: dict[str, Tensor]) -> Tensor:
+    """Kind-specific aggregate-and-update over the [n, k] neighbor indices
+    ``idx``, with the weights :data:`AGGREGATOR_WEIGHTS` names. All use the
+    same top-k neighbor convention as MaxE; EdgeConv uses ReLU inside its
+    per-edge MLP."""
     w = weights
     if kind == "MaxE":
-        return maxe_update(maxe_aggregate(x, topo), w["W"])
-    idx = _neighbor_idx(topo)
+        return matmul(maxe_aggregate(x, idx), w["W"])
+    idx = _neighbor_idx(idx)
     n, k = idx.shape
     c = x.shape[1]
     nbh = _gather_neighbors(x, idx)
@@ -158,88 +136,3 @@ def baseline_aggregate(kind: str, x: Tensor, topo, weights: dict[str, Tensor]) -
     if kind == "GIN":
         return matmul(add(x, reduce_sum(nbh, axis=1)), w["W"])
     raise ConfigError(f"unknown aggregator kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# max-pooling decomposition identity
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DecompositionReport:
-    first_order_residual: float
-    telescoped_residual: float
-    depth: int
-
-
-def decomposition_check(z, depth: int = 4) -> DecompositionReport:
-    """Verify, in float64, that the max of a vector splits exactly into
-    mean + remainder + within-class bound, and that iterating the split on
-    the residual vector telescopes back to the same max.
-
-    With z' = max(z), z_bar = mean(z) and z'' the entry maximizing z' - z_j
-    (the farthest-from-max element, lowest index on ties):
-
-        max(z) = z_bar + (z'' - z_bar) + max_j(z' - z_j)
-
-    The recursion re-applies the same split to the vector z' - z for
-    ``depth`` rounds; the accumulated mean and remainder terms plus the final
-    max must reconstruct max(z).
-    """
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    if z.size < 1:
-        raise DimensionError("decomposition needs at least one element")
-
-    def stats(v: np.ndarray) -> tuple[float, float, float]:
-        top = float(np.max(v))
-        bar = float(np.mean(v))
-        snd = float(v[np.argmax(top - v)])  # argmax -> first occurrence
-        return top, bar, snd
-
-    top, bar, snd = stats(z)
-    recon = bar + (snd - bar) + float(np.max(top - z))
-    first_residual = abs(top - recon)
-
-    acc = 0.0
-    cur = z
-    for _ in range(depth):
-        t, b, s = stats(cur)
-        acc += b + (s - b)
-        cur = t - cur
-    telescoped = acc + float(np.max(cur))
-    rec_residual = abs(top - telescoped)
-
-    return DecompositionReport(
-        first_order_residual=first_residual,
-        telescoped_residual=rec_residual,
-        depth=depth,
-    )
-
-
-# ---------------------------------------------------------------------------
-# parameter accounting
-# ---------------------------------------------------------------------------
-
-
-def param_count(kind: str, c_in: int, c_out: int) -> tuple[int, float]:
-    """Analytic parameter count and its ratio to the GIN unit.
-
-    The unit is the single-linear GIN transform at the same widths
-    (c_in * c_out); transform matrices only, no biases, matching the
-    convention that makes MaxE land on exactly 3. Written out by hand rather
-    than read from :data:`AGGREGATOR_WEIGHTS`, so it checks that table.
-    """
-    if kind == "MaxE":
-        count = 3 * c_in * c_out
-    elif kind == "MRGraphConv":
-        count = 2 * c_in * c_out
-    elif kind == "EdgeConv":
-        count = (2 * c_in) * (2 * c_in) + (2 * c_in) * c_out
-    elif kind == "GraphSAGE":
-        count = 2 * c_in * c_out + c_in * c_in
-    elif kind == "GIN":
-        count = c_in * c_out
-    else:
-        raise ConfigError(f"unknown aggregator kind {kind!r}")
-    unit = c_in * c_out
-    return count, count / unit

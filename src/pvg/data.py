@@ -39,8 +39,9 @@ def load_dataset(
         raise FileFormatError(f"{images_path}: dataset tensor must be rank 4, got rank {images.ndim}")
     if images.shape[-1] != 3:
         raise FileFormatError(f"{images_path}: expected 3 channels, got {images.shape[-1]}")
-    if images.size and (images.min() < 0.0 or images.max() > 1.0):
-        raise FileFormatError(f"{images_path}: pixel values outside [0, 1]")
+    # Written so that a NaN, which compares False, fails it.
+    if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
+        raise FileFormatError(f"{images_path}: pixel values outside [0, 1] or NaN")
 
     labels = np.full(images.shape[0], -1, dtype=np.int64)
     seen = 0
@@ -52,7 +53,12 @@ def load_dataset(
         for row_no, row in enumerate(reader, start=2):
             if len(row) != 2:
                 raise FileFormatError(f"{labels_path}: row {row_no} is not 'index,label'")
-            idx, label = int(row[0]), int(row[1])
+            try:
+                idx, label = int(row[0]), int(row[1])
+            except ValueError:
+                raise FileFormatError(
+                    f"{labels_path}: row {row_no} has a non-integer cell: {row}"
+                ) from None
             if not (0 <= label < num_classes):
                 raise LabelRangeError(
                     f"{labels_path}: row {row_no} has label {label} outside [0, {num_classes})"

@@ -16,13 +16,11 @@ import numpy as np
 
 from .graph import GraphTopology
 from .net import Model
-from .tensor import Tensor
 
 
-def diversity(x) -> float:
+def diversity(x: np.ndarray) -> float:
     """Mean over nodes of || x_i - mean(x) ||_2 for features [n, c]."""
-    xa = x.data if isinstance(x, Tensor) else np.asarray(x)
-    xa = xa.astype(np.float64)
+    xa = np.asarray(x, dtype=np.float64)
     center = xa.mean(axis=0, keepdims=True)
     return float(np.linalg.norm(xa - center, axis=1).mean())
 

@@ -4,6 +4,10 @@ The oracle is a central difference (f(x+h e_i) - f(x-h e_i)) / (2h) computed
 in double precision, independent of the backward closures it checks. Every
 differentiable operation in :mod:`pvg.tensor` (see ``DIFFERENTIABLE_OPS``)
 must pass this check, and so must the full network forward.
+
+A non-scalar ``f`` is checked through the scalar <f(x), r> for a fixed
+cotangent r: a random projection catches layout mistakes that a plain sum
+would miss.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from .errors import EvaluationError
 from .tensor import Tensor
 
 DEFAULT_TOLERANCE = 1e-4
+
+# The cotangent of a non-scalar output is a normal draw from this seed.
+_COTANGENT_SEED = 7
 
 # Relative error uses this absolute floor in the denominator so that a pair
 # of zero gradients compares as exactly equal instead of 0/0.
@@ -48,8 +55,13 @@ def grad_check(
     tolerance: float = DEFAULT_TOLERANCE,
     op_name: str = "f",
 ) -> GradCheckReport:
-    """Compare the reverse-mode gradient of scalar ``f`` at ``x`` against
-    central differences on a random subset of coordinates.
+    """Compare the reverse-mode gradient of ``f`` at ``x`` against central
+    differences on a random subset of coordinates.
+
+    A one-element output is checked as it is. Any other output ``y`` is
+    contracted with the fixed cotangent ``r = default_rng(7).normal(size=y.shape)``:
+    backward is seeded with r, and the central differences are those of
+    ``sum(y * r)``.
 
     Runs in float64 regardless of ``x``'s dtype. Probes ``probes`` distinct
     coordinates (all of them when ``x`` is that small). The reported figure is
@@ -57,11 +69,17 @@ def grad_check(
     """
     x64 = Tensor(x.data.astype(np.float64), requires_grad=True)
     y = f(x64)
-    if y.size != 1:
-        raise EvaluationError(f"{op_name}: probed function must be scalar")
+    if y.size == 1:
+        cotangent = np.ones(y.shape)
+    else:
+        cotangent = np.random.default_rng(_COTANGENT_SEED).normal(size=y.shape)
+
+    def value(out: Tensor) -> float:
+        return float(np.sum(out.data * cotangent))
+
     if not np.isfinite(y.data).all():
         raise EvaluationError(f"{op_name}: non-finite value at base point")
-    y.backward()
+    y.backward(cotangent)
     analytic = (
         x64.grad if x64.grad is not None else np.zeros_like(x64.data)
     ).reshape(-1)
@@ -80,8 +98,8 @@ def grad_check(
         plus[i] += h
         minus = base.copy()
         minus[i] -= h
-        fp = f(Tensor(plus.reshape(x64.shape))).item()
-        fm = f(Tensor(minus.reshape(x64.shape))).item()
+        fp = value(f(Tensor(plus.reshape(x64.shape))))
+        fm = value(f(Tensor(minus.reshape(x64.shape))))
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise EvaluationError(f"{op_name}: non-finite value at probe {i}")
         fd = (fp - fm) / (2.0 * h)

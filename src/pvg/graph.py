@@ -2,9 +2,9 @@
 
 Everything a trident block needs before aggregation: first-order similarity
 matrices and top-k neighbor selection, both batched over images so that one
-call per branch serves a whole batch, the Chebyshev window mask, and the
-progressive channel schedule that moves capacity from grid-local mixing
-(``tensor.offset_mix``) into the global graph branches.
+call per branch serves a whole batch, and the progressive channel schedule
+that moves capacity from grid-local mixing (``tensor.offset_mix``) into the
+global graph branches.
 
 Similarity computation and neighbor selection are structural: gradients never
 flow through them, so they work on plain float arrays internally.
@@ -21,13 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
-from .tensor import Tensor
 
 SIMILARITY_METRICS = ("dot", "cosine", "neg_euclidean")
-
-
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
 # ---------------------------------------------------------------------------
@@ -115,26 +110,6 @@ def similarity_matrix(xa: np.ndarray, metric: str) -> np.ndarray:
     return s
 
 
-def pairwise_similarity(x, metric: str = "dot") -> Tensor:
-    """All-pairs node similarity S[i][j] under the chosen metric.
-
-    dot: raw inner product; cosine: inner product of unit rows (zero-norm
-    rows are a degenerate-input error); neg_euclidean: negated Euclidean
-    distance. Symmetric for all three. Integer features are scored in
-    float64.
-    """
-    xa = _as_array(x)
-    if xa.ndim != 2 or xa.shape[0] < 2 or xa.shape[1] < 1:
-        raise DimensionError(f"expected [n>=2, c>=1] features, got {xa.shape}")
-    if metric not in SIMILARITY_METRICS:
-        raise ConfigError(f"unknown similarity metric {metric!r}")
-    if not np.issubdtype(xa.dtype, np.floating):
-        xa = xa.astype(np.float64)
-    if metric == "cosine" and np.any(np.linalg.norm(xa, axis=1) == 0):
-        raise DegenerateInputError("zero-norm row under cosine similarity")
-    return Tensor(similarity_matrix(xa, metric))
-
-
 # Rows shorter than this take the full sort, which is faster there. Over the
 # rows of 32 images at k = 4 (2-core x86-64, numpy 2.4): 0.18 vs 0.19 ms sorted
 # vs partitioned at n = 16, 0.84 vs 0.42 ms at n = 32, 113 vs 13 ms at n = 256.
@@ -176,7 +151,7 @@ def topk_neighbors(S, k: int) -> GraphTopology:
     The node itself ranks with the NaN scores, below every number, so a row
     with fewer than k non-NaN scores for other nodes raises
     :class:`DegenerateInputError` rather than picking NaN or a self-loop."""
-    sa = _as_array(S)
+    sa = np.asarray(S)
     if sa.ndim not in (2, 3) or sa.shape[-1] != sa.shape[-2]:
         raise DimensionError(f"similarity matrix must be square, got {sa.shape}")
     n = sa.shape[-1]
@@ -202,22 +177,6 @@ def topk_neighbors(S, k: int) -> GraphTopology:
         )
     sims = np.take_along_axis(sa, order, axis=-1)
     return GraphTopology(n_nodes=n, k=k, neighbor_idx=order, neighbor_sim=sims)
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev window
-# ---------------------------------------------------------------------------
-
-
-def chebyshev_mask(h: int, w: int, r: int) -> Tensor:
-    """0/1 matrix over row-major grid nodes: 1 iff max(|drow|, |dcol|) <= r."""
-    n = h * w
-    rows = np.arange(n) // w
-    cols = np.arange(n) % w
-    dr = np.abs(rows[:, None] - rows[None, :])
-    dc = np.abs(cols[:, None] - cols[None, :])
-    mask = ((dr <= r) & (dc <= r)).astype(np.float32)
-    return Tensor(mask)
 
 
 # ---------------------------------------------------------------------------

@@ -683,7 +683,12 @@ def load_checkpoint(ckpt_dir: str | Path) -> Model:
         )
     params: dict[str, Tensor] = {}
     for name, (shape, _) in layout.items():
-        arr = read_tensor(ckpt_dir / recorded[name])
+        fname = recorded[name]
+        if not isinstance(fname, str) or fname in ("", "..") or Path(fname).name != fname:
+            raise CheckpointError(
+                f"{manifest_path}: {name} must name a file inside the checkpoint, got {fname!r}"
+            )
+        arr = read_tensor(ckpt_dir / fname)
         if arr.shape != shape:
             raise CheckpointError(
                 f"{name}: checkpoint shape {arr.shape} != config shape {shape}"

@@ -14,9 +14,10 @@ graph cannot be swept again: a second backward from the same root, or from a
 root whose graph shares nodes with a swept one, raises
 :class:`~pvg.errors.GraphReleasedError` before any gradient is accumulated.
 
-Scope is deliberately narrow: the only broadcasting is scalar-with-tensor
-(plus the explicit row-vector scale ``mul_rowvec`` and the bias of
-``linear``), reductions remove their axis, and there is no graph
+Scope is deliberately narrow: binary elementwise ops take equal shapes, the
+only broadcasts are explicit (``cdf_gate``'s one-element eps, the row-vector
+scale ``mul_rowvec``, the bias of ``linear`` and the bias map of
+``offset_mix``), reductions remove their axis, and there is no graph
 optimization, automatic fusion, or device support; the fused ops are written
 by hand: ``linear`` (matmul plus bias, one node per affine map),
 ``layer_norm``, ``cdf_gate`` (the Gaussian-CDF gate) and ``offset_mix`` (the
@@ -42,19 +43,18 @@ from .errors import (
     NonFiniteError,
 )
 
-# Names of every differentiable operation exposed by this module. Gradient
-# certification (tests) must cover each entry.
+# Names of every differentiable operation exposed by this module, each
+# reached by some model forward or its loss. Gradient certification (tests)
+# must cover each entry.
 DIFFERENTIABLE_OPS = [
     "add",
     "sub",
-    "mul",
     "cdf_gate",
     "max0",
     "matmul",
     "reduce_sum",
     "reduce_mean",
     "reduce_max",
-    "sum_all",
     "concat",
     "narrow",
     "gather_rows",
@@ -203,27 +203,13 @@ class Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape/broadcast helpers
+# helpers
 # ---------------------------------------------------------------------------
 
 
-def _is_scalar_shaped(t: Tensor) -> bool:
-    return t.size == 1
-
-
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape:
-        return
-    if _is_scalar_shaped(a) or _is_scalar_shaped(b):
-        return
-    raise DimensionError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def _reduce_to(g: np.ndarray, like: Tensor) -> np.ndarray:
-    # Collapse a full-shape gradient back onto a scalar-shaped operand.
-    if g.shape == like.shape:
-        return g
-    return np.sum(g).reshape(like.shape).astype(like.data.dtype)
+def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
 def _set_backward(out: Tensor, fn: Callable[[np.ndarray], None]) -> None:
@@ -237,42 +223,28 @@ def _set_backward(out: Tensor, fn: Callable[[np.ndarray], None]) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "add")
+    _same_shape(a, b, "add")
     out = Tensor._from_op(a.data + b.data, (a, b), "add")
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_reduce_to(g, a))
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(_reduce_to(g, b))
+            b._accumulate(g)
 
     _set_backward(out, bw)
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "sub")
+    _same_shape(a, b, "sub")
     out = Tensor._from_op(a.data - b.data, (a, b), "sub")
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_reduce_to(g, a))
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(_reduce_to(-g, b))
-
-    _set_backward(out, bw)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "mul")
-    out = Tensor._from_op(a.data * b.data, (a, b), "mul")
-
-    def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g * b.data, a))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(g * a.data, b))
+            b._accumulate(-g)
 
     _set_backward(out, bw)
     return out
@@ -396,16 +368,6 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
             dx, np.expand_dims(winners, axis), np.expand_dims(g, axis), axis
         )
         x._accumulate(dx)
-
-    _set_backward(out, bw)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor._from_op(np.asarray(np.sum(x.data), dtype=x.data.dtype), (x,), "sum_all")
-
-    def bw(g: np.ndarray) -> None:
-        x._accumulate(np.full_like(x.data, float(g)))
 
     _set_backward(out, bw)
     return out
@@ -677,12 +639,7 @@ def _grid_windows(a: np.ndarray, ry: int, rx: int) -> np.ndarray:
     return sliding_window_view(padded, (2 * ry + 1, 2 * rx + 1), axis=(1, 2))
 
 
-def offset_mix(
-    x: Tensor,
-    weights: Tensor,
-    grid: tuple[int, int],
-    bias: Tensor | None = None,
-) -> Tensor:
+def offset_mix(x: Tensor, weights: Tensor, grid: tuple[int, int], bias: Tensor) -> Tensor:
     """Depthwise mixing over each node's Chebyshev (2r+1)^2 grid window.
 
     ``x`` holds ``batch`` row-major ``h x w`` grids as ``[batch·h·w, c]``
@@ -690,7 +647,7 @@ def offset_mix(
     offset in row-major offset order, ``o = (dy + r)·(2r + 1) + (dx + r)`` for
     dy, dx in ``[-r, r]``, so its row count fixes the radius r. Computes
 
-        y[b, i, j, c] = sum_o weights[o, c] * x[b, i + dy, j + dx, c] (+ bias[o, c])
+        y[b, i, j, c] = sum_o (weights[o, c] * x[b, i + dy, j + dx, c] + bias[o, c])
 
     over the offsets whose source lies on the grid (zero padding: an offset
     that falls off the grid contributes neither its weight nor its bias).
@@ -706,7 +663,7 @@ def offset_mix(
     r = side // 2
     if x.data.ndim != 2 or x.shape[1] != c:
         raise DimensionError("offset_mix: x must be [rows, channels] matching weights")
-    if bias is not None and bias.shape != weights.shape:
+    if bias.shape != weights.shape:
         raise DimensionError("offset_mix: bias must match weights shape")
     h, w = grid
     if h < 1 or w < 1 or x.shape[0] % (h * w):
@@ -721,10 +678,8 @@ def offset_mix(
 
     # No ``optimize``: it would copy the windows out, 49 times the grid at r = 3.
     y = np.einsum("bijcyx,yxc->bijc", _grid_windows(xg, ry, rx), kernel)
-    if bias is not None:
-        y += np.einsum("ijyx,yxc->ijc", valid, bias.data.reshape(side, side, c)[live])
-    parents = (x, weights) if bias is None else (x, weights, bias)
-    out = Tensor._from_op(y.reshape(x.shape), parents, "offset_mix")
+    y += np.einsum("ijyx,yxc->ijc", valid, bias.data.reshape(side, side, c)[live])
+    out = Tensor._from_op(y.reshape(x.shape), (x, weights, bias), "offset_mix")
 
     def bw(g: np.ndarray) -> None:
         gg = g.reshape(batch, h, w, c)
@@ -736,7 +691,7 @@ def offset_mix(
             gw = np.zeros_like(weights.data)
             gw.reshape(side, side, c)[live] = np.einsum("bijc,bijcyx->yxc", gg, _grid_windows(xg, ry, rx))
             weights._accumulate(gw)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             gb = np.zeros_like(bias.data)
             gb.reshape(side, side, c)[live] = np.einsum("ijc,ijyx->yxc", gg.sum(axis=0), valid)
             bias._accumulate(gb)

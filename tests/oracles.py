@@ -1,0 +1,90 @@
+"""Hand-written oracles that the aggregator and network tests compare against.
+
+Each is written out independently of ``pvg`` so that it checks the package
+instead of restating it: :func:`param_count` writes the per-kind parameter
+formulas by hand (tests compare it with ``AGGREGATOR_WEIGHTS`` and
+``param_layout``), and :func:`decomposition_check` evaluates the max
+decomposition identity that motivates MaxE's max-of-differences term.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from pvg.errors import ConfigError, DimensionError
+
+
+@dataclass
+class DecompositionReport:
+    first_order_residual: float
+    telescoped_residual: float
+    depth: int
+
+
+def decomposition_check(z, depth: int = 4) -> DecompositionReport:
+    """Verify, in float64, that the max of a vector splits exactly into
+    mean + remainder + within-class bound, and that iterating the split on
+    the residual vector telescopes back to the same max.
+
+    With z' = max(z), z_bar = mean(z) and z'' the entry maximizing z' - z_j
+    (the farthest-from-max element, lowest index on ties):
+
+        max(z) = z_bar + (z'' - z_bar) + max_j(z' - z_j)
+
+    The recursion re-applies the same split to the vector z' - z for
+    ``depth`` rounds; the accumulated mean and remainder terms plus the final
+    max must reconstruct max(z).
+    """
+    z = np.asarray(z, dtype=np.float64).reshape(-1)
+    if z.size < 1:
+        raise DimensionError("decomposition needs at least one element")
+
+    def stats(v: np.ndarray) -> tuple[float, float, float]:
+        top = float(np.max(v))
+        bar = float(np.mean(v))
+        snd = float(v[np.argmax(top - v)])  # argmax -> first occurrence
+        return top, bar, snd
+
+    top, bar, snd = stats(z)
+    recon = bar + (snd - bar) + float(np.max(top - z))
+    first_residual = abs(top - recon)
+
+    acc = 0.0
+    cur = z
+    for _ in range(depth):
+        t, b, s = stats(cur)
+        acc += b + (s - b)
+        cur = t - cur
+    telescoped = acc + float(np.max(cur))
+    rec_residual = abs(top - telescoped)
+
+    return DecompositionReport(
+        first_order_residual=first_residual,
+        telescoped_residual=rec_residual,
+        depth=depth,
+    )
+
+
+def param_count(kind: str, c_in: int, c_out: int) -> tuple[int, float]:
+    """Analytic parameter count and its ratio to the GIN unit.
+
+    The unit is the single-linear GIN transform at the same widths
+    (c_in * c_out); transform matrices only, no biases, matching the
+    convention that makes MaxE land on exactly 3.
+    """
+    if kind == "MaxE":
+        count = 3 * c_in * c_out
+    elif kind == "MRGraphConv":
+        count = 2 * c_in * c_out
+    elif kind == "EdgeConv":
+        count = (2 * c_in) * (2 * c_in) + (2 * c_in) * c_out
+    elif kind == "GraphSAGE":
+        count = 2 * c_in * c_out + c_in * c_in
+    elif kind == "GIN":
+        count = c_in * c_out
+    else:
+        raise ConfigError(f"unknown aggregator kind {kind!r}")
+    unit = c_in * c_out
+    return count, count / unit

@@ -10,19 +10,25 @@ import time
 import numpy as np
 import pytest
 
-from pvg.aggregators import decomposition_check, param_count
 from pvg.data import make_two_class_patches, oracle_linear_accuracy
 from pvg.diagnostics import diversity, trace_diversity, write_trace_csv
 from pvg.errors import DegenerateInputError
 from pvg.gradcheck import grad_check
-from pvg.graph import chebyshev_mask, topk_neighbors
+from pvg.graph import similarity_matrix, topk_neighbors
 from pvg.graphlu import gelu, graphlu, phi
 from pvg.net import Model, ModelConfig, deep_tiny_config, tiny_config
-from pvg.tensor import DIFFERENTIABLE_OPS, Tensor, softmax_cross_entropy
+from pvg.tensor import DIFFERENTIABLE_OPS, Tensor, offset_mix, softmax_cross_entropy
 from pvg.train import OptimizerConfig, RunConfig, ScheduleConfig, train
 
 from gradprobes import build_cases
-from test_graph import brute_force_topk, chebyshev_neighborhoods, second_order_similarity
+from oracles import decomposition_check, param_count
+from test_graph import (
+    brute_force_topk,
+    chebyshev_neighborhoods,
+    chebyshev_window_oracle,
+    impulse_response,
+    second_order_similarity,
+)
 from test_net import zero_residual_outputs
 
 
@@ -148,9 +154,6 @@ def test_criterion_knn_oracle_equivalence():
 def test_criterion_second_order_equivalence():
     """Aggregate-then-first-order similarity equals the direct second-order
     form within 1e-5 relative in f32, n <= 16, 50 trials."""
-    from pvg.graph import pairwise_similarity
-    from pvg.tensor import offset_mix
-
     worst = 0.0
     for trial in range(50):
         rng = np.random.default_rng(trial)
@@ -161,8 +164,8 @@ def test_criterion_second_order_equivalence():
         alpha = rng.normal(size=((2 * r + 1) ** 2, c)).astype(np.float32)
         x = rng.normal(size=(h * w, c)).astype(np.float32)
 
-        agg = offset_mix(Tensor(x), Tensor(alpha), (h, w))
-        s_pipeline = pairwise_similarity(agg, "dot").data
+        agg = offset_mix(Tensor(x), Tensor(alpha), (h, w), Tensor(np.zeros_like(alpha)))
+        s_pipeline = similarity_matrix(agg.data, "dot")
 
         nbrs, ws = chebyshev_neighborhoods(alpha, h, w, r)
         s_direct = second_order_similarity(x, nbrs, ws)
@@ -229,19 +232,18 @@ def test_criterion_table_parameter_ratios():
 
 
 def test_criterion_chebyshev_mask_oracle():
-    """Exact match against exhaustive pair enumeration on grids up to 16x16
-    for r in {1, 2, 3}."""
+    """The local branch's window, probed through offset_mix itself: a unit
+    impulse at every node of grids up to 16x16, r in {0, 1, 2, 3}, each
+    offset weighted apart. Every output inside the Chebyshev window equals
+    the weight of its offset and every output outside is exactly 0, against
+    exhaustive pair enumeration (2x2 at r = 3 clips the window to the grid)."""
     grids = [(2, 2), (3, 5), (4, 4), (7, 3), (8, 8), (12, 16), (16, 16)]
     checked = 0
     for h, w in grids:
-        for r in (1, 2, 3):
-            mask = chebyshev_mask(h, w, r).data
-            for i in range(h * w):
-                for j in range(h * w):
-                    want = 1.0 if max(abs(i // w - j // w), abs(i % w - j % w)) <= r else 0.0
-                    assert mask[i, j] == want, (h, w, r, i, j)
-                    checked += 1
-    report("chebyshev-mask-oracle", True, f"{checked} pairs enumerated, exact match")
+        for r in (0, 1, 2, 3):
+            np.testing.assert_array_equal(impulse_response(h, w, r), chebyshev_window_oracle(h, w, r))
+            checked += (h * w) ** 2
+    report("chebyshev-mask-oracle", True, f"{checked} offset_mix impulse pairs enumerated, exact match")
 
 
 def test_criterion_residual_identity():

@@ -1,25 +1,32 @@
 """MaxE, the comparison aggregators, the max decomposition identity, and
-parameter accounting."""
+parameter accounting (the last two against the oracles in oracles.py)."""
+
+import math
 
 import numpy as np
 import pytest
 
-from pvg.aggregators import (
-    baseline_aggregate,
-    decomposition_check,
-    make_aggregator,
-    maxe_aggregate,
-    maxe_update,
-    param_count,
-)
+from pvg.aggregators import AGGREGATOR_WEIGHTS, baseline_aggregate, he_normal, maxe_aggregate
 from pvg.errors import ConfigError, DegenerateInputError, DimensionError
 from pvg.gradcheck import grad_check
 from pvg.graph import topk_neighbors
-from pvg.tensor import Tensor, concat, gather_rows, matmul, mul, reduce_max, reduce_mean, sub, sum_all
+from pvg.net import ModelConfig
+from pvg.tensor import Tensor, concat, gather_rows, matmul, reduce_max, reduce_mean, sub
+
+from oracles import decomposition_check, param_count
 
 
 def _topo(idx):
     return np.asarray(idx, dtype=np.int64)
+
+
+def draw_weights(kind, c_in, c_out, rng, dtype=np.float32) -> dict[str, Tensor]:
+    """He-scaled weights of one aggregator, drawn in AGGREGATOR_WEIGHTS order
+    as the model's initialisation draws them."""
+    return {
+        name: Tensor(he_normal(rng, shape(c_in, c_out)).astype(dtype), requires_grad=True)
+        for name, shape in AGGREGATOR_WEIGHTS[kind].items()
+    }
 
 
 class TestMaxEAggregate:
@@ -59,11 +66,12 @@ class TestMaxEAggregate:
             maxe_aggregate(Tensor(np.ones((2, 2))), np.zeros((2, 0), dtype=np.int64))
 
     def test_accepts_graph_topology(self):
+        # A topology's neighbor indices feed the aggregator as they come.
         rng = np.random.default_rng(2)
         feats = rng.normal(size=(8, 4))
         s = feats @ feats.T
         topo = topk_neighbors(s, 3)
-        agg = maxe_aggregate(Tensor(feats), topo)
+        agg = maxe_aggregate(Tensor(feats), topo.neighbor_idx)
         assert agg.shape == (8, 12)
 
 
@@ -94,7 +102,7 @@ class TestMaxRelative:
         x = Tensor(x0)
         want = gather_and_subtract(x, gather_rows(x, idx), idx)
         assert maxe_aggregate(x, idx).data[:, c : 2 * c].tobytes() == want.data.tobytes()
-        weights = make_aggregator("MRGraphConv", c, c, rng, dtype=dtype)
+        weights = draw_weights("MRGraphConv", c, c, rng, dtype=dtype)
         got = baseline_aggregate("MRGraphConv", x, idx, weights).data
         assert got.tobytes() == matmul(concat([x, want], axis=1), weights["W"]).data.tobytes()
 
@@ -124,18 +132,19 @@ class TestMaxRelative:
 
 
 class TestMaxEUpdate:
+    """The MaxE node update: one linear map of the concatenated aggregate."""
+
     def test_block_identity_weights(self):
         c = 4
         w = np.zeros((3 * c, c), dtype=np.float32)
         w[:c, :] = np.eye(c)
         x = Tensor(np.random.default_rng(3).normal(size=(5, c)).astype(np.float32))
-        agg = maxe_aggregate(x, _topo([[1, 2]] * 5))
-        out = maxe_update(agg, Tensor(w))
+        out = baseline_aggregate("MaxE", x, _topo([[1, 2]] * 5), {"W": Tensor(w)})
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_weights(self):
-        agg = Tensor(np.ones((3, 6)))
-        out = maxe_update(agg, Tensor(np.zeros((6, 2))))
+        x = Tensor(np.random.default_rng(15).normal(size=(3, 2)))
+        out = baseline_aggregate("MaxE", x, _topo([[1], [2], [0]]), {"W": Tensor(np.zeros((6, 2)))})
         np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
 
     def test_matches_per_node_matmul_oracle(self):
@@ -144,15 +153,16 @@ class TestMaxEUpdate:
         x = rng.normal(size=(n, c)).astype(np.float32)
         idx = np.array([[1, 2], [0, 3], [4, 0], [2, 1], [3, 2]])
         w = rng.normal(size=(3 * c, c)).astype(np.float32)
-        out = maxe_update(maxe_aggregate(Tensor(x), idx), Tensor(w)).data
+        out = baseline_aggregate("MaxE", Tensor(x), idx, {"W": Tensor(w)}).data
         for i in range(n):
             nb = x[idx[i]]
             row = np.concatenate([x[i], (nb - x[i]).max(axis=0), nb.mean(axis=0)])
             np.testing.assert_allclose(out[i], row @ w, rtol=1e-5, atol=1e-6)
 
     def test_width_mismatch(self):
+        # A 6-wide aggregate of 2 channels against a 5-row transform.
         with pytest.raises(DimensionError):
-            maxe_update(Tensor(np.ones((2, 5))), Tensor(np.ones((6, 2))))
+            baseline_aggregate("MaxE", Tensor(np.ones((2, 2))), _topo([[1], [0]]), {"W": Tensor(np.ones((5, 2)))})
 
 
 class TestBaselines:
@@ -161,7 +171,7 @@ class TestBaselines:
         c = 3
         x_row = rng.normal(size=c).astype(np.float32)
         x = Tensor(np.tile(x_row, (4, 1)))
-        weights = make_aggregator("MRGraphConv", c, c, rng)
+        weights = draw_weights("MRGraphConv", c, c, rng)
         out = baseline_aggregate("MRGraphConv", x, _topo([[1, 2]] * 4), weights)
         expected = np.concatenate([x_row, np.zeros(c)]) @ weights["W"].data
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-5)
@@ -170,7 +180,7 @@ class TestBaselines:
         rng = np.random.default_rng(6)
         c = 3
         x = rng.normal(size=(2, c)).astype(np.float32)
-        weights = make_aggregator("GIN", c, c, rng)
+        weights = draw_weights("GIN", c, c, rng)
         out = baseline_aggregate("GIN", Tensor(x), _topo([[1], [0]]), weights)
         np.testing.assert_allclose(out.data[0], (x[0] + x[1]) @ weights["W"].data, rtol=1e-5)
 
@@ -179,7 +189,7 @@ class TestBaselines:
         c = 3
         x = rng.normal(size=(3, c)).astype(np.float32)
         idx = np.array([[1, 2], [0, 2], [0, 1]])
-        weights = make_aggregator("EdgeConv", c, c, rng)
+        weights = draw_weights("EdgeConv", c, c, rng)
         out = baseline_aggregate("EdgeConv", Tensor(x), idx, weights).data
         w1, w2 = weights["W1"].data, weights["W2"].data
         for i in range(3):
@@ -194,7 +204,7 @@ class TestBaselines:
         c = 3
         x = rng.normal(size=(3, c)).astype(np.float32)
         idx = np.array([[1, 2], [0, 2], [0, 1]])
-        weights = make_aggregator("GraphSAGE", c, c, rng)
+        weights = draw_weights("GraphSAGE", c, c, rng)
         out = baseline_aggregate("GraphSAGE", Tensor(x), idx, weights).data
         wn, w = weights["Wn"].data, weights["W"].data
         for i in range(3):
@@ -219,11 +229,10 @@ class TestBaselines:
         rng = np.random.default_rng(10)
         c = 3
         idx = np.array([[1, 2], [0, 2], [3, 1], [2, 0]])
-        weights = make_aggregator(kind, c, c, rng, dtype=np.float64)
-        proj = Tensor(rng.normal(size=(4, c)))
+        weights = draw_weights(kind, c, c, rng, dtype=np.float64)
 
         def fn(x):
-            return sum_all(mul(baseline_aggregate(kind, x, idx, weights), proj))
+            return baseline_aggregate(kind, x, idx, weights)
 
         x0 = Tensor(rng.normal(size=(4, c)))
         report = grad_check(fn, x0, probes=20, op_name=f"{kind}-features")
@@ -233,7 +242,7 @@ class TestBaselines:
         for wname in weights:
             def fw(wvar, _wname=wname):
                 trial = {k: (wvar if k == _wname else v) for k, v in weights.items()}
-                return sum_all(mul(baseline_aggregate(kind, x_fixed, idx, trial), proj))
+                return baseline_aggregate(kind, x_fixed, idx, trial)
 
             report = grad_check(fw, weights[wname], probes=20, op_name=f"{kind}-{wname}")
             assert report.passed, str(report)
@@ -294,15 +303,13 @@ class TestParamCount:
 
     @pytest.mark.parametrize("kind", ["MaxE", "MRGraphConv", "EdgeConv", "GraphSAGE", "GIN"])
     def test_formula_matches_actual_weights(self, kind):
-        rng = np.random.default_rng(13)
         for c_in, c_out in ((8, 8), (4, 12)):
-            weights = make_aggregator(kind, c_in, c_out, rng)
-            assert sum(w.size for w in weights.values()) == param_count(kind, c_in, c_out)[0]
+            shapes = [shape(c_in, c_out) for shape in AGGREGATOR_WEIGHTS[kind].values()]
+            assert sum(math.prod(s) for s in shapes) == param_count(kind, c_in, c_out)[0]
 
     def test_unknown_kind_rejected(self):
-        rng = np.random.default_rng(14)
         with pytest.raises(ConfigError):
-            make_aggregator("GAT", 8, 8, rng)
+            ModelConfig(aggregator="GAT")
         with pytest.raises(ConfigError):
             param_count("GAT", 8, 8)
         with pytest.raises(ConfigError):

@@ -1,8 +1,9 @@
 """The walkthrough demos still run against the current API.
 
-Each demo runs as its own process in a temporary directory (demo 01 writes
-an edge CSV into its working directory) with this checkout's ``src`` first
-on the import path, and must exit 0.
+Every script in ``demos/`` runs as its own process in a temporary directory
+(demos write an edge CSV and training runs into their working directory)
+with this checkout's ``src`` first on the import path, and must exit 0.
+Demos 04 and 05 train for a few epochs: about 12 s and 13-16 s on two cores.
 """
 
 import os
@@ -13,11 +14,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize(
-    "demo", ["01_graph_construction", "02_neighbor_aggregation", "03_graphlu_activation"]
-)
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -14,7 +14,6 @@ from pvg.diagnostics import (
 )
 from pvg.graph import topk_neighbors
 from pvg.net import Model, tiny_config
-from pvg.tensor import Tensor
 
 
 class TestDiversity:
@@ -37,9 +36,6 @@ class TestDiversity:
         x = np.tile(rng.normal(size=(1, 5)), (6, 1))
         x[3, 2] += 1e-3
         assert diversity(x) > 1e-7
-
-    def test_accepts_tensor(self):
-        assert diversity(Tensor(np.zeros((4, 3)))) == 0.0
 
 
 class TestTraceDiversity:

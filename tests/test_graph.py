@@ -1,5 +1,6 @@
-"""Graph construction: similarity, top-k selection, Chebyshev locality, the
-progressive channel schedule, and second-order equivalence."""
+"""Graph construction: similarity, top-k selection, the Chebyshev window of
+the local branch, the progressive channel schedule, and second-order
+equivalence."""
 
 import csv
 import math
@@ -7,17 +8,47 @@ import math
 import numpy as np
 import pytest
 
+from pvg.aggregators import maxe_aggregate
 from pvg.errors import ConfigError, DegenerateInputError, DimensionError
 from pvg.graph import (
     ChannelSchedule,
-    chebyshev_mask,
     export_edges,
-    pairwise_similarity,
     psgc_schedule,
     similarity_matrix,
     topk_neighbors,
 )
+from pvg.net import ModelConfig
 from pvg.tensor import Tensor, offset_mix
+
+
+def zero_bias(weights: Tensor) -> Tensor:
+    """An all-zero offset bias table: ``offset_mix`` then applies its
+    weights alone."""
+    return Tensor(np.zeros_like(weights.data))
+
+
+def impulse_response(h: int, w: int, r: int) -> np.ndarray:
+    """``offset_mix`` on unit impulses: ``resp[p, q]`` is node q's output
+    when the impulse sits at node p of an h x w grid. Offset o weighs o + 1
+    and the bias is zero. One image per impulse position, one channel."""
+    n = h * w
+    weights = Tensor(np.arange(1.0, (2 * r + 1) ** 2 + 1.0)[:, None])
+    impulses = Tensor(np.eye(n).reshape(n * n, 1))
+    return offset_mix(impulses, weights, (h, w), zero_bias(weights)).data.reshape(n, n)
+
+
+def chebyshev_window_oracle(h: int, w: int, r: int) -> np.ndarray:
+    """Exhaustive pair enumeration: node q sees the impulse at p through the
+    offset p - q, weighed by that offset's row index + 1, when
+    max(|drow|, |dcol|) <= r, and sees nothing otherwise."""
+    n = h * w
+    want = np.zeros((n, n))
+    for p in range(n):
+        for q in range(n):
+            dy, dx = p // w - q // w, p % w - q % w
+            if max(abs(dy), abs(dx)) <= r:
+                want[p, q] = (dy + r) * (2 * r + 1) + (dx + r) + 1
+    return want
 
 
 def brute_force_topk(s: np.ndarray, k: int) -> np.ndarray:
@@ -36,24 +67,26 @@ def brute_force_topk(s: np.ndarray, k: int) -> np.ndarray:
 
 
 class TestPairwiseSimilarity:
+    """``similarity_matrix``, the all-pairs scoring the graph build runs."""
+
     def test_cosine_self_similarity(self):
         x = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]])  # rows 0,1 parallel
-        s = pairwise_similarity(x, "cosine").data
+        s = similarity_matrix(x, "cosine")
         assert abs(s[0, 1] - 1.0) < 1e-12
 
     def test_dot_orthogonal(self):
-        s = pairwise_similarity(np.array([[1.0, 0.0], [0.0, 1.0]]), "dot").data
+        s = similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]), "dot")
         assert s[0, 1] == 0.0
 
     def test_neg_euclidean_hand_case(self):
-        s = pairwise_similarity(np.array([[0.0, 0.0], [3.0, 4.0]]), "neg_euclidean").data
+        s = similarity_matrix(np.array([[0.0, 0.0], [3.0, 4.0]]), "neg_euclidean")
         assert abs(s[0, 1] - (-5.0)) < 1e-12
         assert abs(s[0, 0]) < 1e-12
 
     @pytest.mark.parametrize("metric", ["dot", "cosine", "neg_euclidean"])
     def test_symmetry(self, metric):
         x = np.random.default_rng(0).normal(size=(7, 5))
-        s = pairwise_similarity(x, metric).data
+        s = similarity_matrix(x, metric)
         np.testing.assert_array_equal(s, s.T)
         # Batched float32 at a size where BLAS blocks the product: still exact.
         xb = np.random.default_rng(1).normal(size=(3, 300, 20)).astype(np.float32)
@@ -62,18 +95,27 @@ class TestPairwiseSimilarity:
 
     def test_cosine_range(self):
         x = np.random.default_rng(1).normal(size=(20, 8))
-        s = pairwise_similarity(x, "cosine").data
+        s = similarity_matrix(x, "cosine")
         assert s.min() >= -1.0 - 1e-6
         assert s.max() <= 1.0 + 1e-6
 
     def test_cosine_zero_row_degenerate(self):
-        x = np.array([[0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(DegenerateInputError):
-            pairwise_similarity(x, "cosine")
+        # A zero row scores 0 against every node, so it still selects k
+        # neighbors, ties toward the lower index, and nothing selects it
+        # over a positive score.
+        x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [1.0, 2.0]])
+        topo = topk_neighbors(similarity_matrix(x, "cosine"), 2).validate()
+        assert topo.neighbor_idx[0].tolist() == [1, 2]
+        assert not np.any(topo.neighbor_idx[1:] == 0)
 
     def test_too_few_nodes(self):
-        with pytest.raises(DimensionError):
-            pairwise_similarity(np.ones((1, 3)), "dot")
+        # One node has no other node to select: top-k clamps k to 0 with a
+        # warning, and the aggregator refuses the empty neighbor rows.
+        x = np.ones((1, 3))
+        with pytest.warns(UserWarning, match="clamping to 0"):
+            topo = topk_neighbors(similarity_matrix(x, "dot"), 1)
+        with pytest.raises(DegenerateInputError):
+            maxe_aggregate(Tensor(x), topo.neighbor_idx)
 
     def test_kernel_scores_zero_row_as_zero_under_cosine(self):
         s = similarity_matrix(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]), "cosine")
@@ -81,16 +123,10 @@ class TestPairwiseSimilarity:
         np.testing.assert_array_equal(s[:, 0], 0.0)
 
     def test_unknown_metric(self):
+        # similarity_matrix takes the metric unchecked; the configuration
+        # rejects an unknown one before any graph is built.
         with pytest.raises(ConfigError):
-            pairwise_similarity(np.ones((2, 3)), "bogus")
-
-    @pytest.mark.parametrize("metric", ["dot", "cosine", "neg_euclidean"])
-    def test_integer_input_scored_in_floating_point(self, metric):
-        x = [[1, 2], [2, 1], [0, 3]]
-        got = pairwise_similarity(np.array(x), metric).data
-        want = pairwise_similarity(np.array(x, dtype=np.float64), metric).data
-        assert got.dtype.kind == "f"
-        np.testing.assert_array_equal(got, want)
+            ModelConfig(graph_metric="bogus")
 
 
 class TestTopkNeighbors:
@@ -174,25 +210,28 @@ class TestTopkNeighbors:
 
 
 class TestChebyshevMask:
+    """The local branch's Chebyshev window, probed through ``offset_mix``'s
+    impulse response."""
+
     def test_threshold_boundary(self):
-        mask = chebyshev_mask(8, 8, 3).data
-        at = lambda r0, c0, r1, c1: mask[r0 * 8 + c0, r1 * 8 + c1]
-        assert at(0, 0, 3, 3) == 1.0  # exactly at the threshold
-        assert at(0, 0, 4, 0) == 0.0  # one past it
+        resp = impulse_response(8, 8, 3)
+        at = lambda r0, c0, r1, c1: resp[r0 * 8 + c0, r1 * 8 + c1]
+        assert at(3, 3, 0, 0) == 49.0  # exactly at the threshold: offset (3, 3)
+        assert at(4, 0, 0, 0) == 0.0  # one past it
 
     def test_symmetric_reflexive(self):
-        mask = chebyshev_mask(5, 7, 2).data
-        np.testing.assert_array_equal(mask, mask.T)
-        np.testing.assert_array_equal(np.diag(mask), np.ones(35))
+        # Reversing a pair reverses the offset, row o becoming row 24 - o.
+        resp = impulse_response(5, 7, 2)
+        np.testing.assert_array_equal(resp != 0, (resp != 0).T)
+        np.testing.assert_array_equal(resp + resp.T, np.where(resp != 0, 26.0, 0.0))
+        np.testing.assert_array_equal(np.diag(resp), np.full(35, 13.0))  # the center offset
 
-    @pytest.mark.parametrize("h,w,r", [(8, 8, 3), (16, 16, 1), (16, 16, 2), (16, 16, 3), (4, 9, 2)])
+    @pytest.mark.parametrize(
+        "h,w,r",
+        [(8, 8, 3), (16, 16, 1), (16, 16, 2), (16, 16, 3), (4, 9, 2), (5, 7, 0), (2, 2, 3)],
+    )
     def test_matches_exhaustive_enumeration(self, h, w, r):
-        mask = chebyshev_mask(h, w, r).data
-        for i in range(h * w):
-            for j in range(h * w):
-                dr = abs(i // w - j // w)
-                dc = abs(i % w - j % w)
-                assert mask[i, j] == (1.0 if max(dr, dc) <= r else 0.0)
+        np.testing.assert_array_equal(impulse_response(h, w, r), chebyshev_window_oracle(h, w, r))
 
 
 def dense_local_oracle(x, alpha, h, w, r):
@@ -257,7 +296,7 @@ class TestLocalBranch:
         alpha = np.zeros(((2 * r + 1) ** 2, c), dtype=np.float32)
         alpha[(2 * r + 1) ** 2 // 2] = 1.0  # center offset only
         x = Tensor(np.random.default_rng(4).normal(size=(20, c)).astype(np.float32))
-        y = offset_mix(x, Tensor(alpha), (4, 5))
+        y = offset_mix(x, Tensor(alpha), (4, 5), Tensor(np.zeros_like(alpha)))
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_uniform_weights_interior_mean(self):
@@ -265,7 +304,7 @@ class TestLocalBranch:
         n_off = (2 * r + 1) ** 2
         alpha = np.full((n_off, c), 1.0 / n_off, dtype=np.float32)
         x = np.random.default_rng(5).normal(size=(25, c)).astype(np.float32)
-        y = offset_mix(Tensor(x), Tensor(alpha), (5, 5))
+        y = offset_mix(Tensor(x), Tensor(alpha), (5, 5), Tensor(np.zeros_like(alpha)))
         # node 12 = center of the 5x5 grid; its 3x3 patch is rows 6..8 etc.
         patch = [6, 7, 8, 11, 12, 13, 16, 17, 18]
         np.testing.assert_allclose(y.data[12], x[patch].mean(axis=0), rtol=1e-5)
@@ -275,7 +314,7 @@ class TestLocalBranch:
         rng = np.random.default_rng(6)
         alpha = rng.normal(size=((2 * r + 1) ** 2, c)).astype(np.float32)
         x = rng.normal(size=(25, c)).astype(np.float32)
-        y = offset_mix(Tensor(x), Tensor(alpha), (5, 5))
+        y = offset_mix(Tensor(x), Tensor(alpha), (5, 5), Tensor(np.zeros_like(alpha)))
         np.testing.assert_allclose(y.data, dense_local_oracle(x, alpha, 5, 5, r), rtol=2e-5, atol=1e-6)
 
     @pytest.mark.parametrize("h, w, r", [(2, 2, 5), (3, 5, 1)])
@@ -285,7 +324,7 @@ class TestLocalBranch:
         rng = np.random.default_rng(h * 10 + w)
         alpha = rng.normal(size=((2 * r + 1) ** 2, c))
         x = rng.normal(size=(h * w, c))
-        y = offset_mix(Tensor(x), Tensor(alpha), (h, w))
+        y = offset_mix(Tensor(x), Tensor(alpha), (h, w), Tensor(np.zeros_like(alpha)))
         np.testing.assert_allclose(y.data, dense_local_oracle(x, alpha, h, w, r), rtol=1e-12, atol=1e-12)
 
     def test_gradients_match_dense_loop_on_a_grid_smaller_than_the_window(self):
@@ -330,13 +369,15 @@ class TestLocalBranch:
         alpha = Tensor(np.zeros((9, 2), dtype=np.float32))
         for rows in (7, 13):  # neither fills whole 2 x 3 grids
             with pytest.raises(DimensionError):
-                offset_mix(Tensor(np.zeros((rows, 2))), alpha, (2, 3))
+                offset_mix(Tensor(np.zeros((rows, 2))), alpha, (2, 3), zero_bias(alpha))
 
     def test_offset_weight_table_size_enforced(self):
-        with pytest.raises(DimensionError):
-            offset_mix(Tensor(np.zeros((9, 2))), Tensor(np.zeros((8, 2))), (3, 3))
-        with pytest.raises(DimensionError):  # a square, but of even side
-            offset_mix(Tensor(np.zeros((9, 2))), Tensor(np.zeros((4, 2))), (3, 3))
+        for rows in (8, 4):  # not a square; a square, but of even side
+            table = Tensor(np.zeros((rows, 2)))
+            with pytest.raises(DimensionError):
+                offset_mix(Tensor(np.zeros((9, 2))), table, (3, 3), zero_bias(table))
+        with pytest.raises(DimensionError):  # a bias table of another shape
+            offset_mix(Tensor(np.zeros((9, 2))), Tensor(np.zeros((9, 2))), (3, 3), Tensor(np.zeros((9, 1))))
 
 
 class TestPsgcSchedule:
@@ -414,8 +455,8 @@ class TestSecondOrderSimilarity:
         x = rng.normal(size=(h * w, c)).astype(np.float32)
 
         # path 1: local aggregation then plain dot-product similarity
-        agg = offset_mix(Tensor(x), Tensor(alpha), (h, w))
-        s_pipeline = pairwise_similarity(agg, "dot").data
+        agg = offset_mix(Tensor(x), Tensor(alpha), (h, w), Tensor(np.zeros_like(alpha)))
+        s_pipeline = similarity_matrix(agg.data, "dot")
 
         # path 2: definitional neighborhoods from the same Chebyshev structure
         nbrs, ws = chebyshev_neighborhoods(alpha, h, w, r)

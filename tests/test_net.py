@@ -5,6 +5,7 @@ The block test re-implements one full trident block as straight-line numpy
 and demands agreement with the composed implementation.
 """
 
+import itertools
 import json
 import tracemalloc
 
@@ -13,7 +14,7 @@ import pytest
 from scipy.special import erf as sp_erf
 
 from pvg import net
-from pvg.aggregators import AGGREGATOR_KINDS, param_count
+from pvg.aggregators import AGGREGATOR_KINDS
 from pvg.errors import (
     CheckpointError,
     ConfigError,
@@ -35,6 +36,7 @@ from pvg.net import (
 )
 from pvg.tensor import DIFFERENTIABLE_OPS, Tensor, reshape, softmax_cross_entropy
 
+from oracles import param_count
 from test_tensor import graph_nodes
 
 
@@ -299,6 +301,19 @@ class TestAutogradGraph:
         ops = {node.op for node in graph_nodes(model.forward(imgs))} - {"leaf"}
         assert "linear" in ops and "matmul" in ops
         assert ops <= set(DIFFERENTIABLE_OPS), ops - set(DIFFERENTIABLE_OPS)
+
+    def test_every_registered_op_is_reached_by_some_model(self):
+        # The registry holds no op that only tests call: each one is in the
+        # loss graph of at least one aggregator x activation x graph-mode.
+        imgs = np.random.default_rng(31).uniform(size=(1, 32, 32, 3)).astype(np.float32)
+        reached = set()
+        for aggregator, activation, graph_mode in itertools.product(
+            AGGREGATOR_KINDS, net.ACTIVATIONS, net.GRAPH_MODES
+        ):
+            cfg = tiny_config(aggregator=aggregator, activation=activation, graph_mode=graph_mode)
+            loss = softmax_cross_entropy(Model(cfg, seed=0).forward(imgs), np.array([1]))
+            reached |= {node.op for node in graph_nodes(loss)} - {"leaf"}
+        assert reached == set(DIFFERENTIABLE_OPS), set(DIFFERENTIABLE_OPS) ^ reached
 
     def test_tiny_forward_at_batch_32_holds_at_most_70_mib(self):
         # numpy's buffers are traced by tracemalloc. What the logits keep
@@ -766,3 +781,24 @@ class TestCheckpoint:
         write_tensor(tmp_path / "ckpt" / "head__bias.pvgt", np.zeros(5, dtype=np.float32))
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize(
+        "entry", [3, None, "", "..", "sub/head__bias.pvgt", "../outside.pvgt"],
+        ids=["int", "null", "empty", "parent", "subdirectory", "outside"],
+    )
+    def test_manifest_entry_must_name_a_file_in_the_checkpoint(self, tmp_path, monkeypatch, entry):
+        save_checkpoint(Model(tiny_config(), seed=17), tmp_path / "ckpt")
+        # A file of the right shape outside the checkpoint: it must not be read.
+        from pvg.pvgt import write_tensor
+
+        write_tensor(tmp_path / "outside.pvgt", np.zeros(2, dtype=np.float32))
+        (tmp_path / "ckpt" / "sub").mkdir()
+        write_tensor(tmp_path / "ckpt" / "sub" / "head__bias.pvgt", np.zeros(2, dtype=np.float32))
+        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        manifest["params"]["head.bias"] = entry
+        (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+        read, original = [], net.read_tensor
+        monkeypatch.setattr(net, "read_tensor", lambda path: read.append(path) or original(path))
+        with pytest.raises(CheckpointError, match="head.bias must name a file inside the checkpoint"):
+            load_checkpoint(tmp_path / "ckpt")
+        assert all(p.parent == tmp_path / "ckpt" for p in read)

@@ -21,6 +21,11 @@ from pvg.pvgt import read_tensor, write_tensor
 from pvg.tensor import Tensor
 
 
+def total(t: Tensor) -> Tensor:
+    """The sum of every entry, as a one-element tensor."""
+    return T.reduce_sum(T.reshape(t, (t.size,)), 0)
+
+
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hand triple loop, no BLAS."""
     m, k = a.shape
@@ -183,19 +188,26 @@ class TestElementwise:
         b = Tensor([3.0, 5.0])
         np.testing.assert_array_equal(T.add(a, b).data, [4.0, 7.0])
         np.testing.assert_array_equal(T.sub(b, a).data, [2.0, 3.0])
-        np.testing.assert_array_equal(T.mul(a, b).data, [3.0, 10.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             T.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+        with pytest.raises(DimensionError):  # a one-element operand does not broadcast
+            T.sub(Tensor(np.zeros((2, 2))), Tensor(np.zeros(1)))
 
     def test_scalar_broadcast(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        s = Tensor([3.0], requires_grad=True)
-        out = T.mul(a, s)
-        np.testing.assert_array_equal(out.data, 3.0 * np.ones((2, 2)))
-        T.sum_all(out).backward()
-        np.testing.assert_array_equal(s.grad, [4.0])
+        # cdf_gate's one-element eps is the one scalar broadcast left: its
+        # gradient is the sum of what each entry's gate sends it.
+        x0 = np.random.default_rng(11).normal(size=(2, 3))
+        s = Tensor([0.5], requires_grad=True)
+        T.cdf_gate(Tensor(x0), s).backward(np.ones((2, 3)))
+        per_entry = []
+        for v in x0.reshape(-1):
+            s_v = Tensor([0.5], requires_grad=True)
+            T.cdf_gate(Tensor([v]), s_v).backward()
+            per_entry.append(s_v.grad[0])
+        assert s.grad.shape == (1,)
+        np.testing.assert_allclose(s.grad, [sum(per_entry)], rtol=1e-12)
 
 
 class TestReduce:
@@ -329,7 +341,7 @@ class TestInvariantsAndErrors:
 
     def test_grad_shape_matches(self):
         t = Tensor(np.zeros((2, 3)), requires_grad=True)
-        T.sum_all(t).backward()
+        total(t).backward()
         assert t.grad.shape == t.shape
 
 
@@ -410,7 +422,7 @@ class TestBackwardConsumesGraph:
     def test_second_backward_from_same_root_raises(self):
         rng = np.random.default_rng(1)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        loss = T.sum_all(T.max0(T.matmul(Tensor(rng.normal(size=(5, 4))), w)))
+        loss = total(T.max0(T.matmul(Tensor(rng.normal(size=(5, 4))), w)))
         loss.backward()
         first = w.grad.copy()
         with pytest.raises(GraphReleasedError):
@@ -421,8 +433,8 @@ class TestBackwardConsumesGraph:
         rng = np.random.default_rng(2)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         h = T.matmul(Tensor(rng.normal(size=(5, 4))), w)
-        second = T.sum_all(T.max0(h))
-        T.sum_all(h).backward()
+        second = total(T.max0(h))
+        total(h).backward()
         first = w.grad.copy()
         with pytest.raises(GraphReleasedError):
             second.backward()
@@ -437,7 +449,7 @@ class TestBackwardConsumesGraph:
         # max0 backward over a negative input with a negative upstream
         # gradient gives -0.0; the leaf keeps +0.0, as 0 + (-0.0) is.
         x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
-        T.sum_all(T.mul(T.max0(x), Tensor(np.array([-3.0, -3.0])))).backward()
+        T.max0(x).backward(np.array([-3.0, -3.0]))
         assert not np.signbit(x.grad[0])
         np.testing.assert_array_equal(x.grad, [0.0, -3.0])
 
@@ -445,7 +457,7 @@ class TestBackwardConsumesGraph:
 class TestGradCheckHarness:
     def test_quadratic(self):
         x = Tensor(np.random.default_rng(6).normal(size=(4, 4)))
-        report = grad_check(lambda t: T.sum_all(T.mul(t, t)), x, op_name="sum_sq")
+        report = grad_check(lambda t: T.matmul(t, t), x, op_name="square")
         assert report.passed
         assert report.max_rel_error <= 1e-6
 
@@ -453,25 +465,37 @@ class TestGradCheckHarness:
         const = Tensor(np.ones((2, 2)))
         x = Tensor(np.zeros((2, 2)))
         zero = Tensor(np.zeros((2, 2)))
-        report = grad_check(lambda t: T.sum_all(T.mul(t, zero)), x, op_name="zero")
+        report = grad_check(lambda t: T.matmul(t, zero), x, op_name="zero")
         assert report.passed
         x2 = Tensor(np.random.default_rng(7).normal(size=(3,)), requires_grad=True)
-        y = T.sum_all(const)
+        y = total(const)
         y.backward()
         assert x2.grad is None  # unreached leaves accumulate nothing
 
     def test_report_invariant(self):
         x = Tensor(np.random.default_rng(8).normal(size=(3, 3)))
-        report = grad_check(lambda t: T.sum_all(T.cdf_gate(t)), x, op_name="cdf_gate")
+        report = grad_check(lambda t: T.cdf_gate(t), x, op_name="cdf_gate")
         assert report.passed == (report.max_rel_error <= report.tolerance)
         assert report.probe_count >= 1
+
+    def test_non_scalar_output_is_checked_on_a_random_cotangent(self):
+        # A transpose whose backward forgets to transpose: under a plain sum
+        # the wrong layout would go unseen.
+        def bad_transpose(x: Tensor) -> Tensor:
+            out = Tensor._from_op(np.ascontiguousarray(x.data.T), (x,), "bad_transpose")
+            out._backward = lambda g: x._accumulate(g)
+            return out
+
+        x = Tensor(np.random.default_rng(9).normal(size=(3, 3)))
+        assert grad_check(lambda t: T.permute(t, (1, 0)), x).passed
+        assert not grad_check(bad_transpose, x).passed
 
     def test_non_finite_function_is_checked_error(self):
         from pvg.errors import EvaluationError
 
         x = Tensor(np.full((2, 2), 1e200))  # 1e200 squared overflows to inf
         with pytest.raises(EvaluationError), np.errstate(over="ignore"):
-            grad_check(lambda t: T.sum_all(T.mul(t, t)), x, op_name="overflow")
+            grad_check(lambda t: T.matmul(t, t), x, op_name="overflow")
 
 
 class TestPVGTFormat:

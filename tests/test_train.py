@@ -99,6 +99,22 @@ class TestDatasetIO:
         with pytest.raises(FileFormatError):
             load_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", 2)
 
+    def test_nan_pixel_rejected(self, tmp_path):
+        # NaN compares False against both bounds; the range check must still fail it.
+        images = np.full((2, 8, 8, 3), 0.5, dtype=np.float32)
+        images[1, 3, 4, 2] = np.nan
+        write_tensor(tmp_path / "x.pvgt", images)
+        (tmp_path / "y.csv").write_text("index,label\n0,0\n1,1\n")
+        with pytest.raises(FileFormatError, match="outside"):
+            load_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", 2)
+
+    @pytest.mark.parametrize("row", ["7,1.0", "x,1", "1,"], ids=["float-label", "word-index", "empty-label"])
+    def test_non_integer_cell_names_file_and_row(self, tmp_path, row):
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(3))
+        (tmp_path / "y.csv").write_text(f"index,label\n0,0\n{row}\n2,1\n")
+        with pytest.raises(FileFormatError, match=r"y\.csv: row 3 has a non-integer cell"):
+            load_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", 2)
+
     def test_oracle_certifies_learnability(self):
         assert oracle_linear_accuracy(make_two_class_patches(512, 32, seed=0)) >= 0.99
 
@@ -524,6 +540,25 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error:{category}:")
         assert "\n" not in err
+
+    @pytest.mark.parametrize("bad", ["label-7,1.0", "label-x,1", "nan-pixel"])
+    def test_bad_dataset_is_one_line_file_format_error(self, tmp_path, capsys, bad):
+        ds = small_dataset(4)
+        if bad == "nan-pixel":
+            ds.images[2, 0, 0, 1] = np.nan
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", ds)
+        if bad.startswith("label-"):
+            (tmp_path / "y.csv").write_text(f"index,label\n0,0\n1,1\n{bad[6:]}\n3,1\n")
+        save_checkpoint(Model(ModelConfig(), seed=0), tmp_path / "ckpt")
+        assert cli_main([
+            "eval", "--checkpoint", str(tmp_path / "ckpt"),
+            "--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv"),
+        ]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:file-format:")
+        assert "\n" not in err
+        if bad.startswith("label-"):
+            assert f"{tmp_path / 'y.csv'}: row 4" in err
 
     def test_bad_data_error_category(self, workspace, capsys):
         tp = workspace
