@@ -53,7 +53,7 @@ print("4. Progressive channel schedule, 128 channels over 6 blocks")
 print("=" * 64)
 sched = psgc_schedule(total_c=128, n_blocks=6, start_ratio=0.25, end_ratio=0.75, granularity=16)
 print(f"{'block':>5} {'local':>6} {'first':>6} {'second':>7}")
-for b, (local_c, first_c, second_c) in enumerate(sched.per_block):
+for b, (local_c, first_c, second_c) in enumerate(sched):
     print(f"{b:>5} {local_c:>6} {first_c:>6} {second_c:>7}")
 print(
     "\nThe first-order width stays pinned while the ramp converts local"

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .gradcheck import GradCheckReport, grad_check
 from .graph import (
-    ChannelSchedule,
     GraphTopology,
     export_edges,
     psgc_schedule,

@@ -14,7 +14,7 @@ import sys
 from .data import load_dataset
 from .diagnostics import trace_diversity, write_trace_csv
 from .errors import ConfigError, DimensionError, PvgError
-from .graph import export_edges
+from .graph import GraphTopology, export_edges
 from .net import count_params_flops, load_checkpoint
 from .pvgt import read_tensor
 from .train import RunConfig, evaluate, train
@@ -62,8 +62,8 @@ def _cmd_export_graph(args) -> int:
     collect: dict = {"graphs": []}
     model.forward(images[args.image : args.image + 1], collect=collect)
     match = [
-        topos
-        for block, branch, topos in collect["graphs"]
+        topo
+        for block, branch, topo in collect["graphs"]
         if block == args.block and branch == args.branch
     ]
     if not match:
@@ -71,7 +71,9 @@ def _cmd_export_graph(args) -> int:
         raise ConfigError(
             f"no {args.branch!r} graph at block {args.block}; available: {available}"
         )
-    export_edges(args.out, [(args.block, match[0][0])])
+    topo = match[0]  # batched over the one image
+    image = GraphTopology(topo.n_nodes, topo.k, topo.neighbor_idx[0], topo.neighbor_sim[0])
+    export_edges(args.out, [(args.block, image)])
     print(f"wrote edges of block {args.block} ({args.branch} graph) to {args.out}")
     return 0
 

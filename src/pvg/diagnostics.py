@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DimensionError
 from .graph import GraphTopology
 from .net import Model
 
@@ -42,18 +43,14 @@ def trace_diversity(model: Model, images, run_id: str = "trace") -> DiversityTra
     return DiversityTrace(run_id=run_id, per_block=per_block)
 
 
-def write_trace_csv(path: str | Path, traces, append: bool = False) -> None:
+def write_trace_csv(path: str | Path, traces) -> None:
     """Write ``run_id,block,diversity`` rows; ``traces`` is one DiversityTrace
     or a sequence of them."""
     if isinstance(traces, DiversityTrace):
         traces = [traces]
-    path = Path(path)
-    write_header = not (append and path.exists())
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if write_header:
-            writer.writerow(["run_id", "block", "diversity"])
+        writer.writerow(["run_id", "block", "diversity"])
         for trace in traces:
             for block, value in trace.per_block:
                 writer.writerow([trace.run_id, block, f"{value:.8g}"])
@@ -61,7 +58,11 @@ def write_trace_csv(path: str | Path, traces, append: bool = False) -> None:
 
 def graph_stats(topo: GraphTopology, labels=None) -> dict[str, float]:
     """Summary statistics of one topology: in-degree spread, similarity
-    quantiles, and (when labels are given) neighbor label purity."""
+    quantiles, and (when labels are given) neighbor label purity. A batched
+    topology, as ``Model.forward`` collects, is refused rather than pooled
+    over its images: index one image first."""
+    if topo.neighbor_idx.ndim != 2:
+        raise DimensionError(f"graph_stats takes one [n, k] topology, got {topo.neighbor_idx.shape}")
     in_degree = np.bincount(topo.neighbor_idx.reshape(-1), minlength=topo.n_nodes)
     sims = topo.neighbor_sim.reshape(-1)
     stats = {

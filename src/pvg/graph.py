@@ -26,7 +26,7 @@ SIMILARITY_METRICS = ("dot", "cosine", "neg_euclidean")
 
 
 # ---------------------------------------------------------------------------
-# topology and schedule types
+# topology
 # ---------------------------------------------------------------------------
 
 
@@ -44,45 +44,6 @@ class GraphTopology:
     k: int
     neighbor_idx: np.ndarray
     neighbor_sim: np.ndarray
-
-    def validate(self) -> "GraphTopology":
-        idx = self.neighbor_idx
-        if idx.shape[-2:] != (self.n_nodes, self.k) or self.neighbor_sim.shape != idx.shape:
-            raise DimensionError("neighbor_idx and neighbor_sim must both be [..., n, k]")
-        if np.any(idx == np.arange(self.n_nodes)[:, None]):
-            raise DegenerateInputError("self-loop in topology")
-        if idx.min(initial=0) < 0 or idx.max(initial=0) >= self.n_nodes:
-            raise DimensionError("neighbor index out of range")
-        dup = (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any(axis=-1)
-        if dup.any():
-            raise DegenerateInputError(f"duplicate neighbor in row {np.argwhere(dup)[0].tolist()}")
-        if np.any(np.diff(self.neighbor_sim, axis=-1) > 1e-6):
-            raise DegenerateInputError("neighbor_sim rows must be non-increasing")
-        return self
-
-
-@dataclass
-class ChannelSchedule:
-    """Per-block split of the channel budget into (local, first, second)."""
-
-    total_c: int
-    per_block: list[tuple[int, int, int]]
-
-    def __post_init__(self) -> None:
-        firsts = {t[1] for t in self.per_block}
-        if len(firsts) != 1:
-            raise ConfigError("first-order width must be constant across blocks")
-        prev_local, prev_second = None, None
-        for local_c, first_c, second_c in self.per_block:
-            if local_c + first_c + second_c != self.total_c:
-                raise ConfigError("schedule triple does not sum to total channels")
-            if min(local_c, first_c, second_c) < 0:
-                raise ConfigError("negative width in schedule triple")
-            if prev_second is not None and second_c < prev_second:
-                raise ConfigError("second-order width must be non-decreasing")
-            if prev_local is not None and local_c > prev_local:
-                raise ConfigError("local width must be non-increasing")
-            prev_local, prev_second = local_c, second_c
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +105,10 @@ def _stable_argsort_prefix(a: np.ndarray, k: int) -> np.ndarray:
 def topk_neighbors(S, k: int) -> GraphTopology:
     """Select each node's k most similar non-self nodes from a similarity
     matrix. Ties break toward the lower node index; rows come back sorted by
-    non-increasing similarity. k >= n is clamped to n-1 with a warning. A
-    leading batch axis, ``[batch, n, n]``, selects within each image and gives
-    the topology's arrays that axis.
+    non-increasing similarity. k >= n is clamped to n-1 with a warning; fewer
+    than two nodes leave no neighbor to select and raise
+    :class:`DegenerateInputError`. A leading batch axis, ``[batch, n, n]``,
+    selects within each image and gives the topology's arrays that axis.
 
     The node itself ranks with the NaN scores, below every number, so a row
     with fewer than k non-NaN scores for other nodes raises
@@ -157,6 +119,8 @@ def topk_neighbors(S, k: int) -> GraphTopology:
     n = sa.shape[-1]
     if k < 1:
         raise ConfigError("k must be >= 1")
+    if n < 2:
+        raise DegenerateInputError(f"top-k needs at least 2 nodes, got {n}")
     if k >= n:
         warnings.warn(f"k={k} >= n={n}; clamping to {n - 1}", stacklevel=2)
         k = n - 1
@@ -195,13 +159,15 @@ def psgc_schedule(
     start_ratio: float,
     end_ratio: float,
     granularity: int = 16,
-) -> ChannelSchedule:
-    """Linear ramp of the global-graph width from start_ratio to end_ratio of
-    the channel budget, rounded to multiples of ``granularity``.
+) -> list[tuple[int, int, int]]:
+    """Per-block (local, first, second) split of the channel budget: a
+    linear ramp of the global-graph width from start_ratio to end_ratio of
+    the budget, rounded to multiples of ``granularity``.
 
     The first-order width is pinned at the block-0 global width; everything
     the ramp adds beyond that goes to the second-order branch, and the local
-    branch gives up exactly that much.
+    branch gives up exactly that much. So every triple sums to the budget,
+    the second-order width never falls and the local width never rises.
     """
     if not (0.0 < start_ratio <= end_ratio < 1.0):
         raise ConfigError("need 0 < start_ratio <= end_ratio < 1")
@@ -226,7 +192,7 @@ def psgc_schedule(
         if first_c < granularity:
             raise ConfigError("first-order width rounds below one granule")
         triples.append((local_c, first_c, second_c))
-    return ChannelSchedule(total_c=total_c, per_block=triples)
+    return triples
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ comparison aggregator), fuse, and follow with a feed-forward transform; both
 sublayers are residual. The channel schedule hands local capacity over to the
 second-order graph branch as blocks deepen, so first-order similarity on the
 transferred channels carries neighborhood-level information. LayerScale is
-applied on the last two blocks of the final stage.
+applied on the last ``layer_scale_blocks`` blocks of the stack (two by
+default).
 
 Graphs are rebuilt every block, per image, from that block's own post-norm
 branch features; neighbor selection is structural and carries no gradient.
@@ -36,7 +37,6 @@ from .aggregators import (
 from .errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
 from .graph import (
     SIMILARITY_METRICS,
-    ChannelSchedule,
     GraphTopology,
     psgc_schedule,
     similarity_matrix,
@@ -99,6 +99,26 @@ def check_field_types(config) -> None:
             )
 
 
+@dataclass(frozen=True)
+class BlockPlan:
+    """One trident block as its configuration lays it out: its stage, its
+    place in the stage and in the whole stack, the side of its node grid, its
+    neighbor count (at most n - 1), its (local, first, second) channel
+    widths, and whether LayerScale covers it."""
+
+    stage: int
+    block: int
+    index: int
+    grid: int
+    k: int
+    widths: tuple[int, int, int]
+    layer_scaled: bool
+
+    @property
+    def prefix(self) -> str:
+        return f"stage{self.stage}.block{self.block}."
+
+
 @dataclass
 class ModelConfig:
     stage_depths: list[int] = field(default_factory=lambda: [1, 1, 2, 1])
@@ -153,7 +173,7 @@ class ModelConfig:
             raise ConfigError(
                 f"patch grid {grid} cannot be halved {N_STAGES - 1} times"
             )
-        last = self.stage_grid(N_STAGES - 1)
+        last = self.blocks()[-1].grid
         if last < 2:
             raise ConfigError(
                 f"image_size {self.image_size} / patch_size {self.patch_size} leaves stage "
@@ -180,19 +200,27 @@ class ModelConfig:
                 f"layer_scale_blocks must lie in [0, {self.total_blocks()}]"
             )
 
-    def stage_ratios(self, s: int) -> tuple[float, float]:
-        start = self.schedule_start[s] if isinstance(self.schedule_start, list) else self.schedule_start
-        end = self.schedule_end[s] if isinstance(self.schedule_end, list) else self.schedule_end
-        return float(start), float(end)
-
-    def stage_grid(self, s: int) -> int:
-        return (self.image_size // self.patch_size) >> s
-
-    def stage_schedule(self, s: int) -> ChannelSchedule:
-        start, end = self.stage_ratios(s)
-        return psgc_schedule(
-            self.stage_widths[s], self.stage_depths[s], start, end, self.granularity
-        )
+    def blocks(self) -> list[BlockPlan]:
+        """Every block in forward order. The one place that derives each
+        stage's grid, each block's channel split and effective k, and which
+        blocks LayerScale covers: the last ``layer_scale_blocks`` of the
+        stack."""
+        side = self.image_size // self.patch_size
+        scaled_from = self.total_blocks() - self.layer_scale_blocks
+        plans: list[BlockPlan] = []
+        for s in range(N_STAGES):
+            grid = side >> s  # every stage transition halves the grid
+            start, end = (
+                r[s] if isinstance(r, list) else r for r in (self.schedule_start, self.schedule_end)
+            )
+            schedule = psgc_schedule(
+                self.stage_widths[s], self.stage_depths[s], start, end, self.granularity
+            )
+            for b, widths in enumerate(schedule):
+                i = len(plans)
+                k = min(self.stage_k[s], grid * grid - 1)
+                plans.append(BlockPlan(s, b, i, grid, k, widths, i >= scaled_from))
+        return plans
 
     def total_blocks(self) -> int:
         return sum(self.stage_depths)
@@ -258,37 +286,33 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
 
     n_offsets = (2 * cfg.radius + 1) ** 2
     per_site_eps = cfg.activation == "graphlu" and not cfg.epsilon_shared
-    ls_from = cfg.total_blocks() - cfg.layer_scale_blocks
-    block_idx = 0
-    for s in range(N_STAGES):
+    for plan in cfg.blocks():
+        s, pre = plan.stage, plan.prefix
         c = cfg.stage_widths[s]
-        hidden = cfg.ffn_ratio * c
-        for b, (local_c, first_c, second_c) in enumerate(cfg.stage_schedule(s).per_block):
-            pre = f"stage{s}.block{b}."
-            layout[pre + "norm1.gamma"] = ((c,), 1.0)
-            layout[pre + "norm1.beta"] = ((c,), 0.0)
-            if local_c:
-                layout[pre + "local.alpha"] = ((n_offsets, local_c), "offsets")
-                layout[pre + "local.pos_bias"] = ((n_offsets, local_c), 0.0)
-            for branch, width in (("first", first_c), ("second", second_c)):
-                if width:
-                    for wname, shape in AGGREGATOR_WEIGHTS[cfg.aggregator].items():
-                        layout[f"{pre}{branch}.{wname}"] = (shape(width, width), "he")
-            if per_site_eps:
-                layout[pre + "act1.epsilon"] = ((1,), 0.0)
-                layout[pre + "act2.epsilon"] = ((1,), 0.0)
-            affine(pre + "fuse.weight", pre + "fuse.bias", c, c)
-            layout[pre + "norm2.gamma"] = ((c,), 1.0)
-            layout[pre + "norm2.beta"] = ((c,), 0.0)
-            affine(pre + "ffn.w1", pre + "ffn.b1", c, hidden)
-            affine(pre + "ffn.w2", pre + "ffn.b2", hidden, c)
-            if block_idx >= ls_from:
-                layout[pre + "scale1"] = ((c,), cfg.layer_scale_init)
-                layout[pre + "scale2"] = ((c,), cfg.layer_scale_init)
-            block_idx += 1
-        if s < N_STAGES - 1:
-            nxt = cfg.stage_widths[s + 1]
-            affine(f"downsample{s}.weight", f"downsample{s}.bias", 4 * c, nxt)
+        if s and not plan.block:  # the 2x2 merge into stage s
+            d = f"downsample{s - 1}."
+            affine(d + "weight", d + "bias", 4 * cfg.stage_widths[s - 1], c)
+        local_c, first_c, second_c = plan.widths
+        layout[pre + "norm1.gamma"] = ((c,), 1.0)
+        layout[pre + "norm1.beta"] = ((c,), 0.0)
+        if local_c:
+            layout[pre + "local.alpha"] = ((n_offsets, local_c), "offsets")
+            layout[pre + "local.pos_bias"] = ((n_offsets, local_c), 0.0)
+        for branch, width in (("first", first_c), ("second", second_c)):
+            if width:
+                for wname, shape in AGGREGATOR_WEIGHTS[cfg.aggregator].items():
+                    layout[f"{pre}{branch}.{wname}"] = (shape(width, width), "he")
+        if per_site_eps:
+            layout[pre + "act1.epsilon"] = ((1,), 0.0)
+            layout[pre + "act2.epsilon"] = ((1,), 0.0)
+        affine(pre + "fuse.weight", pre + "fuse.bias", c, c)
+        layout[pre + "norm2.gamma"] = ((c,), 1.0)
+        layout[pre + "norm2.beta"] = ((c,), 0.0)
+        affine(pre + "ffn.w1", pre + "ffn.b1", c, cfg.ffn_ratio * c)
+        affine(pre + "ffn.w2", pre + "ffn.b2", cfg.ffn_ratio * c, c)
+        if plan.layer_scaled:
+            layout[pre + "scale1"] = ((c,), cfg.layer_scale_init)
+            layout[pre + "scale2"] = ((c,), cfg.layer_scale_init)
     affine("head.weight", "head.bias", cfg.stage_widths[-1], cfg.num_classes)
     if cfg.activation == "graphlu" and cfg.epsilon_shared:
         layout["shared.epsilon"] = ((1,), 0.0)
@@ -319,7 +343,7 @@ class Model:
     ):
         self.config = config
         self.dtype = dtype
-        self.schedules = [config.stage_schedule(s) for s in range(N_STAGES)]
+        self.plans = {(p.stage, p.block): p for p in config.blocks()}
         if params is None:
             self.params = self._init_params(np.random.default_rng(seed))
         else:
@@ -370,76 +394,60 @@ class Model:
 
     # -- graph construction ---------------------------------------------------
 
-    def _build_graphs(
-        self, feats: np.ndarray, batch: int, n: int, k: int
-    ) -> tuple[np.ndarray, list[GraphTopology]]:
-        """Top-k selection within each image, the batch scored and selected in
-        one call each; indices shift into batched rows, topologies are views.
+    def _build_graphs(self, feats: np.ndarray, k: int) -> GraphTopology:
+        """Top-k selection within each image of [batch, n, c] features, the
+        batch scored and selected in one call each.
 
         Non-finite features, as a diverging run produces, raise
         :class:`NonFiniteError` here rather than scoring NaN.
         """
         if not np.all(np.isfinite(feats)):
             raise NonFiniteError("non-finite node features reached the graph build")
-        s = similarity_matrix(feats.reshape(batch, n, -1), self.config.graph_metric)
-        topo = topk_neighbors(s, min(k, n - 1))
-        idx = topo.neighbor_idx + (np.arange(batch) * n)[:, None, None]
-        topos = [GraphTopology(n, topo.k, i, v) for i, v in zip(topo.neighbor_idx, topo.neighbor_sim)]
-        return idx.reshape(batch * n, topo.k), topos
+        return topk_neighbors(similarity_matrix(feats, self.config.graph_metric), k)
 
     # -- forward ---------------------------------------------------------------
 
     def block_forward(
-        self,
-        h: Tensor,
-        s: int,
-        b: int,
-        batch: int,
-        grid: int,
-        collect: dict | None = None,
-        block_index: int = -1,
+        self, h: Tensor, s: int, b: int, batch: int, collect: dict | None = None
     ) -> Tensor:
         cfg = self.config
         P = self.params
-        pre = f"stage{s}.block{b}."
-        local_c, first_c, second_c = self.schedules[s].per_block[b]
-        n = grid * grid
+        plan = self.plans[s, b]
+        pre = plan.prefix
+        local_c, first_c, second_c = plan.widths
+        n = plan.grid * plan.grid
 
         z = layer_norm(h, P[pre + "norm1.gamma"], P[pre + "norm1.beta"])
         branch_outs: list[Tensor] = []
 
         if local_c:
             x_local = narrow(z, 1, 0, local_c)
+            grid = (plan.grid, plan.grid)
             branch_outs.append(
-                offset_mix(
-                    x_local, P[pre + "local.alpha"], (grid, grid), bias=P[pre + "local.pos_bias"]
-                )
+                offset_mix(x_local, P[pre + "local.alpha"], grid, bias=P[pre + "local.pos_bias"])
             )
 
-        x_first = narrow(z, 1, local_c, first_c)
-        x_second = narrow(z, 1, local_c + first_c, second_c) if second_c else None
-
-        k = cfg.stage_k[s]
-        if cfg.graph_mode == "shared" and second_c:
-            idx_first, topos_first = self._build_graphs(z.data[:, local_c:], batch, n, k)
-            idx_second, topos_second = idx_first, topos_first
-        else:
-            idx_first, topos_first = self._build_graphs(x_first.data, batch, n, k)
-            if second_c:
-                idx_second, topos_second = self._build_graphs(x_second.data, batch, n, k)
-
-        names = AGGREGATOR_WEIGHTS[cfg.aggregator]
-        w_first = {w: P[f"{pre}first.{w}"] for w in names}
-        y_first = baseline_aggregate(cfg.aggregator, x_first, idx_first, w_first)
-        branch_outs.append(self._activation(y_first, pre, 1))
-        if second_c:
-            w_second = {w: P[f"{pre}second.{w}"] for w in names}
-            y_second = baseline_aggregate(cfg.aggregator, x_second, idx_second, w_second)
-            branch_outs.append(self._activation(y_second, pre, 1))
+        shared = cfg.graph_mode == "shared"
+        start = local_c
+        for branch, width in (("first", first_c), ("second", second_c)):
+            if not width:
+                continue
+            x = narrow(z, 1, start, width)
+            start += width
+            if branch == "first" or not shared:  # shared: one graph over both branches
+                feats = z.data[:, local_c:] if shared else x.data
+                topo = self._build_graphs(feats.reshape(batch, n, -1), plan.k)
+            # Each image's node indices shift to its rows of the batch.
+            rows = topo.neighbor_idx + (np.arange(batch) * n)[:, None, None]
+            weights = {w: P[f"{pre}{branch}.{w}"] for w in AGGREGATOR_WEIGHTS[cfg.aggregator]}
+            y = baseline_aggregate(cfg.aggregator, x, rows.reshape(batch * n, plan.k), weights)
+            branch_outs.append(self._activation(y, pre, 1))
+            if collect is not None and "graphs" in collect:
+                collect["graphs"].append((plan.index, branch, topo))
 
         fused = branch_outs[0] if len(branch_outs) == 1 else concat(branch_outs, axis=1)
         y = linear(fused, P[pre + "fuse.weight"], P[pre + "fuse.bias"])
-        if pre + "scale1" in P:
+        if plan.layer_scaled:
             y = mul_rowvec(y, P[pre + "scale1"])
         h = add(h, y)
 
@@ -447,17 +455,12 @@ class Model:
         f = linear(z2, P[pre + "ffn.w1"], P[pre + "ffn.b1"])
         f = self._activation(f, pre, 2)
         f = linear(f, P[pre + "ffn.w2"], P[pre + "ffn.b2"])
-        if pre + "scale2" in P:
+        if plan.layer_scaled:
             f = mul_rowvec(f, P[pre + "scale2"])
         h = add(h, f)
 
-        if collect is not None:
-            if "blocks" in collect:
-                collect["blocks"].append((block_index, h.data.reshape(batch, n, -1).copy()))
-            if "graphs" in collect:
-                collect["graphs"].append((block_index, "first", topos_first))
-                if second_c:
-                    collect["graphs"].append((block_index, "second", topos_second))
+        if collect is not None and "blocks" in collect:
+            collect["blocks"].append((plan.index, h.data.reshape(batch, n, -1).copy()))
         return h
 
     def forward(self, images, collect: dict | None = None) -> Tensor:
@@ -465,8 +468,11 @@ class Model:
 
         ``collect`` optionally receives intermediate structure: pass a dict
         with a ``"blocks"`` and/or ``"graphs"`` key mapped to empty lists.
+        Blocks arrive as (block index, [batch, n, c] features), graphs as
+        (block index, branch, batched :class:`GraphTopology`).
         """
         cfg = self.config
+        P = self.params
         x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=self.dtype))
         if x.data.ndim != 4 or x.shape[1:] != (cfg.image_size, cfg.image_size, cfg.in_channels):
             raise DimensionError(
@@ -476,28 +482,23 @@ class Model:
         batch = x.shape[0]
         if batch == 0:
             raise DimensionError("forward needs at least one image")
-        grid = cfg.image_size // cfg.patch_size
-        h = node_embedding(x, self.params["stem.weight"], self.params["stem.bias"], cfg.patch_size)
+        h = node_embedding(x, P["stem.weight"], P["stem.bias"], cfg.patch_size)
 
-        block_index = 0
-        for s in range(N_STAGES):
-            for b in range(cfg.stage_depths[s]):
-                h = self.block_forward(
-                    h, s, b, batch, grid, collect=collect, block_index=block_index
-                )
-                block_index += 1
-            if s < N_STAGES - 1:
+        for plan in self.plans.values():
+            s = plan.stage
+            if s and not plan.block:  # merge 2x2 nodes of stage s - 1 into one
+                side = 2 * plan.grid
                 h = node_embedding(
-                    reshape(h, (batch, grid, grid, cfg.stage_widths[s])),
-                    self.params[f"downsample{s}.weight"],
-                    self.params[f"downsample{s}.bias"],
+                    reshape(h, (batch, side, side, cfg.stage_widths[s - 1])),
+                    P[f"downsample{s - 1}.weight"],
+                    P[f"downsample{s - 1}.bias"],
                     2,
                 )
-                grid //= 2
+            h = self.block_forward(h, s, plan.block, batch, collect=collect)
 
         c_last = cfg.stage_widths[-1]
-        pooled = reduce_mean(reshape(h, (batch, grid * grid, c_last)), axis=1)
-        return linear(pooled, self.params["head.weight"], self.params["head.bias"])
+        pooled = reduce_mean(reshape(h, (batch, h.shape[0] // batch, c_last)), axis=1)
+        return linear(pooled, P["head.weight"], P["head.bias"])
 
 
 # ---------------------------------------------------------------------------
@@ -561,36 +562,26 @@ def count_params_flops(config: ModelConfig) -> tuple[int, int]:
     """
     cfg = config
     params = sum(math.prod(shape) for shape, _ in param_layout(cfg).values())
-    flops = 0
-    grid = cfg.image_size // cfg.patch_size
+    plans = cfg.blocks()
     patch_in = cfg.patch_size * cfg.patch_size * cfg.in_channels
-    flops += grid * grid * patch_in * cfg.stage_widths[0]
-
-    ls_from = cfg.total_blocks() - cfg.layer_scale_blocks
-    block_index = 0
-    for s in range(N_STAGES):
+    flops = plans[0].grid ** 2 * patch_in * cfg.stage_widths[0]
+    for plan in plans:
+        s = plan.stage
         c = cfg.stage_widths[s]
-        n = grid * grid
-        k_eff = min(cfg.stage_k[s], n - 1)
-        schedule = cfg.stage_schedule(s)
-        for b in range(cfg.stage_depths[s]):
-            local_c, first_c, second_c = schedule.per_block[b]
-            if local_c:
-                flops += _local_pair_count(grid, cfg.radius) * local_c
-            for width in (first_c, second_c):  # a width of 0 adds nothing
-                flops += _aggregator_multadds(cfg.aggregator, width, n, k_eff)
-            # Similarity: shared or per branch, the global widths score n^2 pairs.
-            flops += n * n * (first_c + second_c)
-            flops += n * c * c  # fusion
-            hidden = cfg.ffn_ratio * c
-            flops += 2 * n * c * hidden
-            if block_index >= ls_from:
-                flops += 2 * n * c
-            block_index += 1
-        if s < N_STAGES - 1:
-            nxt = cfg.stage_widths[s + 1]
-            grid //= 2
-            flops += grid * grid * 4 * c * nxt
+        n = plan.grid * plan.grid
+        if s and not plan.block:  # the 2x2 merge: n nodes, each from 4 of stage s - 1
+            flops += n * 4 * cfg.stage_widths[s - 1] * c
+        local_c, first_c, second_c = plan.widths
+        if local_c:
+            flops += _local_pair_count(plan.grid, cfg.radius) * local_c
+        for width in (first_c, second_c):  # a width of 0 adds nothing
+            flops += _aggregator_multadds(cfg.aggregator, width, n, plan.k)
+        # Similarity: shared or per branch, the global widths score n^2 pairs.
+        flops += n * n * (first_c + second_c)
+        flops += n * c * c  # fusion
+        flops += 2 * n * c * cfg.ffn_ratio * c
+        if plan.layer_scaled:
+            flops += 2 * n * c
     flops += cfg.stage_widths[-1] * cfg.num_classes
     return params, flops
 

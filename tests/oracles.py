@@ -3,8 +3,9 @@
 Each is written out independently of ``pvg`` so that it checks the package
 instead of restating it: :func:`param_count` writes the per-kind parameter
 formulas by hand (tests compare it with ``AGGREGATOR_WEIGHTS`` and
-``param_layout``), and :func:`decomposition_check` evaluates the max
-decomposition identity that motivates MaxE's max-of-differences term.
+``param_layout``), :func:`decomposition_check` evaluates the max
+decomposition identity that motivates MaxE's max-of-differences term, and
+:func:`checked_topology` asserts what every top-k selection promises.
 """
 
 from __future__ import annotations
@@ -88,3 +89,18 @@ def param_count(kind: str, c_in: int, c_out: int) -> tuple[int, float]:
         raise ConfigError(f"unknown aggregator kind {kind!r}")
     unit = c_in * c_out
     return count, count / unit
+
+
+def checked_topology(topo):
+    """Assert that a (possibly batched) top-k topology is well formed: both
+    arrays ``[..., n, k]``, indices in range, no self-loop or repeated
+    neighbor in a row, and similarities non-increasing along each row.
+    Returns the topology for chaining."""
+    idx, sim, n = topo.neighbor_idx, topo.neighbor_sim, topo.n_nodes
+    assert idx.shape[-2:] == (n, topo.k) and sim.shape == idx.shape, (idx.shape, sim.shape)
+    assert idx.min(initial=0) >= 0 and idx.max(initial=0) < n, "neighbor index out of range"
+    assert not np.any(idx == np.arange(n)[:, None]), "self-loop in topology"
+    dup = (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any(axis=-1)
+    assert not dup.any(), f"duplicate neighbor in row {np.argwhere(dup)[0].tolist()}"
+    assert not np.any(np.diff(sim, axis=-1) > 1e-6), "neighbor_sim rows must be non-increasing"
+    return topo

@@ -259,7 +259,7 @@ def test_criterion_residual_identity():
         for b in range(cfg.stage_depths[s]):
             n = grids[s] * grids[s]
             h = Tensor(rng.normal(size=(n, cfg.stage_widths[s])).astype(np.float32))
-            out = model.block_forward(h, s=s, b=b, batch=1, grid=grids[s])
+            out = model.block_forward(h, s=s, b=b, batch=1)
             assert np.array_equal(out.data, h.data), (s, b)
             blocks += 1
     report("residual-identity", True, f"all {blocks} blocks bit-exact identity maps")

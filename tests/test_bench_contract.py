@@ -7,12 +7,14 @@ otherwise surface only as a ``KeyError`` in the middle of a benchmark run.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pvg.net import Model
-from pvg.tensor import Tensor
+from pvg.net import Model, count_params_flops, tiny_config
+from pvg.tensor import DIFFERENTIABLE_OPS, Tensor
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -47,3 +49,25 @@ def test_operation_brackets_exist():
     assert callable(Model.__dict__.get("clamp_activation_params"))
     assert callable(Tensor.__dict__.get("backward"))
     assert "softmax_cross_entropy" in vars(importlib.import_module("pvg.train"))
+
+
+def test_forward_takes_collect_by_keyword():
+    # The eval operation bracket calls the original forward with collect=.
+    param = inspect.signature(Model.forward).parameters["collect"]
+    assert param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+
+
+def test_traced_forward_attributes_blocks_to_their_stages():
+    # The net.block span keeps block_forward's third positional argument as
+    # its stage; net.stageN_ms sums the spans by it.
+    cfg = tiny_config()
+    model = Model(cfg, seed=0)
+    images = np.random.default_rng(0).uniform(size=(1, 32, 32, 3)).astype(np.float32)
+    with tracing.Recorder("forward", full=True) as rec:
+        model.forward(images)
+    stages = [span[5] for span in rec.spans if span[0] == "net.block"]
+    assert stages == [plan.stage for plan in cfg.blocks()]
+    metrics = tracing.layer_metrics(rec, list(DIFFERENTIABLE_OPS), count_params_flops(cfg)[1])
+    assert all(metrics[f"net.stage{s}_ms"][0] > 0 for s in range(4))
+    assert metrics["trace.ops"][0] == 1
+    assert metrics["graph.build_calls"][0] == 6  # five first-order graphs, one second-order

@@ -12,6 +12,7 @@ from pvg.diagnostics import (
     trace_diversity,
     write_trace_csv,
 )
+from pvg.errors import DimensionError
 from pvg.graph import topk_neighbors
 from pvg.net import Model, tiny_config
 
@@ -106,14 +107,6 @@ class TestTraceCsv:
         assert rows[0] == ["run_id", "block", "diversity"]
         assert rows[1] == ["unit", "0", "1.25"]
 
-    def test_append_mode(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, DiversityTrace("a", [(0, 1.0)]))
-        write_trace_csv(path, DiversityTrace("b", [(0, 2.0)]), append=True)
-        rows = list(csv.reader(open(path)))
-        assert len(rows) == 3
-        assert {r[0] for r in rows[1:]} == {"a", "b"}
-
 
 class TestGraphStats:
     def _random_topo(self, seed, n=12, k=3):
@@ -144,6 +137,11 @@ class TestGraphStats:
         assert stats["in_degree_max"] == float(got_max)
         assert stats["in_degree_min"] == float(got_min)
         assert stats["in_degree_mean"] == pytest.approx(sum(counts.values()) / 12)
+
+    def test_batched_topology_refused(self):
+        s = np.random.default_rng(4).normal(size=(2, 12, 12))
+        with pytest.raises(DimensionError, match=r"\(2, 12, 3\)"):
+            graph_stats(topk_neighbors(s, 3))
 
     def test_similarity_quantiles_ordered(self):
         stats = graph_stats(self._random_topo(3))

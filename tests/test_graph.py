@@ -8,10 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from pvg.aggregators import maxe_aggregate
 from pvg.errors import ConfigError, DegenerateInputError, DimensionError
 from pvg.graph import (
-    ChannelSchedule,
     export_edges,
     psgc_schedule,
     similarity_matrix,
@@ -19,6 +17,8 @@ from pvg.graph import (
 )
 from pvg.net import ModelConfig
 from pvg.tensor import Tensor, offset_mix
+
+from oracles import checked_topology
 
 
 def zero_bias(weights: Tensor) -> Tensor:
@@ -104,18 +104,16 @@ class TestPairwiseSimilarity:
         # neighbors, ties toward the lower index, and nothing selects it
         # over a positive score.
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [1.0, 2.0]])
-        topo = topk_neighbors(similarity_matrix(x, "cosine"), 2).validate()
+        topo = checked_topology(topk_neighbors(similarity_matrix(x, "cosine"), 2))
         assert topo.neighbor_idx[0].tolist() == [1, 2]
         assert not np.any(topo.neighbor_idx[1:] == 0)
 
     def test_too_few_nodes(self):
-        # One node has no other node to select: top-k clamps k to 0 with a
-        # warning, and the aggregator refuses the empty neighbor rows.
-        x = np.ones((1, 3))
-        with pytest.warns(UserWarning, match="clamping to 0"):
-            topo = topk_neighbors(similarity_matrix(x, "dot"), 1)
-        with pytest.raises(DegenerateInputError):
-            maxe_aggregate(Tensor(x), topo.neighbor_idx)
+        # One node has no other node to select, whatever k: top-k refuses it,
+        # unbatched and batched, instead of returning empty neighbor rows.
+        for shape in ((1, 1), (3, 1, 1)):
+            with pytest.raises(DegenerateInputError, match="at least 2 nodes, got 1"):
+                topk_neighbors(np.ones(shape), 4)
 
     def test_kernel_scores_zero_row_as_zero_under_cosine(self):
         s = similarity_matrix(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]), "cosine")
@@ -152,9 +150,9 @@ class TestTopkNeighbors:
     def test_rows_non_increasing_and_valid(self):
         s = np.random.default_rng(2).normal(size=(10, 10))
         s = 0.5 * (s + s.T)
-        topo = topk_neighbors(s, 4).validate()
+        topo = checked_topology(topk_neighbors(s, 4))
         assert np.all(np.diff(topo.neighbor_sim, axis=1) <= 0)
-        batched = topk_neighbors(np.stack([s, s[::-1, ::-1]]), 4).validate()
+        batched = checked_topology(topk_neighbors(np.stack([s, s[::-1, ::-1]]), 4))
         assert batched.neighbor_idx.shape == (2, 10, 4)
         np.testing.assert_array_equal(batched.neighbor_idx[0], topo.neighbor_idx)
 
@@ -177,7 +175,7 @@ class TestTopkNeighbors:
     def test_minus_inf_scores_rank_above_the_node_itself(self):
         s = np.zeros((4, 4))
         s[0] = [5.0, 1.0, -np.inf, -np.inf]
-        topo = topk_neighbors(s, 2).validate()
+        topo = checked_topology(topk_neighbors(s, 2))
         assert topo.neighbor_idx[0].tolist() == [1, 2]
 
     @pytest.mark.parametrize("n", [4, 80])  # the full-sort and the partition path
@@ -185,7 +183,7 @@ class TestTopkNeighbors:
         s = np.random.default_rng(n).normal(size=(n, n))
         s[2] = np.nan
         s[2, 0] = 0.5  # node 2 has exactly one score
-        topk_neighbors(s, 1).validate()
+        checked_topology(topk_neighbors(s, 1))
         with pytest.raises(DegenerateInputError, match="node 2 "):
             topk_neighbors(s, 2)
 
@@ -382,22 +380,19 @@ class TestLocalBranch:
 
 class TestPsgcSchedule:
     def test_worked_example(self):
-        sched = psgc_schedule(64, 3, 0.25, 0.75, 16)
-        assert sched.per_block == [(48, 16, 0), (32, 16, 16), (16, 16, 32)]
+        assert psgc_schedule(64, 3, 0.25, 0.75, 16) == [(48, 16, 0), (32, 16, 16), (16, 16, 32)]
 
     def test_single_block(self):
-        sched = psgc_schedule(64, 1, 0.25, 0.75, 16)
-        assert sched.per_block == [(48, 16, 0)]
+        assert psgc_schedule(64, 1, 0.25, 0.75, 16) == [(48, 16, 0)]
 
     def test_constant_schedule_no_second_order(self):
-        sched = psgc_schedule(128, 4, 0.5, 0.5, 16)
-        assert all(t[2] == 0 for t in sched.per_block)
+        assert all(t[2] == 0 for t in psgc_schedule(128, 4, 0.5, 0.5, 16))
 
     def test_triples_sum_and_monotone(self):
         sched = psgc_schedule(256, 7, 0.25, 0.7, 16)
-        seconds = [t[2] for t in sched.per_block]
-        locals_ = [t[0] for t in sched.per_block]
-        assert all(sum(t) == 256 for t in sched.per_block)
+        seconds = [t[2] for t in sched]
+        locals_ = [t[0] for t in sched]
+        assert all(sum(t) == 256 for t in sched)
         assert seconds == sorted(seconds)
         assert locals_ == sorted(locals_, reverse=True)
 
@@ -415,11 +410,28 @@ class TestPsgcSchedule:
         with pytest.raises(ConfigError):
             psgc_schedule(256, 2, 0.01, 0.9, 16)
 
-    def test_schedule_type_invariants(self):
-        with pytest.raises(ConfigError):
-            ChannelSchedule(total_c=32, per_block=[(16, 16, 0), (8, 16, 4)])
-        with pytest.raises(ConfigError):
-            ChannelSchedule(total_c=32, per_block=[(0, 16, 16), (16, 16, 0)])
+    def test_invariants_over_random_schedules(self):
+        # Every schedule psgc_schedule returns splits the budget exactly, into
+        # non-negative granule multiples, with a constant first-order width of
+        # at least one granule, a non-decreasing second-order width and a
+        # non-increasing local width.
+        rng = np.random.default_rng(0)
+        valid = 0
+        for _ in range(3000):
+            g = int(rng.choice([1, 4, 8, 16, 32]))
+            total = g * int(rng.integers(1, 33))
+            start, end = sorted(rng.uniform(0.0, 1.0, size=2))
+            try:
+                sched = psgc_schedule(total, int(rng.integers(1, 12)), start, end, g)
+            except ConfigError:
+                continue
+            valid += 1
+            local, first, second = (np.array(t) for t in zip(*sched))
+            assert np.all(local + first + second == total)
+            assert np.all(np.array(sched) % g == 0) and np.all(np.array(sched) >= 0)
+            assert np.all(first == first[0]) and first[0] >= g
+            assert np.all(np.diff(second) >= 0) and np.all(np.diff(local) <= 0)
+        assert valid > 1000
 
 
 class TestSecondOrderSimilarity:

@@ -23,7 +23,7 @@ from pvg.errors import (
     NonFiniteError,
 )
 from pvg.gradcheck import grad_check
-from pvg.graph import similarity_matrix, topk_neighbors
+from pvg.graph import psgc_schedule, similarity_matrix, topk_neighbors
 from pvg.net import (
     Model,
     ModelConfig,
@@ -161,7 +161,7 @@ class TestConfig:
 
     def test_smallest_grid_accepted(self):
         cfg = ModelConfig(image_size=16, patch_size=1)
-        assert [cfg.stage_grid(s) for s in range(4)] == [16, 8, 4, 2]
+        assert [p.grid for p in cfg.blocks()] == [16, 8, 4, 4, 2]
         logits = Model(cfg, seed=0).forward(np.zeros((1, 16, 16, 3), np.float32))
         assert logits.shape == (1, cfg.num_classes)
 
@@ -202,6 +202,7 @@ class TestConfig:
             {"layer_scale_init": "1e-5"},
             {"schedule_start": [0.25, 0.25, None, 0.25]},
             {"graph_mode": 1},
+            {"schedule_start": 0.8, "schedule_end": 0.5},
         ],
         ids=[
             "metric", "radius", "ffn-ratio", "layer-scale-low", "layer-scale-high", "stage-k",
@@ -209,6 +210,7 @@ class TestConfig:
             "aggregator", "radius-float", "radius-bool", "image-size-str", "epsilon-shared-str",
             "epsilon-shared-int", "stage-k-float", "stage-depths-tuple", "ffn-ratio-float",
             "layer-scale-init-str", "schedule-start-none", "graph-mode-int",
+            "schedule-ratios-reversed",
         ],
     )
     def test_invalid_value_rejected_at_construction(self, overrides):
@@ -279,8 +281,8 @@ class TestForward:
         # schedule end high enough that rounding hands every local channel to
         # the graph branches in the last stage-2 block
         cfg = tiny_config(schedule_end=0.95)
-        assert cfg.stage_schedule(2).per_block[1][0] == 0  # local width gone
         model = Model(cfg, seed=5)
+        assert model.plans[2, 1].widths[0] == 0  # local width gone
         assert "stage2.block1.local.alpha" not in model.params
         imgs = np.random.default_rng(9).uniform(size=(2, 32, 32, 3)).astype(np.float32)
         assert np.all(np.isfinite(model.forward(imgs).data))
@@ -344,14 +346,13 @@ class TestInNetworkGraphs:
             feats = rng.normal(size=(batch, n, 8)).astype(np.float32)
             feats[1] = rng.integers(-1, 2, size=(n, 8))  # many identical rows: ties
             feats[2] = 0.5  # constant image: every score ties
-            idx, topos = model._build_graphs(feats.reshape(batch * n, 8), batch, n, k)
-            assert idx.shape == (batch * n, k) and len(topos) == batch
+            topo = model._build_graphs(feats, k)
+            assert (topo.n_nodes, topo.k) == (n, k)
+            assert topo.neighbor_idx.shape == topo.neighbor_sim.shape == (batch, n, k)
             for im in range(batch):
                 want = topk_neighbors(similarity_matrix(feats[im], metric), k)
-                assert topos[im].n_nodes == n and topos[im].k == k
-                assert idx[im * n : (im + 1) * n].tobytes() == (want.neighbor_idx + im * n).tobytes()
-                assert topos[im].neighbor_idx.tobytes() == want.neighbor_idx.tobytes()
-                assert topos[im].neighbor_sim.tobytes() == want.neighbor_sim.tobytes()
+                assert topo.neighbor_idx[im].tobytes() == want.neighbor_idx.tobytes()
+                assert topo.neighbor_sim[im].tobytes() == want.neighbor_sim.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the deliberate overflow
     def test_short_row_names_image_and_node(self):
@@ -362,7 +363,24 @@ class TestInNetworkGraphs:
         feats = np.random.default_rng(1).normal(size=(3, n, 8)).astype(np.float32)
         feats[1, 2:] = 1e20
         with pytest.raises(DegenerateInputError, match="image 1 node 2 .*fewer than k=4"):
-            model._build_graphs(feats.reshape(3 * n, 8), 3, n, 4)
+            model._build_graphs(feats, 4)
+
+    @pytest.mark.parametrize("graph_mode", net.GRAPH_MODES)
+    def test_collected_graphs_are_the_batched_selections(self, graph_mode):
+        # Each collected topology holds every image's graph; shared mode
+        # collects one graph twice, for the first and the second branch.
+        model = Model(tiny_config(graph_mode=graph_mode), seed=0)
+        imgs = np.random.default_rng(2).uniform(size=(2, 32, 32, 3)).astype(np.float32)
+        collect = {"graphs": []}
+        model.forward(imgs, collect=collect)
+        branches = [(i, br) for i, br, _ in collect["graphs"]]
+        assert branches == [(0, "first"), (1, "first"), (2, "first"), (3, "first"), (3, "second"), (4, "first")]
+        for index, _, topo in collect["graphs"]:
+            plan = model.config.blocks()[index]
+            assert (topo.n_nodes, topo.k) == (plan.grid**2, plan.k)
+            assert topo.neighbor_idx.shape == (2, plan.grid**2, plan.k)
+        first, second = (t for i, _, t in collect["graphs"] if i == 3)
+        assert (first is second) == (graph_mode == "shared")
 
 
 class TestResidualIdentity:
@@ -372,7 +390,7 @@ class TestResidualIdentity:
         zero_residual_outputs(model)
         rng = np.random.default_rng(9)
         h = Tensor(rng.normal(size=(16, 128)).astype(np.float32))
-        out = model.block_forward(h, s=2, b=1, batch=1, grid=4)
+        out = model.block_forward(h, s=2, b=1, batch=1)
         assert np.array_equal(out.data, h.data)  # bit-exact
 
     def test_every_block_identity_in_full_forward(self):
@@ -400,7 +418,7 @@ class TestMonolithicBlockOracle:
         cfg = model.config
         P = {k: v.data for k, v in model.params.items()}
         pre = f"stage{s}.block{b}."
-        local_c, first_c, second_c = model.schedules[s].per_block[b]
+        local_c, first_c, second_c = model.plans[s, b].widths
         r = cfg.radius
         n = grid * grid
 
@@ -473,10 +491,10 @@ class TestMonolithicBlockOracle:
         model = Model(cfg, seed=7).astype(np.float64)
         # stage 2 block 1: all three branches live (schedule (32, 32, 64)),
         # LayerScale active, grid 4 -> 16 nodes
-        assert model.schedules[2].per_block[1] == (32, 32, 64)
+        assert model.plans[2, 1].widths == (32, 32, 64)
         rng = np.random.default_rng(11)
         h = rng.normal(size=(16, 128))
-        got = model.block_forward(Tensor(h), s=2, b=1, batch=1, grid=4).data
+        got = model.block_forward(Tensor(h), s=2, b=1, batch=1).data
         want = self._oracle_block(h, model, s=2, b=1, grid=4)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
         assert np.max(np.abs(got - want)) <= 1e-6
@@ -488,15 +506,15 @@ class TestPermutationConsistency:
         # position enters the block: only the graph branches mix nodes
         cfg = tiny_config(schedule_end=0.95)
         model = Model(cfg, seed=8).astype(np.float64)
-        assert model.schedules[2].per_block[1][0] == 0
+        assert model.plans[2, 1].widths[0] == 0
         grid = 4
         n = grid * grid
         rng = np.random.default_rng(12)
         h = rng.normal(size=(n, 128))
 
-        out_base = model.block_forward(Tensor(h), s=2, b=1, batch=1, grid=grid).data
+        out_base = model.block_forward(Tensor(h), s=2, b=1, batch=1).data
         perm = rng.permutation(n)
-        out_perm = model.block_forward(Tensor(h[perm]), s=2, b=1, batch=1, grid=grid).data
+        out_perm = model.block_forward(Tensor(h[perm]), s=2, b=1, batch=1).data
         np.testing.assert_allclose(out_perm, out_base[perm], rtol=1e-10, atol=1e-12)
 
 
@@ -534,7 +552,9 @@ def analytic_param_count(cfg: ModelConfig) -> int:
     block_index = 0
     for s in range(4):
         c = cfg.stage_widths[s]
-        for local_c, first_c, second_c in cfg.stage_schedule(s).per_block:
+        start, end = (r[s] if isinstance(r, list) else r for r in (cfg.schedule_start, cfg.schedule_end))
+        schedule = psgc_schedule(c, cfg.stage_depths[s], start, end, cfg.granularity)
+        for local_c, first_c, second_c in schedule:
             params += 4 * c  # two norms, scale and shift each
             params += 2 * n_offsets * local_c  # offset weights and biases
             for width in (first_c, second_c):
@@ -557,23 +577,50 @@ def analytic_param_count(cfg: ModelConfig) -> int:
     return params
 
 
+COUNTED_CONFIGS = {
+    "tiny": tiny_config,
+    "mrgraphconv": lambda: tiny_config(aggregator="MRGraphConv"),
+    "edgeconv": lambda: tiny_config(aggregator="EdgeConv", num_classes=5),
+    "graphsage": lambda: tiny_config(aggregator="GraphSAGE"),
+    "gin-gelu": lambda: tiny_config(aggregator="GIN", activation="gelu"),
+    "relu-shared": lambda: tiny_config(activation="relu", graph_mode="shared"),
+    "epsilon-shared": lambda: tiny_config(epsilon_shared=True),
+    "deep21": lambda: deep_tiny_config(21),
+    "radius0": lambda: tiny_config(radius=0),
+    "layer-scale-all": lambda: tiny_config(layer_scale_blocks=5, schedule_end=0.95),
+    # k at or above n - 1 in the first three stages: 256, 64 and 16 nodes.
+    "k-clamped": lambda: tiny_config(image_size=16, patch_size=1, stage_k=[300, 64, 16, 8]),
+}
+
+
 class TestCounting:
     def test_analytic_equals_enumeration(self):
-        for cfg in (
-            tiny_config(),
-            tiny_config(aggregator="MRGraphConv"),
-            tiny_config(aggregator="EdgeConv", num_classes=5),
-            tiny_config(aggregator="GraphSAGE"),
-            tiny_config(aggregator="GIN", activation="gelu"),
-            tiny_config(activation="relu", graph_mode="shared"),
-            tiny_config(epsilon_shared=True),
-            deep_tiny_config(21),
-            tiny_config(radius=0),
-            tiny_config(layer_scale_blocks=5, schedule_end=0.95),
-        ):
+        for name, make in COUNTED_CONFIGS.items():
+            cfg = make()
             params, _ = count_params_flops(cfg)
-            assert params == analytic_param_count(cfg), cfg
-            assert params == sum(t.size for t in Model(cfg, seed=0).params.values()), cfg
+            assert params == analytic_param_count(cfg), name
+            assert params == sum(t.size for t in Model(cfg, seed=0).params.values()), name
+
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("tiny", (1180972, 15500800)),
+            ("mrgraphconv", (1170220, 15304192)),
+            ("edgeconv", (1213999, 21891328)),
+            ("graphsage", (1180972, 16467456)),
+            ("gin-gelu", (1159458, 15107584)),
+            ("relu-shared", (1180962, 15500800)),
+            ("epsilon-shared", (1180963, 15500800)),
+            ("deep21", (863244, 16688256)),
+            ("radius0", (1144108, 15222016)),
+            ("layer-scale-all", (1193644, 15775232)),
+            ("k-clamped", (1180684, 15427072)),
+        ],
+    )
+    def test_counts_are_pinned(self, name, want):
+        # (params, mult-adds) as the counting gave them before the block walk
+        # was shared with the forward; a change here is a change of model.
+        assert count_params_flops(COUNTED_CONFIGS[name]()) == want
 
     def test_doubling_widths_roughly_quadruples(self):
         base, _ = count_params_flops(tiny_config())
@@ -584,6 +631,46 @@ class TestCounting:
         _, f1 = count_params_flops(tiny_config())
         _, f2 = count_params_flops(tiny_config(stage_widths=[64, 128, 256, 512]))
         assert 0 < f1 < f2
+
+
+class RecordingParams(dict):
+    """A parameter dict that remembers every name looked up in it."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read: set[str] = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+class TestBlockPlans:
+    def test_tiny_plans(self):
+        plans = tiny_config().blocks()
+        assert [(p.stage, p.block, p.index) for p in plans] == [
+            (0, 0, 0), (1, 0, 1), (2, 0, 2), (2, 1, 3), (3, 0, 4)
+        ]
+        assert [p.grid for p in plans] == [16, 8, 4, 4, 2]
+        assert [p.k for p in plans] == [4, 4, 8, 8, 3]  # a 2x2 grid has 3 other nodes
+        assert [p.layer_scaled for p in plans] == [False, False, False, True, True]
+        assert [p.widths for p in plans] == [
+            (16, 16, 0), (48, 16, 0), (96, 32, 0), (32, 32, 64), (192, 64, 0)
+        ]
+        assert plans[3].prefix == "stage2.block1."
+
+    def test_per_stage_ratios(self):
+        cfg = tiny_config(schedule_start=[0.25, 0.5, 0.25, 0.5], schedule_end=[0.5, 0.5, 0.95, 0.75])
+        want = [psgc_schedule(64, 1, 0.5, 0.5, 16)[0], *psgc_schedule(128, 2, 0.25, 0.95, 16)]
+        assert [p.widths for p in cfg.blocks()[1:4]] == want
+
+    @pytest.mark.parametrize("name", COUNTED_CONFIGS)
+    def test_forward_reads_exactly_the_layout(self, name):
+        cfg = COUNTED_CONFIGS[name]()
+        model = Model(cfg, seed=0)
+        model.params = RecordingParams(model.params)
+        model.forward(np.zeros((1, cfg.image_size, cfg.image_size, 3), np.float32))
+        assert model.params.read == set(net.param_layout(cfg))
 
 
 class TestFullForwardGradient:
