@@ -6,6 +6,15 @@ forward/training, float64 for oracle and gradient checks); each differentiable
 operation records a backward closure so that ``Tensor.backward()`` accumulates
 gradients into every reachable leaf.
 
+The graph holds no values: a :class:`Tensor` holds its value and a
+:class:`Node` (gradient, ``requires_grad``, parent nodes, closure, ``op``,
+shape, dtype). Each op rebinds its arguments to their nodes before it defines
+its closure, which keeps only the arrays its backward reads: the multiplied
+inputs of ``linear``, ``matmul``, ``mul_rowvec`` and ``offset_mix``, the
+inputs of ``max0`` and ``cdf_gate`` (with its erf values), ``layer_norm``'s
+normalised input, ``reduce_max``'s winners, ``gather_rows``' index and the
+loss's probabilities. Any other value is freed once the forward drops it.
+
 Backward consumes the graph it sweeps: each interior node drops its gradient,
 its closure and its parent links as soon as its closure has run, so the
 intermediate values of a step are freed during the sweep rather than kept
@@ -24,12 +33,13 @@ by hand: ``linear`` (matmul plus bias, one node per affine map),
 local branch's grid-window mixing, one ``einsum`` over padded-grid windows).
 Max reductions route the gradient to the lowest index among maximal entries
 so every subgradient choice is deterministic and testable. No op loops in
-Python over offsets, images or rows.
+Python over offsets, images or rows; ``reduce_max`` loops over its k indices.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,16 +82,55 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 * (1.0 / np.sqrt(np.pi))
 
 
+class Node:
+    """A tensor's autograd record. ``data`` is its value while something
+    still holds it (a weak reference), else an empty array of its dtype."""
+
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "op", "shape", "dtype", "_value")
+
+    def __init__(self, value: np.ndarray, requires_grad: bool, parents: tuple["Node", ...], op: str):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._backward: Callable[[np.ndarray], None] | None = None
+        self.op = op
+        self.shape = value.shape
+        self.dtype = value.dtype
+        self._value = weakref.ref(value)
+
+    @property
+    def data(self) -> np.ndarray:
+        value = self._value()
+        return np.empty(0, self.dtype) if value is None else value
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # 0 + g into a fresh array: the bits that adding g to a zero-filled
+            # array gives (a -0.0 entry becomes +0.0), without the fill.
+            self.grad = np.add(g, 0.0, out=np.empty(self.shape, self.dtype))
+        else:
+            self.grad += g
+
+
+def _on_node(name: str) -> property:
+    return property(lambda t: getattr(t._node, name), lambda t, v: setattr(t._node, name, v))
+
+
 class Tensor:
     """n-dimensional value array with an accumulated-gradient slot.
 
     ``data`` is a C-contiguous numpy array (the flat row-major buffer plus
     shape metadata). ``grad``, when present, always matches ``data``'s shape.
     Stored scalars must be finite; leaf construction checks this and raises
-    :class:`NonFiniteError` otherwise.
+    :class:`NonFiniteError` otherwise. Autograd attributes pass to its :class:`Node`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "_node")
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _parents = _on_node("_parents")
+    _backward = _on_node("_backward")
+    op = _on_node("op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -91,23 +140,17 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("tensor constructed with NaN/Inf entries")
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self.op = "leaf"
+        self._node = Node(arr, bool(requires_grad), (), "leaf")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], op: str) -> "Tensor":
         out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
-        out._parents = parents if out.requires_grad else ()
-        out._backward = None
-        out.op = op
+        out.data = data = np.asarray(data)  # a reduction to a scalar is 0-d: weakly referable
+        nodes = tuple([p._node for p in parents])
+        requires_grad = any([n.requires_grad for n in nodes])
+        out._node = Node(data, requires_grad, nodes if requires_grad else (), op)
         return out
 
     # -- metadata ----------------------------------------------------------
@@ -138,12 +181,7 @@ class Tensor:
     # -- autograd ----------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # 0 + g into a fresh array: the bits that adding g to a zero-filled
-            # array gives (a -0.0 entry becomes +0.0), without the fill.
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
-            self.grad += g
+        self._node._accumulate(g)
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Reverse-mode sweep from this tensor that consumes its graph.
@@ -167,9 +205,9 @@ class Tensor:
             if seed.shape != self.data.shape:
                 raise DimensionError("backward seed shape mismatch")
 
-        order: list[Tensor] = []
+        order: list[Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -191,7 +229,7 @@ class Tensor:
 
         self._accumulate(seed)
         # Popping drops the list's reference, so a released node and the
-        # values only it kept alive are freed as the sweep moves on.
+        # arrays only its closure kept are freed as the sweep moves on.
         while order:
             node = order.pop()
             if node._backward is not None and node.grad is not None:
@@ -213,8 +251,8 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def _set_backward(out: Tensor, fn: Callable[[np.ndarray], None]) -> None:
-    if out.requires_grad:
-        out._backward = fn
+    if out._node.requires_grad:
+        out._node._backward = fn
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +263,7 @@ def _set_backward(out: Tensor, fn: Callable[[np.ndarray], None]) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
     out = Tensor._from_op(a.data + b.data, (a, b), "add")
+    a, b = a._node, b._node
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -239,6 +278,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     out = Tensor._from_op(a.data - b.data, (a, b), "sub")
+    a, b = a._node, b._node
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -253,9 +293,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def max0(a: Tensor) -> Tensor:
     """ReLU: zero-or-identity mapping. Subgradient at 0 is 0."""
     out = Tensor._from_op(np.maximum(a.data, 0), (a,), "max0")
+    ad, a = a.data, a._node
 
     def bw(g: np.ndarray) -> None:
-        a._accumulate(g * (a.data > 0))
+        a._accumulate(g * (ad > 0))
 
     _set_backward(out, bw)
     return out
@@ -275,12 +316,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner extents differ: {a.shape} x {b.shape}"
         )
     out = Tensor._from_op(a.data @ b.data, (a, b), "matmul")
+    ad, bd, a, b = a.data, b.data, a._node, b._node
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ bd.T)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(ad.T @ g)
 
     _set_backward(out, bw)
     return out
@@ -304,14 +346,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     y = x.data @ weight.data
     y += bias.data
     out = Tensor._from_op(y, (x, weight, bias), "linear")
+    xd, wd, x, weight, bias = x.data, weight.data, x._node, weight._node, bias._node
 
     def bw(g: np.ndarray) -> None:
         if bias.requires_grad:
             bias._accumulate(g.reshape(-1, c).sum(axis=0))
         if x.requires_grad:
-            x._accumulate(g @ weight.data.T)
+            x._accumulate(g @ wd.T)
         if weight.requires_grad:
-            weight._accumulate(x.data.T @ g)
+            weight._accumulate(xd.T @ g)
 
     _set_backward(out, bw)
     return out
@@ -334,6 +377,7 @@ def _check_axis(x: Tensor, axis: int) -> int:
 def reduce_sum(x: Tensor, axis: int) -> Tensor:
     axis = _check_axis(x, axis)
     out = Tensor._from_op(np.sum(x.data, axis=axis), (x,), "reduce_sum")
+    x = x._node
 
     def bw(g: np.ndarray) -> None:
         x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
@@ -346,6 +390,7 @@ def reduce_mean(x: Tensor, axis: int) -> Tensor:
     axis = _check_axis(x, axis)
     n = x.shape[axis]
     out = Tensor._from_op(np.mean(x.data, axis=axis), (x,), "reduce_mean")
+    x = x._node
 
     def bw(g: np.ndarray) -> None:
         x._accumulate(np.broadcast_to(np.expand_dims(g / n, axis), x.shape).copy())
@@ -357,13 +402,17 @@ def reduce_mean(x: Tensor, axis: int) -> Tensor:
 def reduce_max(x: Tensor, axis: int) -> Tensor:
     """Max along ``axis``; ties route the gradient to the lowest index."""
     axis = _check_axis(x, axis)
-    # argmax returns the first maximum; the narrowest unsigned dtype that
-    # holds every index keeps the winners small for backward.
-    winners = np.argmax(x.data, axis=axis).astype(np.min_scalar_type(x.shape[axis] - 1))
-    out = Tensor._from_op(np.max(x.data, axis=axis), (x,), "reduce_max")
+    m = np.max(x.data, axis=axis)
+    # One equality pass per index, highest first: the lowest maximal index is
+    # written last, as argmax picks it. The narrowest unsigned dtype holds them.
+    winners = np.zeros(m.shape, dtype=np.min_scalar_type(x.shape[axis] - 1))
+    for j in reversed(range(x.shape[axis])):
+        np.copyto(winners, j, where=x.data[(slice(None),) * axis + (j,)] == m)
+    out = Tensor._from_op(m, (x,), "reduce_max")
+    x = x._node
 
     def bw(g: np.ndarray) -> None:
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(x.shape, x.dtype)
         np.put_along_axis(
             dx, np.expand_dims(winners, axis), np.expand_dims(g, axis), axis
         )
@@ -398,6 +447,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         np.concatenate([p.data for p in parts], axis=axis), tuple(parts), "concat"
     )
     sizes = [p.shape[axis] for p in parts]
+    parts = [p._node for p in parts]
 
     def bw(g: np.ndarray) -> None:
         start = 0
@@ -425,9 +475,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl = [slice(None)] * rank
     sl[axis] = slice(start, start + length)
     out = Tensor._from_op(np.ascontiguousarray(x.data[tuple(sl)]), (x,), "narrow")
+    x = x._node
 
     def bw(g: np.ndarray) -> None:
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(x.shape, x.dtype)
         dx[tuple(sl)] = g
         x._accumulate(dx)
 
@@ -448,14 +499,15 @@ def gather_rows(x: Tensor, row_idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise DimensionError("gather_rows index out of range")
     out = Tensor._from_op(x.data[idx], (x,), "gather_rows")
-    flat_idx = idx.reshape(-1)
     c = x.shape[1]
     elem_dtype = np.int32 if x.size <= np.iinfo(np.int32).max else np.int64
+    flat_idx = idx.reshape(-1).astype(elem_dtype)  # saved once, in the element dtype
+    x = x._node
 
     def bw(g: np.ndarray) -> None:
         # Entry by entry into the flat buffer: each sums in a row-wise np.add.at's order.
-        elems = flat_idx.astype(elem_dtype)[:, None] * elem_dtype(c) + np.arange(c, dtype=elem_dtype)
-        dx = np.zeros_like(x.data)
+        elems = flat_idx[:, None] * elem_dtype(c) + np.arange(c, dtype=elem_dtype)
+        dx = np.zeros(x.shape, x.dtype)
         np.add.at(dx.reshape(-1), elems.reshape(-1), g.reshape(-1))
         x._accumulate(dx)
 
@@ -468,6 +520,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     if int(np.prod(shape)) != x.size:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}")
     out = Tensor._from_op(x.data.reshape(shape), (x,), "reshape")
+    x = x._node
 
     def bw(g: np.ndarray) -> None:
         x._accumulate(g.reshape(x.shape))
@@ -482,6 +535,7 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
         raise DimensionError(f"permute axes {axes} invalid for rank {x.data.ndim}")
     inv = np.argsort(axes)
     out = Tensor._from_op(np.ascontiguousarray(x.data.transpose(axes)), (x,), "permute")
+    x = x._node
 
     def bw(g: np.ndarray) -> None:
         x._accumulate(np.ascontiguousarray(g.transpose(inv)))
@@ -500,12 +554,13 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
     if v.data.ndim != 1 or v.shape[0] != x.shape[-1]:
         raise DimensionError(f"mul_rowvec: {v.shape} does not match last extent of {x.shape}")
     out = Tensor._from_op(x.data * v.data, (x, v), "mul_rowvec")
+    xd, vd, x, v = x.data, v.data, x._node, v._node
 
     def bw(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * v.data)
+            x._accumulate(g * vd)
         if v.requires_grad:
-            v._accumulate((g * x.data).reshape(-1, v.shape[0]).sum(axis=0))
+            v._accumulate((g * xd).reshape(-1, v.shape[0]).sum(axis=0))
 
     _set_backward(out, bw)
     return out
@@ -524,7 +579,7 @@ def cdf_gate(x: Tensor, eps: Tensor | None = None) -> Tensor:
     a gradient; ``eps=None`` is exact-erf GELU, s = 1/sqrt(2). erf is
     scipy's, evaluated in double and rounded once (well under 1e-7 abs).
 
-    One node that keeps only the erf values for backward. Values and
+    One node that keeps the input and the erf values for backward. Values and
     gradients equal, bit for bit, those of the elementwise chain ``1 + eps``,
     reciprocal, ``* 1/sqrt(2)``, ``x * s``, erf, ``+ 1``, ``x * (.)``,
     ``* 0.5``: each step rounds in the same dtype and order, and x receives
@@ -547,6 +602,8 @@ def cdf_gate(x: Tensor, eps: Tensor | None = None) -> Tensor:
     np.multiply(y, np.asarray(0.5, dtype=y.dtype), out=y)
     out = Tensor._from_op(y, parents, "cdf_gate")
     dt = y.dtype
+    xd, x = x.data, x._node
+    eps = None if eps is None else eps._node
 
     def bw(g: np.ndarray) -> None:
         gh = g * np.asarray(0.5, dtype=dt)  # gradient at x * (1 + erf)
@@ -555,7 +612,7 @@ def cdf_gate(x: Tensor, eps: Tensor | None = None) -> Tensor:
             np.multiply(gh, buf, out=buf)
             x._accumulate(buf)
         # d erf(a) / da = 2/sqrt(pi) exp(-a^2), evaluated in double at a = x * s.
-        np.multiply(x.data, s, out=buf)
+        np.multiply(xd, s, out=buf)
         d = buf.astype(np.float64)
         np.square(d, out=d)
         np.negative(d, out=d)
@@ -563,14 +620,14 @@ def cdf_gate(x: Tensor, eps: Tensor | None = None) -> Tensor:
         np.multiply(d, _TWO_OVER_SQRT_PI, out=d)
         buf[...] = d
         del d
-        np.multiply(gh, x.data, out=gh)  # gradient at erf
+        np.multiply(gh, xd, out=gh)  # gradient at erf
         np.multiply(gh, buf, out=gh)  # gradient at a
         if x.requires_grad:
             np.multiply(gh, s, out=buf)
             x._accumulate(buf)
         if eps is not None and eps.requires_grad:
-            np.multiply(gh, x.data, out=gh)
-            g_inv_sd = np.sum(gh).reshape(eps.shape) * np.asarray(_INV_SQRT2, dtype=inv_sd.dtype)
+            np.multiply(gh, xd, out=gh)
+            g_inv_sd = np.sum(gh).reshape(eps.shape) * np.asarray(_INV_SQRT2, dtype=eps.dtype)
             eps._accumulate(-g_inv_sd / (shifted * shifted))
 
     _set_backward(out, bw)
@@ -592,6 +649,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
     xhat = xc * inv
     out = Tensor._from_op(xhat * gamma.data + beta.data, (x, gamma, beta), "layer_norm")
+    gd, x, gamma, beta = gamma.data, x._node, gamma._node, beta._node
 
     def bw(g: np.ndarray) -> None:
         if gamma.requires_grad:
@@ -599,7 +657,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         if beta.requires_grad:
             beta._accumulate(g.reshape(-1, c).sum(axis=0))
         if x.requires_grad:
-            gh = g * gamma.data
+            gh = g * gd
             m1 = gh.mean(axis=-1, keepdims=True)
             m2 = (gh * xhat).mean(axis=-1, keepdims=True)
             x._accumulate((gh - m1 - xhat * m2) * inv)
@@ -623,6 +681,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     probs = ez / ez.sum(axis=1, keepdims=True)
     nll = -(z[np.arange(n), labels] - np.log(ez.sum(axis=1)))
     out = Tensor._from_op(np.asarray(nll.mean(), dtype=logits.data.dtype), (logits,), "softmax_cross_entropy")
+    logits = logits._node
 
     def bw(g: np.ndarray) -> None:
         d = probs.copy()
@@ -680,6 +739,7 @@ def offset_mix(x: Tensor, weights: Tensor, grid: tuple[int, int], bias: Tensor) 
     y = np.einsum("bijcyx,yxc->bijc", _grid_windows(xg, ry, rx), kernel)
     y += np.einsum("ijyx,yxc->ijc", valid, bias.data.reshape(side, side, c)[live])
     out = Tensor._from_op(y.reshape(x.shape), (x, weights, bias), "offset_mix")
+    x, weights, bias = x._node, weights._node, bias._node
 
     def bw(g: np.ndarray) -> None:
         gg = g.reshape(batch, h, w, c)
@@ -688,11 +748,11 @@ def offset_mix(x: Tensor, weights: Tensor, grid: tuple[int, int], bias: Tensor) 
             gx = np.einsum("bijcyx,yxc->bijc", _grid_windows(gg, ry, rx), kernel[::-1, ::-1])
             x._accumulate(gx.reshape(x.shape))
         if weights.requires_grad:
-            gw = np.zeros_like(weights.data)
+            gw = np.zeros(weights.shape, weights.dtype)
             gw.reshape(side, side, c)[live] = np.einsum("bijc,bijcyx->yxc", gg, _grid_windows(xg, ry, rx))
             weights._accumulate(gw)
         if bias.requires_grad:
-            gb = np.zeros_like(bias.data)
+            gb = np.zeros(bias.shape, bias.dtype)
             gb.reshape(side, side, c)[live] = np.einsum("ijc,ijyx->yxc", gg.sum(axis=0), valid)
             bias._accumulate(gb)
 

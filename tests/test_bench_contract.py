@@ -71,3 +71,34 @@ def test_traced_forward_attributes_blocks_to_their_stages():
     assert all(metrics[f"net.stage{s}_ms"][0] > 0 for s in range(4))
     assert metrics["trace.ops"][0] == 1
     assert metrics["graph.build_calls"][0] == 6  # five first-order graphs, one second-order
+
+
+def test_traced_train_step_times_every_backward_op():
+    # The traced train step wraps every closure of the swept graph and sums
+    # the values its nodes still hold; the gradients must not change.
+    cfg = tiny_config()
+    images = np.random.default_rng(1).uniform(size=(2, 32, 32, 3)).astype(np.float32)
+    labels = np.array([0, 1])
+    train_mod = importlib.import_module("pvg.train")
+
+    def step(model: Model) -> tuple[set[str], int]:
+        model.zero_grad()
+        loss = train_mod.softmax_cross_entropy(model.forward(images), labels)
+        nodes = tracing._reachable(loss)
+        held = sum(node.data.nbytes for node in nodes if node._parents)
+        ops = {node.op for node in nodes} - {"leaf"}
+        loss.backward()
+        model.clamp_activation_params()
+        return ops, held
+
+    plain = Model(cfg, seed=0)
+    reached, held = step(plain)
+    model = Model(cfg, seed=0)
+    with tracing.Recorder("train_step", full=True) as rec:
+        step(model)
+    metrics = tracing.layer_metrics(rec, list(DIFFERENTIABLE_OPS), count_params_flops(cfg)[1])
+    assert metrics["trace.ops"][0] == 1
+    assert {op for op in reached if metrics[f"tensor.backward.{op}_ms"][0] <= 0} == set()
+    assert metrics["tensor.graph_mb_per_step"][0] == held / 2**20 > 0
+    for name, t in plain.params.items():
+        assert model.params[name].grad.tobytes() == t.grad.tobytes(), name

@@ -131,10 +131,10 @@ class TestFusedGate:
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         epsilon = eps_tensor(0.2)
         y = graphlu(x, epsilon)
-        assert y.op == "cdf_gate" and y._parents == (x, epsilon)
+        assert y.op == "cdf_gate" and y._parents == (x._node, epsilon._node)
         assert all(p.op == "leaf" for p in y._parents)
         z = gelu(x)
-        assert z.op == "cdf_gate" and z._parents == (x,)
+        assert z.op == "cdf_gate" and z._parents == (x._node,)
 
     def test_eps_must_be_one_value(self):
         with pytest.raises(DimensionError):

@@ -317,9 +317,9 @@ class TestAutogradGraph:
             reached |= {node.op for node in graph_nodes(loss)} - {"leaf"}
         assert reached == set(DIFFERENTIABLE_OPS), set(DIFFERENTIABLE_OPS) ^ reached
 
-    def test_tiny_forward_at_batch_32_holds_at_most_70_mib(self):
+    def test_tiny_forward_at_batch_32_holds_at_most_46_mib(self):
         # numpy's buffers are traced by tracemalloc. What the logits keep
-        # alive is the autograd graph a train step's backward will sweep.
+        # alive is what a train step's backward will read.
         model = Model(tiny_config(), seed=0)
         imgs = np.random.default_rng(3).random((32, 32, 32, 3)).astype(np.float32)
         tracemalloc.start()
@@ -330,7 +330,23 @@ class TestAutogradGraph:
         finally:
             tracemalloc.stop()
         assert logits.shape == (32, 2)
-        assert held <= 70 * 2**20, held / 2**20
+        assert held <= 46 * 2**20, held / 2**20
+
+    def test_graph_keeps_no_value_that_no_backward_reads(self):
+        # No backward reads the output of these ops, so once the forward has
+        # returned only the loss holds the graph and their values are gone.
+        # The one exception is the pooled mean: the head's linear reads it.
+        model = Model(tiny_config(), seed=0)
+        imgs = np.random.default_rng(4).random((2, 32, 32, 3)).astype(np.float32)
+        loss = softmax_cross_entropy(model.forward(imgs), np.array([0, 1]))
+        (head,) = [p for p in loss._parents if p.op == "linear"]
+        pooled = head._parents[0]
+        assert pooled.op == "reduce_mean" and pooled.data.shape == (2, model.config.stage_widths[-1])
+        unread = {"gather_rows", "reduce_max", "reduce_mean", "sub", "add", "offset_mix", "mul_rowvec"}
+        nodes = [node for node in graph_nodes(loss) if node.op in unread]
+        assert {node.op for node in nodes} == unread
+        held = [node for node in nodes if node.data.size]
+        assert len(held) == 1 and held[0] is pooled, [node.op for node in held]
 
 
 class TestInNetworkGraphs:

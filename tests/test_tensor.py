@@ -130,7 +130,7 @@ class TestLinear:
         out = T.linear(x, w, b)
         assert out.op == "linear"
         assert len(out._parents) == 3
-        assert all(p is q for p, q in zip(out._parents, (x, w, b)))
+        assert all(p is q._node for p, q in zip(out._parents, (x, w, b)))
         assert len(graph_nodes(out)) == 4
 
     @pytest.mark.parametrize(
@@ -237,6 +237,31 @@ class TestReduce:
         if length == 1:
             want[:, 0] = [2.0, 3.0]
         np.testing.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    @pytest.mark.parametrize("kind", ["duplicated-rows", "signed-zeros", "all-equal", "few-levels"])
+    def test_max_winners_equal_argmax_under_ties(self, kind, axis):
+        # The winners come from equality passes, not argmax; the gradient
+        # lands where argmax's first maximum is, on every axis.
+        rng = np.random.default_rng(len(kind) + axis)
+        if kind == "duplicated-rows":  # neighbour blocks that repeat a row
+            x0 = rng.normal(size=(5, 3))[rng.integers(0, 5, size=(6, 5))]
+        elif kind == "signed-zeros":
+            x0 = rng.choice(np.array([-0.0, 0.0, -1.0]), size=(6, 5, 3))
+        elif kind == "all-equal":
+            x0 = np.full((6, 5, 3), 0.25)
+        else:
+            x0 = rng.integers(0, 3, size=(6, 5, 3)).astype(np.float64)
+        for dtype in (np.float32, np.float64):
+            x = Tensor(x0.astype(dtype), requires_grad=True)
+            out = T.reduce_max(x, axis)
+            assert out.data.tobytes() == np.max(x.data, axis=axis).tobytes()
+            seed = rng.uniform(1.0, 2.0, size=out.shape).astype(dtype)
+            out.backward(seed=seed)
+            want = np.zeros_like(x.data)
+            first = np.expand_dims(np.argmax(x.data, axis=axis), axis)
+            np.put_along_axis(want, first, np.expand_dims(seed, axis), axis)
+            assert x.grad.tobytes() == want.tobytes()
 
     def test_max_gradient_matches_fd_off_ties(self):
         # away from ties the subgradient is the true gradient
