@@ -60,7 +60,7 @@ def _cmd_export_graph(args) -> int:
     if not (0 <= args.image < images.shape[0]):
         raise ConfigError(f"image index {args.image} outside dataset of {images.shape[0]}")
     collect: dict = {"graphs": []}
-    model.forward(images[args.image : args.image + 1], collect=collect)
+    model.detached().forward(images[args.image : args.image + 1], collect=collect)
     match = [
         topo
         for block, branch, topo in collect["graphs"]

@@ -33,9 +33,9 @@ class DiversityTrace:
 
 
 def trace_diversity(model: Model, images, run_id: str = "trace") -> DiversityTrace:
-    """Diversity of every block's output, averaged over the batch."""
+    """Diversity of every block's output, averaged over the batch, from a forward that records no graph."""
     collect: dict = {"blocks": []}
-    model.forward(np.asarray(images), collect=collect)
+    model.detached().forward(np.asarray(images), collect=collect)
     per_block = []
     for block_index, feats in collect["blocks"]:
         values = [diversity(feats[im]) for im in range(feats.shape[0])]

@@ -91,10 +91,10 @@ def _stable_argsort_prefix(a: np.ndarray, k: int) -> np.ndarray:
     kth = np.partition(a, k - 1, axis=1)[:, k - 1 : k].copy()  # frees the partitioned copy
     keep = a <= kth
     exact = np.count_nonzero(keep, axis=1) == k
-    rows = slice(None) if exact.all() else exact  # a slice selects without a copy
-    cols = (np.flatnonzero(keep[rows]) % a.shape[1]).reshape(-1, k)
-    by_value = np.argsort(np.take_along_axis(a[rows], cols, axis=1), axis=1, kind="stable")
-    if rows is not exact:
+    keep[~exact] = False
+    rows, cols = np.divmod(np.flatnonzero(keep).reshape(-1, k), a.shape[1])
+    by_value = np.argsort(a[rows, cols], axis=1, kind="stable")  # gathers no whole row
+    if exact.all():
         return np.take_along_axis(cols, by_value, axis=1)
     out = np.empty((a.shape[0], k), dtype=np.intp)
     out[exact] = np.take_along_axis(cols, by_value, axis=1)

@@ -374,6 +374,12 @@ class Model:
         }
         return Model(self.config, dtype=dtype, params=converted)
 
+    def detached(self) -> "Model":
+        """The same parameter buffers, not copied, as leaves that need no
+        gradient: a forward of the result records no graph."""
+        params = {name: Tensor(t.data) for name, t in self.params.items()}
+        return Model(self.config, dtype=self.dtype, params=params)
+
     def clamp_activation_params(self) -> None:
         for name, t in self.params.items():
             if name.endswith(".epsilon"):

@@ -172,9 +172,6 @@ class Tensor:
             raise DimensionError(f"item() on tensor of {self.size} elements")
         return float(self.data.reshape(-1)[0])
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self.op})"
 

@@ -21,6 +21,8 @@ from .net import Model, ModelConfig, check_field_types, load_checkpoint, save_ch
 from .optim import AdamWState, adamw_step, cosine_lr, decay_mask
 from .tensor import softmax_cross_entropy
 
+TRACE_BATCH = 8  # the first training images, whose per-block diversity each epoch traces
+
 
 @dataclass
 class OptimizerConfig:
@@ -117,6 +119,7 @@ def _forward_pass_metrics(model: Model, dataset: Dataset, batch_size: int) -> tu
     n = len(dataset)
     if n == 0:
         raise DegenerateInputError(f"the {dataset.split} split holds no images")
+    model = model.detached()
     total_loss = 0.0
     correct = 0
     for start in range(0, n, batch_size):
@@ -127,9 +130,6 @@ def _forward_pass_metrics(model: Model, dataset: Dataset, batch_size: int) -> tu
         loss = softmax_cross_entropy(logits, labels)
         total_loss += loss.item() * (stop - start)
         correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
-        # No backward consumes this graph; drop it before the next forward
-        # so the pass holds one batch's graph, not two.
-        del logits, loss
     return total_loss / n, correct / n
 
 
@@ -144,7 +144,6 @@ def evaluate(model_or_dir, dataset: Dataset, batch_size: int = 32) -> tuple[floa
 def train(
     run: RunConfig,
     dataset: Dataset,
-    trace_batch: int = 8,
     stop_accuracy: float | None = None,
 ) -> tuple[Model, list[EpochMetrics]]:
     """Optimize on ``dataset``, writing metrics.csv, diversity.csv, and a
@@ -164,8 +163,6 @@ def train(
     total_steps = run.schedule.total_steps
     if total_steps <= 0:
         raise ConfigError("schedule.total_steps must be positive")
-    if isinstance(trace_batch, bool) or not isinstance(trace_batch, (int, np.integer)) or trace_batch < 1:
-        raise ConfigError(f"trace_batch must be an integer >= 1, got {trace_batch!r}")
     if stop_accuracy is not None and not 0.0 <= stop_accuracy <= 1.0:
         raise ConfigError(f"stop_accuracy must lie in [0, 1], got {stop_accuracy!r}")
     out_dir = Path(run.output_dir)
@@ -180,7 +177,7 @@ def train(
 
     metrics: list[EpochMetrics] = []
     traces: list[DiversityTrace] = []
-    trace_images = dataset.images[:trace_batch]
+    trace_images = dataset.images[:TRACE_BATCH]
 
     global_step = 0
     epoch = 0

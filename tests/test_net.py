@@ -304,6 +304,30 @@ class TestAutogradGraph:
         assert "linear" in ops and "matmul" in ops
         assert ops <= set(DIFFERENTIABLE_OPS), ops - set(DIFFERENTIABLE_OPS)
 
+    @pytest.mark.parametrize("graph_mode", net.GRAPH_MODES)
+    @pytest.mark.parametrize("activation", net.ACTIVATIONS)
+    @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
+    def test_detached_forward_is_byte_equal_and_builds_no_graph(self, aggregator, activation, graph_mode):
+        cfg = tiny_config(aggregator=aggregator, activation=activation, graph_mode=graph_mode)
+        imgs = np.random.default_rng(32).uniform(size=(2, 32, 32, 3))
+        for dtype in (np.float32, np.float64):
+            model = Model(cfg, seed=0).astype(dtype)
+            detached = model.detached()
+            assert all(np.shares_memory(t.data, detached.params[n].data) for n, t in model.params.items())
+            runs = []
+            for m in (model, detached):
+                collect: dict = {"blocks": [], "graphs": []}
+                runs.append((m.forward(imgs.astype(dtype), collect=collect), collect))
+            (recorded, rec_collect), (free, free_collect) = runs
+            assert len(graph_nodes(recorded)) > 1 and graph_nodes(free) == [free]
+            assert free.data.dtype == dtype and free.data.tobytes() == recorded.data.tobytes()
+            assert [(b, f.tobytes()) for b, f in free_collect["blocks"]] == [
+                (b, f.tobytes()) for b, f in rec_collect["blocks"]
+            ]
+            assert [
+                (b, br, t.neighbor_idx.tobytes(), t.neighbor_sim.tobytes()) for b, br, t in free_collect["graphs"]
+            ] == [(b, br, t.neighbor_idx.tobytes(), t.neighbor_sim.tobytes()) for b, br, t in rec_collect["graphs"]]
+
     def test_every_registered_op_is_reached_by_some_model(self):
         # The registry holds no op that only tests call: each one is in the
         # loss graph of at least one aggregator x activation x graph-mode.

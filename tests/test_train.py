@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pvg import tensor as tensor_mod
 from pvg.cli import main as cli_main
 from pvg.data import (
     Dataset,
@@ -17,6 +18,7 @@ from pvg.data import (
     oracle_linear_accuracy,
     save_dataset,
 )
+from pvg.diagnostics import trace_diversity
 from pvg.errors import (
     CheckpointError,
     ConfigError,
@@ -29,7 +31,7 @@ from pvg.errors import (
 from pvg.net import Model, ModelConfig, save_checkpoint
 from pvg.optim import AdamWState, adamw_step, cosine_lr
 from pvg.pvgt import write_tensor
-from pvg.tensor import Tensor, softmax_cross_entropy
+from pvg.tensor import Tensor
 from pvg.train import (
     OptimizerConfig,
     RunConfig,
@@ -262,15 +264,11 @@ class TestTraining:
     @pytest.mark.parametrize(
         "kw",
         [
-            {"trace_batch": 0},
-            {"trace_batch": -2},
-            {"trace_batch": True},
-            {"trace_batch": 2.0},
             {"stop_accuracy": float("nan")},
             {"stop_accuracy": 95.0},
             {"stop_accuracy": -0.1},
         ],
-        ids=["trace-0", "trace-negative", "trace-bool", "trace-float", "stop-nan", "stop-percent", "stop-negative"],
+        ids=["stop-nan", "stop-percent", "stop-negative"],
     )
     def test_bad_arguments_rejected_before_anything_is_built(self, tmp_path, monkeypatch, kw):
         def no_model(*args, **kwargs):
@@ -335,47 +333,113 @@ class TestTraining:
             evaluate(Model(ModelConfig(), seed=0), small_dataset(4), batch_size=0)
 
 
-def traced_peak(fn) -> int:
-    """Peak bytes traced by tracemalloc while ``fn`` runs, above the start."""
+def traced_memory(fn) -> tuple[int, int]:
+    """Peak bytes traced by tracemalloc while ``fn`` runs, and the bytes still
+    held once it has returned, both above the start."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         fn()
-        return tracemalloc.get_traced_memory()[1] - base
+        held, peak = tracemalloc.get_traced_memory()
+        return peak - base, held - base
     finally:
         tracemalloc.stop()
 
 
 class TestMemoryHeld:
-    """A pass holds one batch's autograd graph at a time: numpy's buffers are
-    traced by tracemalloc, so peaks are deterministic byte counts."""
+    """Training holds one step's autograd graph at a time and a forward-only
+    pass holds none: numpy's buffers are traced by tracemalloc, so peaks are
+    deterministic byte counts."""
 
-    def test_forward_pass_holds_one_batch_graph(self):
+    def test_forward_pass_holds_no_graph(self):
+        # A recording forward of this batch peaks at 44.2 MiB and its logits
+        # hold 43.3 MiB of graph; without a graph the pass peaks at 27.5 MiB.
         ds = small_dataset(32, seed=10)
         model = Model(ModelConfig(num_classes=2), seed=0)
+        _forward_pass_metrics(model, ds, 32)  # first-call allocations stay out of the measurement
+        peak, held = traced_memory(lambda: _forward_pass_metrics(model, ds, 32))
+        assert peak <= 30 * 2**20, peak / 2**20
+        assert held <= 2**20, held / 2**20
 
-        def one_batch():
-            softmax_cross_entropy(model.forward(ds.images[:8]), ds.labels[:8]).item()
+    def test_train_steps_hold_one_step_graph(self, tmp_path, monkeypatch):
+        # Memory held as each step begins, just after zero_grad. The first
+        # step starts with the parameters, every later one with AdamW's two
+        # moments per parameter as well; nothing a step built outlives it.
+        # The least a step could leak, its gradients, is 4.5 MiB.
+        held = []
+        zero_grad = Model.zero_grad
 
-        one_batch()  # first-call allocations stay out of the measurement
-        one = traced_peak(one_batch)
-        four = traced_peak(lambda: _forward_pass_metrics(model, ds, 8))
-        assert four <= 1.2 * one, (four, one)
+        def step_start(model):
+            zero_grad(model)
+            held.append(tracemalloc.get_traced_memory()[0])
 
-    def test_train_steps_hold_one_step_graph(self, tmp_path):
-        def run(steps: int) -> int:
-            ds = small_dataset(8 * steps, seed=11)
-            cfg = RunConfig(
-                model=ModelConfig(num_classes=2),
-                schedule=ScheduleConfig(total_steps=steps),
-                batch_size=8,
-                output_dir=str(tmp_path / f"steps{steps}"),
-            )
-            return traced_peak(lambda: train(cfg, ds))
+        monkeypatch.setattr(Model, "zero_grad", step_start)
+        cfg = RunConfig(
+            model=ModelConfig(num_classes=2),
+            schedule=ScheduleConfig(total_steps=4),
+            batch_size=8,
+            output_dir=str(tmp_path),
+        )
+        tracemalloc.start()
+        try:
+            model, _ = train(cfg, small_dataset(32, seed=11))
+        finally:
+            tracemalloc.stop()
+        moments = 2 * sum(t.data.nbytes for t in model.params.values())
+        grown = np.diff(held)
+        assert abs(grown[0] - moments) <= 2**20, (grown[0] / 2**20, moments / 2**20)
+        assert np.all(np.abs(grown[1:]) <= 2**20), grown / 2**20
 
-        one, three = run(1), run(3)
-        assert three <= 1.05 * one, (three, one)
+
+def attached_closures(monkeypatch) -> list[str]:
+    """The ops, by name, that attach a backward closure from now on."""
+    attached: list[str] = []
+    set_backward = tensor_mod._set_backward
+
+    def recording(out, fn):
+        set_backward(out, fn)
+        if out._node._backward is not None:
+            attached.append(out._node.op)
+
+    monkeypatch.setattr(tensor_mod, "_set_backward", recording)
+    return attached
+
+
+FORWARD_ONLY_PASSES = {
+    "evaluate-model": lambda model, ds, tp: evaluate(model, ds, batch_size=4),
+    "evaluate-checkpoint": lambda model, ds, tp: evaluate(tp / "ckpt", ds, batch_size=4),
+    "trace-diversity": lambda model, ds, tp: trace_diversity(model, ds.images),
+    "export-graph": lambda model, ds, tp: cli_main([
+        "export-graph", "--checkpoint", str(tp / "ckpt"), "--data", str(tp / "x.pvgt"),
+        "--image", "1", "--block", "0", "--out", str(tp / "edges.csv"),
+    ]) == 0,
+}
+
+
+class TestForwardOnlyPasses:
+    """Passes that never run backward run on ``Model.detached``: no op of
+    theirs records a closure."""
+
+    @pytest.fixture()
+    def workspace(self, tmp_path):
+        ds = small_dataset(8, seed=12)
+        model = Model(ModelConfig(num_classes=2), seed=0)
+        save_checkpoint(model, tmp_path / "ckpt")
+        write_tensor(tmp_path / "x.pvgt", ds.images)
+        return model, ds, tmp_path
+
+    def test_a_recording_forward_attaches_closures(self, workspace, monkeypatch):
+        model, ds, _ = workspace
+        attached = attached_closures(monkeypatch)
+        model.forward(ds.images[:1])
+        assert "linear" in attached
+
+    @pytest.mark.parametrize("name", FORWARD_ONLY_PASSES)
+    def test_pass_attaches_no_closure(self, workspace, monkeypatch, name):
+        attached = attached_closures(monkeypatch)
+        assert FORWARD_ONLY_PASSES[name](*workspace)
+        assert attached == []
 
 
 class TestCli:
