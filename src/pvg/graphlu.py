@@ -15,14 +15,16 @@ above :data:`EPSILON_FLOOR` after every update so 1 + epsilon stays positive.
 
 Both ``graphlu`` and ``gelu`` are one call to :func:`pvg.tensor.cdf_gate`,
 a single autograd node whose backward computes the input and epsilon
-gradients directly.
+gradients directly. Their erf and :func:`phi`'s are the package's own
+(:mod:`pvg._erf`), evaluated in the input's dtype: within 1.5 ulp in
+float32, and in float64 a port of the cephes tables within 1 ulp of scipy's.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf as _np_erf
 
+from ._erf import erf as _erf
 from .tensor import Tensor, cdf_gate
 
 EPSILON_FLOOR = -0.99
@@ -35,7 +37,9 @@ def phi(x, epsilon: float = 0.0):
     phi(0) = 1/2 for every epsilon; monotone non-decreasing in x.
     """
     sd = 1.0 + epsilon
-    return 0.5 * (1.0 + _np_erf(np.asarray(x, dtype=np.float64) / (_SQRT2 * sd)))
+    a = np.array(x, dtype=np.float64, order="C")  # an array even for a scalar x
+    a /= _SQRT2 * sd
+    return 0.5 * (1.0 + _erf(a, out=a))
 
 
 def graphlu(x: Tensor, epsilon: Tensor) -> Tensor:

@@ -367,13 +367,6 @@ class Model:
         for t in self.params.values():
             t.grad = None
 
-    def astype(self, dtype) -> "Model":
-        converted = {
-            name: Tensor(t.data.astype(dtype), requires_grad=True)
-            for name, t in self.params.items()
-        }
-        return Model(self.config, dtype=dtype, params=converted)
-
     def detached(self) -> "Model":
         """The same parameter buffers, not copied, as leaves that need no
         gradient: a forward of the result records no graph."""

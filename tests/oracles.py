@@ -6,6 +6,8 @@ formulas by hand (tests compare it with ``AGGREGATOR_WEIGHTS`` and
 ``param_layout``), :func:`decomposition_check` evaluates the max
 decomposition identity that motivates MaxE's max-of-differences term, and
 :func:`checked_topology` asserts what every top-k selection promises.
+:func:`cast_model` gives the float64 copies of a model that the gradient and
+oracle checks run on.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from pvg.errors import ConfigError, DimensionError
+from pvg.net import Model
+from pvg.tensor import Tensor
 
 
 @dataclass
@@ -104,3 +108,10 @@ def checked_topology(topo):
     assert not dup.any(), f"duplicate neighbor in row {np.argwhere(dup)[0].tolist()}"
     assert not np.any(np.diff(sim, axis=-1) > 1e-6), "neighbor_sim rows must be non-increasing"
     return topo
+
+
+def cast_model(model: Model, dtype) -> Model:
+    """A copy of ``model`` with every parameter cast to ``dtype``, as fresh
+    leaves that need gradients."""
+    params = {name: Tensor(t.data.astype(dtype), requires_grad=True) for name, t in model.params.items()}
+    return Model(model.config, dtype=dtype, params=params)

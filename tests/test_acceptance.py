@@ -21,7 +21,7 @@ from pvg.tensor import DIFFERENTIABLE_OPS, Tensor, offset_mix, softmax_cross_ent
 from pvg.train import OptimizerConfig, RunConfig, ScheduleConfig, train
 
 from gradprobes import build_cases
-from oracles import decomposition_check, param_count
+from oracles import cast_model, decomposition_check, param_count
 from test_graph import (
     brute_force_topk,
     chebyshev_neighborhoods,
@@ -51,7 +51,7 @@ def test_criterion_gradient_certification():
         worst = max(worst, rep.max_rel_error)
 
     cfg = tiny_config(num_classes=3)
-    model = Model(cfg, seed=11).astype(np.float64)
+    model = cast_model(Model(cfg, seed=11), np.float64)
     rng = np.random.default_rng(14)
     img = rng.uniform(0.2, 0.8, size=(1, 32, 32, 3))
     labels = np.array([1])
@@ -67,7 +67,7 @@ def test_criterion_gradient_certification():
     # The tiny config's only second-order branch sits in a LayerScale block,
     # where a 1e-5 scale puts its weights' gradients at the finite-difference
     # noise floor; it is probed where LayerScale covers the last block only.
-    shallow_scale = Model(tiny_config(num_classes=3, layer_scale_blocks=1), seed=11).astype(np.float64)
+    shallow_scale = cast_model(Model(tiny_config(num_classes=3, layer_scale_blocks=1), seed=11), np.float64)
     for probed, pname in (
         (model, "stem.weight"),
         (model, "stage0.block0.first.W"),

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
+from pvg._erf import erf
 from pvg.errors import DimensionError
 from pvg.gradcheck import grad_check
 from pvg.graphlu import EPSILON_FLOOR, gelu, graphlu, phi
@@ -30,6 +30,9 @@ def eight_op_chain(x, eps, g, dx0=None, deps0=None):
     upstream gradient ``g``, added onto the prior gradients ``dx0`` and
     ``deps0`` (None: no prior) as that chain's backward sweep added them.
     ``fresh`` is a node's first gradient, 0 + g, which turns -0.0 into +0.0.
+    erf is pvg's own (its accuracy is held by ``tests/test_erf.py``), and the
+    erf node's slope 2/sqrt(pi) exp(-arg^2) is evaluated in x's dtype, so
+    this checks the fusion's arithmetic bit for bit.
     """
     dt = x.dtype
     one, half = np.asarray(1.0, dt), np.asarray(0.5, dt)
@@ -41,7 +44,7 @@ def eight_op_chain(x, eps, g, dx0=None, deps0=None):
         inv_sd = 1.0 / shifted
         s = inv_sd * c
     arg = x * s
-    e = erf(arg)
+    e = erf(arg, np.empty_like(arg))
     e1 = e + one
     y = (x * e1) * half
 
@@ -54,8 +57,8 @@ def eight_op_chain(x, eps, g, dx0=None, deps0=None):
     g_m = fresh(g * half)
     dx = accumulate(dx0, g_m * e1)
     g_e = fresh(fresh(g_m * x))
-    d = 2.0 * (1.0 / np.sqrt(np.pi)) * np.exp(-arg.astype(np.float64) ** 2)
-    g_arg = fresh(g_e * d.astype(dt))
+    d = np.asarray(2.0 / math.sqrt(math.pi), dt) * np.exp(-(arg * arg))
+    g_arg = fresh(g_e * d)
     dx += g_arg * s
     if eps is None:
         return y, dx, None
@@ -89,6 +92,10 @@ class TestPhi:
 
     def test_wider_sd(self):
         assert abs(phi(1.0, 1.0) - normal_cdf_oracle(1.0, sd=2.0)) < 1e-10
+
+    def test_any_layout(self):
+        x = np.random.default_rng(2).normal(size=(3, 4, 5))
+        assert np.array_equal(phi(x.transpose(2, 0, 1), 0.3), phi(x, 0.3).transpose(2, 0, 1))
 
     def test_monotone(self):
         xs = np.linspace(-8, 8, 400)
@@ -126,6 +133,20 @@ class TestFusedGate:
         assert x.grad.tobytes() == want_dx.tobytes()
         if eps is not None:
             assert e.grad.tobytes() == want_deps.tobytes()
+
+    def test_float32_slope_within_stated_bound(self):
+        # A float32 gate's backward evaluates erf's slope 2/sqrt(pi) exp(-a^2)
+        # in float32, within (a^2 + 6) 2^-24 relative of exact at its a = x * s
+        # (cdf_gate's docstring). For one element and eps = 0, eps's gradient
+        # is -(0.5 x * slope * x) / sqrt(2) with three more float32 roundings.
+        s = np.float32(1.0 / math.sqrt(2.0))
+        for x0 in np.linspace(-12.5, 12.5, 1000, dtype=np.float32):  # exp(-a^2) stays normal
+            x = Tensor(np.array([x0]), requires_grad=True)
+            e = Tensor(np.zeros(1, np.float32), requires_grad=True)
+            cdf_gate(x, e).backward(seed=np.ones(1, np.float32))
+            a = float(x0 * s)
+            exact = -0.5 * float(x0) ** 2 * float(s) * 2.0 / math.sqrt(math.pi) * math.exp(-a * a)
+            assert abs(float(e.grad[0]) - exact) <= (a * a + 6 + 3) * 2.0**-24 * abs(exact), x0
 
     def test_graphlu_and_gelu_add_one_interior_node(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)

@@ -36,7 +36,7 @@ from pvg.net import (
 )
 from pvg.tensor import DIFFERENTIABLE_OPS, Tensor, reshape, softmax_cross_entropy
 
-from oracles import param_count
+from oracles import cast_model, param_count
 from test_tensor import graph_nodes
 
 
@@ -311,7 +311,7 @@ class TestAutogradGraph:
         cfg = tiny_config(aggregator=aggregator, activation=activation, graph_mode=graph_mode)
         imgs = np.random.default_rng(32).uniform(size=(2, 32, 32, 3))
         for dtype in (np.float32, np.float64):
-            model = Model(cfg, seed=0).astype(dtype)
+            model = cast_model(Model(cfg, seed=0), dtype)
             detached = model.detached()
             assert all(np.shares_memory(t.data, detached.params[n].data) for n, t in model.params.items())
             runs = []
@@ -528,7 +528,7 @@ class TestMonolithicBlockOracle:
 
     def test_block_matches_straight_line_oracle(self):
         cfg = tiny_config()
-        model = Model(cfg, seed=7).astype(np.float64)
+        model = cast_model(Model(cfg, seed=7), np.float64)
         # stage 2 block 1: all three branches live (schedule (32, 32, 64)),
         # LayerScale active, grid 4 -> 16 nodes
         assert model.plans[2, 1].widths == (32, 32, 64)
@@ -545,7 +545,7 @@ class TestPermutationConsistency:
         # stage 2 block 1 of this config has no local width, so no grid
         # position enters the block: only the graph branches mix nodes
         cfg = tiny_config(schedule_end=0.95)
-        model = Model(cfg, seed=8).astype(np.float64)
+        model = cast_model(Model(cfg, seed=8), np.float64)
         assert model.plans[2, 1].widths[0] == 0
         grid = 4
         n = grid * grid
@@ -716,7 +716,7 @@ class TestBlockPlans:
 class TestFullForwardGradient:
     def test_input_gradient_matches_central_differences(self):
         cfg = tiny_config(num_classes=3)
-        model = Model(cfg, seed=11).astype(np.float64)
+        model = cast_model(Model(cfg, seed=11), np.float64)
         rng = np.random.default_rng(14)
         img = rng.uniform(0.2, 0.8, size=(1, 32, 32, 3))
         labels = np.array([1])
@@ -732,10 +732,10 @@ class TestFullForwardGradient:
 
     def test_parameter_gradients_match_central_differences(self):
         cfg = tiny_config(num_classes=3)
-        model = Model(cfg, seed=12).astype(np.float64)
+        model = cast_model(Model(cfg, seed=12), np.float64)
         # The tiny config's only second-order branch is in a LayerScale block;
         # this model leaves that block unscaled so its weights can be probed.
-        shallow_scale = Model(tiny_config(num_classes=3, layer_scale_blocks=1), seed=12).astype(np.float64)
+        shallow_scale = cast_model(Model(tiny_config(num_classes=3, layer_scale_blocks=1), seed=12), np.float64)
         rng = np.random.default_rng(16)
         img = rng.uniform(0.2, 0.8, size=(1, 32, 32, 3))
         labels = np.array([2])
