@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Walk through the graph-construction machinery the network runs.
 
-Scores first-order similarity with ``similarity_matrix`` under the three
-metrics, selects neighbors with deterministic top-k, shows the Chebyshev
-window of the local branch as ``offset_mix``'s response to a unit impulse,
-and prints a progressive channel schedule moving capacity from the local
-branch into the global graph branches.
+Scores first-order cosine similarity with ``similarity_matrix``, the one
+similarity the network builds its graphs from, selects neighbors with
+deterministic top-k, shows the Chebyshev window of the local branch as
+``offset_mix``'s response to a unit impulse, and prints a progressive
+channel schedule moving capacity from the local branch into the global
+graph branches.
 """
 
 import numpy as np
@@ -16,17 +17,17 @@ from pvg.tensor import offset_mix
 rng = np.random.default_rng(0)
 
 print("=" * 64)
-print("1. First-order similarity under three metrics")
+print("1. First-order cosine similarity")
 print("=" * 64)
 x = rng.normal(size=(6, 4)).astype(np.float32)
-for metric in ("dot", "cosine", "neg_euclidean"):
-    s = similarity_matrix(x, metric)
-    print(f"\n{metric}: S[0, :] = {np.round(s[0], 3)}")
+s = similarity_matrix(x)
+print(f"\nS[0, :] = {np.round(s[0], 3)}")
+print("Rows are L2-normalised first: S[i, i] is 1 up to rounding, every score lies in [-1, 1].")
 
 print("\n" + "=" * 64)
 print("2. Top-k neighbor selection (ties break toward lower index)")
 print("=" * 64)
-topo = topk_neighbors(similarity_matrix(x, "cosine"), k=3)
+topo = topk_neighbors(s, k=3)
 for i in range(topo.n_nodes):
     pairs = ", ".join(
         f"{j} ({v:+.3f})" for j, v in zip(topo.neighbor_idx[i], topo.neighbor_sim[i])

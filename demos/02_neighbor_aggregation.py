@@ -25,7 +25,7 @@ print("=" * 64)
 print("1. MaxE on a 5-node toy graph")
 print("=" * 64)
 x = rng.normal(size=(5, 3)).astype(np.float32)
-idx = topk_neighbors(similarity_matrix(x, "cosine"), k=2).neighbor_idx
+idx = topk_neighbors(similarity_matrix(x), k=2).neighbor_idx
 agg = maxe_aggregate(Tensor(x), idx)
 print("x[0]          :", np.round(x[0], 3))
 print("neighbors of 0:", idx[0])

@@ -20,6 +20,13 @@ from .pvgt import read_tensor
 from .train import RunConfig, evaluate, train
 
 
+def _read_images(path: str):
+    images = read_tensor(path)
+    if images.ndim != 4:
+        raise DimensionError(f"{path}: images must be rank 4, got rank {images.ndim}")
+    return images
+
+
 def _cmd_train(args) -> int:
     run = RunConfig.from_json(args.config)
     dataset = load_dataset(args.data, args.labels, run.model.num_classes)
@@ -45,9 +52,7 @@ def _cmd_diag(args) -> int:
     if args.batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {args.batch_size}")
     model = load_checkpoint(args.checkpoint)
-    images = read_tensor(args.data)
-    if images.ndim != 4:
-        raise DimensionError(f"diagnostic images must be rank 4, got rank {images.ndim}")
+    images = _read_images(args.data)
     trace = trace_diversity(model, images[: args.batch_size], run_id=args.run_id)
     write_trace_csv(args.out, trace)
     print(f"wrote {len(trace.per_block)} block rows to {args.out}")
@@ -56,7 +61,7 @@ def _cmd_diag(args) -> int:
 
 def _cmd_export_graph(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    images = read_tensor(args.data)
+    images = _read_images(args.data)
     if not (0 <= args.image < images.shape[0]):
         raise ConfigError(f"image index {args.image} outside dataset of {images.shape[0]}")
     collect: dict = {"graphs": []}

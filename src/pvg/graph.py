@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
 
-SIMILARITY_METRICS = ("dot", "cosine", "neg_euclidean")
-
 
 # ---------------------------------------------------------------------------
 # topology
@@ -51,24 +49,20 @@ class GraphTopology:
 # ---------------------------------------------------------------------------
 
 
-def similarity_matrix(xa: np.ndarray, metric: str) -> np.ndarray:
-    """Symmetric all-pairs similarity of the rows of ``xa``, in its dtype; a
-    leading batch axis, ``[batch, n, c]``, scores each image alone.
+def similarity_matrix(xa: np.ndarray) -> np.ndarray:
+    """All-pairs cosine similarity of the rows of ``xa``, in its dtype; a
+    leading batch axis, ``[batch, n, c]``, scores each image alone. Ranking
+    L2-normalised rows by dot product ranks them by cosine, as ViG does.
 
     Symmetric bit for bit with no symmetrising pass: numpy mirrors one syrk
     triangle of ``xa @ xa^T``, or without BLAS sums the same products in the
     same order for (i, j) and (j, i). No input checks: the network calls this
-    once per branch with features of a validated shape and a metric validated
-    at configuration time. Cosine floors row norms at 1e-12, so a zero row
-    scores 0 against every row instead of dividing by zero.
+    once per branch with features of a validated shape. Row norms are floored
+    at 1e-12, so a zero row scores 0 against every row instead of dividing
+    by zero.
     """
-    if metric == "cosine":
-        xa = xa / np.maximum(np.linalg.norm(xa, axis=-1, keepdims=True), 1e-12)
-    s = xa @ xa.swapaxes(-1, -2)
-    if metric == "neg_euclidean":
-        sq = np.sum(xa * xa, axis=-1)
-        s = -np.sqrt(np.maximum(sq[..., :, None] + sq[..., None, :] - 2.0 * s, 0.0))
-    return s
+    xa = xa / np.maximum(np.linalg.norm(xa, axis=-1, keepdims=True), 1e-12)
+    return xa @ xa.swapaxes(-1, -2)
 
 
 # Rows shorter than this take the full sort, which is faster there. Over the

@@ -20,7 +20,6 @@ import dataclasses
 import json
 import math
 import shutil
-import types
 import typing
 import uuid
 from dataclasses import dataclass, field
@@ -35,13 +34,7 @@ from .aggregators import (
     he_normal,
 )
 from .errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
-from .graph import (
-    SIMILARITY_METRICS,
-    GraphTopology,
-    psgc_schedule,
-    similarity_matrix,
-    topk_neighbors,
-)
+from .graph import GraphTopology, psgc_schedule, similarity_matrix, topk_neighbors
 from .graphlu import EPSILON_FLOOR, gelu, graphlu
 from .pvgt import read_tensor, write_tensor
 from .tensor import (
@@ -50,7 +43,6 @@ from .tensor import (
     concat,
     layer_norm,
     linear,
-    max0,
     mul_rowvec,
     narrow,
     offset_mix,
@@ -59,8 +51,7 @@ from .tensor import (
     reshape,
 )
 
-ACTIVATIONS = ("graphlu", "gelu", "relu")
-GRAPH_MODES = ("per-group", "shared")
+ACTIVATIONS = ("graphlu", "gelu")
 N_STAGES = 4
 
 
@@ -71,8 +62,6 @@ N_STAGES = 4
 
 def _has_type(value, tp) -> bool:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:
-        return any(_has_type(value, a) for a in args)
     if origin is list:
         return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
     if origin is tuple:  # JSON has no tuples; a list of the right length will do
@@ -125,8 +114,8 @@ class ModelConfig:
     stage_widths: list[int] = field(default_factory=lambda: [32, 64, 128, 256])
     stage_k: list[int] = field(default_factory=lambda: [4, 4, 8, 8])
     radius: int = 3
-    schedule_start: float | list[float] = 0.25
-    schedule_end: float | list[float] = 0.75
+    schedule_start: float = 0.25
+    schedule_end: float = 0.75
     granularity: int = 16
     aggregator: str = "MaxE"
     activation: str = "graphlu"
@@ -137,9 +126,6 @@ class ModelConfig:
     image_size: int = 32
     patch_size: int = 2
     in_channels: int = 3
-    graph_metric: str = "cosine"
-    graph_mode: str = "per-group"
-    epsilon_shared: bool = False
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -150,12 +136,6 @@ class ModelConfig:
         ):
             if len(seq) != N_STAGES:
                 raise ConfigError(f"{name} must list {N_STAGES} stages")
-        for name, ratio in (
-            ("schedule_start", self.schedule_start),
-            ("schedule_end", self.schedule_end),
-        ):
-            if isinstance(ratio, list) and len(ratio) != N_STAGES:
-                raise ConfigError(f"{name} must be one ratio or a list of {N_STAGES}")
         if self.patch_size < 1:
             raise ConfigError("patch_size must be >= 1")
         if self.granularity < 1:
@@ -185,16 +165,14 @@ class ModelConfig:
             )
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.graph_mode not in GRAPH_MODES:
-            raise ConfigError(f"unknown graph mode {self.graph_mode!r}")
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
-        if self.graph_metric not in SIMILARITY_METRICS:
-            raise ConfigError(f"unknown graph metric {self.graph_metric!r}")
         if self.radius < 0:
             raise ConfigError("radius must be >= 0")
         if self.ffn_ratio < 1:
             raise ConfigError("ffn_ratio must be >= 1")
+        if not math.isfinite(self.layer_scale_init):
+            raise ConfigError(f"layer_scale_init must be finite, got {self.layer_scale_init}")
         if not 0 <= self.layer_scale_blocks <= self.total_blocks():
             raise ConfigError(
                 f"layer_scale_blocks must lie in [0, {self.total_blocks()}]"
@@ -207,12 +185,10 @@ class ModelConfig:
         stack."""
         side = self.image_size // self.patch_size
         scaled_from = self.total_blocks() - self.layer_scale_blocks
+        start, end = self.schedule_start, self.schedule_end
         plans: list[BlockPlan] = []
         for s in range(N_STAGES):
             grid = side >> s  # every stage transition halves the grid
-            start, end = (
-                r[s] if isinstance(r, list) else r for r in (self.schedule_start, self.schedule_end)
-            )
             schedule = psgc_schedule(
                 self.stage_widths[s], self.stage_depths[s], start, end, self.granularity
             )
@@ -285,7 +261,6 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
     affine("stem.weight", "stem.bias", patch_in, cfg.stage_widths[0])
 
     n_offsets = (2 * cfg.radius + 1) ** 2
-    per_site_eps = cfg.activation == "graphlu" and not cfg.epsilon_shared
     for plan in cfg.blocks():
         s, pre = plan.stage, plan.prefix
         c = cfg.stage_widths[s]
@@ -302,7 +277,7 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
             if width:
                 for wname, shape in AGGREGATOR_WEIGHTS[cfg.aggregator].items():
                     layout[f"{pre}{branch}.{wname}"] = (shape(width, width), "he")
-        if per_site_eps:
+        if cfg.activation == "graphlu":
             layout[pre + "act1.epsilon"] = ((1,), 0.0)
             layout[pre + "act2.epsilon"] = ((1,), 0.0)
         affine(pre + "fuse.weight", pre + "fuse.bias", c, c)
@@ -314,8 +289,6 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
             layout[pre + "scale1"] = ((c,), cfg.layer_scale_init)
             layout[pre + "scale2"] = ((c,), cfg.layer_scale_init)
     affine("head.weight", "head.bias", cfg.stage_widths[-1], cfg.num_classes)
-    if cfg.activation == "graphlu" and cfg.epsilon_shared:
-        layout["shared.epsilon"] = ((1,), 0.0)
     return layout
 
 
@@ -378,18 +351,10 @@ class Model:
             if name.endswith(".epsilon"):
                 np.maximum(t.data, EPSILON_FLOOR, out=t.data)
 
-    def _eps_name(self, prefix: str, site: int) -> str:
-        if self.config.epsilon_shared:
-            return "shared.epsilon"
-        return f"{prefix}act{site}.epsilon"
-
     def _activation(self, t: Tensor, prefix: str, site: int) -> Tensor:
-        act = self.config.activation
-        if act == "graphlu":
-            return graphlu(t, self.params[self._eps_name(prefix, site)])
-        if act == "gelu":
-            return gelu(t)
-        return max0(t)
+        if self.config.activation == "graphlu":
+            return graphlu(t, self.params[f"{prefix}act{site}.epsilon"])
+        return gelu(t)
 
     # -- graph construction ---------------------------------------------------
 
@@ -402,7 +367,7 @@ class Model:
         """
         if not np.all(np.isfinite(feats)):
             raise NonFiniteError("non-finite node features reached the graph build")
-        return topk_neighbors(similarity_matrix(feats, self.config.graph_metric), k)
+        return topk_neighbors(similarity_matrix(feats), k)
 
     # -- forward ---------------------------------------------------------------
 
@@ -426,16 +391,13 @@ class Model:
                 offset_mix(x_local, P[pre + "local.alpha"], grid, bias=P[pre + "local.pos_bias"])
             )
 
-        shared = cfg.graph_mode == "shared"
         start = local_c
         for branch, width in (("first", first_c), ("second", second_c)):
             if not width:
                 continue
             x = narrow(z, 1, start, width)
             start += width
-            if branch == "first" or not shared:  # shared: one graph over both branches
-                feats = z.data[:, local_c:] if shared else x.data
-                topo = self._build_graphs(feats.reshape(batch, n, -1), plan.k)
+            topo = self._build_graphs(x.data.reshape(batch, n, width), plan.k)
             # Each image's node indices shift to its rows of the batch.
             rows = topo.neighbor_idx + (np.arange(batch) * n)[:, None, None]
             weights = {w: P[f"{pre}{branch}.{w}"] for w in AGGREGATOR_WEIGHTS[cfg.aggregator]}
@@ -575,7 +537,7 @@ def count_params_flops(config: ModelConfig) -> tuple[int, int]:
             flops += _local_pair_count(plan.grid, cfg.radius) * local_c
         for width in (first_c, second_c):  # a width of 0 adds nothing
             flops += _aggregator_multadds(cfg.aggregator, width, n, plan.k)
-        # Similarity: shared or per branch, the global widths score n^2 pairs.
+        # Similarity: each global branch scores n^2 pairs over its own width.
         flops += n * n * (first_c + second_c)
         flops += n * c * c  # fusion
         flops += 2 * n * c * cfg.ffn_ratio * c

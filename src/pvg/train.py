@@ -50,8 +50,9 @@ class ScheduleConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.total_steps < self.warmup_steps:
-            raise ConfigError("total_steps must be >= warmup_steps")
+        warmup, total = self.warmup_steps, self.total_steps
+        if not 0 <= warmup <= total:
+            raise ConfigError(f"need 0 <= warmup_steps <= total_steps, got {warmup} and {total}")
 
 
 def _check_batch_size(batch_size: int) -> None:
@@ -71,6 +72,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         check_field_types(self)
         _check_batch_size(self.batch_size)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

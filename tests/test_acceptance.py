@@ -14,7 +14,7 @@ from pvg.data import make_two_class_patches, oracle_linear_accuracy
 from pvg.diagnostics import diversity, trace_diversity, write_trace_csv
 from pvg.errors import DegenerateInputError
 from pvg.gradcheck import grad_check
-from pvg.graph import similarity_matrix, topk_neighbors
+from pvg.graph import topk_neighbors
 from pvg.graphlu import gelu, graphlu, phi
 from pvg.net import Model, ModelConfig, deep_tiny_config, tiny_config
 from pvg.tensor import DIFFERENTIABLE_OPS, Tensor, offset_mix, softmax_cross_entropy
@@ -164,8 +164,8 @@ def test_criterion_second_order_equivalence():
         alpha = rng.normal(size=((2 * r + 1) ** 2, c)).astype(np.float32)
         x = rng.normal(size=(h * w, c)).astype(np.float32)
 
-        agg = offset_mix(Tensor(x), Tensor(alpha), (h, w), Tensor(np.zeros_like(alpha)))
-        s_pipeline = similarity_matrix(agg.data, "dot")
+        agg = offset_mix(Tensor(x), Tensor(alpha), (h, w), Tensor(np.zeros_like(alpha))).data
+        s_pipeline = agg @ agg.T
 
         nbrs, ws = chebyshev_neighborhoods(alpha, h, w, r)
         s_direct = second_order_similarity(x, nbrs, ws)

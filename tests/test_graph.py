@@ -15,7 +15,6 @@ from pvg.graph import (
     similarity_matrix,
     topk_neighbors,
 )
-from pvg.net import ModelConfig
 from pvg.tensor import Tensor, offset_mix
 
 from oracles import checked_topology
@@ -71,31 +70,21 @@ class TestPairwiseSimilarity:
 
     def test_cosine_self_similarity(self):
         x = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]])  # rows 0,1 parallel
-        s = similarity_matrix(x, "cosine")
+        s = similarity_matrix(x)
         assert abs(s[0, 1] - 1.0) < 1e-12
 
-    def test_dot_orthogonal(self):
-        s = similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]), "dot")
-        assert s[0, 1] == 0.0
-
-    def test_neg_euclidean_hand_case(self):
-        s = similarity_matrix(np.array([[0.0, 0.0], [3.0, 4.0]]), "neg_euclidean")
-        assert abs(s[0, 1] - (-5.0)) < 1e-12
-        assert abs(s[0, 0]) < 1e-12
-
-    @pytest.mark.parametrize("metric", ["dot", "cosine", "neg_euclidean"])
-    def test_symmetry(self, metric):
+    def test_symmetry(self):
         x = np.random.default_rng(0).normal(size=(7, 5))
-        s = similarity_matrix(x, metric)
+        s = similarity_matrix(x)
         np.testing.assert_array_equal(s, s.T)
         # Batched float32 at a size where BLAS blocks the product: still exact.
         xb = np.random.default_rng(1).normal(size=(3, 300, 20)).astype(np.float32)
-        sb = similarity_matrix(xb, metric)
+        sb = similarity_matrix(xb)
         np.testing.assert_array_equal(sb, sb.swapaxes(-1, -2))
 
     def test_cosine_range(self):
         x = np.random.default_rng(1).normal(size=(20, 8))
-        s = similarity_matrix(x, "cosine")
+        s = similarity_matrix(x)
         assert s.min() >= -1.0 - 1e-6
         assert s.max() <= 1.0 + 1e-6
 
@@ -104,7 +93,7 @@ class TestPairwiseSimilarity:
         # neighbors, ties toward the lower index, and nothing selects it
         # over a positive score.
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [1.0, 2.0]])
-        topo = checked_topology(topk_neighbors(similarity_matrix(x, "cosine"), 2))
+        topo = checked_topology(topk_neighbors(similarity_matrix(x), 2))
         assert topo.neighbor_idx[0].tolist() == [1, 2]
         assert not np.any(topo.neighbor_idx[1:] == 0)
 
@@ -116,15 +105,10 @@ class TestPairwiseSimilarity:
                 topk_neighbors(np.ones(shape), 4)
 
     def test_kernel_scores_zero_row_as_zero_under_cosine(self):
-        s = similarity_matrix(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]), "cosine")
+        s = similarity_matrix(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
         np.testing.assert_array_equal(s[0], 0.0)
         np.testing.assert_array_equal(s[:, 0], 0.0)
 
-    def test_unknown_metric(self):
-        # similarity_matrix takes the metric unchecked; the configuration
-        # rejects an unknown one before any graph is built.
-        with pytest.raises(ConfigError):
-            ModelConfig(graph_metric="bogus")
 
 
 class TestTopkNeighbors:
@@ -177,6 +161,15 @@ class TestTopkNeighbors:
         s[0] = [5.0, 1.0, -np.inf, -np.inf]
         topo = checked_topology(topk_neighbors(s, 2))
         assert topo.neighbor_idx[0].tolist() == [1, 2]
+
+    def test_short_row_names_image_and_node(self):
+        # The cosine of finite features is finite, so only a direct caller
+        # can pass NaN scores: in image 1, nodes 2..15 keep two scores each.
+        n = 16
+        s = similarity_matrix(np.random.default_rng(1).normal(size=(3, n, 8)).astype(np.float32))
+        s[1, 2:, 2:] = np.nan
+        with pytest.raises(DegenerateInputError, match="image 1 node 2 .*fewer than k=4"):
+            topk_neighbors(s, 4)
 
     @pytest.mark.parametrize("n", [4, 80])  # the full-sort and the partition path
     def test_row_with_fewer_than_k_scores(self, n):
@@ -467,8 +460,8 @@ class TestSecondOrderSimilarity:
         x = rng.normal(size=(h * w, c)).astype(np.float32)
 
         # path 1: local aggregation then plain dot-product similarity
-        agg = offset_mix(Tensor(x), Tensor(alpha), (h, w), Tensor(np.zeros_like(alpha)))
-        s_pipeline = similarity_matrix(agg.data, "dot")
+        agg = offset_mix(Tensor(x), Tensor(alpha), (h, w), Tensor(np.zeros_like(alpha))).data
+        s_pipeline = agg @ agg.T
 
         # path 2: definitional neighborhoods from the same Chebyshev structure
         nbrs, ws = chebyshev_neighborhoods(alpha, h, w, r)

@@ -236,14 +236,13 @@ class TestGraphLU:
     def test_clamp(self):
         """The model raises every epsilon below the floor to it, in place,
         and touches nothing else."""
-        for shared in (False, True):
-            model = Model(tiny_config(epsilon_shared=shared), seed=0)
-            eps = {n: t for n, t in model.params.items() if n.endswith(".epsilon")}
-            assert len(eps) == (1 if shared else 10)
-            before = {n: t.data.copy() for n, t in model.params.items() if n not in eps}
-            for i, t in enumerate(eps.values()):
-                t.data[:] = -5.0 if i % 2 == 0 else 0.25
-            model.clamp_activation_params()
-            for i, t in enumerate(eps.values()):
-                assert t.data[0] == np.float32(EPSILON_FLOOR if i % 2 == 0 else 0.25)
-            assert all(np.array_equal(model.params[n].data, d) for n, d in before.items())
+        model = Model(tiny_config(), seed=0)
+        eps = {n: t for n, t in model.params.items() if n.endswith(".epsilon")}
+        assert len(eps) == 10  # two sites in each of the five blocks
+        before = {n: t.data.copy() for n, t in model.params.items() if n not in eps}
+        for i, t in enumerate(eps.values()):
+            t.data[:] = -5.0 if i % 2 == 0 else 0.25
+        model.clamp_activation_params()
+        for i, t in enumerate(eps.values()):
+            assert t.data[0] == np.float32(EPSILON_FLOOR if i % 2 == 0 else 0.25)
+        assert all(np.array_equal(model.params[n].data, d) for n, d in before.items())

@@ -18,7 +18,6 @@ from pvg.aggregators import AGGREGATOR_KINDS
 from pvg.errors import (
     CheckpointError,
     ConfigError,
-    DegenerateInputError,
     DimensionError,
     NonFiniteError,
 )
@@ -180,7 +179,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"graph_metric": "bogus"},
             {"radius": -1},
             {"ffn_ratio": 0},
             {"layer_scale_blocks": -1},
@@ -188,29 +186,25 @@ class TestConfig:
             {"stage_k": [4, 0, 8, 8]},
             {"patch_size": 0},
             {"granularity": 0},
-            {"schedule_start": [0.25, 0.25]},
-            {"schedule_end": [0.75, 0.75, 0.75, 0.75, 0.75]},
+            {"schedule_start": [0.25, 0.25, 0.25, 0.25]},
             {"aggregator": "Foo"},
             {"radius": 1.5},
             {"radius": True},
             {"image_size": "32"},
-            {"epsilon_shared": "no"},
-            {"epsilon_shared": 0},
             {"stage_k": [4, 4, 8.5, 8]},
             {"stage_depths": (1, 1, 2, 1)},
             {"ffn_ratio": 2.5},
             {"layer_scale_init": "1e-5"},
-            {"schedule_start": [0.25, 0.25, None, 0.25]},
-            {"graph_mode": 1},
+            {"layer_scale_init": float("nan")},
+            {"layer_scale_init": float("inf")},
             {"schedule_start": 0.8, "schedule_end": 0.5},
         ],
         ids=[
-            "metric", "radius", "ffn-ratio", "layer-scale-low", "layer-scale-high", "stage-k",
-            "patch-size", "granularity", "schedule-start-length", "schedule-end-length",
-            "aggregator", "radius-float", "radius-bool", "image-size-str", "epsilon-shared-str",
-            "epsilon-shared-int", "stage-k-float", "stage-depths-tuple", "ffn-ratio-float",
-            "layer-scale-init-str", "schedule-start-none", "graph-mode-int",
-            "schedule-ratios-reversed",
+            "radius", "ffn-ratio", "layer-scale-low", "layer-scale-high", "stage-k",
+            "patch-size", "granularity", "schedule-start-list", "aggregator", "radius-float",
+            "radius-bool", "image-size-str", "stage-k-float", "stage-depths-tuple",
+            "ffn-ratio-float", "layer-scale-init-str", "layer-scale-init-nan",
+            "layer-scale-init-inf", "schedule-ratios-reversed",
         ],
     )
     def test_invalid_value_rejected_at_construction(self, overrides):
@@ -271,12 +265,6 @@ class TestForward:
         imgs = np.random.default_rng(7).uniform(size=(2, 32, 32, 3)).astype(np.float32)
         assert model.forward(imgs).shape == (2, 2)
 
-    def test_shared_graph_mode(self):
-        cfg = tiny_config(graph_mode="shared")
-        model = Model(cfg, seed=4)
-        imgs = np.random.default_rng(8).uniform(size=(2, 32, 32, 3)).astype(np.float32)
-        assert np.all(np.isfinite(model.forward(imgs).data))
-
     def test_fully_transferred_local_branch(self):
         # schedule end high enough that rounding hands every local channel to
         # the graph branches in the last stage-2 block
@@ -291,24 +279,22 @@ class TestForward:
 
 
 class TestAutogradGraph:
-    @pytest.mark.parametrize("graph_mode", net.GRAPH_MODES)
     @pytest.mark.parametrize("activation", net.ACTIVATIONS)
     @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
-    def test_every_model_op_is_registered(self, aggregator, activation, graph_mode):
+    def test_every_model_op_is_registered(self, aggregator, activation):
         # Gradient certification and the benchmark's per-op backward table
         # both cover exactly DIFFERENTIABLE_OPS.
-        cfg = tiny_config(aggregator=aggregator, activation=activation, graph_mode=graph_mode)
+        cfg = tiny_config(aggregator=aggregator, activation=activation)
         model = Model(cfg, seed=0)
         imgs = np.random.default_rng(30).uniform(size=(1, 32, 32, 3)).astype(np.float32)
         ops = {node.op for node in graph_nodes(model.forward(imgs))} - {"leaf"}
         assert "linear" in ops and "matmul" in ops
         assert ops <= set(DIFFERENTIABLE_OPS), ops - set(DIFFERENTIABLE_OPS)
 
-    @pytest.mark.parametrize("graph_mode", net.GRAPH_MODES)
     @pytest.mark.parametrize("activation", net.ACTIVATIONS)
     @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
-    def test_detached_forward_is_byte_equal_and_builds_no_graph(self, aggregator, activation, graph_mode):
-        cfg = tiny_config(aggregator=aggregator, activation=activation, graph_mode=graph_mode)
+    def test_detached_forward_is_byte_equal_and_builds_no_graph(self, aggregator, activation):
+        cfg = tiny_config(aggregator=aggregator, activation=activation)
         imgs = np.random.default_rng(32).uniform(size=(2, 32, 32, 3))
         for dtype in (np.float32, np.float64):
             model = cast_model(Model(cfg, seed=0), dtype)
@@ -330,13 +316,11 @@ class TestAutogradGraph:
 
     def test_every_registered_op_is_reached_by_some_model(self):
         # The registry holds no op that only tests call: each one is in the
-        # loss graph of at least one aggregator x activation x graph-mode.
+        # loss graph of at least one aggregator x activation.
         imgs = np.random.default_rng(31).uniform(size=(1, 32, 32, 3)).astype(np.float32)
         reached = set()
-        for aggregator, activation, graph_mode in itertools.product(
-            AGGREGATOR_KINDS, net.ACTIVATIONS, net.GRAPH_MODES
-        ):
-            cfg = tiny_config(aggregator=aggregator, activation=activation, graph_mode=graph_mode)
+        for aggregator, activation in itertools.product(AGGREGATOR_KINDS, net.ACTIVATIONS):
+            cfg = tiny_config(aggregator=aggregator, activation=activation)
             loss = softmax_cross_entropy(Model(cfg, seed=0).forward(imgs), np.array([1]))
             reached |= {node.op for node in graph_nodes(loss)} - {"leaf"}
         assert reached == set(DIFFERENTIABLE_OPS), set(DIFFERENTIABLE_OPS) ^ reached
@@ -374,12 +358,11 @@ class TestAutogradGraph:
 
 
 class TestInNetworkGraphs:
-    @pytest.mark.parametrize("metric", ["dot", "cosine", "neg_euclidean"])
-    def test_build_graphs_matches_per_image_pipeline(self, metric):
+    def test_build_graphs_matches_per_image_pipeline(self):
         # One batched call per branch must equal scoring and selecting each
         # image alone, bit for bit, on both selection paths (full sort below
         # n = 64, partition above) and under heavy ties.
-        model = Model(tiny_config(graph_metric=metric), seed=0)
+        model = Model(tiny_config(), seed=0)
         batch = 3
         for n, k in ((16, 4), (256, 8)):
             rng = np.random.default_rng(n)
@@ -390,26 +373,14 @@ class TestInNetworkGraphs:
             assert (topo.n_nodes, topo.k) == (n, k)
             assert topo.neighbor_idx.shape == topo.neighbor_sim.shape == (batch, n, k)
             for im in range(batch):
-                want = topk_neighbors(similarity_matrix(feats[im], metric), k)
+                want = topk_neighbors(similarity_matrix(feats[im]), k)
                 assert topo.neighbor_idx[im].tobytes() == want.neighbor_idx.tobytes()
                 assert topo.neighbor_sim[im].tobytes() == want.neighbor_sim.tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the deliberate overflow
-    def test_short_row_names_image_and_node(self):
-        # Squared distances between rows of 1e20 overflow float32 to inf, and
-        # inf - inf scores NaN: in image 1, nodes 2..15 keep two scores each.
-        model = Model(tiny_config(graph_metric="neg_euclidean"), seed=0)
-        n = 16
-        feats = np.random.default_rng(1).normal(size=(3, n, 8)).astype(np.float32)
-        feats[1, 2:] = 1e20
-        with pytest.raises(DegenerateInputError, match="image 1 node 2 .*fewer than k=4"):
-            model._build_graphs(feats, 4)
-
-    @pytest.mark.parametrize("graph_mode", net.GRAPH_MODES)
-    def test_collected_graphs_are_the_batched_selections(self, graph_mode):
-        # Each collected topology holds every image's graph; shared mode
-        # collects one graph twice, for the first and the second branch.
-        model = Model(tiny_config(graph_mode=graph_mode), seed=0)
+    def test_collected_graphs_are_the_batched_selections(self):
+        # Each collected topology holds every image's graph, and each global
+        # branch selects its own.
+        model = Model(tiny_config(), seed=0)
         imgs = np.random.default_rng(2).uniform(size=(2, 32, 32, 3)).astype(np.float32)
         collect = {"graphs": []}
         model.forward(imgs, collect=collect)
@@ -420,7 +391,7 @@ class TestInNetworkGraphs:
             assert (topo.n_nodes, topo.k) == (plan.grid**2, plan.k)
             assert topo.neighbor_idx.shape == (2, plan.grid**2, plan.k)
         first, second = (t for i, _, t in collect["graphs"] if i == 3)
-        assert (first is second) == (graph_mode == "shared")
+        assert first is not second
 
 
 class TestResidualIdentity:
@@ -592,15 +563,15 @@ def analytic_param_count(cfg: ModelConfig) -> int:
     block_index = 0
     for s in range(4):
         c = cfg.stage_widths[s]
-        start, end = (r[s] if isinstance(r, list) else r for r in (cfg.schedule_start, cfg.schedule_end))
-        schedule = psgc_schedule(c, cfg.stage_depths[s], start, end, cfg.granularity)
+        ratios = cfg.schedule_start, cfg.schedule_end
+        schedule = psgc_schedule(c, cfg.stage_depths[s], *ratios, cfg.granularity)
         for local_c, first_c, second_c in schedule:
             params += 4 * c  # two norms, scale and shift each
             params += 2 * n_offsets * local_c  # offset weights and biases
             for width in (first_c, second_c):
                 if width:
                     params += param_count(cfg.aggregator, width, width)[0]
-            if uses_graphlu and not cfg.epsilon_shared:
+            if uses_graphlu:
                 params += 2
             params += c * c + c  # fusion
             hidden = cfg.ffn_ratio * c
@@ -612,8 +583,6 @@ def analytic_param_count(cfg: ModelConfig) -> int:
             nxt = cfg.stage_widths[s + 1]
             params += 4 * c * nxt + nxt
     params += cfg.stage_widths[-1] * cfg.num_classes + cfg.num_classes
-    if uses_graphlu and cfg.epsilon_shared:
-        params += 1
     return params
 
 
@@ -623,8 +592,6 @@ COUNTED_CONFIGS = {
     "edgeconv": lambda: tiny_config(aggregator="EdgeConv", num_classes=5),
     "graphsage": lambda: tiny_config(aggregator="GraphSAGE"),
     "gin-gelu": lambda: tiny_config(aggregator="GIN", activation="gelu"),
-    "relu-shared": lambda: tiny_config(activation="relu", graph_mode="shared"),
-    "epsilon-shared": lambda: tiny_config(epsilon_shared=True),
     "deep21": lambda: deep_tiny_config(21),
     "radius0": lambda: tiny_config(radius=0),
     "layer-scale-all": lambda: tiny_config(layer_scale_blocks=5, schedule_end=0.95),
@@ -649,8 +616,6 @@ class TestCounting:
             ("edgeconv", (1213999, 21891328)),
             ("graphsage", (1180972, 16467456)),
             ("gin-gelu", (1159458, 15107584)),
-            ("relu-shared", (1180962, 15500800)),
-            ("epsilon-shared", (1180963, 15500800)),
             ("deep21", (863244, 16688256)),
             ("radius0", (1144108, 15222016)),
             ("layer-scale-all", (1193644, 15775232)),
@@ -698,11 +663,6 @@ class TestBlockPlans:
             (16, 16, 0), (48, 16, 0), (96, 32, 0), (32, 32, 64), (192, 64, 0)
         ]
         assert plans[3].prefix == "stage2.block1."
-
-    def test_per_stage_ratios(self):
-        cfg = tiny_config(schedule_start=[0.25, 0.5, 0.25, 0.5], schedule_end=[0.5, 0.5, 0.95, 0.75])
-        want = [psgc_schedule(64, 1, 0.5, 0.5, 16)[0], *psgc_schedule(128, 2, 0.25, 0.95, 16)]
-        assert [p.widths for p in cfg.blocks()[1:4]] == want
 
     @pytest.mark.parametrize("name", COUNTED_CONFIGS)
     def test_forward_reads_exactly_the_layout(self, name):
@@ -806,18 +766,6 @@ class TestDeadParameters:
                     alive[name] = True
         dead = [name for name, ok in alive.items() if not ok]
         assert not dead, f"dead parameters: {dead}"
-
-    def test_shared_epsilon_accumulates_from_all_sites(self):
-        cfg = tiny_config(num_classes=2, epsilon_shared=True)
-        model = Model(cfg, seed=14)
-        assert "shared.epsilon" in model.params
-        assert not any(name.endswith("act1.epsilon") for name in model.params)
-        rng = np.random.default_rng(20)
-        imgs = rng.uniform(size=(2, 32, 32, 3)).astype(np.float32)
-        loss = softmax_cross_entropy(model.forward(imgs), rng.integers(0, 2, size=2))
-        loss.backward()
-        assert model.params["shared.epsilon"].grad is not None
-        assert np.any(model.params["shared.epsilon"].grad != 0)
 
 
 class TestCheckpoint:

@@ -303,11 +303,12 @@ class TestTraining:
     def test_json_numbers_accepted_where_types_allow(self):
         # JSON writes 1e-3 as a float but 1 as an int, and has no tuples.
         run = RunConfig.from_dict({
-            "model": {"layer_scale_init": 1, "schedule_start": [0.25, 0.25, 0.5, 0.25]},
+            "model": {"layer_scale_init": 1, "schedule_start": 0.5},
             "optimizer": {"lr": 1, "betas": [0.9, 0.999], "weight_decay": 0},
         })
         assert run.optimizer.betas == (0.9, 0.999)
         assert run.model.layer_scale_init == 1
+        assert run.model.schedule_start == 0.5
 
     @pytest.mark.parametrize(
         "kw",
@@ -498,13 +499,15 @@ class TestCli:
             json.dumps({"model": {"image_size": 16}}),
             json.dumps({"model": {"aggregator": "Foo"}}),
             json.dumps({"model": {"radius": 1.5}}),
-            json.dumps({"model": {"epsilon_shared": "no"}}),
+            '{"model": {"layer_scale_init": NaN}}',
+            '{"model": {"layer_scale_init": Infinity}}',
             json.dumps({"model": {"stage_k": [4, 4, 8.5, 8]}}),
             json.dumps({"model": {"ffn_ratio": 2.5}}),
             json.dumps({"optimizer": {"lr": "fast"}}),
             json.dumps({"optimizer": {"betas": [0.9]}}),
             '{"optimizer": {"lr": NaN}}',
             json.dumps({"schedule": {"total_steps": 2.5}}),
+            json.dumps({"schedule": {"warmup_steps": -3, "total_steps": 2}}),
             json.dumps({"batch_size": True}),
             json.dumps({"seed": 1.0}),
             json.dumps({"output_dir": 3}),
@@ -512,9 +515,9 @@ class TestCli:
         ],
         ids=[
             "malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size", "1x1-last-stage",
-            "unknown-aggregator", "radius-float", "epsilon-shared-str", "stage-k-float", "ffn-ratio-float",
-            "lr-str", "betas-length", "lr-nan", "total-steps-float", "batch-size-bool", "seed-float",
-            "output-dir-int", "model-not-an-object",
+            "unknown-aggregator", "radius-float", "layer-scale-init-nan", "layer-scale-init-inf",
+            "stage-k-float", "ffn-ratio-float", "lr-str", "betas-length", "lr-nan", "total-steps-float",
+            "warmup-negative", "batch-size-bool", "seed-float", "output-dir-int", "model-not-an-object",
         ],
     )
     def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, text):
@@ -522,6 +525,34 @@ class TestCli:
         assert cli_main(["count", "--config", str(tmp_path / "run.json")]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:config:")
+        assert "\n" not in err
+
+    def test_negative_seed_is_one_line_config_error(self, workspace, capsys):
+        tp = workspace
+        run = json.loads((tp / "run.json").read_text())
+        (tp / "run.json").write_text(json.dumps({**run, "seed": -1}))
+        args = ["train", "--config", str(tp / "run.json"), "--data", str(tp / "x.pvgt"), "--labels", str(tp / "y.csv")]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:config:") and "seed" in err
+        assert "\n" not in err
+        assert not (tp / "run").exists()
+
+    def test_checkpoint_with_removed_config_key_is_one_line_config_error(self, tmp_path, capsys):
+        # Checkpoints record the whole config, so one written while the
+        # model still had a graph_mode option does not load.
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
+        save_checkpoint(Model(ModelConfig(), seed=0), tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["graph_mode"] = "per-group"
+        manifest_path.write_text(json.dumps(manifest))
+        assert cli_main([
+            "eval", "--checkpoint", str(tmp_path / "ckpt"),
+            "--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv"),
+        ]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:config:") and "graph_mode" in err
         assert "\n" not in err
 
     @pytest.mark.parametrize(
@@ -588,16 +619,18 @@ class TestCli:
         "command, extra, category",
         [
             ("diag", ["--data", "rank3.pvgt", "--out", "t.csv"], "dimension"),
+            ("export-graph", ["--data", "rank0.pvgt", "--image", "0", "--block", "0", "--out", "e.csv"], "dimension"),
             ("export-graph", ["--data", "x.pvgt", "--image", "-1", "--block", "0", "--out", "e.csv"], "config"),
             ("export-graph", ["--data", "x.pvgt", "--image", "4", "--block", "0", "--out", "e.csv"], "config"),
             ("export-graph", ["--data", "x.pvgt", "--image", "0", "--block", "99", "--out", "e.csv"], "config"),
             ("export-graph", ["--data", "x.pvgt", "--image", "0", "--block", "0", "--branch", "second", "--out", "e.csv"], "config"),
         ],
-        ids=["diag-rank3", "export-image-negative", "export-image-past-end", "export-no-block", "export-no-branch"],
+        ids=["diag-rank3", "export-rank0", "export-image-negative", "export-image-past-end", "export-no-block", "export-no-branch"],
     )
     def test_diag_and_export_error_categories(self, tmp_path, capsys, command, extra, category):
         save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
         write_tensor(tmp_path / "rank3.pvgt", np.zeros((4, 32, 32), dtype=np.float32))
+        write_tensor(tmp_path / "rank0.pvgt", np.zeros((), dtype=np.float32))
         save_checkpoint(Model(ModelConfig(), seed=0), tmp_path / "ckpt")
         extra = [str(tmp_path / a) if a.endswith((".pvgt", ".csv")) else a for a in extra]
         assert cli_main([command, "--checkpoint", str(tmp_path / "ckpt")] + extra) == 1
