@@ -187,6 +187,9 @@ class TestConfig:
             {"patch_size": 0},
             {"granularity": 0},
             {"schedule_start": [0.25, 0.25, 0.25, 0.25]},
+            {"schedule_end": [0.75, 0.75, 0.75, 0.75]},
+            {"schedule_start": None},
+            {"activation": "relu"},
             {"aggregator": "Foo"},
             {"radius": 1.5},
             {"radius": True},
@@ -197,14 +200,16 @@ class TestConfig:
             {"layer_scale_init": "1e-5"},
             {"layer_scale_init": float("nan")},
             {"layer_scale_init": float("inf")},
+            {"layer_scale_init": float("-inf")},
             {"schedule_start": 0.8, "schedule_end": 0.5},
         ],
         ids=[
             "radius", "ffn-ratio", "layer-scale-low", "layer-scale-high", "stage-k",
-            "patch-size", "granularity", "schedule-start-list", "aggregator", "radius-float",
+            "patch-size", "granularity", "schedule-start-list", "schedule-end-list",
+            "schedule-start-none", "activation-relu", "aggregator", "radius-float",
             "radius-bool", "image-size-str", "stage-k-float", "stage-depths-tuple",
             "ffn-ratio-float", "layer-scale-init-str", "layer-scale-init-nan",
-            "layer-scale-init-inf", "schedule-ratios-reversed",
+            "layer-scale-init-inf", "layer-scale-init-neg-inf", "schedule-ratios-reversed",
         ],
     )
     def test_invalid_value_rejected_at_construction(self, overrides):
@@ -278,23 +283,34 @@ class TestForward:
         assert params == sum(t.size for t in model.params.values())
 
 
+# Block layouts that take different paths through Model.block_forward.
+SWEPT_LAYOUTS = {
+    "tiny": {},  # a second-order branch in one block only
+    "no-second": {"schedule_start": 0.5, "schedule_end": 0.5},  # local and first-order only
+    # a block without a local branch, and LayerScale on every block
+    "no-local-all-scaled": {"schedule_end": 0.95, "layer_scale_blocks": 5},
+}
+
+
 class TestAutogradGraph:
+    @pytest.mark.parametrize("layout", SWEPT_LAYOUTS)
     @pytest.mark.parametrize("activation", net.ACTIVATIONS)
     @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
-    def test_every_model_op_is_registered(self, aggregator, activation):
+    def test_every_model_op_is_registered(self, aggregator, activation, layout):
         # Gradient certification and the benchmark's per-op backward table
         # both cover exactly DIFFERENTIABLE_OPS.
-        cfg = tiny_config(aggregator=aggregator, activation=activation)
+        cfg = tiny_config(aggregator=aggregator, activation=activation, **SWEPT_LAYOUTS[layout])
         model = Model(cfg, seed=0)
         imgs = np.random.default_rng(30).uniform(size=(1, 32, 32, 3)).astype(np.float32)
         ops = {node.op for node in graph_nodes(model.forward(imgs))} - {"leaf"}
         assert "linear" in ops and "matmul" in ops
         assert ops <= set(DIFFERENTIABLE_OPS), ops - set(DIFFERENTIABLE_OPS)
 
+    @pytest.mark.parametrize("layout", SWEPT_LAYOUTS)
     @pytest.mark.parametrize("activation", net.ACTIVATIONS)
     @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
-    def test_detached_forward_is_byte_equal_and_builds_no_graph(self, aggregator, activation):
-        cfg = tiny_config(aggregator=aggregator, activation=activation)
+    def test_detached_forward_is_byte_equal_and_builds_no_graph(self, aggregator, activation, layout):
+        cfg = tiny_config(aggregator=aggregator, activation=activation, **SWEPT_LAYOUTS[layout])
         imgs = np.random.default_rng(32).uniform(size=(2, 32, 32, 3))
         for dtype in (np.float32, np.float64):
             model = cast_model(Model(cfg, seed=0), dtype)
@@ -358,15 +374,16 @@ class TestAutogradGraph:
 
 
 class TestInNetworkGraphs:
-    def test_build_graphs_matches_per_image_pipeline(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_build_graphs_matches_per_image_pipeline(self, dtype):
         # One batched call per branch must equal scoring and selecting each
         # image alone, bit for bit, on both selection paths (full sort below
-        # n = 64, partition above) and under heavy ties.
+        # n = 64, partition above) and under heavy ties, in either dtype.
         model = Model(tiny_config(), seed=0)
         batch = 3
         for n, k in ((16, 4), (256, 8)):
             rng = np.random.default_rng(n)
-            feats = rng.normal(size=(batch, n, 8)).astype(np.float32)
+            feats = rng.normal(size=(batch, n, 8)).astype(dtype)
             feats[1] = rng.integers(-1, 2, size=(n, 8))  # many identical rows: ties
             feats[2] = 0.5  # constant image: every score ties
             topo = model._build_graphs(feats, k)
@@ -592,6 +609,8 @@ COUNTED_CONFIGS = {
     "edgeconv": lambda: tiny_config(aggregator="EdgeConv", num_classes=5),
     "graphsage": lambda: tiny_config(aggregator="GraphSAGE"),
     "gin-gelu": lambda: tiny_config(aggregator="GIN", activation="gelu"),
+    "vig-collapse": lambda: tiny_config(schedule_start=0.5, schedule_end=0.5),
+    "ratios-scalar": lambda: tiny_config(schedule_start=0.375, schedule_end=0.625),
     "deep21": lambda: deep_tiny_config(21),
     "radius0": lambda: tiny_config(radius=0),
     "layer-scale-all": lambda: tiny_config(layer_scale_blocks=5, schedule_end=0.95),
@@ -616,6 +635,8 @@ class TestCounting:
             ("edgeconv", (1213999, 21891328)),
             ("graphsage", (1180972, 16467456)),
             ("gin-gelu", (1159458, 15107584)),
+            ("vig-collapse", (1218444, 15928576)),
+            ("ratios-scalar", (1192396, 15719680)),
             ("deep21", (863244, 16688256)),
             ("radius0", (1144108, 15222016)),
             ("layer-scale-all", (1193644, 15775232)),
@@ -663,6 +684,14 @@ class TestBlockPlans:
             (16, 16, 0), (48, 16, 0), (96, 32, 0), (32, 32, 64), (192, 64, 0)
         ]
         assert plans[3].prefix == "stage2.block1."
+
+    def test_scalar_ratios_apply_to_every_stage(self):
+        cfg = tiny_config(schedule_start=0.375, schedule_end=0.625)
+        want = [
+            w for c, d in zip(cfg.stage_widths, cfg.stage_depths) for w in psgc_schedule(c, d, 0.375, 0.625, 16)
+        ]
+        assert [p.widths for p in cfg.blocks()] == want
+        assert want[2:4] == [(80, 48, 0), (48, 48, 32)]
 
     @pytest.mark.parametrize("name", COUNTED_CONFIGS)
     def test_forward_reads_exactly_the_layout(self, name):

@@ -501,6 +501,9 @@ class TestCli:
             json.dumps({"model": {"radius": 1.5}}),
             '{"model": {"layer_scale_init": NaN}}',
             '{"model": {"layer_scale_init": Infinity}}',
+            json.dumps({"model": {"graph_mode": "shared"}}),
+            json.dumps({"model": {"activation": "relu"}}),
+            json.dumps({"model": {"schedule_end": [0.75, 0.75, 0.75, 0.75]}}),
             json.dumps({"model": {"stage_k": [4, 4, 8.5, 8]}}),
             json.dumps({"model": {"ffn_ratio": 2.5}}),
             json.dumps({"optimizer": {"lr": "fast"}}),
@@ -516,6 +519,7 @@ class TestCli:
         ids=[
             "malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size", "1x1-last-stage",
             "unknown-aggregator", "radius-float", "layer-scale-init-nan", "layer-scale-init-inf",
+            "removed-graph-mode", "removed-relu", "removed-schedule-list",
             "stage-k-float", "ffn-ratio-float", "lr-str", "betas-length", "lr-nan", "total-steps-float",
             "warmup-negative", "batch-size-bool", "seed-float", "output-dir-int", "model-not-an-object",
         ],
@@ -538,21 +542,31 @@ class TestCli:
         assert "\n" not in err
         assert not (tp / "run").exists()
 
-    def test_checkpoint_with_removed_config_key_is_one_line_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("graph_mode", "per-group"),
+            ("epsilon_shared", False),
+            ("graph_metric", "cosine"),
+            ("activation", "relu"),
+            ("schedule_start", [0.25, 0.25, 0.25, 0.25]),
+        ],
+    )
+    def test_checkpoint_with_removed_config_key_is_one_line_config_error(self, tmp_path, capsys, key, value):
         # Checkpoints record the whole config, so one written while the
-        # model still had a graph_mode option does not load.
+        # model still had an option or a choice since removed does not load.
         save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
         save_checkpoint(Model(ModelConfig(), seed=0), tmp_path / "ckpt")
         manifest_path = tmp_path / "ckpt" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["config"]["graph_mode"] = "per-group"
+        manifest["config"][key] = value
         manifest_path.write_text(json.dumps(manifest))
         assert cli_main([
             "eval", "--checkpoint", str(tmp_path / "ckpt"),
             "--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv"),
         ]) == 1
         err = capsys.readouterr().err.strip()
-        assert err.startswith("error:config:") and "graph_mode" in err
+        assert err.startswith("error:config:") and key in err
         assert "\n" not in err
 
     @pytest.mark.parametrize(
