@@ -111,6 +111,12 @@ def _polevl(coef, v: np.ndarray, out: np.ndarray, monic: bool = False) -> None:
         np.add(out, c, out=out)
 
 
+def _clip(x, lo, hi, out) -> None:
+    """``np.clip(x, lo, hi, out=out)``, NaN kept, without its Python layer."""
+    np.maximum(x, lo, out=out)
+    np.minimum(out, hi, out=out)
+
+
 def _blend(out, small, large, ind) -> None:
     """``out = small`` where |x| < 1 and ``sign(x) * large`` elsewhere, for
     ``ind = trunc(clip(x, -1, 1))``: sign(x) where |x| >= 1, else +-0. Both
@@ -126,13 +132,13 @@ def _blend(out, small, large, ind) -> None:
 
 
 def _erf32(x, out, a, b, c, d) -> None:
-    np.clip(x, -1, 1, out=a)
+    _clip(x, -1, 1, a)
     np.multiply(a, a, out=b)
     _polevl(_SMALL32, b, out=c)
     np.multiply(c, a, out=c)
     np.add(c, a, out=c)  # x + x p(x^2)
     np.abs(x, out=b)
-    np.clip(b, 1, _CLAMP32, out=b)
+    _clip(b, 1, _CLAMP32, b)
     np.subtract(b, _CENTER32, out=b)
     _polevl(_LARGE32, b, out=d)
     np.subtract(1, d, out=d)  # 1 - r(|x| - 2.5)
@@ -141,7 +147,7 @@ def _erf32(x, out, a, b, c, d) -> None:
 
 
 def _erf64(x, out, a, b, c, d) -> None:
-    np.clip(x, -6.0, 6.0, out=a)
+    _clip(x, -6.0, 6.0, a)
     np.multiply(a, a, out=b)
     _polevl(_T, b, out=c)
     np.multiply(a, c, out=c)
@@ -155,6 +161,6 @@ def _erf64(x, out, a, b, c, d) -> None:
     _polevl(_Q, a, out=d, monic=True)
     np.divide(b, d, out=b)
     np.subtract(1.0, b, out=b)  # 1 - exp(-x^2) P(|x|) / Q(|x|)
-    np.clip(x, -1, 1, out=a)
+    _clip(x, -1, 1, a)
     np.trunc(a, out=a)
     _blend(out, c, b, a)

@@ -41,6 +41,7 @@ from .tensor import (
     Tensor,
     add,
     concat,
+    ffn,
     layer_norm,
     linear,
     mul_rowvec,
@@ -53,6 +54,11 @@ from .tensor import (
 
 ACTIVATIONS = ("graphlu", "gelu")
 N_STAGES = 4
+# Similarity scores per graph-build block. Selection holds the block's scores
+# and two copies of them (negated, and partitioned), so the whole-batch
+# arrays of a large graph never exist: 32 images at n = 256 would be 8 MiB
+# each in float32.
+GRAPH_BLOCK = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +144,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must list {N_STAGES} stages")
         if self.patch_size < 1:
             raise ConfigError("patch_size must be >= 1")
+        if self.in_channels < 1:
+            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.granularity < 1:
             raise ConfigError("granularity must be >= 1")
         if any(d < 1 for d in self.stage_depths):
@@ -171,8 +179,15 @@ class ModelConfig:
             raise ConfigError("radius must be >= 0")
         if self.ffn_ratio < 1:
             raise ConfigError("ffn_ratio must be >= 1")
-        if not math.isfinite(self.layer_scale_init):
-            raise ConfigError(f"layer_scale_init must be finite, got {self.layer_scale_init}")
+        try:
+            with np.errstate(over="ignore"):
+                finite = bool(np.isfinite(np.float32(self.layer_scale_init)))
+        except OverflowError:  # an int beyond float64's range
+            finite = False
+        if not finite:
+            raise ConfigError(
+                f"layer_scale_init must be finite in float32, got {self.layer_scale_init}"
+            )
         if not 0 <= self.layer_scale_blocks <= self.total_blocks():
             raise ConfigError(
                 f"layer_scale_blocks must lie in [0, {self.total_blocks()}]"
@@ -351,23 +366,35 @@ class Model:
             if name.endswith(".epsilon"):
                 np.maximum(t.data, EPSILON_FLOOR, out=t.data)
 
-    def _activation(self, t: Tensor, prefix: str, site: int) -> Tensor:
+    def _activation(self, t: Tensor, prefix: str) -> Tensor:
         if self.config.activation == "graphlu":
-            return graphlu(t, self.params[f"{prefix}act{site}.epsilon"])
+            return graphlu(t, self.params[prefix + "act1.epsilon"])
         return gelu(t)
 
     # -- graph construction ---------------------------------------------------
 
     def _build_graphs(self, feats: np.ndarray, k: int) -> GraphTopology:
-        """Top-k selection within each image of [batch, n, c] features, the
-        batch scored and selected in one call each.
+        """Top-k selection within each image of [batch, n, c] features,
+        scored and selected a block of images at a time: a block's n x n
+        scores fill at most :data:`GRAPH_BLOCK` elements (one image if a
+        single image's exceed it).
 
         Non-finite features, as a diverging run produces, raise
         :class:`NonFiniteError` here rather than scoring NaN.
         """
         if not np.all(np.isfinite(feats)):
             raise NonFiniteError("non-finite node features reached the graph build")
-        return topk_neighbors(similarity_matrix(feats), k)
+        batch, n, _ = feats.shape
+        step = max(1, GRAPH_BLOCK // (n * n))
+        topos = [topk_neighbors(similarity_matrix(feats[i : i + step]), k) for i in range(0, batch, step)]
+        if len(topos) == 1:
+            return topos[0]
+        return GraphTopology(
+            n_nodes=n,
+            k=topos[0].k,
+            neighbor_idx=np.concatenate([t.neighbor_idx for t in topos]),
+            neighbor_sim=np.concatenate([t.neighbor_sim for t in topos]),
+        )
 
     # -- forward ---------------------------------------------------------------
 
@@ -402,7 +429,7 @@ class Model:
             rows = topo.neighbor_idx + (np.arange(batch) * n)[:, None, None]
             weights = {w: P[f"{pre}{branch}.{w}"] for w in AGGREGATOR_WEIGHTS[cfg.aggregator]}
             y = baseline_aggregate(cfg.aggregator, x, rows.reshape(batch * n, plan.k), weights)
-            branch_outs.append(self._activation(y, pre, 1))
+            branch_outs.append(self._activation(y, pre))
             if collect is not None and "graphs" in collect:
                 collect["graphs"].append((plan.index, branch, topo))
 
@@ -412,10 +439,16 @@ class Model:
             y = mul_rowvec(y, P[pre + "scale1"])
         h = add(h, y)
 
-        z2 = layer_norm(h, P[pre + "norm2.gamma"], P[pre + "norm2.beta"])
-        f = linear(z2, P[pre + "ffn.w1"], P[pre + "ffn.b1"])
-        f = self._activation(f, pre, 2)
-        f = linear(f, P[pre + "ffn.w2"], P[pre + "ffn.b2"])
+        f = ffn(
+            h,
+            P[pre + "norm2.gamma"],
+            P[pre + "norm2.beta"],
+            P[pre + "ffn.w1"],
+            P[pre + "ffn.b1"],
+            P[pre + "ffn.w2"],
+            P[pre + "ffn.b2"],
+            P[pre + "act2.epsilon"] if cfg.activation == "graphlu" else None,
+        )
         if plan.layer_scaled:
             f = mul_rowvec(f, P[pre + "scale2"])
         h = add(h, f)

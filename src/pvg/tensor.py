@@ -12,8 +12,11 @@ shape, dtype). Each op rebinds its arguments to their nodes before it defines
 its closure, which keeps only the arrays its backward reads: the multiplied
 inputs of ``linear``, ``matmul``, ``mul_rowvec`` and ``offset_mix``, the
 inputs of ``max0`` and ``cdf_gate`` (with its erf values), ``layer_norm``'s
-normalised input, ``reduce_max``'s winners, ``gather_rows``' index and the
-loss's probabilities. Any other value is freed once the forward drops it.
+normalised input and row scales, ``ffn``'s normalised input, row scales,
+pre-gate values and erf values, ``reduce_max``'s winners, ``gather_rows``'
+index and the loss's probabilities. Any other value is freed once the
+forward drops it; ``ffn`` recomputes its normalised rows' affine map and its
+gate output in backward with the forward's operations.
 
 Backward consumes the graph it sweeps: each interior node drops its gradient,
 its closure and its parent links as soon as its closure has run, so the
@@ -22,6 +25,10 @@ until the caller's last reference goes. Leaves keep their gradients. A swept
 graph cannot be swept again: a second backward from the same root, or from a
 root whose graph shares nodes with a swept one, raises
 :class:`~pvg.errors.GraphReleasedError` before any gradient is accumulated.
+As each closure runs once, it may overwrite the gradient it is handed and the
+arrays it kept (the gate's backward does), and an op hands the fresh arrays
+it computes to ``Node._accumulate`` as ``owned``, so a node's first gradient
+is that array rather than a copy of it.
 
 Scope is deliberately narrow: binary elementwise ops take equal shapes, the
 only broadcasts are explicit (``cdf_gate``'s one-element eps, the row-vector
@@ -29,8 +36,11 @@ scale ``mul_rowvec``, the bias of ``linear`` and the bias map of
 ``offset_mix``), reductions remove their axis, and there is no graph
 optimization, automatic fusion, or device support; the fused ops are written
 by hand: ``linear`` (matmul plus bias, one node per affine map),
-``layer_norm``, ``cdf_gate`` (the Gaussian-CDF gate) and ``offset_mix`` (the
-local branch's grid-window mixing, one ``einsum`` over padded-grid windows).
+``layer_norm``, ``cdf_gate`` (the Gaussian-CDF gate), ``ffn`` (the block's
+feed-forward sublayer ``layer_norm``, ``linear``, ``cdf_gate``, ``linear`` as
+one node, on the same forward and backward kernels as those three ops) and
+``offset_mix`` (the local branch's grid-window mixing, one ``einsum`` over
+padded-grid windows).
 Max reductions route the gradient to the lowest index among maximal entries
 so every subgradient choice is deterministic and testable. No op loops in
 Python over offsets, images or rows; ``reduce_max`` loops over its k indices.
@@ -43,7 +53,7 @@ import weakref
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ._erf import erf as _erf
 from .errors import (
@@ -75,6 +85,7 @@ DIFFERENTIABLE_OPS = [
     "layer_norm",
     "softmax_cross_entropy",
     "offset_mix",
+    "ffn",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -103,11 +114,15 @@ class Node:
         value = self._value()
         return np.empty(0, self.dtype) if value is None else value
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` to the gradient. ``owned`` hands over ``g``, an array no
+        one else reads afterwards, so a first contribution of the node's shape
+        and dtype becomes the gradient in place of a copy."""
         if self.grad is None:
-            # 0 + g into a fresh array: the bits that adding g to a zero-filled
-            # array gives (a -0.0 entry becomes +0.0), without the fill.
-            self.grad = np.add(g, 0.0, out=np.empty(self.shape, self.dtype))
+            # 0 + g: the bits that adding g to a zero-filled array gives (a
+            # -0.0 entry becomes +0.0), without the fill.
+            adopt = owned and g.shape == self.shape and g.dtype == self.dtype
+            self.grad = np.add(g, 0.0, out=g if adopt else np.empty(self.shape, self.dtype))
         else:
             self.grad += g
 
@@ -281,7 +296,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(-g)
+            b._accumulate(-g, owned=True)
 
     _set_backward(out, bw)
     return out
@@ -293,7 +308,7 @@ def max0(a: Tensor) -> Tensor:
     ad, a = a.data, a._node
 
     def bw(g: np.ndarray) -> None:
-        a._accumulate(g * (ad > 0))
+        a._accumulate(g * (ad > 0), owned=True)
 
     _set_backward(out, bw)
     return out
@@ -317,12 +332,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(g @ bd.T)
+            a._accumulate(g @ bd.T, owned=True)
         if b.requires_grad:
-            b._accumulate(ad.T @ g)
+            b._accumulate(ad.T @ g, owned=True)
 
     _set_backward(out, bw)
     return out
+
+
+def _check_linear(rows: tuple[int, ...], weight: Tensor, bias: Tensor, op: str) -> None:
+    if len(rows) != 2 or weight.data.ndim != 2:
+        raise DimensionError(f"{op} requires rank-2 input and weight")
+    if rows[1] != weight.shape[0]:
+        raise DimensionError(f"{op} inner extents differ: {rows} x {weight.shape}")
+    if bias.shape != (weight.shape[1],):
+        raise DimensionError(f"{op}: bias {bias.shape} does not match output width {weight.shape[1]}")
+
+
+def _linear_fwd(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    # The bias goes in place into the product buffer.
+    y = xd @ wd
+    y += bd
+    return y
+
+
+def _linear_bw(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, x, weight, bias) -> None:
+    if bias.requires_grad:
+        bias._accumulate(g.reshape(-1, wd.shape[1]).sum(axis=0), owned=True)
+    if x.requires_grad:
+        x._accumulate(g @ wd.T, owned=True)
+    if weight.requires_grad:
+        weight._accumulate(xd.T @ g, owned=True)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -333,25 +373,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     gradients equal, bit for bit, those of ``matmul`` followed by a
     row-vector bias add of the same dtype.
     """
-    if x.data.ndim != 2 or weight.data.ndim != 2:
-        raise DimensionError("linear requires rank-2 input and weight")
-    if x.shape[1] != weight.shape[0]:
-        raise DimensionError(f"linear inner extents differ: {x.shape} x {weight.shape}")
-    c = weight.shape[1]
-    if bias.shape != (c,):
-        raise DimensionError(f"linear: bias {bias.shape} does not match output width {c}")
-    y = x.data @ weight.data
-    y += bias.data
-    out = Tensor._from_op(y, (x, weight, bias), "linear")
+    _check_linear(x.shape, weight, bias, "linear")
+    out = Tensor._from_op(_linear_fwd(x.data, weight.data, bias.data), (x, weight, bias), "linear")
     xd, wd, x, weight, bias = x.data, weight.data, x._node, weight._node, bias._node
 
     def bw(g: np.ndarray) -> None:
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, c).sum(axis=0))
-        if x.requires_grad:
-            x._accumulate(g @ wd.T)
-        if weight.requires_grad:
-            weight._accumulate(xd.T @ g)
+        _linear_bw(g, xd, wd, x, weight, bias)
 
     _set_backward(out, bw)
     return out
@@ -371,13 +398,20 @@ def _check_axis(x: Tensor, axis: int) -> int:
     return axis
 
 
+def _mean(a: np.ndarray, axis: int) -> np.ndarray:
+    # ``a.mean(axis, keepdims=True)`` without np.mean's Python layer: the same
+    # sum, divided by the count as an intp (a float64 division, cast back).
+    m = np.add.reduce(a, axis=axis, keepdims=True)
+    return np.true_divide(m, np.intp(a.shape[axis]), out=m, casting="unsafe")
+
+
 def reduce_sum(x: Tensor, axis: int) -> Tensor:
     axis = _check_axis(x, axis)
     out = Tensor._from_op(np.sum(x.data, axis=axis), (x,), "reduce_sum")
     x = x._node
 
     def bw(g: np.ndarray) -> None:
-        x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
+        x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(), owned=True)
 
     _set_backward(out, bw)
     return out
@@ -386,11 +420,11 @@ def reduce_sum(x: Tensor, axis: int) -> Tensor:
 def reduce_mean(x: Tensor, axis: int) -> Tensor:
     axis = _check_axis(x, axis)
     n = x.shape[axis]
-    out = Tensor._from_op(np.mean(x.data, axis=axis), (x,), "reduce_mean")
+    out = Tensor._from_op(_mean(x.data, axis).squeeze(axis), (x,), "reduce_mean")
     x = x._node
 
     def bw(g: np.ndarray) -> None:
-        x._accumulate(np.broadcast_to(np.expand_dims(g / n, axis), x.shape).copy())
+        x._accumulate(np.broadcast_to(np.expand_dims(g / n, axis), x.shape).copy(), owned=True)
 
     _set_backward(out, bw)
     return out
@@ -413,7 +447,7 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
         np.put_along_axis(
             dx, np.expand_dims(winners, axis), np.expand_dims(g, axis), axis
         )
-        x._accumulate(dx)
+        x._accumulate(dx, owned=True)
 
     _set_backward(out, bw)
     return out
@@ -477,7 +511,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     def bw(g: np.ndarray) -> None:
         dx = np.zeros(x.shape, x.dtype)
         dx[tuple(sl)] = g
-        x._accumulate(dx)
+        x._accumulate(dx, owned=True)
 
     _set_backward(out, bw)
     return out
@@ -506,7 +540,7 @@ def gather_rows(x: Tensor, row_idx: np.ndarray) -> Tensor:
         elems = flat_idx[:, None] * elem_dtype(c) + np.arange(c, dtype=elem_dtype)
         dx = np.zeros(x.shape, x.dtype)
         np.add.at(dx.reshape(-1), elems.reshape(-1), g.reshape(-1))
-        x._accumulate(dx)
+        x._accumulate(dx, owned=True)
 
     _set_backward(out, bw)
     return out
@@ -555,9 +589,9 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * vd)
+            x._accumulate(g * vd, owned=True)
         if v.requires_grad:
-            v._accumulate((g * xd).reshape(-1, v.shape[0]).sum(axis=0))
+            v._accumulate((g * xd).reshape(-1, v.shape[0]).sum(axis=0), owned=True)
 
     _set_backward(out, bw)
     return out
@@ -566,6 +600,56 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused operations
 # ---------------------------------------------------------------------------
+
+
+def _gate_scale(dtype, eps: Tensor | None) -> tuple[np.ndarray, np.ndarray | None]:
+    # s = 1 / (sqrt(2) (1 + eps)) and 1 + eps, by the chain ``1 + eps``,
+    # reciprocal, ``* 1/sqrt(2)``; without eps, s = 1/sqrt(2) in ``dtype``.
+    if eps is None:
+        return np.asarray(_INV_SQRT2, dtype=dtype), None
+    if eps.size != 1:
+        raise DimensionError(f"cdf_gate: eps must hold one value, got shape {eps.shape}")
+    shifted = eps.data + np.asarray(1.0, dtype=eps.data.dtype)
+    inv_sd = 1.0 / shifted
+    return (inv_sd * np.asarray(_INV_SQRT2, dtype=inv_sd.dtype)).reshape(()), shifted
+
+
+def _gate_erf(xd: np.ndarray, s: np.ndarray) -> np.ndarray:
+    e = xd * s
+    _erf(e, out=e)
+    return e
+
+
+def _gate_out(xd: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # 0.5 * x * (1 + e) from the erf values e: forward, and the recompute in ffn's backward.
+    y = e + np.asarray(1.0, dtype=e.dtype)
+    np.multiply(xd, y, out=y)
+    np.multiply(y, np.asarray(0.5, dtype=y.dtype), out=y)
+    return y
+
+
+def _gate_bw(g, xd, e, s, shifted, x, eps) -> None:
+    # Overwrites g and e: each closure runs once, and both go with it.
+    dt = e.dtype
+    gh = np.multiply(g, np.asarray(0.5, dtype=dt), out=g)  # gradient at x * (1 + erf)
+    if x.requires_grad:
+        np.add(e, np.asarray(1.0, dtype=dt), out=e)
+        x._accumulate(np.multiply(gh, e, out=e), owned=True)
+    # d erf(a) / da = 2/sqrt(pi) exp(-a^2) at a = x * s, in the gate's dtype.
+    buf = xd * s
+    np.square(buf, out=buf)
+    np.negative(buf, out=buf)
+    np.exp(buf, out=buf)
+    np.multiply(buf, np.asarray(_TWO_OVER_SQRT_PI, dtype=dt), out=buf)
+    np.multiply(gh, xd, out=gh)  # gradient at erf
+    np.multiply(gh, buf, out=gh)  # gradient at a
+    if x.requires_grad:
+        np.multiply(gh, s, out=buf)
+        x._accumulate(buf)
+    if eps is not None and eps.requires_grad:
+        np.multiply(gh, xd, out=gh)
+        g_inv_sd = np.sum(gh).reshape(eps.shape) * np.asarray(_INV_SQRT2, dtype=eps.dtype)
+        eps._accumulate(-g_inv_sd / (shifted * shifted), owned=True)
 
 
 def cdf_gate(x: Tensor, eps: Tensor | None = None) -> Tensor:
@@ -589,50 +673,49 @@ def cdf_gate(x: Tensor, eps: Tensor | None = None) -> Tensor:
     ``* 0.5``: each step rounds in the same dtype and order, and x receives
     its two terms in the order that chain's backward sweep added them.
     """
-    if eps is None:
-        s = np.asarray(_INV_SQRT2, dtype=x.data.dtype)
-        parents: tuple[Tensor, ...] = (x,)
-    else:
-        if eps.size != 1:
-            raise DimensionError(f"cdf_gate: eps must hold one value, got shape {eps.shape}")
-        shifted = eps.data + np.asarray(1.0, dtype=eps.data.dtype)
-        inv_sd = 1.0 / shifted
-        s = (inv_sd * np.asarray(_INV_SQRT2, dtype=inv_sd.dtype)).reshape(())
-        parents = (x, eps)
-    e = x.data * s
-    _erf(e, out=e)
-    y = e + np.asarray(1.0, dtype=e.dtype)
-    np.multiply(x.data, y, out=y)
-    np.multiply(y, np.asarray(0.5, dtype=y.dtype), out=y)
-    out = Tensor._from_op(y, parents, "cdf_gate")
-    dt = y.dtype
+    s, shifted = _gate_scale(x.data.dtype, eps)
+    e = _gate_erf(x.data, s)
+    out = Tensor._from_op(_gate_out(x.data, e), (x,) if eps is None else (x, eps), "cdf_gate")
     xd, x = x.data, x._node
     eps = None if eps is None else eps._node
 
     def bw(g: np.ndarray) -> None:
-        gh = g * np.asarray(0.5, dtype=dt)  # gradient at x * (1 + erf)
-        buf = e + np.asarray(1.0, dtype=e.dtype)
-        if x.requires_grad:
-            np.multiply(gh, buf, out=buf)
-            x._accumulate(buf)
-        # d erf(a) / da = 2/sqrt(pi) exp(-a^2) at a = x * s, in the gate's dtype.
-        np.multiply(xd, s, out=buf)
-        np.square(buf, out=buf)
-        np.negative(buf, out=buf)
-        np.exp(buf, out=buf)
-        np.multiply(buf, np.asarray(_TWO_OVER_SQRT_PI, dtype=dt), out=buf)
-        np.multiply(gh, xd, out=gh)  # gradient at erf
-        np.multiply(gh, buf, out=gh)  # gradient at a
-        if x.requires_grad:
-            np.multiply(gh, s, out=buf)
-            x._accumulate(buf)
-        if eps is not None and eps.requires_grad:
-            np.multiply(gh, xd, out=gh)
-            g_inv_sd = np.sum(gh).reshape(eps.shape) * np.asarray(_INV_SQRT2, dtype=eps.dtype)
-            eps._accumulate(-g_inv_sd / (shifted * shifted))
+        _gate_bw(g, xd, e, s, shifted, x, eps)
 
     _set_backward(out, bw)
     return out
+
+
+def _check_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> None:
+    c = x.shape[-1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError("layer_norm scale/shift must match channel extent")
+
+
+def _normalize(xd: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    # Each row's (x - mean) / sqrt(var + eps), and 1 / sqrt(var + eps).
+    xc = xd - _mean(xd, -1)
+    var = _mean(xc * xc, -1)
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
+    return xc * inv, inv
+
+
+def _affine(xhat: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    # layer_norm's output: forward, and the recompute in ffn's backward.
+    return xhat * gd + bd
+
+
+def _layer_norm_bw(g, xhat, inv, gd, x, gamma, beta) -> None:
+    c = gd.shape[0]
+    if gamma.requires_grad:
+        gamma._accumulate((g * xhat).reshape(-1, c).sum(axis=0), owned=True)
+    if beta.requires_grad:
+        beta._accumulate(g.reshape(-1, c).sum(axis=0), owned=True)
+    if x.requires_grad:
+        gh = g * gd
+        m1 = _mean(gh, -1)
+        m2 = _mean(gh * xhat, -1)
+        x._accumulate((gh - m1 - xhat * m2) * inv, owned=True)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -641,27 +724,80 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     Each row (node) is normalized over its channel vector independently of
     every other row, so the result does not depend on batch composition.
     """
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError("layer_norm scale/shift must match channel extent")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = xc * inv
-    out = Tensor._from_op(xhat * gamma.data + beta.data, (x, gamma, beta), "layer_norm")
+    _check_layer_norm(x, gamma, beta)
+    xhat, inv = _normalize(x.data, eps)
+    out = Tensor._from_op(_affine(xhat, gamma.data, beta.data), (x, gamma, beta), "layer_norm")
     gd, x, gamma, beta = gamma.data, x._node, gamma._node, beta._node
 
     def bw(g: np.ndarray) -> None:
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, c).sum(axis=0))
-        if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, c).sum(axis=0))
-        if x.requires_grad:
-            gh = g * gd
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate((gh - m1 - xhat * m2) * inv)
+        _layer_norm_bw(g, xhat, inv, gd, x, gamma, beta)
+
+    _set_backward(out, bw)
+    return out
+
+
+class _Slot:
+    """The gradient of a value inside ``ffn``, summed as a :class:`Node` sums
+    its own, so the shared backward kernels treat it as one."""
+
+    __slots__ = ("grad", "shape", "dtype")
+    requires_grad = True
+    _accumulate = Node._accumulate
+
+    def __init__(self, like: np.ndarray):
+        self.grad: np.ndarray | None = None
+        self.shape = like.shape
+        self.dtype = like.dtype
+
+
+def ffn(
+    h: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    eps: Tensor | None = None,
+) -> Tensor:
+    """The feed-forward sublayer ``linear(cdf_gate(linear(layer_norm(h,
+    gamma, beta), w1, b1), eps), w2, b2)`` as one node.
+
+    The node keeps the normalised input and its row scales, the pre-gate
+    values x and their erf values; backward recomputes the normalised rows'
+    affine map and the gate output 0.5 x (1 + erf) with the forward's
+    operations. Forward and backward run the kernels of ``layer_norm``,
+    ``linear`` and ``cdf_gate``, and each value inside receives its gradient
+    as that chain's node would, so values and gradients equal the chain's bit
+    for bit, while the chain's layer_norm output and gate output are not held
+    between forward and backward.
+    """
+    _check_linear(h.shape, w1, b1, "ffn")
+    _check_layer_norm(h, gamma, beta)
+    _check_linear((h.shape[0], w1.shape[1]), w2, b2, "ffn")
+    xhat, inv = _normalize(h.data, 1e-5)
+    x = _linear_fwd(_affine(xhat, gamma.data, beta.data), w1.data, b1.data)
+    s, shifted = _gate_scale(x.dtype, eps)
+    e = _gate_erf(x, s)
+    parents = (h, gamma, beta, w1, b1, w2, b2) + (() if eps is None else (eps,))
+    out = Tensor._from_op(_linear_fwd(_gate_out(x, e), w2.data, b2.data), parents, "ffn")
+    gd, bd, w1d, w2d = gamma.data, beta.data, w1.data, w2.data
+    h, gamma, beta, w1, b1, w2, b2 = (t._node for t in parents[:7])
+    eps = None if eps is None else eps._node
+    saved = [x, e]
+
+    def bw(g: np.ndarray) -> None:
+        xd, ed = saved
+        saved.clear()  # the pre-gate arrays go once the gate's backward is done
+        gate = _Slot(xd)
+        _linear_bw(g, _gate_out(xd, ed), w2d, gate, w2, b2)
+        pre = _Slot(xd)
+        _gate_bw(gate.grad, xd, ed, s, shifted, pre, eps)
+        del gate, xd, ed
+        normed = _Slot(xhat)
+        _linear_bw(pre.grad, _affine(xhat, gd, bd), w1d, normed, w1, b1)
+        del pre
+        _layer_norm_bw(normed.grad, xhat, inv, gd, h, gamma, beta)
 
     _set_backward(out, bw)
     return out
@@ -687,16 +823,23 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     def bw(g: np.ndarray) -> None:
         d = probs.copy()
         d[np.arange(n), labels] -= 1.0
-        logits._accumulate(d * (float(g) / n))
+        logits._accumulate(d * (float(g) / n), owned=True)
 
     _set_backward(out, bw)
     return out
 
 
 def _grid_windows(a: np.ndarray, ry: int, rx: int) -> np.ndarray:
-    # Windows of [batch, h, w, c] grids zero-padded by (ry, rx): [batch, h, w, c, 2ry+1, 2rx+1].
-    padded = np.pad(a, ((0, 0), (ry, ry), (rx, rx), (0, 0)))
-    return sliding_window_view(padded, (2 * ry + 1, 2 * rx + 1), axis=(1, 2))
+    # Windows of [batch, h, w, c] grids zero-padded by (ry, rx): [batch, h, w, c, 2ry+1, 2rx+1],
+    # read-only, with sliding_window_view's strides over np.pad's array, built without their
+    # per-call Python layers.
+    batch, h, w, c = a.shape
+    padded = np.zeros((batch, h + 2 * ry, w + 2 * rx, c), dtype=a.dtype)
+    padded[:, ry : ry + h, rx : rx + w] = a
+    sb, sy, sx, sc = padded.strides
+    return as_strided(
+        padded, (batch, h, w, c, 2 * ry + 1, 2 * rx + 1), (sb, sy, sx, sc, sy, sx), writeable=False
+    )
 
 
 def offset_mix(x: Tensor, weights: Tensor, grid: tuple[int, int], bias: Tensor) -> Tensor:
@@ -747,15 +890,15 @@ def offset_mix(x: Tensor, weights: Tensor, grid: tuple[int, int], bias: Tensor) 
         if x.requires_grad:
             # Node p feeds node p - offset: the adjoint flips the kernel.
             gx = np.einsum("bijcyx,yxc->bijc", _grid_windows(gg, ry, rx), kernel[::-1, ::-1])
-            x._accumulate(gx.reshape(x.shape))
+            x._accumulate(gx.reshape(x.shape), owned=True)
         if weights.requires_grad:
             gw = np.zeros(weights.shape, weights.dtype)
             gw.reshape(side, side, c)[live] = np.einsum("bijc,bijcyx->yxc", gg, _grid_windows(xg, ry, rx))
-            weights._accumulate(gw)
+            weights._accumulate(gw, owned=True)
         if bias.requires_grad:
             gb = np.zeros(bias.shape, bias.dtype)
             gb.reshape(side, side, c)[live] = np.einsum("ijc,ijyx->yxc", gg.sum(axis=0), valid)
-            bias._accumulate(gb)
+            bias._accumulate(gb, owned=True)
 
     _set_backward(out, bw)
     return out

@@ -137,4 +137,29 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
     case("cdf_gate", "x_gelu", lambda x: T.cdf_gate(x), _rng(45).normal(size=(4, 4)) * 2.0)
     case("cdf_gate", "eps", lambda e: T.cdf_gate(gate_x, e), [-0.4])
 
+    # ffn: every argument, with the GraphLU eps and as exact-erf GELU.
+    ffn_args = {
+        "h": _rng(55).normal(size=(5, 4)),
+        "gamma": 0.5 + _rng(56).uniform(size=4),
+        "beta": _rng(57).normal(size=4),
+        "w1": _rng(58).normal(size=(4, 6)),
+        "b1": _rng(59).normal(size=6),
+        "w2": _rng(60).normal(size=(6, 3)),
+        "b2": _rng(61).normal(size=3),
+        "eps": np.array([0.3]),
+    }
+    ffn_fixed = {name: Tensor(v) for name, v in ffn_args.items()}
+
+    def ffn_of(name, gelu=False):
+        def fn(x):
+            args = {**ffn_fixed, name: x}
+            return T.ffn(*(args[a] for a in ffn_args if a != "eps"), None if gelu else args["eps"])
+
+        return fn
+
+    for name, x0 in ffn_args.items():
+        case("ffn", name, ffn_of(name), x0)
+    case("ffn", "h_gelu", ffn_of("h", gelu=True), _rng(62).normal(size=(5, 4)))
+    case("ffn", "w1_gelu", ffn_of("w1", gelu=True), _rng(63).normal(size=(4, 6)))
+
     return cases

@@ -15,7 +15,7 @@ from pvg.graph import (
     similarity_matrix,
     topk_neighbors,
 )
-from pvg.tensor import Tensor, offset_mix
+from pvg.tensor import Tensor, _grid_windows, offset_mix
 
 from oracles import checked_topology
 
@@ -282,6 +282,20 @@ def second_order_similarity(x, neighborhoods, agg_weights) -> np.ndarray:
 
 
 class TestLocalBranch:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h, w, ry, rx", [(4, 5, 1, 2), (3, 3, 0, 0), (2, 3, 2, 5), (1, 4, 3, 0)])
+    def test_grid_windows_equal_pad_and_sliding_window_view(self, dtype, h, w, ry, rx):
+        # Byte for byte, strides included, with radii at and beyond the grid side.
+        a = np.random.default_rng(h * w + ry).normal(size=(2, h, w, 3)).astype(dtype)
+        a[0, 0, 0] = [np.nan, np.inf, -0.0]
+        want = np.lib.stride_tricks.sliding_window_view(
+            np.pad(a, ((0, 0), (ry, ry), (rx, rx), (0, 0))), (2 * ry + 1, 2 * rx + 1), axis=(1, 2)
+        )
+        got = _grid_windows(a, ry, rx)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.strides == want.strides
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+
     def test_delta_weights_identity(self):
         r, c = 2, 3
         alpha = np.zeros(((2 * r + 1) ** 2, c), dtype=np.float32)

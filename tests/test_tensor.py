@@ -143,6 +143,73 @@ class TestLinear:
             T.linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
 
+class TestFfn:
+    NAMES = ("h", "gamma", "beta", "w1", "b1", "w2", "b2", "eps")
+
+    @staticmethod
+    def leaves(dtype, seed=7):
+        rng = np.random.default_rng(seed)
+        arrays = {
+            "h": rng.normal(size=(9, 4)),
+            "gamma": 0.5 + rng.uniform(size=4),
+            "beta": rng.normal(size=4),
+            "w1": rng.normal(size=(4, 16)),
+            "b1": rng.normal(size=16),
+            "w2": rng.normal(size=(16, 4)),
+            "b2": rng.normal(size=4),
+            "eps": np.array([0.25]),
+        }
+        return {name: Tensor(a.astype(dtype), requires_grad=True) for name, a in arrays.items()}
+
+    @staticmethod
+    def chain(h, gamma, beta, w1, b1, w2, b2, eps):
+        """The sublayer as the four ops it fuses."""
+        return T.linear(T.cdf_gate(T.linear(T.layer_norm(h, gamma, beta), w1, b1), eps), w2, b2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("gate", ["graphlu", "gelu"])
+    @pytest.mark.parametrize("with_prior", [False, True], ids=["fresh", "prior-grad"])
+    def test_matches_the_op_chain_bit_for_bit(self, dtype, gate, with_prior):
+        g = np.random.default_rng(8).normal(size=(9, 4)).astype(dtype)
+        g[0] = -0.0  # a zero row: signed zeros reach every gradient
+        results = []
+        for op in (self.chain, T.ffn):
+            leaves = self.leaves(dtype)
+            if gate == "gelu":
+                leaves["eps"] = None
+            if with_prior:
+                leaves["h"].grad = np.random.default_rng(9).normal(size=(9, 4)).astype(dtype)
+            out = op(*leaves.values())
+            got = [out.data.copy()]
+            out.backward(seed=g)
+            got += [t.grad for t in leaves.values() if t is not None]
+            results.append(got)
+        want, fused = results
+        assert len(fused) == len(want) == (9 if gate == "graphlu" else 8)
+        for got, ref in zip(fused, want):
+            assert got.dtype == ref.dtype == dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_one_node_over_every_argument(self):
+        leaves = self.leaves(np.float64)
+        out = T.ffn(*leaves.values())
+        assert out.op == "ffn" and out.shape == (9, 4)
+        assert all(p is q._node for p, q in zip(out._parents, leaves.values(), strict=True))
+        assert len(graph_nodes(out)) == 9
+        gelu = T.ffn(*list(leaves.values())[:-1])
+        assert len(gelu._parents) == 7
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("h", (9, 4, 1)), ("gamma", (3,)), ("w1", (5, 16)), ("b1", (15,)), ("w2", (15, 4)), ("b2", (16,)), ("eps", (2,))],
+    )
+    def test_shape_mismatch(self, name, shape):
+        leaves = self.leaves(np.float64)
+        leaves[name] = Tensor(np.zeros(shape))
+        with pytest.raises(DimensionError):
+            T.ffn(*leaves.values())
+
+
 class TestElementwise:
     # The erf inside cdf_gate: y = 0.5 * x * (1 + erf(x / sqrt(2))), so
     # dy/dx at 0 is 0.5 * (1 + erf(0)), and 2 y / x - 1 recovers erf; in
@@ -211,6 +278,18 @@ class TestElementwise:
 
 
 class TestReduce:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_mean_equals_numpy_mean_byte_for_byte(self, dtype, axis):
+        # The count divides in float64 and casts back, as in np.mean.
+        a = (np.random.default_rng(12).normal(size=(7, 33, 129)) * 1e3).astype(dtype)
+        a[0, 0, :3] = [np.nan, np.inf, -np.inf]
+        a[1, :, 0] = -0.0
+        want = np.mean(a, axis=axis, keepdims=True)
+        got = T._mean(a, axis)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert T.reduce_mean(Tensor(np.nan_to_num(a)), axis).data.tobytes() == np.mean(np.nan_to_num(a), axis=axis).tobytes()
+
     def test_max(self):
         assert T.reduce_max(Tensor([1.0, 3.0, 2.0]), 0).item() == 3.0
 
@@ -429,13 +508,15 @@ class TestBackwardConsumesGraph:
     def test_backward_frees_graph_while_root_is_held(self):
         # numpy's buffers are traced by tracemalloc. With ``loss`` still
         # named, what the sweep leaves behind is the parameter gradients.
+        # At batch 16 the graph (about 17 MB) is well above twice the
+        # parameters' 4.7 MB, so a leak of either would show.
         model = Model(tiny_config(), seed=0)
-        images = np.random.default_rng(3).random((8, 32, 32, 3)).astype(np.float32)
+        images = np.random.default_rng(3).random((16, 32, 32, 3)).astype(np.float32)
         grad_bytes = sum(t.data.nbytes for t in model.params.values())
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            loss = T.softmax_cross_entropy(model.forward(images), np.arange(8) % 2)
+            loss = T.softmax_cross_entropy(model.forward(images), np.arange(16) % 2)
             graph = tracemalloc.get_traced_memory()[0] - base
             loss.backward()
             held = tracemalloc.get_traced_memory()[0] - base
@@ -469,6 +550,20 @@ class TestBackwardConsumesGraph:
     def test_error_has_own_category(self):
         assert issubclass(GraphReleasedError, PvgError)
         assert GraphReleasedError.category == "graph-released"
+
+    def test_owned_first_contribution_becomes_the_gradient(self):
+        # Handed over, a first contribution of the node's shape and dtype is
+        # the gradient itself, with 0 added in place; one of another dtype
+        # is copied into the node's dtype.
+        node = Tensor(np.zeros(3, np.float32), requires_grad=True)._node
+        g = np.array([-0.0, 1.0, -2.0], np.float32)
+        node._accumulate(g, owned=True)
+        assert node.grad is g and not np.signbit(g[0])
+        node._accumulate(g.copy(), owned=True)  # a later one is added
+        np.testing.assert_array_equal(node.grad, [0.0, 2.0, -4.0])
+        fresh = Tensor(np.zeros(3, np.float32), requires_grad=True)._node
+        fresh._accumulate(np.array([-0.0, 1.0, -2.0]), owned=True)
+        assert fresh.grad.tobytes() == np.array([0.0, 1.0, -2.0], np.float32).tobytes()
 
     def test_first_contribution_is_added_to_zero(self):
         # max0 backward over a negative input with a negative upstream

@@ -506,6 +506,9 @@ class TestCli:
             json.dumps({"model": {"schedule_end": [0.75, 0.75, 0.75, 0.75]}}),
             json.dumps({"model": {"stage_k": [4, 4, 8.5, 8]}}),
             json.dumps({"model": {"ffn_ratio": 2.5}}),
+            json.dumps({"model": {"in_channels": 0}}),
+            json.dumps({"model": {"in_channels": -1}}),
+            json.dumps({"model": {"layer_scale_init": 1e300}}),
             json.dumps({"optimizer": {"lr": "fast"}}),
             json.dumps({"optimizer": {"betas": [0.9]}}),
             '{"optimizer": {"lr": NaN}}',
@@ -520,7 +523,8 @@ class TestCli:
             "malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size", "1x1-last-stage",
             "unknown-aggregator", "radius-float", "layer-scale-init-nan", "layer-scale-init-inf",
             "removed-graph-mode", "removed-relu", "removed-schedule-list",
-            "stage-k-float", "ffn-ratio-float", "lr-str", "betas-length", "lr-nan", "total-steps-float",
+            "stage-k-float", "ffn-ratio-float", "in-channels-zero", "in-channels-negative",
+            "layer-scale-init-beyond-float32", "lr-str", "betas-length", "lr-nan", "total-steps-float",
             "warmup-negative", "batch-size-bool", "seed-float", "output-dir-int", "model-not-an-object",
         ],
     )
