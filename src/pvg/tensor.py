@@ -115,13 +115,14 @@ class Node:
         return np.empty(0, self.dtype) if value is None else value
 
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` to the gradient. ``owned`` hands over ``g``, an array no
-        one else reads afterwards, so a first contribution of the node's shape
-        and dtype becomes the gradient in place of a copy."""
+        """Add ``g`` to the gradient. ``owned`` hands over ``g``, a value no
+        one else reads afterwards, so a first contribution that is an array of
+        the node's shape and dtype becomes the gradient in place of a copy (a
+        0-d result of numpy arithmetic is a scalar, and is copied)."""
         if self.grad is None:
             # 0 + g: the bits that adding g to a zero-filled array gives (a
             # -0.0 entry becomes +0.0), without the fill.
-            adopt = owned and g.shape == self.shape and g.dtype == self.dtype
+            adopt = owned and isinstance(g, np.ndarray) and g.shape == self.shape and g.dtype == self.dtype
             self.grad = np.add(g, 0.0, out=g if adopt else np.empty(self.shape, self.dtype))
         else:
             self.grad += g

@@ -565,6 +565,15 @@ class TestBackwardConsumesGraph:
         fresh._accumulate(np.array([-0.0, 1.0, -2.0]), owned=True)
         assert fresh.grad.tobytes() == np.array([0.0, 1.0, -2.0], np.float32).tobytes()
 
+    def test_rank_0_interior_gradients(self):
+        # A sum to a scalar is a 0-d node; numpy hands sub's -g and max0's
+        # masked g back as scalars, which the node copies into a 0-d array.
+        a = Tensor(np.array([2.0, 1.0]), requires_grad=True)
+        b = Tensor(np.array([1.0, 5.0]), requires_grad=True)
+        T.max0(T.sub(T.reduce_sum(b, 0), T.reduce_sum(a, 0))).backward()
+        np.testing.assert_array_equal(a.grad, [-1.0, -1.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
     def test_first_contribution_is_added_to_zero(self):
         # max0 backward over a negative input with a negative upstream
         # gradient gives -0.0; the leaf keeps +0.0, as 0 + (-0.0) is.
