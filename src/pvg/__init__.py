@@ -46,7 +46,7 @@ from .net import (
 )
 from .optim import AdamWState, adamw_step, cosine_lr
 from .pvgt import read_tensor, write_tensor
-from .tensor import DIFFERENTIABLE_OPS, Tensor, concat, matmul
+from .tensor import DIFFERENTIABLE_OPS, Tensor, concat
 from .train import EpochMetrics, OptimizerConfig, RunConfig, ScheduleConfig, evaluate
 
 # ``train`` and ``graphlu`` are not re-exported: the functions would shadow

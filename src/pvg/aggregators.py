@@ -16,13 +16,17 @@ the single-linear GIN unit MaxE costs 3 and MR GraphConv 2.
 Weights are a plain ``dict[str, Tensor]`` keyed by the names that
 :data:`AGGREGATOR_WEIGHTS` lists for each kind; :func:`baseline_aggregate`
 reads them per call, so the caller that holds the tensors (``Model.params``
-in the network) is their only owner.
+in the network) is their only owner. The same table, with
+:data:`PER_EDGE_WEIGHTS`, gives each kind's transform cost
+(:func:`transform_multadds`), so the network names no kind.
 
 The neighbor mean deliberately excludes the self node; identity information
 enters only through the explicit self part.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .tensor import (
     add,
     concat,
     gather_rows,
-    matmul,
+    linear,
     max0,
     reduce_max,
     reduce_mean,
@@ -51,6 +55,20 @@ AGGREGATOR_WEIGHTS = {
     "GIN": {"W": lambda i, o: (i, o)},
 }
 AGGREGATOR_KINDS = tuple(AGGREGATOR_WEIGHTS)
+# The weights applied to each of the n·k edge rows; every other weight is
+# applied to each of the n node rows.
+PER_EDGE_WEIGHTS = {"EdgeConv": ("W1", "W2"), "GraphSAGE": ("Wn",)}
+
+
+def transform_multadds(kind: str, width: int, n: int, k: int) -> int:
+    """Mult-adds of one ``kind`` aggregator's transforms over n nodes of
+    ``width`` channels with k neighbors each: every weight's size times the
+    rows it maps. Gathers, maxes and means are not multiply-accumulate work."""
+    per_edge = PER_EDGE_WEIGHTS.get(kind, ())
+    return sum(
+        math.prod(shape(width, width)) * (n * k if name in per_edge else n)
+        for name, shape in AGGREGATOR_WEIGHTS[kind].items()
+    )
 
 
 def he_normal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -116,23 +134,23 @@ def baseline_aggregate(kind: str, x: Tensor, idx, weights: dict[str, Tensor]) ->
     per-edge MLP."""
     w = weights
     if kind == "MaxE":
-        return matmul(maxe_aggregate(x, idx), w["W"])
+        return linear(maxe_aggregate(x, idx), w["W"])
     idx = _neighbor_idx(idx)
     n, k = idx.shape
     c = x.shape[1]
     nbh = _gather_neighbors(x, idx)
     if kind == "MRGraphConv":
-        return matmul(concat([x, _max_relative(x, nbh)], axis=1), w["W"])
+        return linear(concat([x, _max_relative(x, nbh)], axis=1), w["W"])
     if kind == "EdgeConv":
         own = gather_rows(x, np.repeat(np.arange(n, dtype=np.int64)[:, None], k, axis=1))
         edges = concat([own, sub(nbh, own)], axis=2)  # [n, k, 2c]
         flat = reshape(edges, (n * k, 2 * c))
-        hidden = max0(matmul(flat, w["W1"]))
-        per_edge = reshape(matmul(hidden, w["W2"]), (n, k, w["W2"].shape[1]))
+        hidden = max0(linear(flat, w["W1"]))
+        per_edge = reshape(linear(hidden, w["W2"]), (n, k, w["W2"].shape[1]))
         return reduce_max(per_edge, axis=1)
     if kind == "GraphSAGE":
-        transformed = reshape(matmul(reshape(nbh, (n * k, c)), w["Wn"]), (n, k, c))
-        return matmul(concat([x, reduce_mean(transformed, axis=1)], axis=1), w["W"])
+        transformed = reshape(linear(reshape(nbh, (n * k, c)), w["Wn"]), (n, k, c))
+        return linear(concat([x, reduce_mean(transformed, axis=1)], axis=1), w["W"])
     if kind == "GIN":
-        return matmul(add(x, reduce_sum(nbh, axis=1)), w["W"])
+        return linear(add(x, reduce_sum(nbh, axis=1)), w["W"])
     raise ConfigError(f"unknown aggregator kind {kind!r}")

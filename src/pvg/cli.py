@@ -17,7 +17,7 @@ from .errors import ConfigError, DimensionError, PvgError
 from .graph import GraphTopology, export_edges
 from .net import count_params_flops, load_checkpoint
 from .pvgt import read_tensor
-from .train import RunConfig, evaluate, train
+from .train import RunConfig, _check_batch_size, evaluate, train
 
 
 def _read_images(path: str):
@@ -49,8 +49,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    if args.batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {args.batch_size}")
+    _check_batch_size(args.batch_size)
     model = load_checkpoint(args.checkpoint)
     images = _read_images(args.data)
     trace = trace_diversity(model, images[: args.batch_size], run_id=args.run_id)
@@ -77,7 +76,7 @@ def _cmd_export_graph(args) -> int:
             f"no {args.branch!r} graph at block {args.block}; available: {available}"
         )
     topo = match[0]  # batched over the one image
-    image = GraphTopology(topo.n_nodes, topo.k, topo.neighbor_idx[0], topo.neighbor_sim[0])
+    image = GraphTopology(topo.neighbor_idx[0], topo.neighbor_sim[0])
     export_edges(args.out, [(args.block, image)])
     print(f"wrote edges of block {args.block} ({args.branch} graph) to {args.out}")
     return 0

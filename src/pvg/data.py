@@ -8,6 +8,7 @@ its own error type so callers can tell truncation from bad labels.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +46,12 @@ def load_dataset(
 
     labels = np.full(images.shape[0], -1, dtype=np.int64)
     seen = 0
-    with open(labels_path, newline="") as fh:
+    try:
+        text = Path(labels_path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"{labels_path}: not UTF-8 text: {e}") from None
+    # newline="" hands the reader each line's own ending, as open(newline="") does.
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["index", "label"]:

@@ -35,13 +35,20 @@ class GraphTopology:
     ``neighbor_idx[i]`` holds the k most similar non-self nodes of node i in
     non-increasing similarity order (ties broken toward lower node index);
     ``neighbor_sim`` carries the matching scores. A batched selection gives
-    both arrays a leading image axis.
+    both arrays a leading image axis. ``n_nodes`` and ``k`` are read off
+    ``neighbor_idx``'s shape.
     """
 
-    n_nodes: int
-    k: int
     neighbor_idx: np.ndarray
     neighbor_sim: np.ndarray
+
+    @property
+    def n_nodes(self) -> int:
+        return self.neighbor_idx.shape[-2]
+
+    @property
+    def k(self) -> int:
+        return self.neighbor_idx.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +141,7 @@ def topk_neighbors(S, k: int) -> GraphTopology:
             f" ({np.count_nonzero(short)} such rows)"
         )
     sims = np.take_along_axis(sa, order, axis=-1)
-    return GraphTopology(n_nodes=n, k=k, neighbor_idx=order, neighbor_sim=sims)
+    return GraphTopology(neighbor_idx=order, neighbor_sim=sims)
 
 
 # ---------------------------------------------------------------------------

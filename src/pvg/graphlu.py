@@ -15,9 +15,11 @@ above :data:`EPSILON_FLOOR` after every update so 1 + epsilon stays positive.
 
 Both ``graphlu`` and ``gelu`` are one call to :func:`pvg.tensor.cdf_gate`,
 a single autograd node whose backward computes the input and epsilon
-gradients directly. Their erf and :func:`phi`'s are the package's own
-(:mod:`pvg._erf`), evaluated in the input's dtype: within 1.5 ulp in
-float32, and in float64 a port of the cephes tables within 1 ulp of scipy's.
+gradients directly; ``graphlu(x, None)`` is ``gelu(x)``, so the network calls
+``graphlu`` at every gate and passes ``None`` where it has no epsilon. Their
+erf and :func:`phi`'s are the package's own (:mod:`pvg._erf`), evaluated in
+the input's dtype: within 1.5 ulp in float32, and in float64 a port of the
+cephes tables within 1 ulp of scipy's.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ def phi(x, epsilon: float = 0.0):
     return 0.5 * (1.0 + _erf(a, out=a))
 
 
-def graphlu(x: Tensor, epsilon: Tensor) -> Tensor:
+def graphlu(x: Tensor, epsilon: Tensor | None) -> Tensor:
     """Differentiable GraphLU; gradients flow to x and to the one-element
-    ``epsilon``."""
+    ``epsilon``. ``epsilon=None`` is :func:`gelu`."""
     return cdf_gate(x, epsilon)
 
 

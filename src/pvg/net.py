@@ -32,10 +32,11 @@ from .aggregators import (
     AGGREGATOR_WEIGHTS,
     baseline_aggregate,
     he_normal,
+    transform_multadds,
 )
 from .errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
 from .graph import GraphTopology, psgc_schedule, similarity_matrix, topk_neighbors
-from .graphlu import EPSILON_FLOOR, gelu, graphlu
+from .graphlu import EPSILON_FLOOR, graphlu
 from .pvgt import read_tensor, write_tensor
 from .tensor import (
     Tensor,
@@ -366,11 +367,6 @@ class Model:
             if name.endswith(".epsilon"):
                 np.maximum(t.data, EPSILON_FLOOR, out=t.data)
 
-    def _activation(self, t: Tensor, prefix: str) -> Tensor:
-        if self.config.activation == "graphlu":
-            return graphlu(t, self.params[prefix + "act1.epsilon"])
-        return gelu(t)
-
     # -- graph construction ---------------------------------------------------
 
     def _build_graphs(self, feats: np.ndarray, k: int) -> GraphTopology:
@@ -390,8 +386,6 @@ class Model:
         if len(topos) == 1:
             return topos[0]
         return GraphTopology(
-            n_nodes=n,
-            k=topos[0].k,
             neighbor_idx=np.concatenate([t.neighbor_idx for t in topos]),
             neighbor_sim=np.concatenate([t.neighbor_sim for t in topos]),
         )
@@ -407,6 +401,9 @@ class Model:
         pre = plan.prefix
         local_c, first_c, second_c = plan.widths
         n = plan.grid * plan.grid
+        act1 = act2 = None  # a gate without a relaxation is GELU
+        if cfg.activation == "graphlu":
+            act1, act2 = P[pre + "act1.epsilon"], P[pre + "act2.epsilon"]
 
         z = layer_norm(h, P[pre + "norm1.gamma"], P[pre + "norm1.beta"])
         branch_outs: list[Tensor] = []
@@ -429,7 +426,7 @@ class Model:
             rows = topo.neighbor_idx + (np.arange(batch) * n)[:, None, None]
             weights = {w: P[f"{pre}{branch}.{w}"] for w in AGGREGATOR_WEIGHTS[cfg.aggregator]}
             y = baseline_aggregate(cfg.aggregator, x, rows.reshape(batch * n, plan.k), weights)
-            branch_outs.append(self._activation(y, pre))
+            branch_outs.append(graphlu(y, act1))
             if collect is not None and "graphs" in collect:
                 collect["graphs"].append((plan.index, branch, topo))
 
@@ -447,7 +444,7 @@ class Model:
             P[pre + "ffn.b1"],
             P[pre + "ffn.w2"],
             P[pre + "ffn.b2"],
-            P[pre + "act2.epsilon"] if cfg.activation == "graphlu" else None,
+            act2,
         )
         if plan.layer_scaled:
             f = mul_rowvec(f, P[pre + "scale2"])
@@ -524,22 +521,6 @@ def node_embedding(images, weight: Tensor, bias: Tensor, patch_size: int) -> Ten
 # ---------------------------------------------------------------------------
 
 
-def _aggregator_multadds(kind: str, width: int, n: int, k: int) -> int:
-    # Mult-adds of the transform matmuls only; gathers, maxes, and means are
-    # not multiply-accumulate work.
-    if kind == "MaxE":
-        return n * 3 * width * width
-    if kind == "MRGraphConv":
-        return n * 2 * width * width
-    if kind == "EdgeConv":
-        return n * k * (2 * width) * (2 * width) + n * k * (2 * width) * width
-    if kind == "GraphSAGE":
-        return n * k * width * width + n * 2 * width * width
-    if kind == "GIN":
-        return n * width * width
-    raise ConfigError(f"unknown aggregator kind {kind!r}")
-
-
 def _local_pair_count(grid: int, r: int) -> int:
     # Number of valid (node, offset) pairs on a square grid: for each axis
     # offset d the in-range span is grid - |d|, and the two axes factor.
@@ -569,7 +550,7 @@ def count_params_flops(config: ModelConfig) -> tuple[int, int]:
         if local_c:
             flops += _local_pair_count(plan.grid, cfg.radius) * local_c
         for width in (first_c, second_c):  # a width of 0 adds nothing
-            flops += _aggregator_multadds(cfg.aggregator, width, n, plan.k)
+            flops += transform_multadds(cfg.aggregator, width, n, plan.k)
         # Similarity: each global branch scores n^2 pairs over its own width.
         flops += n * n * (first_c + second_c)
         flops += n * c * c  # fusion
@@ -646,9 +627,9 @@ def load_checkpoint(ckpt_dir: str | Path) -> Model:
     if not manifest_path.exists():
         raise CheckpointError(f"no {MANIFEST_NAME} in {ckpt_dir}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"{manifest_path} is not valid JSON: {e}") from e
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise CheckpointError(f"{manifest_path} is not valid UTF-8 JSON: {e}") from e
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("config"), dict)

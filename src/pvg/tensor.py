@@ -10,7 +10,7 @@ The graph holds no values: a :class:`Tensor` holds its value and a
 :class:`Node` (gradient, ``requires_grad``, parent nodes, closure, ``op``,
 shape, dtype). Each op rebinds its arguments to their nodes before it defines
 its closure, which keeps only the arrays its backward reads: the multiplied
-inputs of ``linear``, ``matmul``, ``mul_rowvec`` and ``offset_mix``, the
+inputs of ``linear``, ``mul_rowvec`` and ``offset_mix``, the
 inputs of ``max0`` and ``cdf_gate`` (with its erf values), ``layer_norm``'s
 normalised input and row scales, ``ffn``'s normalised input, row scales,
 pre-gate values and erf values, ``reduce_max``'s winners, ``gather_rows``'
@@ -32,15 +32,15 @@ is that array rather than a copy of it.
 
 Scope is deliberately narrow: binary elementwise ops take equal shapes, the
 only broadcasts are explicit (``cdf_gate``'s one-element eps, the row-vector
-scale ``mul_rowvec``, the bias of ``linear`` and the bias map of
+scale ``mul_rowvec``, the optional bias of ``linear`` and the bias map of
 ``offset_mix``), reductions remove their axis, and there is no graph
 optimization, automatic fusion, or device support; the fused ops are written
-by hand: ``linear`` (matmul plus bias, one node per affine map),
-``layer_norm``, ``cdf_gate`` (the Gaussian-CDF gate), ``ffn`` (the block's
-feed-forward sublayer ``layer_norm``, ``linear``, ``cdf_gate``, ``linear`` as
-one node, on the same forward and backward kernels as those three ops) and
-``offset_mix`` (the local branch's grid-window mixing, one ``einsum`` over
-padded-grid windows).
+by hand: ``linear`` (the package's one matrix product, with an optional bias,
+one node per affine map), ``layer_norm``, ``cdf_gate`` (the Gaussian-CDF
+gate), ``ffn`` (the block's feed-forward sublayer ``layer_norm``, ``linear``,
+``cdf_gate``, ``linear`` as one node, on the same forward and backward kernels
+as those three ops) and ``offset_mix`` (the local branch's grid-window
+mixing, one ``einsum`` over padded-grid windows).
 Max reductions route the gradient to the lowest index among maximal entries
 so every subgradient choice is deterministic and testable. No op loops in
 Python over offsets, images or rows; ``reduce_max`` loops over its k indices.
@@ -71,7 +71,6 @@ DIFFERENTIABLE_OPS = [
     "sub",
     "cdf_gate",
     "max0",
-    "matmul",
     "reduce_sum",
     "reduce_mean",
     "reduce_max",
@@ -193,9 +192,6 @@ class Tensor:
 
     # -- autograd ----------------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        self._node._accumulate(g)
-
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Reverse-mode sweep from this tensor that consumes its graph.
 
@@ -240,7 +236,7 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
 
-        self._accumulate(seed)
+        self._node._accumulate(seed)
         # Popping drops the list's reference, so a released node and the
         # arrays only its closure kept are freed as the sweep moves on.
         while order:
@@ -316,49 +312,29 @@ def max0(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul and the affine map
+# the affine map
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors; d a = g b^T, d b = a^T g."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul requires rank-2 operands")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul inner extents differ: {a.shape} x {b.shape}"
-        )
-    out = Tensor._from_op(a.data @ b.data, (a, b), "matmul")
-    ad, bd, a, b = a.data, b.data, a._node, b._node
-
-    def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g @ bd.T, owned=True)
-        if b.requires_grad:
-            b._accumulate(ad.T @ g, owned=True)
-
-    _set_backward(out, bw)
-    return out
-
-
-def _check_linear(rows: tuple[int, ...], weight: Tensor, bias: Tensor, op: str) -> None:
+def _check_linear(rows: tuple[int, ...], weight: Tensor, bias: Tensor | None, op: str) -> None:
     if len(rows) != 2 or weight.data.ndim != 2:
         raise DimensionError(f"{op} requires rank-2 input and weight")
     if rows[1] != weight.shape[0]:
         raise DimensionError(f"{op} inner extents differ: {rows} x {weight.shape}")
-    if bias.shape != (weight.shape[1],):
+    if bias is not None and bias.shape != (weight.shape[1],):
         raise DimensionError(f"{op}: bias {bias.shape} does not match output width {weight.shape[1]}")
 
 
-def _linear_fwd(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+def _linear_fwd(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None) -> np.ndarray:
     # The bias goes in place into the product buffer.
     y = xd @ wd
-    y += bd
+    if bd is not None:
+        y += bd
     return y
 
 
 def _linear_bw(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, x, weight, bias) -> None:
-    if bias.requires_grad:
+    if bias is not None and bias.requires_grad:
         bias._accumulate(g.reshape(-1, wd.shape[1]).sum(axis=0), owned=True)
     if x.requires_grad:
         x._accumulate(g @ wd.T, owned=True)
@@ -366,17 +342,20 @@ def _linear_bw(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, x, weight, bias) -
         weight._accumulate(xd.T @ g, owned=True)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ weight + bias`` of rank-2 ``x``, ``bias`` added to every row.
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ weight + bias`` of rank-2 ``x``, ``bias`` added to every row;
+    ``bias=None`` is the product ``x @ weight`` alone.
 
     One node: the bias goes in place into the product buffer, so the map
     keeps one ``[rows, out]`` array, in the product's dtype. Values and
-    gradients equal, bit for bit, those of ``matmul`` followed by a
-    row-vector bias add of the same dtype.
+    gradients equal, bit for bit, those of the product followed by a
+    row-vector bias add of the same dtype. d x = g weight^T, d weight = x^T g.
     """
     _check_linear(x.shape, weight, bias, "linear")
-    out = Tensor._from_op(_linear_fwd(x.data, weight.data, bias.data), (x, weight, bias), "linear")
-    xd, wd, x, weight, bias = x.data, weight.data, x._node, weight._node, bias._node
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    bd, bias = (None, None) if bias is None else (bias.data, bias._node)
+    out = Tensor._from_op(_linear_fwd(x.data, weight.data, bd), parents, "linear")
+    xd, wd, x, weight = x.data, weight.data, x._node, weight._node
 
     def bw(g: np.ndarray) -> None:
         _linear_bw(g, xd, wd, x, weight, bias)
@@ -390,10 +369,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _axis(rank: int, axis: int) -> int:
+    if not (-rank <= axis < rank):
+        raise DimensionError(f"axis {axis} out of range for rank {rank}")
+    return axis % rank
+
+
 def _check_axis(x: Tensor, axis: int) -> int:
-    if not (-x.data.ndim <= axis < x.data.ndim):
-        raise DimensionError(f"axis {axis} out of range for rank {x.data.ndim}")
-    axis = axis % x.data.ndim
+    axis = _axis(x.data.ndim, axis)
     if x.shape[axis] == 0:
         raise EmptyReductionError(f"reduction over empty axis {axis}")
     return axis
@@ -465,9 +448,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if not parts:
         raise DimensionError("concat of zero parts")
     rank = parts[0].data.ndim
-    if not (-rank <= axis < rank):
-        raise DimensionError(f"axis {axis} out of range for rank {rank}")
-    axis = axis % rank
+    axis = _axis(rank, axis)
     ref = list(parts[0].shape)
     for p in parts[1:]:
         s = list(p.shape)
@@ -497,9 +478,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice along ``axis``; the gradient zero-pads outside it."""
     rank = x.data.ndim
-    if not (-rank <= axis < rank):
-        raise DimensionError(f"axis {axis} out of range for rank {rank}")
-    axis = axis % rank
+    axis = _axis(rank, axis)
     if start < 0 or length < 0 or start + length > x.shape[axis]:
         raise DimensionError(
             f"narrow [{start}:{start + length}] outside extent {x.shape[axis]}"

@@ -88,6 +88,9 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
         d = dict(d)
+        for key in ("model", "optimizer", "schedule"):
+            if key in d and not isinstance(d[key], dict):
+                raise ConfigError(f"run config {key!r} must be an object, got {type(d[key]).__name__}")
         try:
             if "model" in d:
                 d["model"] = ModelConfig.from_dict(d["model"])
@@ -102,9 +105,9 @@ class RunConfig:
     @staticmethod
     def from_json(path: str | Path) -> "RunConfig":
         try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path} is not valid JSON: {e}") from e
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{path} is not valid UTF-8 JSON: {e}") from e
         return RunConfig.from_dict(data)
 
 

@@ -42,10 +42,6 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
     case("sub", "rhs", lambda x: T.sub(b, x), _rng(4).normal(size=(3, 4)))
     case("max0", "x", lambda x: T.max0(x), _away_from_zero(_rng(9).normal(size=(5, 3))))
 
-    mm_b = Tensor(_rng(11).normal(size=(4, 5)))
-    mm_a = Tensor(_rng(12).normal(size=(3, 4)))
-    case("matmul", "lhs", lambda x: T.matmul(x, mm_b), _rng(13).normal(size=(3, 4)))
-    case("matmul", "rhs", lambda x: T.matmul(mm_a, x), _rng(14).normal(size=(4, 5)))
 
     case("reduce_sum", "mid_axis", lambda x: T.reduce_sum(x, 1), _rng(15).normal(size=(3, 4, 2)))
     case("reduce_mean", "mid_axis", lambda x: T.reduce_mean(x, 1), _rng(16).normal(size=(3, 4, 2)))
@@ -70,6 +66,11 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
     case("linear", "x", lambda x: T.linear(x, lin_w, lin_b), _rng(46).normal(size=(5, 4)))
     case("linear", "weight", lambda x: T.linear(rx, x, lin_b), _rng(47).normal(size=(4, 3)))
     case("linear", "bias", lambda x: T.linear(rx, lin_w, x), _rng(48).normal(size=3))
+    # Without a bias, as the aggregators' transforms run.
+    mm_b = Tensor(_rng(11).normal(size=(4, 5)))
+    mm_a = Tensor(_rng(12).normal(size=(3, 4)))
+    case("linear", "x_no_bias", lambda x: T.linear(x, mm_b), _rng(13).normal(size=(3, 4)))
+    case("linear", "weight_no_bias", lambda x: T.linear(mm_a, x), _rng(14).normal(size=(4, 5)))
 
     ln_g = Tensor(0.5 + _rng(31).uniform(size=6))
     ln_b = Tensor(_rng(32).normal(size=6))

@@ -11,7 +11,7 @@ from pvg.errors import ConfigError, DegenerateInputError, DimensionError
 from pvg.gradcheck import grad_check
 from pvg.graph import topk_neighbors
 from pvg.net import ModelConfig
-from pvg.tensor import Tensor, concat, gather_rows, matmul, reduce_max, reduce_mean, sub
+from pvg.tensor import Tensor, concat, gather_rows, linear, reduce_max, reduce_mean, sub
 
 from oracles import decomposition_check, param_count
 
@@ -104,7 +104,7 @@ class TestMaxRelative:
         assert maxe_aggregate(x, idx).data[:, c : 2 * c].tobytes() == want.data.tobytes()
         weights = draw_weights("MRGraphConv", c, c, rng, dtype=dtype)
         got = baseline_aggregate("MRGraphConv", x, idx, weights).data
-        assert got.tobytes() == matmul(concat([x, want], axis=1), weights["W"]).data.tobytes()
+        assert got.tobytes() == linear(concat([x, want], axis=1), weights["W"]).data.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_maxe_gradient_equals_gather_and_subtract(self, dtype):

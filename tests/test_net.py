@@ -321,7 +321,7 @@ class TestAutogradGraph:
         model = Model(cfg, seed=0)
         imgs = np.random.default_rng(30).uniform(size=(1, 32, 32, 3)).astype(np.float32)
         ops = {node.op for node in graph_nodes(model.forward(imgs))} - {"leaf"}
-        assert "linear" in ops and "matmul" in ops
+        assert "linear" in ops and "gather_rows" in ops
         assert ops <= set(DIFFERENTIABLE_OPS), ops - set(DIFFERENTIABLE_OPS)
 
     @pytest.mark.parametrize("layout", SWEPT_LAYOUTS)
@@ -677,6 +677,12 @@ COUNTED_CONFIGS = {
     "layer-scale-all": lambda: tiny_config(layer_scale_blocks=5, schedule_end=0.95),
     # k at or above n - 1 in the first three stages: 256, 64 and 16 nodes.
     "k-clamped": lambda: tiny_config(image_size=16, patch_size=1, stage_k=[300, 64, 16, 8]),
+    # Per-edge transforms cost n·k rows: clamped k in EdgeConv, and GraphSAGE's
+    # neighbor transform over a deep stack.
+    "edgeconv-k-clamped": lambda: tiny_config(
+        aggregator="EdgeConv", image_size=16, patch_size=1, stage_k=[300, 64, 16, 8]
+    ),
+    "graphsage-deep21": lambda: deep_tiny_config(21, aggregator="GraphSAGE"),
 }
 
 
@@ -702,6 +708,8 @@ class TestCounting:
             ("radius0", (1144108, 15222016)),
             ("layer-scale-all", (1193644, 15775232)),
             ("k-clamped", (1180684, 15427072)),
+            ("edgeconv-k-clamped", (1212940, 130442752)),
+            ("graphsage-deep21", (863244, 18254976)),
         ],
     )
     def test_counts_are_pinned(self, name, want):

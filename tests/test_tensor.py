@@ -41,16 +41,18 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-class TestMatmul:
+class TestLinearWithoutBias:
+    """``linear(x, w)``: the plain matrix product."""
+
     def test_identity(self):
         a = Tensor(np.eye(2))
         b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(T.matmul(a, b).data, b.data)
+        np.testing.assert_array_equal(T.linear(a, b).data, b.data)
 
     def test_hand_oracle(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        got = T.matmul(Tensor(a), Tensor(b)).data
+        got = T.linear(Tensor(a), Tensor(b)).data
         np.testing.assert_array_equal(got, [[19.0, 22.0], [43.0, 50.0]])
         np.testing.assert_allclose(got, matmul_oracle(a, b), rtol=1e-12)
 
@@ -59,25 +61,26 @@ class TestMatmul:
         a = rng.normal(size=(5, 7))
         b = rng.normal(size=(7, 4))
         np.testing.assert_allclose(
-            T.matmul(Tensor(a), Tensor(b)).data, matmul_oracle(a, b), rtol=1e-12
+            T.linear(Tensor(a), Tensor(b)).data, matmul_oracle(a, b), rtol=1e-12
         )
 
     def test_zeros_annihilate(self):
         z = Tensor(np.zeros((2, 3)))
         b = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
-        out = T.matmul(z, b)
+        out = T.linear(z, b)
         assert out.shape == (2, 4)
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
     def test_gradient_rule(self):
         rng = np.random.default_rng(2)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        out = T.matmul(a, b)
+        out = T.linear(a, b)
+        assert out.op == "linear" and all(p is q._node for p, q in zip(out._parents, (a, b), strict=True))
         g = rng.normal(size=(3, 2))
         out.backward(seed=g)
         np.testing.assert_allclose(a.grad, g @ b.data.T, rtol=1e-12)
@@ -87,38 +90,39 @@ class TestMatmul:
 class TestLinear:
     @staticmethod
     def chain(x, w, b, g, prior):
-        """The matmul-then-bias-add chain, transcribed: each node's first
-        gradient is ``0 + g`` into a fresh array, a later one is ``+=``."""
-        y = x @ w
-        y = y + b
-        g_out = g + 0.0
-        db = g_out.reshape(-1, b.shape[0]).sum(axis=0) + 0.0
-        g_mm = g_out + 0.0
+        """The product, then the bias add if there is a bias, transcribed:
+        each node's first gradient is ``0 + g`` into a fresh array, a later
+        one is ``+=``."""
+        g_mm = g + 0.0
         dx = g_mm @ w.T
         dx = dx + 0.0 if prior is None else prior + dx
         dw = (x.T @ g_mm) + 0.0
-        return y, dx, dw, db
+        if b is None:
+            return x @ w, dx, dw
+        return x @ w + b, dx, dw, g_mm.reshape(-1, b.shape[0]).sum(axis=0) + 0.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("with_prior", [False, True], ids=["fresh", "prior-grad"])
-    def test_matches_matmul_plus_bias_bit_for_bit(self, dtype, with_prior):
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
+    def test_matches_matmul_plus_bias_bit_for_bit(self, dtype, with_prior, with_bias):
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(7, 5)).astype(dtype)
         w0 = rng.normal(size=(5, 3)).astype(dtype)
-        b0 = rng.normal(size=3).astype(dtype)
+        b0 = rng.normal(size=3).astype(dtype) if with_bias else None
         g = rng.normal(size=(7, 3)).astype(dtype)
         g[0, 0] = -0.0
         prior = rng.normal(size=(7, 5)).astype(dtype) if with_prior else None
         x = Tensor(x0, requires_grad=True)
         w = Tensor(w0, requires_grad=True)
-        b = Tensor(b0, requires_grad=True)
+        b = Tensor(b0, requires_grad=True) if with_bias else None
         if with_prior:
             x.grad = prior.copy()
         out = T.linear(x, w, b)
         want = self.chain(x0, w0, b0, g, prior)
         got_y = out.data.copy()
         out.backward(seed=g)
-        for got, ref in zip((got_y, x.grad, w.grad, b.grad), want):
+        results = (got_y, x.grad, w.grad) + ((b.grad,) if with_bias else ())
+        for got, ref in zip(results, want, strict=True):
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
 
@@ -470,7 +474,7 @@ def graph_nodes(root: Tensor) -> list[Tensor]:
 def retaining_sweep(root: Tensor) -> None:
     """Reverse-mode sweep that leaves every node as it was: the definition a
     consuming ``Tensor.backward`` must match at the leaves."""
-    root._accumulate(np.ones_like(root.data))
+    root._node._accumulate(np.ones_like(root.data))
     for node in graph_nodes(root):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
@@ -528,7 +532,7 @@ class TestBackwardConsumesGraph:
     def test_second_backward_from_same_root_raises(self):
         rng = np.random.default_rng(1)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        loss = total(T.max0(T.matmul(Tensor(rng.normal(size=(5, 4))), w)))
+        loss = total(T.max0(T.linear(Tensor(rng.normal(size=(5, 4))), w)))
         loss.backward()
         first = w.grad.copy()
         with pytest.raises(GraphReleasedError):
@@ -538,7 +542,7 @@ class TestBackwardConsumesGraph:
     def test_second_root_over_released_subgraph_raises(self):
         rng = np.random.default_rng(2)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        h = T.matmul(Tensor(rng.normal(size=(5, 4))), w)
+        h = T.linear(Tensor(rng.normal(size=(5, 4))), w)
         second = total(T.max0(h))
         total(h).backward()
         first = w.grad.copy()
@@ -586,7 +590,7 @@ class TestBackwardConsumesGraph:
 class TestGradCheckHarness:
     def test_quadratic(self):
         x = Tensor(np.random.default_rng(6).normal(size=(4, 4)))
-        report = grad_check(lambda t: T.matmul(t, t), x, op_name="square")
+        report = grad_check(lambda t: T.linear(t, t), x, op_name="square")
         assert report.passed
         assert report.max_rel_error <= 1e-6
 
@@ -594,7 +598,7 @@ class TestGradCheckHarness:
         const = Tensor(np.ones((2, 2)))
         x = Tensor(np.zeros((2, 2)))
         zero = Tensor(np.zeros((2, 2)))
-        report = grad_check(lambda t: T.matmul(t, zero), x, op_name="zero")
+        report = grad_check(lambda t: T.linear(t, zero), x, op_name="zero")
         assert report.passed
         x2 = Tensor(np.random.default_rng(7).normal(size=(3,)), requires_grad=True)
         y = total(const)
@@ -612,7 +616,7 @@ class TestGradCheckHarness:
         # the wrong layout would go unseen.
         def bad_transpose(x: Tensor) -> Tensor:
             out = Tensor._from_op(np.ascontiguousarray(x.data.T), (x,), "bad_transpose")
-            out._backward = lambda g: x._accumulate(g)
+            out._backward = lambda g: x._node._accumulate(g)
             return out
 
         x = Tensor(np.random.default_rng(9).normal(size=(3, 3)))
@@ -624,7 +628,7 @@ class TestGradCheckHarness:
 
         x = Tensor(np.full((2, 2), 1e200))  # 1e200 squared overflows to inf
         with pytest.raises(EvaluationError), np.errstate(over="ignore"):
-            grad_check(lambda t: T.matmul(t, t), x, op_name="overflow")
+            grad_check(lambda t: T.linear(t, t), x, op_name="overflow")
 
 
 class TestPVGTFormat:

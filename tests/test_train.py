@@ -42,6 +42,15 @@ from pvg.train import (
 )
 
 
+# Run configs whose sections are not JSON objects, and what the error names.
+SECTION_NOT_AN_OBJECT = {
+    json.dumps({"model": 3}): "'model' must be an object, got int",
+    json.dumps({"model": "abc"}): "'model' must be an object, got str",
+    json.dumps({"optimizer": "x"}): "'optimizer' must be an object, got str",
+    json.dumps({"schedule": [1]}): "'schedule' must be an object, got list",
+}
+
+
 def small_dataset(n=64, seed=0):
     return make_two_class_patches(n_images=n, size=32, seed=seed)
 
@@ -517,7 +526,7 @@ class TestCli:
             json.dumps({"batch_size": True}),
             json.dumps({"seed": 1.0}),
             json.dumps({"output_dir": 3}),
-            json.dumps({"model": 3}),
+            *SECTION_NOT_AN_OBJECT,
         ],
         ids=[
             "malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size", "1x1-last-stage",
@@ -526,6 +535,7 @@ class TestCli:
             "stage-k-float", "ffn-ratio-float", "in-channels-zero", "in-channels-negative",
             "layer-scale-init-beyond-float32", "lr-str", "betas-length", "lr-nan", "total-steps-float",
             "warmup-negative", "batch-size-bool", "seed-float", "output-dir-int", "model-not-an-object",
+            "model-str", "optimizer-str", "schedule-list",
         ],
     )
     def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, text):
@@ -533,6 +543,30 @@ class TestCli:
         assert cli_main(["count", "--config", str(tmp_path / "run.json")]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:config:")
+        assert "\n" not in err
+        assert SECTION_NOT_AN_OBJECT.get(text, "") in err
+
+    @pytest.mark.parametrize(
+        "command, category", [("count", "config"), ("train", "file-format"), ("eval", "checkpoint")]
+    )
+    def test_non_utf8_file_is_one_line_error(self, workspace, capsys, command, category):
+        # count reads a run config, train a labels CSV, eval a manifest: each
+        # starts with or holds the byte 0xFF, which no UTF-8 text contains.
+        tp = workspace
+        data = ["--data", str(tp / "x.pvgt"), "--labels", str(tp / "y.csv")]
+        if command == "count":
+            (tp / "run.json").write_bytes(b"\xff{}")
+            args = ["count", "--config", str(tp / "run.json")]
+        elif command == "train":
+            (tp / "y.csv").write_bytes(b"index,label\n0,\xff\n")
+            args = ["train", "--config", str(tp / "run.json")] + data
+        else:
+            save_checkpoint(Model(ModelConfig(), seed=0), tp / "ckpt")
+            (tp / "ckpt" / "manifest.json").write_bytes(b"\xff{}")
+            args = ["eval", "--checkpoint", str(tp / "ckpt")] + data
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error:{category}:") and "UTF-8" in err
         assert "\n" not in err
 
     def test_negative_seed_is_one_line_config_error(self, workspace, capsys):
