@@ -630,6 +630,8 @@ def load_checkpoint(ckpt_dir: str | Path) -> Model:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointError(f"{manifest_path} is not valid UTF-8 JSON: {e}") from e
+    except RecursionError as e:
+        raise CheckpointError(f"{manifest_path} nests too deeply to parse: {e}") from e
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("config"), dict)

@@ -7,6 +7,7 @@ parameters.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -44,7 +45,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
     if len(raw) < header:
         raise FileFormatError(f"{path}: truncated extent list")
     shape = struct.unpack_from(f"<{rank}I", raw, 8)
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = math.prod(shape)  # a Python int: an int64 product would wrap
     expected = header + 4 * count
     if len(raw) != expected:
         raise FileFormatError(

@@ -12,11 +12,11 @@ shape, dtype). Each op rebinds its arguments to their nodes before it defines
 its closure, which keeps only the arrays its backward reads: the multiplied
 inputs of ``linear``, ``mul_rowvec`` and ``offset_mix``, the
 inputs of ``max0`` and ``cdf_gate`` (with its erf values), ``layer_norm``'s
-normalised input and row scales, ``ffn``'s normalised input, row scales,
-pre-gate values and erf values, ``reduce_max``'s winners, ``gather_rows``'
-index and the loss's probabilities. Any other value is freed once the
-forward drops it; ``ffn`` recomputes its normalised rows' affine map and its
-gate output in backward with the forward's operations.
+normalised input and row scales, ``ffn``'s normalised input, row scales and
+erf values, ``reduce_max``'s winners, ``gather_rows``' index and the loss's
+probabilities. Any other value is freed once the forward drops it; ``ffn``
+recomputes its normalised rows' affine map, its pre-gate values and its gate
+output in backward with the forward's operations.
 
 Backward consumes the graph it sweeps: each interior node drops its gradient,
 its closure and its parent links as soon as its closure has run, so the
@@ -90,6 +90,7 @@ DIFFERENTIABLE_OPS = [
 _FLOAT_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 * (1.0 / np.sqrt(np.pi))
+GATE_BLOCK = 2**16  # entries per block of the gate backward's slope temporaries
 
 
 class Node:
@@ -334,12 +335,15 @@ def _linear_fwd(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None) -> np.nda
 
 
 def _linear_bw(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, x, weight, bias) -> None:
+    # The weight's gradient comes first and xd is not read after it, so an
+    # input that only this call holds is freed before g @ wd^T is allocated.
+    if weight.requires_grad:
+        weight._accumulate(xd.T @ g, owned=True)
+    del xd
     if bias is not None and bias.requires_grad:
         bias._accumulate(g.reshape(-1, wd.shape[1]).sum(axis=0), owned=True)
     if x.requires_grad:
         x._accumulate(g @ wd.T, owned=True)
-    if weight.requires_grad:
-        weight._accumulate(xd.T @ g, owned=True)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -609,25 +613,36 @@ def _gate_out(xd: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _gate_bw(g, xd, e, s, shifted, x, eps) -> None:
-    # Overwrites g and e: each closure runs once, and both go with it.
+    # Overwrites g and e: each closure runs once, and both go with it. The
+    # slope and x's second term are computed GATE_BLOCK entries at a time, so
+    # g, xd and e are the only arrays of the gate's size.
     dt = e.dtype
     gh = np.multiply(g, np.asarray(0.5, dtype=dt), out=g)  # gradient at x * (1 + erf)
     if x.requires_grad:
         np.add(e, np.asarray(1.0, dtype=dt), out=e)
         x._accumulate(np.multiply(gh, e, out=e), owned=True)
-    # d erf(a) / da = 2/sqrt(pi) exp(-a^2) at a = x * s, in the gate's dtype.
-    buf = xd * s
-    np.square(buf, out=buf)
-    np.negative(buf, out=buf)
-    np.exp(buf, out=buf)
-    np.multiply(buf, np.asarray(_TWO_OVER_SQRT_PI, dtype=dt), out=buf)
-    np.multiply(gh, xd, out=gh)  # gradient at erf
-    np.multiply(gh, buf, out=gh)  # gradient at a
-    if x.requires_grad:
-        np.multiply(gh, s, out=buf)
-        x._accumulate(buf)
+        x.grad = np.ascontiguousarray(x.grad)  # the blocks below add into a flat view of it
+        dx = x.grad.reshape(-1)
+    flat_gh, flat_x = gh.reshape(-1), xd.reshape(-1)
+    two_over_sqrt_pi = np.asarray(_TWO_OVER_SQRT_PI, dtype=dt)
+    for start in range(0, flat_gh.size, GATE_BLOCK):
+        block = slice(start, start + GATE_BLOCK)
+        gb, xb = flat_gh[block], flat_x[block]
+        # d erf(a) / da = 2/sqrt(pi) exp(-a^2) at a = x * s, in the gate's dtype.
+        buf = xb * s
+        np.square(buf, out=buf)
+        np.negative(buf, out=buf)
+        np.exp(buf, out=buf)
+        np.multiply(buf, two_over_sqrt_pi, out=buf)
+        np.multiply(gb, xb, out=gb)  # gradient at erf
+        np.multiply(gb, buf, out=gb)  # gradient at a
+        if x.requires_grad:
+            np.multiply(gb, s, out=buf)
+            dxb = dx[block]
+            dxb += buf
+        if eps is not None and eps.requires_grad:
+            np.multiply(gb, xb, out=gb)
     if eps is not None and eps.requires_grad:
-        np.multiply(gh, xd, out=gh)
         g_inv_sd = np.sum(gh).reshape(eps.shape) * np.asarray(_INV_SQRT2, dtype=eps.dtype)
         eps._accumulate(-g_inv_sd / (shifted * shifted), owned=True)
 
@@ -743,14 +758,17 @@ def ffn(
     """The feed-forward sublayer ``linear(cdf_gate(linear(layer_norm(h,
     gamma, beta), w1, b1), eps), w2, b2)`` as one node.
 
-    The node keeps the normalised input and its row scales, the pre-gate
-    values x and their erf values; backward recomputes the normalised rows'
-    affine map and the gate output 0.5 x (1 + erf) with the forward's
-    operations. Forward and backward run the kernels of ``layer_norm``,
+    The node keeps the normalised input, its row scales and the erf values
+    of the pre-gate values x. Backward recomputes the normalised rows' affine
+    map, x from it and the gate output 0.5 x (1 + erf) with the forward's
+    operations; the parameters change only after backward, so each comes back
+    bit for bit. It frees the gate output once ``w2``'s gradient is taken,
+    before the gate's gradient is allocated, so it holds at most three arrays
+    of x's size. Forward and backward run the kernels of ``layer_norm``,
     ``linear`` and ``cdf_gate``, and each value inside receives its gradient
     as that chain's node would, so values and gradients equal the chain's bit
-    for bit, while the chain's layer_norm output and gate output are not held
-    between forward and backward.
+    for bit, while the chain's layer_norm output, x and gate output are not
+    held between forward and backward.
     """
     _check_linear(h.shape, w1, b1, "ffn")
     _check_layer_norm(h, gamma, beta)
@@ -761,22 +779,24 @@ def ffn(
     e = _gate_erf(x, s)
     parents = (h, gamma, beta, w1, b1, w2, b2) + (() if eps is None else (eps,))
     out = Tensor._from_op(_linear_fwd(_gate_out(x, e), w2.data, b2.data), parents, "ffn")
-    gd, bd, w1d, w2d = gamma.data, beta.data, w1.data, w2.data
+    gd, bd, w1d, b1d, w2d = gamma.data, beta.data, w1.data, b1.data, w2.data
     h, gamma, beta, w1, b1, w2, b2 = (t._node for t in parents[:7])
     eps = None if eps is None else eps._node
-    saved = [x, e]
+    saved = [e]
 
     def bw(g: np.ndarray) -> None:
-        xd, ed = saved
-        saved.clear()  # the pre-gate arrays go once the gate's backward is done
+        ed = saved.pop()  # the erf values go once the gate's backward is done
+        # The parameters are updated only after backward: x comes back bit for bit.
+        a = _affine(xhat, gd, bd)
+        xd = _linear_fwd(a, w1d, b1d)
         gate = _Slot(xd)
         _linear_bw(g, _gate_out(xd, ed), w2d, gate, w2, b2)
         pre = _Slot(xd)
         _gate_bw(gate.grad, xd, ed, s, shifted, pre, eps)
         del gate, xd, ed
         normed = _Slot(xhat)
-        _linear_bw(pre.grad, _affine(xhat, gd, bd), w1d, normed, w1, b1)
-        del pre
+        _linear_bw(pre.grad, a, w1d, normed, w1, b1)
+        del pre, a
         _layer_norm_bw(normed.grad, xhat, inv, gd, h, gamma, beta)
 
     _set_backward(out, bw)

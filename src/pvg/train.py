@@ -108,6 +108,8 @@ class RunConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"{path} is not valid UTF-8 JSON: {e}") from e
+        except RecursionError as e:
+            raise ConfigError(f"{path} nests too deeply to parse: {e}") from e
         return RunConfig.from_dict(data)
 
 
@@ -145,6 +147,15 @@ def evaluate(model_or_dir, dataset: Dataset, batch_size: int = 32) -> tuple[floa
     model = model_or_dir if isinstance(model_or_dir, Model) else load_checkpoint(model_or_dir)
     loss, acc = _forward_pass_metrics(model, dataset, batch_size)
     return acc, loss
+
+
+def _take_grads(model: Model) -> dict[str, np.ndarray]:
+    """Each parameter's gradient, moved out of the parameter."""
+    grads = {}
+    for name, t in model.params.items():
+        if t.grad is not None:
+            grads[name], t.grad = t.grad, None
+    return grads
 
 
 def train(
@@ -214,11 +225,12 @@ def train(
                 run.schedule.warmup_steps,
                 total_steps,
             )
-            # Built in the call, so no name keeps this step's gradients alive
-            # through the next step's forward and backward.
+            # Moved out of the parameters in the call: once the update is
+            # done nothing holds this step's gradients, neither a name through
+            # the next step nor the returned model.
             adamw_step(
                 model.params,
-                {name: t.grad for name, t in model.params.items() if t.grad is not None},
+                _take_grads(model),
                 state,
                 lr_t,
                 betas=run.optimizer.betas,

@@ -19,6 +19,7 @@ from pvg.gradcheck import grad_check
 from pvg.net import Model, tiny_config
 from pvg.pvgt import read_tensor, write_tensor
 from pvg.tensor import Tensor
+from test_graphlu import eight_op_chain
 
 
 def total(t: Tensor) -> Tensor:
@@ -212,6 +213,85 @@ class TestFfn:
         leaves[name] = Tensor(np.zeros(shape))
         with pytest.raises(DimensionError):
             T.ffn(*leaves.values())
+
+
+class TestBlockedGate:
+    """The gate's backward computes its slope and x's second term
+    ``T.GATE_BLOCK`` entries at a time; arrays of several blocks and a short
+    last one give the bits of the elementwise chain."""
+
+    SIZE = 3 * T.GATE_BLOCK + 392
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("eps", [0.3, None], ids=["eps", "no-eps"])
+    def test_cdf_gate_equals_the_elementwise_chain(self, dtype, eps):
+        rng = np.random.default_rng(21)
+        x0 = (rng.normal(size=(self.SIZE // 1000, 1000)) * 3.0).astype(dtype)
+        assert x0.size > 3 * T.GATE_BLOCK and x0.size % T.GATE_BLOCK
+        g = rng.normal(size=x0.shape).astype(dtype)
+        # A prior gradient that is not C-contiguous: the blocks add x's second
+        # term into a flat view of it.
+        dx0 = np.asfortranarray(rng.normal(size=x0.shape).astype(dtype))
+        eps0 = None if eps is None else np.array([eps], dtype=dtype)
+        x = Tensor(x0, requires_grad=True)
+        x.grad = dx0.copy(order="F")
+        e = None if eps is None else Tensor(eps0, requires_grad=True)
+        y = T.cdf_gate(x, e)
+        y.backward(seed=g)
+        want_y, want_dx, want_deps = eight_op_chain(x0, eps0, g, dx0)
+        assert y.data.tobytes() == want_y.tobytes()
+        assert x.grad.dtype == dtype and x.grad.tobytes() == want_dx.tobytes()
+        if eps is not None:
+            assert e.grad.tobytes() == want_deps.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("eps", [0.3, None], ids=["eps", "no-eps"])
+    def test_ffn_equals_the_elementwise_chain(self, dtype, eps):
+        # layer_norm and linear as ops, the gate as the elementwise chain in
+        # numpy, and the second linear by hand; ffn hands its gate a gradient
+        # of rows x 4c = 3100 x 64 entries.
+        rng = np.random.default_rng(22)
+        rows, c = 3100, 16
+        assert rows * 4 * c > 3 * T.GATE_BLOCK and rows * 4 * c % T.GATE_BLOCK
+        arrays = {
+            "h": rng.normal(size=(rows, c)),
+            "gamma": 0.5 + rng.uniform(size=c),
+            "beta": rng.normal(size=c),
+            "w1": rng.normal(size=(c, 4 * c)) * 0.5,
+            "b1": rng.normal(size=4 * c),
+            "w2": rng.normal(size=(4 * c, c)) * 0.5,
+            "b2": rng.normal(size=c),
+            "eps": np.array([0.0 if eps is None else eps]),
+        }
+        g = rng.normal(size=(rows, c)).astype(dtype)
+
+        def leaves():
+            made = {name: Tensor(a.astype(dtype), requires_grad=True) for name, a in arrays.items()}
+            if eps is None:
+                made["eps"] = None
+            return made
+
+        fused = leaves()
+        out = T.ffn(*fused.values())
+        out.backward(seed=g)
+
+        ref = leaves()
+        pre = T.linear(T.layer_norm(ref["h"], ref["gamma"], ref["beta"]), ref["w1"], ref["b1"])
+        g0 = g + 0.0  # the ffn node's gradient: 0 + g
+        eps0 = None if eps is None else ref["eps"].data
+        gate_y, d_pre, d_eps = eight_op_chain(pre.data, eps0, (g0 @ ref["w2"].data.T) + 0.0)
+        want_out = gate_y @ ref["w2"].data
+        want_out += ref["b2"].data
+        pre.backward(seed=d_pre)
+        ref["w2"].grad = (gate_y.T @ g0) + 0.0
+        ref["b2"].grad = g0.sum(axis=0) + 0.0
+        if eps is not None:
+            ref["eps"].grad = d_eps
+
+        assert out.data.tobytes() == want_out.tobytes()
+        for name, t in fused.items():
+            if t is not None:
+                assert t.grad.dtype == dtype and t.grad.tobytes() == ref[name].grad.tobytes(), name
 
 
 class TestElementwise:
@@ -512,7 +592,7 @@ class TestBackwardConsumesGraph:
     def test_backward_frees_graph_while_root_is_held(self):
         # numpy's buffers are traced by tracemalloc. With ``loss`` still
         # named, what the sweep leaves behind is the parameter gradients.
-        # At batch 16 the graph (about 17 MB) is well above twice the
+        # At batch 16 the graph (about 12.7 MB) is well above twice the
         # parameters' 4.7 MB, so a leak of either would show.
         model = Model(tiny_config(), seed=0)
         images = np.random.default_rng(3).random((16, 32, 32, 3)).astype(np.float32)
@@ -661,6 +741,14 @@ class TestPVGTFormat:
         path = tmp_path / "bad.pvgt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(FileFormatError):
+            read_tensor(path)
+
+    def test_element_count_past_int64_is_format_error(self, tmp_path):
+        # Extents [65536] * 4 hold 2^64 elements: an int64 product wraps to
+        # 0, which an empty payload would match.
+        path = tmp_path / "huge.pvgt"
+        path.write_bytes(b"PVGT" + (4).to_bytes(4, "little") + (65536).to_bytes(4, "little") * 4)
+        with pytest.raises(FileFormatError, match="expected 73786976294838206464"):
             read_tensor(path)
 
     def test_truncated(self, tmp_path):

@@ -376,7 +376,8 @@ class TestMemoryHeld:
         # Memory held as each step begins, just after zero_grad. The first
         # step starts with the parameters, every later one with AdamW's two
         # moments per parameter as well; nothing a step built outlives it.
-        # The least a step could leak, its gradients, is 4.5 MiB.
+        # The least a step could leak, its gradients, is 4.5 MiB. The update
+        # moves them out of the parameters, so the returned model holds none.
         held = []
         zero_grad = Model.zero_grad
 
@@ -400,6 +401,7 @@ class TestMemoryHeld:
         grown = np.diff(held)
         assert abs(grown[0] - moments) <= 2**20, (grown[0] / 2**20, moments / 2**20)
         assert np.all(np.abs(grown[1:]) <= 2**20), grown / 2**20
+        assert [name for name, t in model.params.items() if t.grad is not None] == []
 
 
 def attached_closures(monkeypatch) -> list[str]:
@@ -567,6 +569,23 @@ class TestCli:
         assert cli_main(args) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error:{category}:") and "UTF-8" in err
+        assert "\n" not in err
+
+    @pytest.mark.parametrize("command, category", [("count", "config"), ("eval", "checkpoint")])
+    def test_deeply_nested_json_is_one_line_error(self, workspace, capsys, command, category):
+        # 200000 nested arrays exceed the JSON decoder's recursion limit.
+        tp = workspace
+        nested = "[" * 200000
+        if command == "count":
+            (tp / "run.json").write_text(nested)
+            args = ["count", "--config", str(tp / "run.json")]
+        else:
+            save_checkpoint(Model(ModelConfig(), seed=0), tp / "ckpt")
+            (tp / "ckpt" / "manifest.json").write_text(nested)
+            args = ["eval", "--checkpoint", str(tp / "ckpt"), "--data", str(tp / "x.pvgt"), "--labels", str(tp / "y.csv")]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error:{category}:") and "nests too deeply" in err
         assert "\n" not in err
 
     def test_negative_seed_is_one_line_config_error(self, workspace, capsys):
