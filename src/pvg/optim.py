@@ -42,22 +42,27 @@ def adamw_step(
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+    todo = [(name, p, grads[name]) for name, p in params.items() if grads.get(name) is not None]
+    if not todo:
+        return
+    # Scratch rows for the steps below, in the order of the commented expressions.
+    scratch = np.empty((2, max(p.data.size for _, p, _ in todo)), np.result_type(*(g for _, _, g in todo)))
+    for name, p, g in todo:
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
+        m, v = state.m[name], state.v[name]
+        a, b = (row[: p.data.size].reshape(p.data.shape) for row in scratch)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=a)  # (1 - beta1) * g
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
+        v += np.multiply(1.0 - beta2, np.multiply(g, g, out=a), out=a)  # (1 - beta2) * (g * g)
         if weight_decay and (apply_decay is None or apply_decay[name]):
             p.data *= 1.0 - lr_t * weight_decay
-        p.data -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        # lr_t * (m / bc1) / (sqrt(v / bc2) + eps)
+        step = np.multiply(lr_t, np.divide(m, bc1, out=a), out=a)
+        denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), eps, out=b)
+        p.data -= np.divide(step, denom, out=a)
 
 
 def cosine_lr(step: int, base_lr: float, warmup_steps: int, total_steps: int) -> float:

@@ -12,11 +12,12 @@ shape, dtype). Each op rebinds its arguments to their nodes before it defines
 its closure, which keeps only the arrays its backward reads: the multiplied
 inputs of ``linear``, ``mul_rowvec`` and ``offset_mix``, the
 inputs of ``max0`` and ``cdf_gate`` (with its erf values), ``layer_norm``'s
-normalised input and row scales, ``ffn``'s normalised input, row scales and
-erf values, ``reduce_max``'s winners, ``gather_rows``' index and the loss's
-probabilities. Any other value is freed once the forward drops it; ``ffn``
-recomputes its normalised rows' affine map, its pre-gate values and its gate
-output in backward with the forward's operations.
+and ``ffn``'s normalised input and row scales, ``reduce_max``'s winners,
+``gather_rows``' index and the loss's probabilities. Any other value is freed
+once the forward drops it; ``ffn`` keeps no array of its hidden width 4c and
+recomputes its normalised rows' affine map, its pre-gate values, their erf
+values and its gate output in backward with the forward's operations, in row
+blocks of at least 8 rows, holding at most two arrays of the hidden width.
 
 Backward consumes the graph it sweeps: each interior node drops its gradient,
 its closure and its parent links as soon as its closure has run, so the
@@ -90,7 +91,9 @@ DIFFERENTIABLE_OPS = [
 _FLOAT_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 * (1.0 / np.sqrt(np.pi))
-GATE_BLOCK = 2**16  # entries per block of the gate backward's slope temporaries
+# Entries per block of the gate backward's temporaries; ``ffn`` runs its
+# pre-gate values in blocks of GATE_BLOCK // 4c rows, never fewer than 8.
+GATE_BLOCK = 2**16
 
 
 class Node:
@@ -334,16 +337,17 @@ def _linear_fwd(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None) -> np.nda
     return y
 
 
-def _linear_bw(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, x, weight, bias) -> None:
+def _linear_bw(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, x, weight, bias, out=None) -> None:
     # The weight's gradient comes first and xd is not read after it, so an
-    # input that only this call holds is freed before g @ wd^T is allocated.
+    # input that only this call holds is freed before g @ wd^T is allocated;
+    # ``out`` (which may be xd) takes g @ wd^T in place of a new array.
     if weight.requires_grad:
         weight._accumulate(xd.T @ g, owned=True)
     del xd
     if bias is not None and bias.requires_grad:
         bias._accumulate(g.reshape(-1, wd.shape[1]).sum(axis=0), owned=True)
     if x.requires_grad:
-        x._accumulate(g @ wd.T, owned=True)
+        x._accumulate(np.matmul(g, wd.T, out=out), owned=True)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -598,36 +602,45 @@ def _gate_scale(dtype, eps: Tensor | None) -> tuple[np.ndarray, np.ndarray | Non
     return (inv_sd * np.asarray(_INV_SQRT2, dtype=inv_sd.dtype)).reshape(()), shifted
 
 
-def _gate_erf(xd: np.ndarray, s: np.ndarray) -> np.ndarray:
-    e = xd * s
+def _gate_erf(xd: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    e = np.multiply(xd, s, out=out)
     _erf(e, out=e)
     return e
 
 
-def _gate_out(xd: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # 0.5 * x * (1 + e) from the erf values e: forward, and the recompute in ffn's backward.
-    y = e + np.asarray(1.0, dtype=e.dtype)
+def _gate_out(xd: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # 0.5 * x * (1 + e) from the erf values e (``out`` may be e).
+    y = np.add(e, np.asarray(1.0, dtype=e.dtype), out=out)
     np.multiply(xd, y, out=y)
     np.multiply(y, np.asarray(0.5, dtype=y.dtype), out=y)
     return y
 
 
-def _gate_bw(g, xd, e, s, shifted, x, eps) -> None:
-    # Overwrites g and e: each closure runs once, and both go with it. The
-    # slope and x's second term are computed GATE_BLOCK entries at a time, so
-    # g, xd and e are the only arrays of the gate's size.
+def _gate_bw(g, e, s, shifted, x, eps, x_blocks) -> None:
+    # Overwrites g and e: each closure runs once, and both go with it. Every
+    # step runs on the flat blocks of x that ``x_blocks`` yields, so g and e
+    # are the only arrays of the gate's size. e becomes x's first gradient
+    # where it can (0 + x's two terms, in the chain's order); g ends as eps's term.
     dt = e.dtype
-    gh = np.multiply(g, np.asarray(0.5, dtype=dt), out=g)  # gradient at x * (1 + erf)
+    g = np.ascontiguousarray(g)  # the blocks write into a flat view of it
     if x.requires_grad:
-        np.add(e, np.asarray(1.0, dtype=dt), out=e)
-        x._accumulate(np.multiply(gh, e, out=e), owned=True)
-        x.grad = np.ascontiguousarray(x.grad)  # the blocks below add into a flat view of it
-        dx = x.grad.reshape(-1)
-    flat_gh, flat_x = gh.reshape(-1), xd.reshape(-1)
+        if x.grad is None:
+            x.grad = e if e.dtype == x.dtype else np.zeros(x.shape, x.dtype)
+        x.grad = np.ascontiguousarray(x.grad)
+        dx, adopted = x.grad.reshape(-1), x.grad is e
+    flat_g, flat_e = g.reshape(-1), e.reshape(-1)
     two_over_sqrt_pi = np.asarray(_TWO_OVER_SQRT_PI, dtype=dt)
-    for start in range(0, flat_gh.size, GATE_BLOCK):
-        block = slice(start, start + GATE_BLOCK)
-        gb, xb = flat_gh[block], flat_x[block]
+    start = 0
+    for xb in x_blocks:
+        block = slice(start, start + xb.size)
+        start = block.stop
+        gb, eb = flat_g[block], flat_e[block]
+        np.multiply(gb, np.asarray(0.5, dtype=dt), out=gb)  # gradient at x * (1 + erf)
+        if x.requires_grad:
+            np.add(eb, np.asarray(1.0, dtype=dt), out=eb)
+            np.multiply(gb, eb, out=eb)  # x's first term
+            dxb = dx[block]
+            np.add(dxb, 0.0 if adopted else eb, out=dxb)
         # d erf(a) / da = 2/sqrt(pi) exp(-a^2) at a = x * s, in the gate's dtype.
         buf = xb * s
         np.square(buf, out=buf)
@@ -638,12 +651,11 @@ def _gate_bw(g, xd, e, s, shifted, x, eps) -> None:
         np.multiply(gb, buf, out=gb)  # gradient at a
         if x.requires_grad:
             np.multiply(gb, s, out=buf)
-            dxb = dx[block]
             dxb += buf
         if eps is not None and eps.requires_grad:
             np.multiply(gb, xb, out=gb)
     if eps is not None and eps.requires_grad:
-        g_inv_sd = np.sum(gh).reshape(eps.shape) * np.asarray(_INV_SQRT2, dtype=eps.dtype)
+        g_inv_sd = np.sum(g).reshape(eps.shape) * np.asarray(_INV_SQRT2, dtype=eps.dtype)
         eps._accumulate(-g_inv_sd / (shifted * shifted), owned=True)
 
 
@@ -675,7 +687,8 @@ def cdf_gate(x: Tensor, eps: Tensor | None = None) -> Tensor:
     eps = None if eps is None else eps._node
 
     def bw(g: np.ndarray) -> None:
-        _gate_bw(g, xd, e, s, shifted, x, eps)
+        flat_x = xd.reshape(-1)
+        _gate_bw(g, e, s, shifted, x, eps, (flat_x[i : i + GATE_BLOCK] for i in range(0, xd.size, GATE_BLOCK)))
 
     _set_backward(out, bw)
     return out
@@ -745,6 +758,17 @@ class _Slot:
         self.dtype = like.dtype
 
 
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    # A tail of fewer than 8 rows joins the block before it: on OpenBLAS,
+    # [rows, c] @ [c, 4c] over 8 rows or more gave the full product's bits,
+    # over 1 or 2 not always (and [rows, 4c] @ [4c, c] over row blocks not).
+    step = max(8, GATE_BLOCK // width)
+    starts = list(range(0, max(rows, 1), step))
+    if len(starts) > 1 and rows - starts[-1] < 8:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [rows])]
+
+
 def ffn(
     h: Tensor,
     gamma: Tensor,
@@ -758,45 +782,55 @@ def ffn(
     """The feed-forward sublayer ``linear(cdf_gate(linear(layer_norm(h,
     gamma, beta), w1, b1), eps), w2, b2)`` as one node.
 
-    The node keeps the normalised input, its row scales and the erf values
-    of the pre-gate values x. Backward recomputes the normalised rows' affine
-    map, x from it and the gate output 0.5 x (1 + erf) with the forward's
-    operations; the parameters change only after backward, so each comes back
-    bit for bit. It frees the gate output once ``w2``'s gradient is taken,
-    before the gate's gradient is allocated, so it holds at most three arrays
-    of x's size. Forward and backward run the kernels of ``layer_norm``,
-    ``linear`` and ``cdf_gate``, and each value inside receives its gradient
-    as that chain's node would, so values and gradients equal the chain's bit
-    for bit, while the chain's layer_norm output, x and gate output are not
-    held between forward and backward.
+    The node keeps the normalised input and its row scales, and no array of
+    the hidden width 4c. Forward and backward compute the pre-gate values
+    ``x = affine(xhat) @ w1 + b1`` in the same row blocks of ``GATE_BLOCK //
+    4c`` rows, never fewer than 8, whose products give the full product's
+    bits. Backward's first pass writes erf(x s) into one array E of x's size
+    and the gate output into a second, G, which gives ``w2`` its gradient
+    and is then overwritten by the gate's gradient; a second pass turns E
+    into x's gradient and G into eps's term. So erf runs once in backward,
+    and at most two arrays of x's size are live. The parameters change only
+    after backward, so each recomputed value comes back bit for bit, and
+    with the kernels of ``layer_norm``, ``linear`` and ``cdf_gate``, values
+    and gradients equal the chain's bit for bit.
     """
     _check_linear(h.shape, w1, b1, "ffn")
     _check_layer_norm(h, gamma, beta)
     _check_linear((h.shape[0], w1.shape[1]), w2, b2, "ffn")
+    gd, bd, w1d, b1d, w2d, b2d = (t.data for t in (gamma, beta, w1, b1, w2, b2))
     xhat, inv = _normalize(h.data, 1e-5)
-    x = _linear_fwd(_affine(xhat, gamma.data, beta.data), w1.data, b1.data)
-    s, shifted = _gate_scale(x.dtype, eps)
-    e = _gate_erf(x, s)
+    a = _affine(xhat, gd, bd)
+    hidden = (h.shape[0], w1.shape[1])
+    blocks = _row_blocks(*hidden)
+    dtype = np.result_type(a, w1d)
+    s, shifted = _gate_scale(dtype, eps)
+
+    def gate(a: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # erf(x s) into e and the gate output into y (which may be e).
+        for rows in blocks:
+            xb = _linear_fwd(a[rows], w1d, b1d)
+            _gate_out(xb, _gate_erf(xb, s, out=e[rows]), out=y[rows])
+        return y
+
+    y = np.empty(hidden, dtype)
     parents = (h, gamma, beta, w1, b1, w2, b2) + (() if eps is None else (eps,))
-    out = Tensor._from_op(_linear_fwd(_gate_out(x, e), w2.data, b2.data), parents, "ffn")
-    gd, bd, w1d, b1d, w2d = gamma.data, beta.data, w1.data, b1.data, w2.data
+    out = Tensor._from_op(_linear_fwd(gate(a, y, y), w2d, b2d), parents, "ffn")
     h, gamma, beta, w1, b1, w2, b2 = (t._node for t in parents[:7])
     eps = None if eps is None else eps._node
-    saved = [e]
 
     def bw(g: np.ndarray) -> None:
-        ed = saved.pop()  # the erf values go once the gate's backward is done
-        # The parameters are updated only after backward: x comes back bit for bit.
         a = _affine(xhat, gd, bd)
-        xd = _linear_fwd(a, w1d, b1d)
-        gate = _Slot(xd)
-        _linear_bw(g, _gate_out(xd, ed), w2d, gate, w2, b2)
-        pre = _Slot(xd)
-        _gate_bw(gate.grad, xd, ed, s, shifted, pre, eps)
-        del gate, xd, ed
+        e = np.empty(hidden, dtype)
+        y = gate(a, e, np.empty(hidden, dtype))
+        dy = _Slot(y)
+        _linear_bw(g, y, w2d, dy, w2, b2, out=y)  # y now holds the gate's gradient
+        dx = _Slot(e)
+        _gate_bw(dy.grad, e, s, shifted, dx, eps, (_linear_fwd(a[r], w1d, b1d).reshape(-1) for r in blocks))
+        del dy, y, e  # dx.grad is e, now x's gradient
         normed = _Slot(xhat)
-        _linear_bw(pre.grad, a, w1d, normed, w1, b1)
-        del pre, a
+        _linear_bw(dx.grad, a, w1d, normed, w1, b1)
+        del dx, a
         _layer_norm_bw(normed.grad, xhat, inv, gd, h, gamma, beta)
 
     _set_backward(out, bw)

@@ -216,9 +216,10 @@ class TestFfn:
 
 
 class TestBlockedGate:
-    """The gate's backward computes its slope and x's second term
-    ``T.GATE_BLOCK`` entries at a time; arrays of several blocks and a short
-    last one give the bits of the elementwise chain."""
+    """The gate's backward runs ``T.GATE_BLOCK`` entries at a time, and
+    ``ffn`` runs its pre-gate values in row blocks of as many entries;
+    arrays of several blocks and a short last one give the bits of the
+    elementwise chain."""
 
     SIZE = 3 * T.GATE_BLOCK + 392
 
@@ -244,22 +245,54 @@ class TestBlockedGate:
         if eps is not None:
             assert e.grad.tobytes() == want_deps.tobytes()
 
+    def test_cdf_gate_takes_a_gradient_that_is_not_contiguous(self):
+        # The backward leaves eps's terms in a flat view of g, so a g in
+        # Fortran order must give the bits a C-ordered one gives.
+        rng = np.random.default_rng(24)
+        x0 = rng.normal(size=(3, 5)) * 2.0
+        g = rng.normal(size=(3, 5))
+        grads = []
+        for seed in (g.copy(), np.asfortranarray(g)):
+            x, e = Tensor(x0, requires_grad=True), Tensor(np.array([0.3]), requires_grad=True)
+            T.cdf_gate(x, e)._node._backward(seed)
+            grads.append((x.grad.tobytes(), e.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+    # (rows, c, ffn ratio): ffn computes its pre-gate values in blocks of
+    # GATE_BLOCK // (ratio c) rows, never fewer than 8, and a tail of fewer
+    # than 8 rows joins the block before it. A product of 8 rows or more
+    # gives the bits of the full product's rows; one of 1 row may not (at
+    # c = 256 it does not, in either dtype).
+    FFN_SHAPES = {
+        "blocks": (3100, 16, 4),  # blocks of 1024 rows, the last of 28
+        "short-tail": (2 * 64 + 1, 256, 4),  # a tail of 1 row joins the second block
+        "under-8-rows": (4, 256, 4),  # stage 3 at batch 1: one block of 4 rows
+        "ratio-3": (2000, 24, 3),  # blocks of 910 rows, the last of 180
+    }
+
+    @pytest.mark.parametrize("shape", FFN_SHAPES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("eps", [0.3, None], ids=["eps", "no-eps"])
-    def test_ffn_equals_the_elementwise_chain(self, dtype, eps):
+    def test_ffn_equals_the_elementwise_chain(self, dtype, eps, shape):
         # layer_norm and linear as ops, the gate as the elementwise chain in
-        # numpy, and the second linear by hand; ffn hands its gate a gradient
-        # of rows x 4c = 3100 x 64 entries.
+        # numpy, and the second linear by hand.
         rng = np.random.default_rng(22)
-        rows, c = 3100, 16
-        assert rows * 4 * c > 3 * T.GATE_BLOCK and rows * 4 * c % T.GATE_BLOCK
+        rows, c, ratio = self.FFN_SHAPES[shape]
+        width = ratio * c
+        per_block = T.GATE_BLOCK // width
+        if shape == "short-tail":
+            assert 0 < rows % per_block < 8 and rows > per_block
+        elif shape == "under-8-rows":
+            assert rows < 8
+        else:
+            assert rows > 2 * per_block and rows % per_block >= 8
         arrays = {
             "h": rng.normal(size=(rows, c)),
             "gamma": 0.5 + rng.uniform(size=c),
             "beta": rng.normal(size=c),
-            "w1": rng.normal(size=(c, 4 * c)) * 0.5,
-            "b1": rng.normal(size=4 * c),
-            "w2": rng.normal(size=(4 * c, c)) * 0.5,
+            "w1": rng.normal(size=(c, width)) * 0.5,
+            "b1": rng.normal(size=width),
+            "w2": rng.normal(size=(width, c)) * 0.5,
             "b2": rng.normal(size=c),
             "eps": np.array([0.0 if eps is None else eps]),
         }
@@ -292,6 +325,39 @@ class TestBlockedGate:
         for name, t in fused.items():
             if t is not None:
                 assert t.grad.dtype == dtype and t.grad.tobytes() == ref[name].grad.tobytes(), name
+
+    def test_ffn_holds_at_most_two_hidden_width_arrays(self):
+        # Stage 0 of tiny at batch 32. Above the state before the call, the
+        # forward and backward together peak at 3.2 arrays of [rows, 4c]:
+        # backward's erf values and gate output (2), and the [rows, c]
+        # normalised input, its affine map, the output and its gradient
+        # (0.25 each). Keeping the erf values from forward to backward made
+        # it 4.1.
+        rng = np.random.default_rng(23)
+        rows, c = 8192, 32
+        args = [
+            rng.normal(size=(rows, c)),
+            0.5 + rng.uniform(size=c),
+            rng.normal(size=c),
+            rng.normal(size=(c, 4 * c)) * 0.2,
+            rng.normal(size=4 * c),
+            rng.normal(size=(4 * c, c)) * 0.2,
+            rng.normal(size=c),
+            np.array([0.3]),
+        ]
+        leaves = [Tensor(a.astype(np.float32), requires_grad=True) for a in args]
+        g = rng.normal(size=(rows, c)).astype(np.float32)
+        unit = rows * 4 * c * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            T.ffn(*leaves).backward(seed=g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(t.grad is not None for t in leaves)
+        assert peak <= 3.4 * unit, peak / unit
 
 
 class TestElementwise:
@@ -592,15 +658,15 @@ class TestBackwardConsumesGraph:
     def test_backward_frees_graph_while_root_is_held(self):
         # numpy's buffers are traced by tracemalloc. With ``loss`` still
         # named, what the sweep leaves behind is the parameter gradients.
-        # At batch 16 the graph (about 12.7 MB) is well above twice the
+        # At batch 32 the graph (about 16.4 MB) is well above twice the
         # parameters' 4.7 MB, so a leak of either would show.
         model = Model(tiny_config(), seed=0)
-        images = np.random.default_rng(3).random((16, 32, 32, 3)).astype(np.float32)
+        images = np.random.default_rng(3).random((32, 32, 32, 3)).astype(np.float32)
         grad_bytes = sum(t.data.nbytes for t in model.params.values())
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            loss = T.softmax_cross_entropy(model.forward(images), np.arange(16) % 2)
+            loss = T.softmax_cross_entropy(model.forward(images), np.arange(32) % 2)
             graph = tracemalloc.get_traced_memory()[0] - base
             loss.backward()
             held = tracemalloc.get_traced_memory()[0] - base
