@@ -12,6 +12,10 @@ default).
 
 Graphs are rebuilt every block, per image, from that block's own post-norm
 branch features; neighbor selection is structural and carries no gradient.
+
+:class:`Config`, the base of :class:`ModelConfig` and of :mod:`pvg.train`'s
+run configs, checks, reads and writes every configuration; :func:`read_json`
+is the one JSON parse, of run configs and checkpoint manifests.
 """
 
 from __future__ import annotations
@@ -82,17 +86,55 @@ def _has_type(value, tp) -> bool:
     return isinstance(value, (int, float) if tp is float else tp)
 
 
-def check_field_types(config) -> None:
-    """Raise :class:`ConfigError` for the first dataclass field whose value
-    does not match its annotation. bool is not an int, an int is a float, and
-    list elements are checked one by one."""
-    hints = typing.get_type_hints(type(config))
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if not _has_type(value, hints[f.name]):
-            raise ConfigError(
-                f"{type(config).__name__}.{f.name} must be {f.type}, got {value!r}"
-            )
+def _from_dict(cls, d, where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {unknown}")
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(d)
+    for k, tp in hints.items():
+        if k in d and not typing.get_args(tp) and issubclass(tp, Config):
+            kwargs[k] = _from_dict(tp, d[k], f"{where} {k!r}")
+    return cls(**kwargs)
+
+
+class Config:
+    """Base of the dataclass configs. Construction checks each field against
+    its annotation (bool is not an int, an int is a float, list elements are
+    checked one by one), then the subclass's ``_check`` checks the values."""
+
+    def __post_init__(self) -> None:
+        hints = typing.get_type_hints(type(self))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, hints[f.name]):
+                raise ConfigError(f"{type(self).__name__}.{f.name} must be {f.type}, got {value!r}")
+        self._check()
+
+    def _check(self) -> None:
+        """Raise :class:`ConfigError` for a value out of range."""
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        """Build from JSON-shaped data; a field that is a config is built from
+        its own object. At every level, a value that is not an object or an
+        unknown key is a :class:`ConfigError` that names it."""
+        return _from_dict(cls, d, cls.__name__)
+
+
+def read_json(path: str | Path, error: type[Exception]):
+    """The JSON value in the file at ``path``; ``error`` if it is not UTF-8 JSON or nests too deeply."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise error(f"{path} is not valid UTF-8 JSON: {e}") from e
+    except RecursionError as e:
+        raise error(f"{path} nests too deeply to parse: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -116,7 +158,7 @@ class BlockPlan:
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Config):
     stage_depths: list[int] = field(default_factory=lambda: [1, 1, 2, 1])
     stage_widths: list[int] = field(default_factory=lambda: [32, 64, 128, 256])
     stage_k: list[int] = field(default_factory=lambda: [4, 4, 8, 8])
@@ -134,8 +176,7 @@ class ModelConfig:
     patch_size: int = 2
     in_channels: int = 3
 
-    def __post_init__(self) -> None:
-        check_field_types(self)
+    def _check(self) -> None:
         for name, seq in (
             ("stage_depths", self.stage_depths),
             ("stage_widths", self.stage_widths),
@@ -176,8 +217,8 @@ class ModelConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
-        if self.radius < 0:
-            raise ConfigError("radius must be >= 0")
+        if not 0 <= self.radius < grid:  # an offset of a whole grid side reaches no node
+            raise ConfigError(f"radius must lie in [0, {grid}), the grid side, got {self.radius}")
         if self.ffn_ratio < 1:
             raise ConfigError("ffn_ratio must be >= 1")
         try:
@@ -216,17 +257,6 @@ class ModelConfig:
 
     def total_blocks(self) -> int:
         return sum(self.stage_depths)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(ModelConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return ModelConfig(**d)
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -626,12 +656,7 @@ def load_checkpoint(ckpt_dir: str | Path) -> Model:
     manifest_path = ckpt_dir / MANIFEST_NAME
     if not manifest_path.exists():
         raise CheckpointError(f"no {MANIFEST_NAME} in {ckpt_dir}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise CheckpointError(f"{manifest_path} is not valid UTF-8 JSON: {e}") from e
-    except RecursionError as e:
-        raise CheckpointError(f"{manifest_path} nests too deeply to parse: {e}") from e
+    manifest = read_json(manifest_path, CheckpointError)
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("config"), dict)

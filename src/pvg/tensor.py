@@ -94,6 +94,8 @@ _TWO_OVER_SQRT_PI = 2.0 * (1.0 / np.sqrt(np.pi))
 # Entries per block of the gate backward's temporaries; ``ffn`` runs its
 # pre-gate values in blocks of GATE_BLOCK // 4c rows, never fewer than 8.
 GATE_BLOCK = 2**16
+# Added to each row's variance by ``layer_norm`` and ``ffn``'s norm.
+LAYER_NORM_EPS = 1e-5
 
 
 class Node:
@@ -700,11 +702,11 @@ def _check_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> None:
         raise DimensionError("layer_norm scale/shift must match channel extent")
 
 
-def _normalize(xd: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _normalize(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Each row's (x - mean) / sqrt(var + eps), and 1 / sqrt(var + eps).
     xc = xd - _mean(xd, -1)
     var = _mean(xc * xc, -1)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(LAYER_NORM_EPS, dtype=xd.dtype))
     return xc * inv, inv
 
 
@@ -726,14 +728,14 @@ def _layer_norm_bw(g, xhat, inv, gd, x, gamma, beta) -> None:
         x._accumulate((gh - m1 - xhat * m2) * inv, owned=True)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row normalization over the last axis with learnable scale/shift.
 
     Each row (node) is normalized over its channel vector independently of
     every other row, so the result does not depend on batch composition.
     """
     _check_layer_norm(x, gamma, beta)
-    xhat, inv = _normalize(x.data, eps)
+    xhat, inv = _normalize(x.data)
     out = Tensor._from_op(_affine(xhat, gamma.data, beta.data), (x, gamma, beta), "layer_norm")
     gd, x, gamma, beta = gamma.data, x._node, gamma._node, beta._node
 
@@ -742,20 +744,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     _set_backward(out, bw)
     return out
-
-
-class _Slot:
-    """The gradient of a value inside ``ffn``, summed as a :class:`Node` sums
-    its own, so the shared backward kernels treat it as one."""
-
-    __slots__ = ("grad", "shape", "dtype")
-    requires_grad = True
-    _accumulate = Node._accumulate
-
-    def __init__(self, like: np.ndarray):
-        self.grad: np.ndarray | None = None
-        self.shape = like.shape
-        self.dtype = like.dtype
 
 
 def _row_blocks(rows: int, width: int) -> list[slice]:
@@ -799,7 +787,7 @@ def ffn(
     _check_layer_norm(h, gamma, beta)
     _check_linear((h.shape[0], w1.shape[1]), w2, b2, "ffn")
     gd, bd, w1d, b1d, w2d, b2d = (t.data for t in (gamma, beta, w1, b1, w2, b2))
-    xhat, inv = _normalize(h.data, 1e-5)
+    xhat, inv = _normalize(h.data)
     a = _affine(xhat, gd, bd)
     hidden = (h.shape[0], w1.shape[1])
     blocks = _row_blocks(*hidden)
@@ -823,12 +811,12 @@ def ffn(
         a = _affine(xhat, gd, bd)
         e = np.empty(hidden, dtype)
         y = gate(a, e, np.empty(hidden, dtype))
-        dy = _Slot(y)
+        dy = Node(y, True, (), "ffn")
         _linear_bw(g, y, w2d, dy, w2, b2, out=y)  # y now holds the gate's gradient
-        dx = _Slot(e)
+        dx = Node(e, True, (), "ffn")
         _gate_bw(dy.grad, e, s, shifted, dx, eps, (_linear_fwd(a[r], w1d, b1d).reshape(-1) for r in blocks))
         del dy, y, e  # dx.grad is e, now x's gradient
-        normed = _Slot(xhat)
+        normed = Node(xhat, True, (), "ffn")
         _linear_bw(dx.grad, a, w1d, normed, w1, b1)
         del dx, a
         _layer_norm_bw(normed.grad, xhat, inv, gd, h, gamma, beta)

@@ -3,12 +3,14 @@
 One seed fixes everything: parameter init, batch shuffling, and therefore the
 entire metrics CSV. Runs write ``metrics.csv`` (one row per epoch), a
 per-epoch diversity trace, and a final checkpoint directory.
+
+A :class:`RunConfig` holds a model, an optimizer and a schedule config, all
+four :class:`~pvg.net.Config` subclasses checked at construction.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import numpy as np
 from .data import Dataset
 from .diagnostics import DiversityTrace, trace_diversity, write_trace_csv
 from .errors import ConfigError, DegenerateInputError, NonFiniteError
-from .net import Model, ModelConfig, check_field_types, load_checkpoint, save_checkpoint
+from .net import Config, Model, ModelConfig, load_checkpoint, read_json, save_checkpoint
 from .optim import AdamWState, adamw_step, cosine_lr, decay_mask
 from .tensor import softmax_cross_entropy
 
@@ -25,18 +27,18 @@ TRACE_BATCH = 8  # the first training images, whose per-block diversity each epo
 
 
 @dataclass
-class OptimizerConfig:
+class OptimizerConfig(Config):
     lr: float = 1e-3
     betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 0.05
 
-    def __post_init__(self) -> None:
-        check_field_types(self)
-        if not (np.isfinite(self.lr) and self.lr >= 0):
+    def _check(self) -> None:
+        # Comparisons, not isfinite: they hold for an int past float64's range.
+        if not 0 <= self.lr <= sys.float_info.max:
             raise ConfigError(f"lr must be finite and non-negative, got {self.lr}")
         if not all(0 <= beta < 1 for beta in self.betas):
             raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+        if not 0 <= self.weight_decay <= sys.float_info.max:
             raise ConfigError(
                 f"weight_decay must be finite and non-negative, got {self.weight_decay}"
             )
@@ -44,12 +46,11 @@ class OptimizerConfig:
 
 
 @dataclass
-class ScheduleConfig:
+class ScheduleConfig(Config):
     warmup_steps: int = 0
     total_steps: int = 0
 
-    def __post_init__(self) -> None:
-        check_field_types(self)
+    def _check(self) -> None:
         warmup, total = self.warmup_steps, self.total_steps
         if not 0 <= warmup <= total:
             raise ConfigError(f"need 0 <= warmup_steps <= total_steps, got {warmup} and {total}")
@@ -61,7 +62,7 @@ def _check_batch_size(batch_size: int) -> None:
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Config):
     model: ModelConfig = field(default_factory=ModelConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
@@ -69,48 +70,14 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "run"
 
-    def __post_init__(self) -> None:
-        check_field_types(self)
+    def _check(self) -> None:
         _check_batch_size(self.batch_size)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        """Build from plain data; a wrongly typed field is a ConfigError."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"run config must be an object, got {type(d).__name__}")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
-        d = dict(d)
-        for key in ("model", "optimizer", "schedule"):
-            if key in d and not isinstance(d[key], dict):
-                raise ConfigError(f"run config {key!r} must be an object, got {type(d[key]).__name__}")
-        try:
-            if "model" in d:
-                d["model"] = ModelConfig.from_dict(d["model"])
-            if "optimizer" in d:
-                d["optimizer"] = OptimizerConfig(**d["optimizer"])
-            if "schedule" in d:
-                d["schedule"] = ScheduleConfig(**d["schedule"])
-            return RunConfig(**d)
-        except TypeError as e:
-            raise ConfigError(f"wrongly typed config field: {e}") from e
-
     @staticmethod
     def from_json(path: str | Path) -> "RunConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise ConfigError(f"{path} is not valid UTF-8 JSON: {e}") from e
-        except RecursionError as e:
-            raise ConfigError(f"{path} nests too deeply to parse: {e}") from e
-        return RunConfig.from_dict(data)
+        return RunConfig.from_dict(read_json(path, ConfigError))
 
 
 @dataclass

@@ -33,6 +33,7 @@ from pvg.net import (
     save_checkpoint,
     tiny_config,
 )
+from pvg.train import OptimizerConfig, RunConfig, ScheduleConfig
 from pvg.tensor import (
     DIFFERENTIABLE_OPS,
     Tensor,
@@ -183,11 +184,23 @@ class TestConfig:
     def test_roundtrip(self):
         cfg = tiny_config(num_classes=5)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        run = RunConfig(
+            model=cfg,
+            optimizer=OptimizerConfig(lr=0.5, betas=(0.8, 0.9), weight_decay=0.0),
+            schedule=ScheduleConfig(warmup_steps=1, total_steps=4),
+            batch_size=3,
+            seed=2,
+            output_dir="out",
+        )
+        for config in (cfg, run.optimizer, run.schedule, run):
+            # Through JSON text, which has no tuples.
+            assert type(config).from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
     @pytest.mark.parametrize(
         "overrides",
         [
             {"radius": -1},
+            {"radius": 16},  # the tiny config's stage-0 grid is 16x16
             {"ffn_ratio": 0},
             {"layer_scale_blocks": -1},
             {"layer_scale_blocks": 6},  # the tiny config has 5 blocks
@@ -214,7 +227,7 @@ class TestConfig:
             {"in_channels": -1},
         ],
         ids=[
-            "radius", "ffn-ratio", "layer-scale-low", "layer-scale-high", "stage-k",
+            "radius", "radius-grid-side", "ffn-ratio", "layer-scale-low", "layer-scale-high", "stage-k",
             "patch-size", "granularity", "schedule-start-list", "schedule-end-list",
             "schedule-start-none", "activation-relu", "aggregator", "radius-float",
             "radius-bool", "image-size-str", "stage-k-float", "stage-depths-tuple",

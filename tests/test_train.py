@@ -42,12 +42,15 @@ from pvg.train import (
 )
 
 
-# Run configs whose sections are not JSON objects, and what the error names.
-SECTION_NOT_AN_OBJECT = {
+# Run configs with a section that is not a JSON object or that holds an
+# unknown key, and what the error names.
+BAD_SECTION_ERRORS = {
     json.dumps({"model": 3}): "'model' must be an object, got int",
     json.dumps({"model": "abc"}): "'model' must be an object, got str",
     json.dumps({"optimizer": "x"}): "'optimizer' must be an object, got str",
     json.dumps({"schedule": [1]}): "'schedule' must be an object, got list",
+    json.dumps({"optimizer": {"lrate": 0.1}}): "'optimizer' has unknown keys ['lrate']",
+    json.dumps({"schedule": {"warmup": 1}}): "'schedule' has unknown keys ['warmup']",
 }
 
 
@@ -327,8 +330,13 @@ class TestTraining:
             {"weight_decay": -1.0},
             {"lr": float("nan")},
             {"lr": float("inf")},
+            {"lr": 10**400},
+            {"weight_decay": 2**1100},
         ],
-        ids=["beta1-one", "beta2-above-one", "weight-decay-negative", "lr-nan", "lr-inf"],
+        ids=[
+            "beta1-one", "beta2-above-one", "weight-decay-negative", "lr-nan", "lr-inf",
+            "lr-beyond-float64", "weight-decay-beyond-float64",
+        ],
     )
     def test_invalid_optimizer_values_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -510,6 +518,7 @@ class TestCli:
             json.dumps({"model": {"image_size": 16}}),
             json.dumps({"model": {"aggregator": "Foo"}}),
             json.dumps({"model": {"radius": 1.5}}),
+            json.dumps({"model": {"radius": 100000}}),
             '{"model": {"layer_scale_init": NaN}}',
             '{"model": {"layer_scale_init": Infinity}}',
             json.dumps({"model": {"graph_mode": "shared"}}),
@@ -521,6 +530,7 @@ class TestCli:
             json.dumps({"model": {"in_channels": -1}}),
             json.dumps({"model": {"layer_scale_init": 1e300}}),
             json.dumps({"optimizer": {"lr": "fast"}}),
+            json.dumps({"optimizer": {"lr": 10**400}}),
             json.dumps({"optimizer": {"betas": [0.9]}}),
             '{"optimizer": {"lr": NaN}}',
             json.dumps({"schedule": {"total_steps": 2.5}}),
@@ -528,16 +538,16 @@ class TestCli:
             json.dumps({"batch_size": True}),
             json.dumps({"seed": 1.0}),
             json.dumps({"output_dir": 3}),
-            *SECTION_NOT_AN_OBJECT,
+            *BAD_SECTION_ERRORS,
         ],
         ids=[
             "malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size", "1x1-last-stage",
-            "unknown-aggregator", "radius-float", "layer-scale-init-nan", "layer-scale-init-inf",
+            "unknown-aggregator", "radius-float", "radius-past-grid", "layer-scale-init-nan", "layer-scale-init-inf",
             "removed-graph-mode", "removed-relu", "removed-schedule-list",
             "stage-k-float", "ffn-ratio-float", "in-channels-zero", "in-channels-negative",
-            "layer-scale-init-beyond-float32", "lr-str", "betas-length", "lr-nan", "total-steps-float",
+            "layer-scale-init-beyond-float32", "lr-str", "lr-beyond-float64", "betas-length", "lr-nan", "total-steps-float",
             "warmup-negative", "batch-size-bool", "seed-float", "output-dir-int", "model-not-an-object",
-            "model-str", "optimizer-str", "schedule-list",
+            "model-str", "optimizer-str", "schedule-list", "optimizer-unknown-key", "schedule-unknown-key",
         ],
     )
     def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, text):
@@ -546,7 +556,7 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:config:")
         assert "\n" not in err
-        assert SECTION_NOT_AN_OBJECT.get(text, "") in err
+        assert BAD_SECTION_ERRORS.get(text, "") in err
 
     @pytest.mark.parametrize(
         "command, category", [("count", "config"), ("train", "file-format"), ("eval", "checkpoint")]
