@@ -16,17 +16,16 @@ the single-linear GIN unit MaxE costs 3 and MR GraphConv 2.
 Weights are a plain ``dict[str, Tensor]`` keyed by the names that
 :data:`AGGREGATOR_WEIGHTS` lists for each kind; :func:`baseline_aggregate`
 reads them per call, so the caller that holds the tensors (``Model.params``
-in the network) is their only owner. The same table, with
-:data:`PER_EDGE_WEIGHTS`, gives each kind's transform cost
-(:func:`transform_multadds`), so the network names no kind.
+in the network) is their only owner. The same table gives each weight's
+shape and the rows it maps, so it also gives each kind's transform cost
+(:func:`transform_multadds`), and the network names no kind.
 
-The neighbor mean deliberately excludes the self node; identity information
-enters only through the explicit self part.
+Every kind checks its [n, k] neighbor indices and gathers the neighbor rows
+in one place, :func:`_neighbors`. The neighbor mean deliberately excludes the
+self node; identity information enters only through the explicit self part.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -45,36 +44,27 @@ from .tensor import (
     sub,
 )
 
-# Each kind's weights in draw order: name -> (rows, cols) as a function of
-# (in_c, out_c). Transforms only, no biases.
+# Each kind's weights (transforms only, no biases) in draw order: name -> (rows,
+# cols, per_edge), rows and cols as multiples of the branch width; a per_edge
+# weight maps each of the n·k edge rows, every other weight the n node rows.
 AGGREGATOR_WEIGHTS = {
-    "MaxE": {"W": lambda i, o: (3 * i, o)},
-    "MRGraphConv": {"W": lambda i, o: (2 * i, o)},
-    "EdgeConv": {"W1": lambda i, o: (2 * i, 2 * i), "W2": lambda i, o: (2 * i, o)},
-    "GraphSAGE": {"W": lambda i, o: (2 * i, o), "Wn": lambda i, o: (i, i)},
-    "GIN": {"W": lambda i, o: (i, o)},
+    "MaxE": {"W": (3, 1, False)},
+    "MRGraphConv": {"W": (2, 1, False)},
+    "EdgeConv": {"W1": (2, 2, True), "W2": (2, 1, True)},
+    "GraphSAGE": {"W": (2, 1, False), "Wn": (1, 1, True)},
+    "GIN": {"W": (1, 1, False)},
 }
 AGGREGATOR_KINDS = tuple(AGGREGATOR_WEIGHTS)
-# The weights applied to each of the n·k edge rows; every other weight is
-# applied to each of the n node rows.
-PER_EDGE_WEIGHTS = {"EdgeConv": ("W1", "W2"), "GraphSAGE": ("Wn",)}
 
 
 def transform_multadds(kind: str, width: int, n: int, k: int) -> int:
     """Mult-adds of one ``kind`` aggregator's transforms over n nodes of
     ``width`` channels with k neighbors each: every weight's size times the
     rows it maps. Gathers, maxes and means are not multiply-accumulate work."""
-    per_edge = PER_EDGE_WEIGHTS.get(kind, ())
     return sum(
-        math.prod(shape(width, width)) * (n * k if name in per_edge else n)
-        for name, shape in AGGREGATOR_WEIGHTS[kind].items()
+        rows * width * cols * width * (n * k if per_edge else n)
+        for rows, cols, per_edge in AGGREGATOR_WEIGHTS[kind].values()
     )
-
-
-def he_normal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    """A float64 [rows, cols] normal draw with He scaling, std sqrt(2 / rows).
-    Every transform matrix in the package is drawn here."""
-    return rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +72,14 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _neighbor_idx(idx) -> np.ndarray:
+def _neighbors(x: Tensor, idx) -> Tensor:
+    """Neighbor rows [n, k, c] of the [n, c] features for [n, k] indices, k >= 1
+    (:func:`gather_rows` checks that they are integers in range)."""
     idx = np.asarray(idx)
-    if idx.ndim != 2:
-        raise DimensionError("neighbor indices must be [n, k]")
+    if idx.ndim != 2 or idx.shape[0] != x.shape[0]:
+        raise DimensionError(f"neighbor indices {idx.shape} must be [n, k] for {x.shape[0]} nodes")
     if idx.shape[1] < 1:
         raise DegenerateInputError("every node needs at least one neighbor")
-    return idx.astype(np.int64)
-
-
-def _gather_neighbors(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Neighbor rows [n, k, c] of the [n, c] features."""
-    if x.shape[0] != idx.shape[0]:
-        raise DimensionError("topology row count does not match features")
     return gather_rows(x, idx)
 
 
@@ -118,7 +103,7 @@ def _max_relative(x: Tensor, nbh: Tensor) -> Tensor:
 def maxe_aggregate(x: Tensor, idx) -> Tensor:
     """[x_i || channel-wise max_j (x_j - x_i) || mean_j x_j] per node, for
     the [n, k] neighbor indices ``idx``."""
-    nbh = _gather_neighbors(x, _neighbor_idx(idx))
+    nbh = _neighbors(x, idx)
     return concat([x, _max_relative(x, nbh), reduce_mean(nbh, axis=1)], axis=1)
 
 
@@ -135,10 +120,8 @@ def baseline_aggregate(kind: str, x: Tensor, idx, weights: dict[str, Tensor]) ->
     w = weights
     if kind == "MaxE":
         return linear(maxe_aggregate(x, idx), w["W"])
-    idx = _neighbor_idx(idx)
-    n, k = idx.shape
-    c = x.shape[1]
-    nbh = _gather_neighbors(x, idx)
+    nbh = _neighbors(x, idx)
+    n, k, c = nbh.shape
     if kind == "MRGraphConv":
         return linear(concat([x, _max_relative(x, nbh)], axis=1), w["W"])
     if kind == "EdgeConv":

@@ -35,7 +35,6 @@ from .aggregators import (
     AGGREGATOR_KINDS,
     AGGREGATOR_WEIGHTS,
     baseline_aggregate,
-    he_normal,
     transform_multadds,
 )
 from .errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
@@ -64,6 +63,9 @@ N_STAGES = 4
 # arrays of a large graph never exist: 32 images at n = 256 would be 8 MiB
 # each in float32.
 GRAPH_BLOCK = 2**18
+# Stage sizes far past any buildable model: counting and laying out blocks finish.
+MAX_STAGE_DEPTH = 2**10
+MAX_STAGE_WIDTH = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +192,10 @@ class ModelConfig(Config):
             raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.granularity < 1:
             raise ConfigError("granularity must be >= 1")
-        if any(d < 1 for d in self.stage_depths):
-            raise ConfigError("stage depths must be >= 1")
+        if not all(1 <= d <= MAX_STAGE_DEPTH for d in self.stage_depths):
+            raise ConfigError(f"stage depths must lie in [1, {MAX_STAGE_DEPTH}]")
+        if not all(1 <= w <= MAX_STAGE_WIDTH for w in self.stage_widths):
+            raise ConfigError(f"stage widths must lie in [1, {MAX_STAGE_WIDTH}]")
         if any(k < 1 for k in self.stage_k):
             raise ConfigError("stage k must be >= 1")
         if any(w % self.granularity for w in self.stage_widths):
@@ -288,6 +292,11 @@ def deep_tiny_config(n_blocks: int = 21, **overrides) -> ModelConfig:
 Init = str | float
 
 
+def he_normal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """The "he" initialiser: a float64 [rows, cols] normal draw, std sqrt(2 / rows)."""
+    return rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+
+
 def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]:
     """Every parameter the configuration implies, as name -> (shape,
     initialiser), in the order :class:`Model` draws them.
@@ -321,8 +330,8 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
             layout[pre + "local.pos_bias"] = ((n_offsets, local_c), 0.0)
         for branch, width in (("first", first_c), ("second", second_c)):
             if width:
-                for wname, shape in AGGREGATOR_WEIGHTS[cfg.aggregator].items():
-                    layout[f"{pre}{branch}.{wname}"] = (shape(width, width), "he")
+                for wname, (rows, cols, _) in AGGREGATOR_WEIGHTS[cfg.aggregator].items():
+                    layout[f"{pre}{branch}.{wname}"] = ((rows * width, cols * width), "he")
         if cfg.activation == "graphlu":
             layout[pre + "act1.epsilon"] = ((1,), 0.0)
             layout[pre + "act2.epsilon"] = ((1,), 0.0)

@@ -510,15 +510,16 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 def gather_rows(x: Tensor, row_idx: np.ndarray) -> Tensor:
     """Index rows of a rank-2 tensor: out[..., :] = x[row_idx[...], :].
 
-    ``row_idx`` may have any shape; the result has shape
-    ``row_idx.shape + (x.shape[1],)``. Duplicate indices accumulate their
-    gradients, which is what makes this double as an explicit broadcast.
+    ``row_idx`` may have any shape and must hold integers in [0, rows); the
+    result has shape ``row_idx.shape + (x.shape[1],)``. Duplicate indices
+    accumulate their gradients, which is what makes this double as an
+    explicit broadcast.
     """
     if x.data.ndim != 2:
         raise DimensionError("gather_rows requires a rank-2 source")
-    idx = np.asarray(row_idx)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise DimensionError("gather_rows index out of range")
+    idx = np.asarray(row_idx)  # numpy would read a bool index as a row mask
+    if idx.dtype.kind not in "iu" or idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+        raise DimensionError(f"gather_rows index must hold integers in [0, {x.shape[0]})")
     out = Tensor._from_op(x.data[idx], (x,), "gather_rows")
     c = x.shape[1]
     elem_dtype = np.int32 if x.size <= np.iinfo(np.int32).max else np.int64
@@ -716,16 +717,21 @@ def _affine(xhat: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm_bw(g, xhat, inv, gd, x, gamma, beta) -> None:
+    # Each [rows, c] product goes into a or b, of g's shape and dtype (that of
+    # the output, so of every product); a ends as (gh - m1 - xhat * m2) * inv.
     c = gd.shape[0]
+    a, b = np.empty(g.shape, g.dtype), np.empty(g.shape, g.dtype)
     if gamma.requires_grad:
-        gamma._accumulate((g * xhat).reshape(-1, c).sum(axis=0), owned=True)
+        gamma._accumulate(np.multiply(g, xhat, out=b).reshape(-1, c).sum(axis=0), owned=True)
     if beta.requires_grad:
         beta._accumulate(g.reshape(-1, c).sum(axis=0), owned=True)
     if x.requires_grad:
-        gh = g * gd
+        gh = np.multiply(g, gd, out=a)
         m1 = _mean(gh, -1)
-        m2 = _mean(gh * xhat, -1)
-        x._accumulate((gh - m1 - xhat * m2) * inv, owned=True)
+        m2 = _mean(np.multiply(gh, xhat, out=b), -1)
+        np.subtract(gh, m1, out=a)
+        np.subtract(a, np.multiply(xhat, m2, out=b), out=a)
+        x._accumulate(np.multiply(a, inv, out=a), owned=True)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from pvg.aggregators import AGGREGATOR_WEIGHTS, baseline_aggregate, he_normal, maxe_aggregate
+from pvg.aggregators import AGGREGATOR_KINDS, AGGREGATOR_WEIGHTS, baseline_aggregate, maxe_aggregate
 from pvg.errors import ConfigError, DegenerateInputError, DimensionError
 from pvg.gradcheck import grad_check
 from pvg.graph import topk_neighbors
-from pvg.net import ModelConfig
+from pvg.net import ModelConfig, he_normal
 from pvg.tensor import Tensor, concat, gather_rows, linear, reduce_max, reduce_mean, sub
 
 from oracles import decomposition_check, param_count
@@ -20,12 +20,17 @@ def _topo(idx):
     return np.asarray(idx, dtype=np.int64)
 
 
-def draw_weights(kind, c_in, c_out, rng, dtype=np.float32) -> dict[str, Tensor]:
-    """He-scaled weights of one aggregator, drawn in AGGREGATOR_WEIGHTS order
-    as the model's initialisation draws them."""
+def weight_shapes(kind, c) -> dict[str, tuple[int, int]]:
+    """Each weight's shape for a branch of width c, as AGGREGATOR_WEIGHTS gives it."""
+    return {name: (rows * c, cols * c) for name, (rows, cols, _) in AGGREGATOR_WEIGHTS[kind].items()}
+
+
+def draw_weights(kind, c, rng, dtype=np.float32) -> dict[str, Tensor]:
+    """He-scaled weights of one aggregator over c channels, drawn in
+    AGGREGATOR_WEIGHTS order as the model's initialisation draws them."""
     return {
-        name: Tensor(he_normal(rng, shape(c_in, c_out)).astype(dtype), requires_grad=True)
-        for name, shape in AGGREGATOR_WEIGHTS[kind].items()
+        name: Tensor(he_normal(rng, shape).astype(dtype), requires_grad=True)
+        for name, shape in weight_shapes(kind, c).items()
     }
 
 
@@ -61,10 +66,6 @@ class TestMaxEAggregate:
                 maxe_aggregate(x, shuffled).data, base, rtol=1e-6, atol=1e-7
             )
 
-    def test_empty_neighbor_row(self):
-        with pytest.raises(DegenerateInputError):
-            maxe_aggregate(Tensor(np.ones((2, 2))), np.zeros((2, 0), dtype=np.int64))
-
     def test_accepts_graph_topology(self):
         # A topology's neighbor indices feed the aggregator as they come.
         rng = np.random.default_rng(2)
@@ -73,6 +74,29 @@ class TestMaxEAggregate:
         topo = topk_neighbors(s, 3)
         agg = maxe_aggregate(Tensor(feats), topo.neighbor_idx)
         assert agg.shape == (8, 12)
+
+
+# Each malformed [n, k] neighbor index of a 4-node graph, and the error it raises.
+MALFORMED_INDICES = {
+    "rank-3": (np.zeros((4, 2, 1), dtype=np.int64), DimensionError),
+    "one-row-short": (np.array([[1, 2], [0, 2], [0, 1]]), DimensionError),
+    "k-zero": (np.zeros((4, 0), dtype=np.int64), DegenerateInputError),
+    "index-past-n": (np.array([[1, 2], [0, 2], [0, 1], [4, 0]]), DimensionError),
+    "float": (np.array([[1.0, 2.0], [0.0, 2.0], [0.0, 1.0], [1.7, 0.0]]), DimensionError),
+    "bool": (np.array([[True, False]] * 4), DimensionError),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INDICES)
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_malformed_neighbor_index_rejected(kind, case):
+    idx, error = MALFORMED_INDICES[case]
+    x = Tensor(np.random.default_rng(14).normal(size=(4, 3)), requires_grad=True)
+    with pytest.raises(error):
+        baseline_aggregate(kind, x, idx, draw_weights(kind, 3, np.random.default_rng(15)))
+    if kind == "MaxE":
+        with pytest.raises(error):
+            maxe_aggregate(x, idx)
 
 
 def gather_and_subtract(x, nbh, idx):
@@ -102,7 +126,7 @@ class TestMaxRelative:
         x = Tensor(x0)
         want = gather_and_subtract(x, gather_rows(x, idx), idx)
         assert maxe_aggregate(x, idx).data[:, c : 2 * c].tobytes() == want.data.tobytes()
-        weights = draw_weights("MRGraphConv", c, c, rng, dtype=dtype)
+        weights = draw_weights("MRGraphConv", c, rng, dtype=dtype)
         got = baseline_aggregate("MRGraphConv", x, idx, weights).data
         assert got.tobytes() == linear(concat([x, want], axis=1), weights["W"]).data.tobytes()
 
@@ -171,7 +195,7 @@ class TestBaselines:
         c = 3
         x_row = rng.normal(size=c).astype(np.float32)
         x = Tensor(np.tile(x_row, (4, 1)))
-        weights = draw_weights("MRGraphConv", c, c, rng)
+        weights = draw_weights("MRGraphConv", c, rng)
         out = baseline_aggregate("MRGraphConv", x, _topo([[1, 2]] * 4), weights)
         expected = np.concatenate([x_row, np.zeros(c)]) @ weights["W"].data
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-5)
@@ -180,7 +204,7 @@ class TestBaselines:
         rng = np.random.default_rng(6)
         c = 3
         x = rng.normal(size=(2, c)).astype(np.float32)
-        weights = draw_weights("GIN", c, c, rng)
+        weights = draw_weights("GIN", c, rng)
         out = baseline_aggregate("GIN", Tensor(x), _topo([[1], [0]]), weights)
         np.testing.assert_allclose(out.data[0], (x[0] + x[1]) @ weights["W"].data, rtol=1e-5)
 
@@ -189,7 +213,7 @@ class TestBaselines:
         c = 3
         x = rng.normal(size=(3, c)).astype(np.float32)
         idx = np.array([[1, 2], [0, 2], [0, 1]])
-        weights = draw_weights("EdgeConv", c, c, rng)
+        weights = draw_weights("EdgeConv", c, rng)
         out = baseline_aggregate("EdgeConv", Tensor(x), idx, weights).data
         w1, w2 = weights["W1"].data, weights["W2"].data
         for i in range(3):
@@ -204,7 +228,7 @@ class TestBaselines:
         c = 3
         x = rng.normal(size=(3, c)).astype(np.float32)
         idx = np.array([[1, 2], [0, 2], [0, 1]])
-        weights = draw_weights("GraphSAGE", c, c, rng)
+        weights = draw_weights("GraphSAGE", c, rng)
         out = baseline_aggregate("GraphSAGE", Tensor(x), idx, weights).data
         wn, w = weights["Wn"].data, weights["W"].data
         for i in range(3):
@@ -229,7 +253,7 @@ class TestBaselines:
         rng = np.random.default_rng(10)
         c = 3
         idx = np.array([[1, 2], [0, 2], [3, 1], [2, 0]])
-        weights = draw_weights(kind, c, c, rng, dtype=np.float64)
+        weights = draw_weights(kind, c, rng, dtype=np.float64)
 
         def fn(x):
             return baseline_aggregate(kind, x, idx, weights)
@@ -301,11 +325,11 @@ class TestParamCount:
         assert sage == 3.0
         assert edge > 3.0  # costlier than MaxE, as intended
 
-    @pytest.mark.parametrize("kind", ["MaxE", "MRGraphConv", "EdgeConv", "GraphSAGE", "GIN"])
+    @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
     def test_formula_matches_actual_weights(self, kind):
-        for c_in, c_out in ((8, 8), (4, 12)):
-            shapes = [shape(c_in, c_out) for shape in AGGREGATOR_WEIGHTS[kind].values()]
-            assert sum(math.prod(s) for s in shapes) == param_count(kind, c_in, c_out)[0]
+        for c in (8, 4, 12):
+            shapes = weight_shapes(kind, c).values()
+            assert sum(math.prod(s) for s in shapes) == param_count(kind, c, c)[0]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

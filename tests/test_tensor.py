@@ -580,6 +580,18 @@ class TestGatherRows:
         assert x.grad.dtype == dtype
         assert x.grad.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "idx",
+        [np.array([0.0, 1.7]), np.array([True, False, True])],
+        ids=["float", "bool"],
+    )
+    def test_non_integer_index_rejected(self, idx):
+        # Unchecked, numpy raises IndexError for a float index and reads a
+        # bool one as a row mask, which gathers rows 0 and 2 here.
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with pytest.raises(DimensionError, match="integer"):
+            T.gather_rows(x, idx)
+
 
 class TestInvariantsAndErrors:
     def test_non_finite_rejected(self):

@@ -529,6 +529,8 @@ class TestCli:
             json.dumps({"model": {"in_channels": 0}}),
             json.dumps({"model": {"in_channels": -1}}),
             json.dumps({"model": {"layer_scale_init": 1e300}}),
+            json.dumps({"model": {"stage_depths": [1, 1, 10**400, 1]}}),
+            json.dumps({"model": {"stage_widths": [32, 64, 10**400, 256]}}),
             json.dumps({"optimizer": {"lr": "fast"}}),
             json.dumps({"optimizer": {"lr": 10**400}}),
             json.dumps({"optimizer": {"betas": [0.9]}}),
@@ -545,7 +547,7 @@ class TestCli:
             "unknown-aggregator", "radius-float", "radius-past-grid", "layer-scale-init-nan", "layer-scale-init-inf",
             "removed-graph-mode", "removed-relu", "removed-schedule-list",
             "stage-k-float", "ffn-ratio-float", "in-channels-zero", "in-channels-negative",
-            "layer-scale-init-beyond-float32", "lr-str", "lr-beyond-float64", "betas-length", "lr-nan", "total-steps-float",
+            "layer-scale-init-beyond-float32", "stage-depth-beyond-float64", "stage-width-beyond-float64", "lr-str", "lr-beyond-float64", "betas-length", "lr-nan", "total-steps-float",
             "warmup-negative", "batch-size-bool", "seed-float", "output-dir-int", "model-not-an-object",
             "model-str", "optimizer-str", "schedule-list", "optimizer-unknown-key", "schedule-unknown-key",
         ],
