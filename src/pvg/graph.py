@@ -56,7 +56,7 @@ class GraphTopology:
 # ---------------------------------------------------------------------------
 
 
-def similarity_matrix(xa: np.ndarray) -> np.ndarray:
+def similarity_matrix(xa: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """All-pairs cosine similarity of the rows of ``xa``, in its dtype; a
     leading batch axis, ``[batch, n, c]``, scores each image alone. Ranking
     L2-normalised rows by dot product ranks them by cosine, as ViG does.
@@ -66,10 +66,10 @@ def similarity_matrix(xa: np.ndarray) -> np.ndarray:
     same order for (i, j) and (j, i). No input checks: the network calls this
     once per branch with features of a validated shape. Row norms are floored
     at 1e-12, so a zero row scores 0 against every row instead of dividing
-    by zero.
+    by zero. ``out``, if given, takes the scores in place of a new array.
     """
     xa = xa / np.maximum(np.linalg.norm(xa, axis=-1, keepdims=True), 1e-12)
-    return xa @ xa.swapaxes(-1, -2)
+    return np.matmul(xa, xa.swapaxes(-1, -2), out=out)
 
 
 # Rows shorter than this take the full sort, which is faster there. Over the
@@ -78,9 +78,10 @@ def similarity_matrix(xa: np.ndarray) -> np.ndarray:
 _PARTITION_MIN_N = 32
 
 
-def _stable_argsort_prefix(a: np.ndarray, k: int) -> np.ndarray:
+def _stable_argsort_prefix(a: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:
     """``np.argsort(a, axis=1, kind="stable")[:, :k]``, sorting whole rows
-    only where needed.
+    only where needed. ``work``, an array of ``a``'s shape and dtype, takes
+    the partitioned copy in place of a new array.
 
     Partition finds each row's k-th smallest value. Where exactly k entries
     are <= it, they are the sorted prefix's entries, in column order, so a
@@ -89,7 +90,10 @@ def _stable_argsort_prefix(a: np.ndarray, k: int) -> np.ndarray:
     """
     if k < 1 or a.shape[1] < _PARTITION_MIN_N:
         return np.argsort(a, axis=1, kind="stable")[:, :k]
-    kth = np.partition(a, k - 1, axis=1)[:, k - 1 : k].copy()  # frees the partitioned copy
+    work = np.empty_like(a) if work is None else work
+    np.copyto(work, a)
+    work.partition(k - 1, axis=1)  # what np.partition does to its copy
+    kth = work[:, k - 1 : k].copy()  # frees a partitioned copy of its own
     keep = a <= kth
     exact = np.count_nonzero(keep, axis=1) == k
     keep[~exact] = False
@@ -103,7 +107,7 @@ def _stable_argsort_prefix(a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def topk_neighbors(S, k: int) -> GraphTopology:
+def topk_neighbors(S, k: int, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> GraphTopology:
     """Select each node's k most similar non-self nodes from a similarity
     matrix. Ties break toward the lower node index; rows come back sorted by
     non-increasing similarity. k >= n is clamped to n-1 with a warning; fewer
@@ -113,7 +117,11 @@ def topk_neighbors(S, k: int) -> GraphTopology:
 
     The node itself ranks with the NaN scores, below every number, so a row
     with fewer than k non-NaN scores for other nodes raises
-    :class:`DegenerateInputError` rather than picking NaN or a self-loop."""
+    :class:`DegenerateInputError` rather than picking NaN or a self-loop.
+
+    ``scratch``, two arrays of ``S``'s shape in the dtype of the negated
+    scores, takes the negated scores and their partitioned copy in place of
+    new arrays, so one pair serves a caller's every block of images."""
     sa = np.asarray(S)
     if sa.ndim not in (2, 3) or sa.shape[-1] != sa.shape[-2]:
         raise DimensionError(f"similarity matrix must be square, got {sa.shape}")
@@ -129,9 +137,11 @@ def topk_neighbors(S, k: int) -> GraphTopology:
     # similarity, and NaN, the node itself included, sorts last. Float input
     # keeps its dtype; integer input is promoted with float32 as numpy does,
     # which orders it exactly as float64 would.
-    neg = np.negative(sa, dtype=np.result_type(sa.dtype, np.float32))
+    neg, work = (None, None) if scratch is None else scratch
+    neg = np.negative(sa, out=neg, dtype=np.result_type(sa.dtype, np.float32))
     neg[..., range(n), range(n)] = np.nan
-    order = _stable_argsort_prefix(neg.reshape(-1, n), k).reshape(sa.shape[:-1] + (k,))
+    work = None if work is None else work.reshape(-1, n)
+    order = _stable_argsort_prefix(neg.reshape(-1, n), k, work).reshape(sa.shape[:-1] + (k,))
     short = np.isnan(np.take_along_axis(neg, order, axis=-1)).any(axis=-1)
     if short.any():
         *image, node = np.unravel_index(np.argmax(short), short.shape)

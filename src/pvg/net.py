@@ -421,7 +421,13 @@ class Model:
             raise NonFiniteError("non-finite node features reached the graph build")
         batch, n, _ = feats.shape
         step = max(1, GRAPH_BLOCK // (n * n))
-        topos = [topk_neighbors(similarity_matrix(feats[i : i + step]), k) for i in range(0, batch, step)]
+        # One set of score, negated-score and partition buffers serves every block.
+        buffers = np.empty((3, min(step, batch), n, n), np.result_type(feats.dtype, np.float32))
+        topos = []
+        for i in range(0, batch, step):
+            scores, neg, work = buffers[:, : min(step, batch - i)]
+            scores = similarity_matrix(feats[i : i + step], out=scores)
+            topos.append(topk_neighbors(scores, k, scratch=(neg, work)))
         if len(topos) == 1:
             return topos[0]
         return GraphTopology(

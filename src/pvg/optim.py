@@ -1,4 +1,11 @@
-"""AdamW with decoupled weight decay and a warmup + cosine schedule."""
+"""AdamW with decoupled weight decay and a warmup + cosine schedule.
+
+An update runs over flat blocks of :data:`ADAMW_BLOCK` entries through one
+small scratch array; every step of it is elementwise, so the blocks give the
+bits of whole-array arithmetic. A training step may update its parameters one
+call at a time (``train`` does, from the backward sweep) by fixing the step
+count once and passing it as ``t``.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +26,10 @@ class AdamWState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+# Entries per flat block of the update; its scratch is two rows of this many.
+ADAMW_BLOCK = 2**14
+
+
 def decay_mask(params: dict[str, Tensor]) -> dict[str, bool]:
     """Weight decay applies to matrices only; vectors and scalars (norm
     scale/shift, biases, LayerScale, activation relaxations) are exempt."""
@@ -34,35 +45,47 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.05,
     apply_decay: dict[str, bool] | None = None,
+    t: int | None = None,
 ) -> None:
     """One in-place update. Decay is decoupled (applied to the raw weights,
-    not folded into the gradient); moments are bias-corrected."""
+    not folded into the gradient); moments are bias-corrected for step ``t``.
+
+    By default a call is a step of its own: ``state.step`` advances by one
+    and gives ``t``. A step that updates its parameters in several calls
+    advances ``state.step`` once itself and passes it as ``t`` to each.
+    """
     beta1, beta2 = betas
-    state.step += 1
-    t = state.step
+    if t is None:
+        state.step += 1
+        t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     todo = [(name, p, grads[name]) for name, p in params.items() if grads.get(name) is not None]
     if not todo:
         return
     # Scratch rows for the steps below, in the order of the commented expressions.
-    scratch = np.empty((2, max(p.data.size for _, p, _ in todo)), np.result_type(*(g for _, _, g in todo)))
+    width = min(ADAMW_BLOCK, max(p.data.size for _, p, _ in todo))
+    scratch = np.empty((2, width), np.result_type(*(g for _, _, g in todo)))
     for name, p, g in todo:
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m, v = state.m[name], state.v[name]
-        a, b = (row[: p.data.size].reshape(p.data.shape) for row in scratch)
-        m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=a)  # (1 - beta1) * g
-        v *= beta2
-        v += np.multiply(1.0 - beta2, np.multiply(g, g, out=a), out=a)  # (1 - beta2) * (g * g)
-        if weight_decay and (apply_decay is None or apply_decay[name]):
-            p.data *= 1.0 - lr_t * weight_decay
-        # lr_t * (m / bc1) / (sqrt(v / bc2) + eps)
-        step = np.multiply(lr_t, np.divide(m, bc1, out=a), out=a)
-        denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), eps, out=b)
-        p.data -= np.divide(step, denom, out=a)
+        decay = weight_decay and (apply_decay is None or apply_decay[name])
+        # Every expression is elementwise, so flat blocks give the whole arrays' bits.
+        flat = [x.reshape(-1) for x in (p.data, np.asarray(g), state.m[name], state.v[name])]
+        for lo in range(0, p.data.size, ADAMW_BLOCK):
+            w, gb, m, v = (x[lo : lo + ADAMW_BLOCK] for x in flat)
+            a, b = (row[: w.size] for row in scratch)
+            m *= beta1
+            m += np.multiply(1.0 - beta1, gb, out=a)  # (1 - beta1) * g
+            v *= beta2
+            v += np.multiply(1.0 - beta2, np.multiply(gb, gb, out=a), out=a)  # (1 - beta2) * (g * g)
+            if decay:
+                w *= 1.0 - lr_t * weight_decay
+            # lr_t * (m / bc1) / (sqrt(v / bc2) + eps)
+            step = np.multiply(lr_t, np.divide(m, bc1, out=a), out=a)
+            denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), eps, out=b)
+            w -= np.divide(step, denom, out=a)
 
 
 def cosine_lr(step: int, base_lr: float, warmup_steps: int, total_steps: int) -> float:

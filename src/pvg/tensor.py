@@ -22,10 +22,14 @@ blocks of at least 8 rows, holding at most two arrays of the hidden width.
 Backward consumes the graph it sweeps: each interior node drops its gradient,
 its closure and its parent links as soon as its closure has run, so the
 intermediate values of a step are freed during the sweep rather than kept
-until the caller's last reference goes. Leaves keep their gradients. A swept
-graph cannot be swept again: a second backward from the same root, or from a
-root whose graph shares nodes with a swept one, raises
-:class:`~pvg.errors.GraphReleasedError` before any gradient is accumulated.
+until the caller's last reference goes. Leaves keep their gradients, except a
+leaf with a ``hook``: the sweep counts the nodes that read it, and once the
+last of them is released it moves the leaf's final gradient out and calls the
+hook with it, in the middle of the sweep (training updates each parameter
+there and drops its gradient). A swept graph cannot be swept again: a second
+backward from the same root, or from a root whose graph shares nodes with a
+swept one, raises :class:`~pvg.errors.GraphReleasedError` before any gradient
+is accumulated or any hook runs.
 As each closure runs once, it may overwrite the gradient it is handed and the
 arrays it kept (the gate's backward does), and an op hands the fresh arrays
 it computes to ``Node._accumulate`` as ``owned``, so a node's first gradient
@@ -102,13 +106,15 @@ class Node:
     """A tensor's autograd record. ``data`` is its value while something
     still holds it (a weak reference), else an empty array of its dtype."""
 
-    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "op", "shape", "dtype", "_value")
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "hook", "op", "shape", "dtype", "_value")
 
     def __init__(self, value: np.ndarray, requires_grad: bool, parents: tuple["Node", ...], op: str):
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward: Callable[[np.ndarray], None] | None = None
+        # A leaf's hook takes its final gradient from the sweep (see Tensor.backward).
+        self.hook: Callable[[np.ndarray | None], None] | None = None
         self.op = op
         self.shape = value.shape
         self.dtype = value.dtype
@@ -151,6 +157,7 @@ class Tensor:
     requires_grad = _on_node("requires_grad")
     _parents = _on_node("_parents")
     _backward = _on_node("_backward")
+    hook = _on_node("hook")
     op = _on_node("op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
@@ -208,10 +215,17 @@ class Tensor:
         Every interior node (one built by an operation, this tensor included)
         is released right after its closure has run: its ``grad``,
         ``_backward`` and ``_parents`` are dropped. Leaves keep their
-        accumulated ``grad``. Sweeping a released node again, by a second
+        accumulated ``grad``, except a leaf with a ``hook``: once the last
+        node that reads it (one count per appearance among a node's parents)
+        is released, whether or not that node's closure ran, its gradient is
+        final, and the sweep moves it out of the leaf and calls
+        ``hook(grad)`` once (``grad`` is None if no gradient arrived). A
+        hooked leaf that is itself the root gets its call after the seed.
+        So a hook may change the leaf's value in place: no closure left in
+        the sweep reads it. Sweeping a released node again, by a second
         ``backward()`` from the same root or from another root over a shared
         subgraph, raises :class:`GraphReleasedError`; the check runs before
-        any closure, so no gradient is accumulated by the failed call.
+        any closure or hook, so the failed call accumulates no gradient.
         """
         if seed is None:
             seed = np.ones_like(self.data)
@@ -222,6 +236,7 @@ class Tensor:
 
         order: list[Node] = []
         visited: set[int] = set()
+        consumers: dict[int, int] = {}  # per hooked leaf, the readers not yet released
         stack: list[tuple[Node, bool]] = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
@@ -239,10 +254,15 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
+                if p.requires_grad:
+                    if p.hook is not None and p.op == "leaf":
+                        consumers[id(p)] = consumers.get(id(p), 0) + 1
+                    if id(p) not in visited:
+                        stack.append((p, False))
 
         self._node._accumulate(seed)
+        if self._node.hook is not None and self._node.op == "leaf":
+            _call_hook(self._node)
         # Popping drops the list's reference, so a released node and the
         # arrays only its closure kept are freed as the sweep moves on.
         while order:
@@ -250,14 +270,27 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
             if node.op != "leaf":
+                parents = node._parents
                 node.grad = None
                 node._backward = None
                 node._parents = ()
+                for p in parents if consumers else ():
+                    left = consumers.get(id(p))
+                    if left == 1:
+                        del consumers[id(p)]
+                        _call_hook(p)
+                    elif left:
+                        consumers[id(p)] = left - 1
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _call_hook(leaf: Node) -> None:
+    grad, leaf.grad = leaf.grad, None
+    leaf.hook(grad)
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -784,10 +817,11 @@ def ffn(
     and the gate output into a second, G, which gives ``w2`` its gradient
     and is then overwritten by the gate's gradient; a second pass turns E
     into x's gradient and G into eps's term. So erf runs once in backward,
-    and at most two arrays of x's size are live. The parameters change only
-    after backward, so each recomputed value comes back bit for bit, and
-    with the kernels of ``layer_norm``, ``linear`` and ``cdf_gate``, values
-    and gradients equal the chain's bit for bit.
+    and at most two arrays of x's size are live. No parameter changes before
+    this closure has run (a leaf's hook waits for the release of every node
+    that reads the leaf), so each recomputed value comes back bit for bit,
+    and with the kernels of ``layer_norm``, ``linear`` and ``cdf_gate``,
+    values and gradients equal the chain's bit for bit.
     """
     _check_linear(h.shape, w1, b1, "ffn")
     _check_layer_norm(h, gamma, beta)

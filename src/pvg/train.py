@@ -6,10 +6,19 @@ per-epoch diversity trace, and a final checkpoint directory.
 
 A :class:`RunConfig` holds a model, an optimizer and a schedule config, all
 four :class:`~pvg.net.Config` subclasses checked at construction.
+
+A step fixes its learning rate and AdamW step count, then runs backward. For
+the run each parameter carries a hook (:meth:`~pvg.tensor.Tensor.backward`),
+so the sweep updates a parameter with ``adamw_step`` as soon as its gradient
+is final and drops that gradient at once, rather than holding every gradient
+until the sweep ends. Updating after the whole sweep gives the same bits: no
+node left in the sweep reads a parameter that has been updated. The hooks are
+cleared when ``train`` returns or raises, so the returned model has none.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,15 +125,6 @@ def evaluate(model_or_dir, dataset: Dataset, batch_size: int = 32) -> tuple[floa
     return acc, loss
 
 
-def _take_grads(model: Model) -> dict[str, np.ndarray]:
-    """Each parameter's gradient, moved out of the parameter."""
-    grads = {}
-    for name, t in model.params.items():
-        if t.grad is not None:
-            grads[name], t.grad = t.grad, None
-    return grads
-
-
 def train(
     run: RunConfig,
     dataset: Dataset,
@@ -157,6 +157,20 @@ def train(
     wd_mask = decay_mask(model.params)
     state = AdamWState()
 
+    def update(name: str, grad: np.ndarray | None) -> None:
+        # A parameter's hook: the sweep calls it once the gradient is final,
+        # with the step's lr_t and step count already fixed.
+        adamw_step(
+            {name: model.params[name]},
+            {name: grad},
+            state,
+            lr_t,
+            betas=run.optimizer.betas,
+            weight_decay=run.optimizer.weight_decay,
+            apply_decay=wd_mask,
+            t=state.step,
+        )
+
     n = len(dataset)
 
     metrics: list[EpochMetrics] = []
@@ -165,63 +179,59 @@ def train(
 
     global_step = 0
     epoch = 0
-    while global_step < total_steps:
-        order = rng.permutation(n)
-        epoch_losses: list[float] = []
-        for start in range(0, n, run.batch_size):
-            if global_step >= total_steps:
+    for name, p in model.params.items():
+        p.hook = functools.partial(update, name)
+    try:
+        while global_step < total_steps:
+            order = rng.permutation(n)
+            epoch_losses: list[float] = []
+            for start in range(0, n, run.batch_size):
+                if global_step >= total_steps:
+                    break
+                batch = order[start : start + run.batch_size]
+                images = dataset.images[batch]
+                labels = dataset.labels[batch]
+
+                model.zero_grad()
+                try:
+                    logits = model.forward(images)
+                except NonFiniteError as err:
+                    raise NonFiniteError(f"{err} at step {global_step}") from err
+                loss = softmax_cross_entropy(logits, labels)
+                loss_value = loss.item()
+                if not np.isfinite(loss_value):
+                    raise NonFiniteError(f"non-finite loss at step {global_step}")
+                lr_t = cosine_lr(
+                    global_step,
+                    run.optimizer.lr,
+                    run.schedule.warmup_steps,
+                    total_steps,
+                )
+                state.step += 1
+                # Each parameter's hook updates it, and drops its gradient, as
+                # soon as the sweep has released the last node that reads it.
+                loss.backward()
+                model.clamp_activation_params()
+                epoch_losses.append(loss_value)
+                global_step += 1
+
+            _, train_acc = _forward_pass_metrics(model, dataset, run.batch_size)
+            metrics.append(
+                EpochMetrics(
+                    epoch=epoch,
+                    step=global_step,
+                    train_loss=float(np.mean(epoch_losses)),
+                    train_acc=train_acc,
+                    lr=lr_t,
+                )
+            )
+            traces.append(trace_diversity(model, trace_images, run_id=f"epoch{epoch:03d}"))
+            epoch += 1
+            if stop_accuracy is not None and train_acc >= stop_accuracy:
                 break
-            batch = order[start : start + run.batch_size]
-            images = dataset.images[batch]
-            labels = dataset.labels[batch]
-
-            model.zero_grad()
-            try:
-                logits = model.forward(images)
-            except NonFiniteError as err:
-                raise NonFiniteError(f"{err} at step {global_step}") from err
-            loss = softmax_cross_entropy(logits, labels)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise NonFiniteError(f"non-finite loss at step {global_step}")
-            loss.backward()
-
-            lr_t = cosine_lr(
-                global_step,
-                run.optimizer.lr,
-                run.schedule.warmup_steps,
-                total_steps,
-            )
-            # Moved out of the parameters in the call: once the update is
-            # done nothing holds this step's gradients, neither a name through
-            # the next step nor the returned model.
-            adamw_step(
-                model.params,
-                _take_grads(model),
-                state,
-                lr_t,
-                betas=run.optimizer.betas,
-                weight_decay=run.optimizer.weight_decay,
-                apply_decay=wd_mask,
-            )
-            model.clamp_activation_params()
-            epoch_losses.append(loss_value)
-            global_step += 1
-
-        _, train_acc = _forward_pass_metrics(model, dataset, run.batch_size)
-        metrics.append(
-            EpochMetrics(
-                epoch=epoch,
-                step=global_step,
-                train_loss=float(np.mean(epoch_losses)),
-                train_acc=train_acc,
-                lr=lr_t,
-            )
-        )
-        traces.append(trace_diversity(model, trace_images, run_id=f"epoch{epoch:03d}"))
-        epoch += 1
-        if stop_accuracy is not None and train_acc >= stop_accuracy:
-            break
+    finally:
+        for p in model.params.values():
+            p.hook = None
 
     _write_metrics_csv(out_dir / "metrics.csv", metrics)
     write_trace_csv(out_dir / "diversity.csv", traces)

@@ -102,3 +102,25 @@ def test_traced_train_step_times_every_backward_op():
     assert metrics["tensor.graph_mb_per_step"][0] == held / 2**20 > 0
     for name, t in plain.params.items():
         assert model.params[name].grad.tobytes() == t.grad.tobytes(), name
+
+
+def test_traced_train_updates_each_parameter_inside_backward(tmp_path):
+    # train() updates each parameter from the backward sweep through the
+    # name pvg.train looks up, so the optim.adamw site sees one call per
+    # parameter, each nested in the step's tensor.backward span.
+    from pvg.data import make_two_class_patches
+    from pvg.train import OptimizerConfig, RunConfig, ScheduleConfig, train
+
+    run = RunConfig(
+        model=tiny_config(),
+        optimizer=OptimizerConfig(),
+        schedule=ScheduleConfig(total_steps=1),
+        batch_size=2,
+        output_dir=str(tmp_path),
+    )
+    with tracing.Recorder("train_step", full=True) as rec:
+        model, _ = train(run, make_two_class_patches(2, size=32, seed=0))
+    spans = rec.spans
+    updates = [span for span in spans if span[0] == "optim.adamw"]
+    assert len(updates) == len(model.params)
+    assert {spans[span[3]][0] for span in updates} == {"tensor.backward"}

@@ -745,6 +745,118 @@ class TestBackwardConsumesGraph:
         np.testing.assert_array_equal(x.grad, [0.0, -3.0])
 
 
+class TestLeafHooks:
+    """A leaf's hook runs once, with the leaf's final gradient, as soon as
+    the sweep has released every node that reads the leaf."""
+
+    @staticmethod
+    def sweep(loss: Tensor, leaves: dict[str, Tensor]) -> list[tuple]:
+        # Each closure that runs, and each hook call with the gradient it was
+        # handed, in the order of the sweep.
+        events: list[tuple] = []
+        for node in graph_nodes(loss._node):
+            if node._backward is not None:
+                def closure(g, fn=node._backward, node=node):
+                    events.append(("closure", id(node)))
+                    fn(g)
+
+                node._backward = closure
+        for name, leaf in leaves.items():
+            leaf.hook = lambda g, name=name: events.append(("hook", name, None if g is None else g.copy()))
+        loss.backward()
+        return events
+
+    @staticmethod
+    def released(events: list[tuple], consumers: list[Tensor]) -> int:
+        # The position of the last consumer's closure.
+        return max(events.index(("closure", id(c._node))) for c in consumers)
+
+    @staticmethod
+    def hook_calls(events: list[tuple], name: str) -> list[tuple[int, np.ndarray | None]]:
+        return [(i, e[2]) for i, e in enumerate(events) if e[:2] == ("hook", name)]
+
+    def test_leaf_read_by_two_ops(self):
+        rng = np.random.default_rng(4)
+        x, y = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(3, 4)))
+
+        def build(w: Tensor) -> tuple[Tensor, list[Tensor]]:
+            a, b = T.linear(x, w), T.linear(y, w)
+            return T.add(total(T.max0(a)), total(b)), [a, b]
+
+        w_ref = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        build(w_ref)[0].backward()
+        w = Tensor(w_ref.data.copy(), requires_grad=True)
+        loss, consumers = build(w)
+        events = self.sweep(loss, {"w": w})
+        [(at, g)] = self.hook_calls(events, "w")
+        assert at > self.released(events, consumers)
+        assert g.tobytes() == w_ref.grad.tobytes()
+        assert w.grad is None  # moved out of the leaf
+
+    def test_leaf_twice_in_one_op(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        doubled = T.add(x, x)
+        events = self.sweep(total(T.max0(doubled)), {"x": x})
+        [(at, g)] = self.hook_calls(events, "x")
+        assert at > self.released(events, [doubled])
+        np.testing.assert_array_equal(g, [2.0, 0.0, 2.0])
+
+    def test_leaf_whose_consumer_receives_no_gradient(self):
+        # The consumer's closure never runs, but its release still counts.
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        relu = T.max0(w)
+        h = T.linear(Tensor(rng.normal(size=(2, 4))), relu, b)
+        h._node._backward = lambda g: b._node._accumulate(g.sum(axis=0))
+        events = self.sweep(total(h), {"w": w, "b": b})
+        assert ("closure", id(relu._node)) not in events
+        assert [g for _, g in self.hook_calls(events, "w")] == [None]
+        [(_, gb)] = self.hook_calls(events, "b")
+        np.testing.assert_array_equal(gb, [2.0, 2.0, 2.0])
+
+    def test_hooked_root_gets_the_seed(self):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        calls = []
+        w.hook = calls.append
+        w.backward(np.array([3.0, 4.0]))
+        [g] = calls
+        np.testing.assert_array_equal(g, [3.0, 4.0])
+
+    def test_released_graph_raises_before_any_hook(self):
+        rng = np.random.default_rng(6)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        v = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 4)))
+        h = T.linear(x, w)
+        loss = total(h)
+        second = T.add(total(T.max0(h)), total(T.linear(x, v)))
+        loss.backward()
+        calls = []
+        w.hook = v.hook = calls.append
+        with pytest.raises(GraphReleasedError):
+            loss.backward()
+        with pytest.raises(GraphReleasedError):
+            second.backward()
+        assert calls == [] and v.grad is None
+
+    def test_leaf_without_hook_keeps_its_gradient(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(5, 4)))
+
+        def build(w: Tensor, u: Tensor) -> Tensor:
+            return total(T.max0(T.linear(T.linear(x, w), u)))
+
+        w_ref = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        u_ref = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        build(w_ref, u_ref).backward()
+        w, u = (Tensor(t.data.copy(), requires_grad=True) for t in (w_ref, u_ref))
+        events = self.sweep(build(w, u), {"u": u})
+        [(_, g)] = self.hook_calls(events, "u")
+        assert g.tobytes() == u_ref.grad.tobytes() and u.grad is None
+        assert w.grad.tobytes() == w_ref.grad.tobytes()
+
+
 class TestGradCheckHarness:
     def test_quadratic(self):
         x = Tensor(np.random.default_rng(6).normal(size=(4, 4)))

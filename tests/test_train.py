@@ -5,6 +5,7 @@ import csv
 import importlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,14 +30,16 @@ from pvg.errors import (
     NonFiniteError,
 )
 from pvg.net import Model, ModelConfig, save_checkpoint
-from pvg.optim import AdamWState, adamw_step, cosine_lr
+from pvg.optim import AdamWState, adamw_step, cosine_lr, decay_mask
 from pvg.pvgt import write_tensor
-from pvg.tensor import Tensor
+from pvg.tensor import Tensor, softmax_cross_entropy
 from pvg.train import (
+    EpochMetrics,
     OptimizerConfig,
     RunConfig,
     ScheduleConfig,
     _forward_pass_metrics,
+    _write_metrics_csv,
     evaluate,
     train,
 )
@@ -178,6 +181,75 @@ class TestAdamW:
         }
         mask = decay_mask(params)
         assert mask == {"m": True, "v": False}
+
+
+def train_updating_after_the_sweep(run: RunConfig, dataset: Dataset) -> Model:
+    """``train()``'s steps and metrics.csv, with each step's update after its
+    whole backward sweep: one ``adamw_step`` over every gradient."""
+    model = Model(run.model, seed=run.seed)
+    rng = np.random.default_rng(run.seed)
+    wd_mask = decay_mask(model.params)
+    state = AdamWState()
+    total_steps = run.schedule.total_steps
+    metrics, step, epoch = [], 0, 0
+    while step < total_steps:
+        order = rng.permutation(len(dataset))
+        losses = []
+        for start in range(0, len(dataset), run.batch_size):
+            if step >= total_steps:
+                break
+            batch = order[start : start + run.batch_size]
+            model.zero_grad()
+            loss = softmax_cross_entropy(model.forward(dataset.images[batch]), dataset.labels[batch])
+            loss.backward()
+            lr_t = cosine_lr(step, run.optimizer.lr, run.schedule.warmup_steps, total_steps)
+            grads = {name: t.grad for name, t in model.params.items()}
+            adamw_step(
+                model.params,
+                grads,
+                state,
+                lr_t,
+                betas=run.optimizer.betas,
+                weight_decay=run.optimizer.weight_decay,
+                apply_decay=wd_mask,
+            )
+            model.clamp_activation_params()
+            losses.append(loss.item())
+            step += 1
+        _, acc = _forward_pass_metrics(model, dataset, run.batch_size)
+        metrics.append(EpochMetrics(epoch, step, float(np.mean(losses)), acc, lr_t))
+        epoch += 1
+    out_dir = Path(run.output_dir)
+    out_dir.mkdir(parents=True)
+    _write_metrics_csv(out_dir / "metrics.csv", metrics)
+    return model
+
+
+class TestUpdateInBackward:
+    """``train()`` updates each parameter inside the backward sweep, once its
+    gradient is final. That gives the bits of updating after the sweep."""
+
+    def test_equals_updating_after_the_sweep(self, tmp_path):
+        # Tiny's stage-2 block 1 reads its act1.epsilon in both graph
+        # branches, so an update after the first of them would show here.
+        ds = small_dataset(48, seed=13)
+        runs = [quick_run(tmp_path / side, n=48, epochs=2, batch_size=16, seed=5) for side in ("hooked", "ref")]
+        model, _ = train(runs[0], ds)
+        ref = train_updating_after_the_sweep(runs[1], ds)
+        assert (tmp_path / "hooked" / "metrics.csv").read_bytes() == (tmp_path / "ref" / "metrics.csv").read_bytes()
+        assert {n: t.data.tobytes() for n, t in model.params.items()} == {
+            n: t.data.tobytes() for n, t in ref.params.items()
+        }
+
+    def test_returned_model_carries_no_hook(self, tmp_path):
+        model, _ = train(quick_run(tmp_path, n=16, epochs=1, batch_size=8, seed=6), small_dataset(16, seed=14))
+        assert [name for name, t in model.params.items() if t.hook is not None] == []
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        images = small_dataset(2, seed=15).images
+        softmax_cross_entropy(model.forward(images), np.array([0, 1])).backward()
+        for name, t in model.params.items():
+            assert t.grad is not None, name
+            assert t.data.tobytes() == before[name].tobytes(), name
 
 
 class TestCosineSchedule:
@@ -384,8 +456,9 @@ class TestMemoryHeld:
         # Memory held as each step begins, just after zero_grad. The first
         # step starts with the parameters, every later one with AdamW's two
         # moments per parameter as well; nothing a step built outlives it.
-        # The least a step could leak, its gradients, is 4.5 MiB. The update
-        # moves them out of the parameters, so the returned model holds none.
+        # The least a step could leak, its gradients, is 4.5 MiB. Each
+        # parameter's hook drops its gradient in the sweep, so the returned
+        # model holds none.
         held = []
         zero_grad = Model.zero_grad
 
@@ -410,6 +483,39 @@ class TestMemoryHeld:
         assert abs(grown[0] - moments) <= 2**20, (grown[0] / 2**20, moments / 2**20)
         assert np.all(np.abs(grown[1:]) <= 2**20), grown / 2**20
         assert [name for name, t in model.params.items() if t.grad is not None] == []
+
+    def test_train_step_peaks_at_most_20_mib(self, tmp_path, monkeypatch):
+        # One tiny batch-32 step, its moments allocated by the step before.
+        # Updating each parameter as soon as its gradient is final drops the
+        # gradients before the sweep reaches stage 0's FFN: 18.9 MiB, where
+        # updating after the sweep peaked at 23.0 MiB there.
+        starts, peaks = [], []
+        zero_grad, clamp = Model.zero_grad, Model.clamp_activation_params
+
+        def step_start(model):
+            zero_grad(model)
+            tracemalloc.reset_peak()
+            starts.append(tracemalloc.get_traced_memory()[0])
+
+        def step_end(model):
+            clamp(model)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(Model, "zero_grad", step_start)
+        monkeypatch.setattr(Model, "clamp_activation_params", step_end)
+        cfg = RunConfig(
+            model=ModelConfig(num_classes=2),
+            schedule=ScheduleConfig(total_steps=2),
+            batch_size=32,
+            output_dir=str(tmp_path),
+        )
+        tracemalloc.start()
+        try:
+            train(cfg, small_dataset(64, seed=16))
+        finally:
+            tracemalloc.stop()
+        rise = peaks[1] - starts[1]
+        assert rise <= 20 * 2**20, rise / 2**20
 
 
 def attached_closures(monkeypatch) -> list[str]:
