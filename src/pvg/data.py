@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CountMismatchError, FileFormatError, LabelRangeError
+from .net import IN_CHANNELS
 from .pvgt import read_tensor, write_tensor
+
+# The synthetic corpus: each image's contrast about mid-grey, and the standard
+# deviation of its per-pixel noise.
+CONTRAST = 0.5
+NOISE = 0.08
 
 
 @dataclass
@@ -38,8 +44,10 @@ def load_dataset(
     images = read_tensor(images_path)
     if images.ndim != 4:
         raise FileFormatError(f"{images_path}: dataset tensor must be rank 4, got rank {images.ndim}")
-    if images.shape[-1] != 3:
-        raise FileFormatError(f"{images_path}: expected 3 channels, got {images.shape[-1]}")
+    if images.shape[-1] != IN_CHANNELS:
+        raise FileFormatError(
+            f"{images_path}: expected {IN_CHANNELS} channels, got {images.shape[-1]}"
+        )
     # Written so that a NaN, which compares False, fails it.
     if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
         raise FileFormatError(f"{images_path}: pixel values outside [0, 1] or NaN")
@@ -96,13 +104,7 @@ def save_dataset(images_path: str | Path, labels_path: str | Path, dataset: Data
 # ---------------------------------------------------------------------------
 
 
-def make_two_class_patches(
-    n_images: int = 512,
-    size: int = 32,
-    seed: int = 0,
-    contrast: float = 0.5,
-    noise: float = 0.08,
-) -> Dataset:
+def make_two_class_patches(n_images: int = 512, size: int = 32, seed: int = 0) -> Dataset:
     """Two smooth class templates plus per-image noise, scaled into [0, 1].
 
     Class 0 brightens toward the top-left corner, class 1 toward the
@@ -120,18 +122,19 @@ def make_two_class_patches(
     t1 = ramp1[:, :, None] * tint1[None, None, :]
 
     labels = rng.integers(0, 2, size=n_images).astype(np.int64)
-    images = np.empty((n_images, size, size, 3), dtype=np.float32)
+    images = np.empty((n_images, size, size, IN_CHANNELS), dtype=np.float32)
     for i, label in enumerate(labels):
         base = t1 if label else t0
-        img = 0.5 + contrast * (base - 0.5) + rng.normal(0.0, noise, size=(size, size, 3))
+        img = 0.5 + CONTRAST * (base - 0.5) + rng.normal(0.0, NOISE, size=base.shape)
         images[i] = np.clip(img, 0.0, 1.0)
     return Dataset(images=images, labels=labels, num_classes=2, split="train")
 
 
-def oracle_linear_accuracy(dataset: Dataset, patch: int = 4) -> float:
-    """Train accuracy of a least-squares linear classifier on per-patch mean
-    features. Certifies that the corpus is shallow-learnable before anyone
+def oracle_linear_accuracy(dataset: Dataset) -> float:
+    """Train accuracy of a least-squares linear classifier on the means of
+    4x4 patches. Certifies that the corpus is shallow-learnable before anyone
     blames the deep model."""
+    patch = 4
     imgs = dataset.images.astype(np.float64)
     n, h, w, c = imgs.shape
     gh, gw = h // patch, w // patch

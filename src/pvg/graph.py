@@ -13,7 +13,6 @@ flow through them, so they work on plain float arrays internally.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -110,7 +109,8 @@ def _stable_argsort_prefix(a: np.ndarray, k: int, work: np.ndarray | None = None
 def topk_neighbors(S, k: int, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> GraphTopology:
     """Select each node's k most similar non-self nodes from a similarity
     matrix. Ties break toward the lower node index; rows come back sorted by
-    non-increasing similarity. k >= n is clamped to n-1 with a warning; fewer
+    non-increasing similarity. k must lie in [1, n - 1] (the model clamps it
+    to that in ``ModelConfig.blocks``), else :class:`ConfigError`; fewer
     than two nodes leave no neighbor to select and raise
     :class:`DegenerateInputError`. A leading batch axis, ``[batch, n, n]``,
     selects within each image and gives the topology's arrays that axis.
@@ -131,8 +131,7 @@ def topk_neighbors(S, k: int, scratch: tuple[np.ndarray, np.ndarray] | None = No
     if n < 2:
         raise DegenerateInputError(f"top-k needs at least 2 nodes, got {n}")
     if k >= n:
-        warnings.warn(f"k={k} >= n={n}; clamping to {n - 1}", stacklevel=2)
-        k = n - 1
+        raise ConfigError(f"k={k} must be below the node count n={n}")
     # Negated scores with the diagonal at NaN: ascending order is descending
     # similarity, and NaN, the node itself included, sorts last. Float input
     # keeps its dtype; integer input is promoted with float32 as numpy does,
@@ -169,11 +168,13 @@ def psgc_schedule(
     n_blocks: int,
     start_ratio: float,
     end_ratio: float,
-    granularity: int = 16,
+    granularity: int,
 ) -> list[tuple[int, int, int]]:
     """Per-block (local, first, second) split of the channel budget: a
     linear ramp of the global-graph width from start_ratio to end_ratio of
-    the budget, rounded to multiples of ``granularity``.
+    the budget, rounded to multiples of ``granularity``. The model always
+    passes ``net.GRANULARITY``; the argument stays so that the schedule's
+    invariants can be checked over many granularities.
 
     The first-order width is pinned at the block-0 global width; everything
     the ramp adds beyond that goes to the second-order branch, and the local

@@ -66,6 +66,13 @@ GRAPH_BLOCK = 2**18
 # Stage sizes far past any buildable model: counting and laying out blocks finish.
 MAX_STAGE_DEPTH = 2**10
 MAX_STAGE_WIDTH = 2**16
+MAX_CLASSES = 2**16
+# Fixed by the model, not by its config: RGB input (a dataset's images have
+# IN_CHANNELS channels too), FFN hidden width per channel, and the granule
+# PSGC rounds branch widths to.
+IN_CHANNELS = 3
+FFN_RATIO = 4
+GRANULARITY = 16
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +174,13 @@ class ModelConfig(Config):
     radius: int = 3
     schedule_start: float = 0.25
     schedule_end: float = 0.75
-    granularity: int = 16
     aggregator: str = "MaxE"
     activation: str = "graphlu"
-    ffn_ratio: int = 4
     layer_scale_init: float = 1e-5
     layer_scale_blocks: int = 2
     num_classes: int = 2
     image_size: int = 32
     patch_size: int = 2
-    in_channels: int = 3
 
     def _check(self) -> None:
         for name, seq in (
@@ -188,17 +192,13 @@ class ModelConfig(Config):
                 raise ConfigError(f"{name} must list {N_STAGES} stages")
         if self.patch_size < 1:
             raise ConfigError("patch_size must be >= 1")
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
-        if self.granularity < 1:
-            raise ConfigError("granularity must be >= 1")
         if not all(1 <= d <= MAX_STAGE_DEPTH for d in self.stage_depths):
             raise ConfigError(f"stage depths must lie in [1, {MAX_STAGE_DEPTH}]")
         if not all(1 <= w <= MAX_STAGE_WIDTH for w in self.stage_widths):
             raise ConfigError(f"stage widths must lie in [1, {MAX_STAGE_WIDTH}]")
         if any(k < 1 for k in self.stage_k):
             raise ConfigError("stage k must be >= 1")
-        if any(w % self.granularity for w in self.stage_widths):
+        if any(w % GRANULARITY for w in self.stage_widths):
             raise ConfigError("stage widths must be divisible by the schedule granularity")
         if self.image_size % self.patch_size:
             raise ConfigError("image size must divide by patch size")
@@ -219,12 +219,10 @@ class ModelConfig(Config):
             )
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.num_classes < 2:
-            raise ConfigError("need at least two classes")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise ConfigError(f"num_classes must lie in [2, {MAX_CLASSES}], got {self.num_classes}")
         if not 0 <= self.radius < grid:  # an offset of a whole grid side reaches no node
             raise ConfigError(f"radius must lie in [0, {grid}), the grid side, got {self.radius}")
-        if self.ffn_ratio < 1:
-            raise ConfigError("ffn_ratio must be >= 1")
         try:
             with np.errstate(over="ignore"):
                 finite = bool(np.isfinite(np.float32(self.layer_scale_init)))
@@ -251,7 +249,7 @@ class ModelConfig(Config):
         for s in range(N_STAGES):
             grid = side >> s  # every stage transition halves the grid
             schedule = psgc_schedule(
-                self.stage_widths[s], self.stage_depths[s], start, end, self.granularity
+                self.stage_widths[s], self.stage_depths[s], start, end, GRANULARITY
             )
             for b, widths in enumerate(schedule):
                 i = len(plans)
@@ -264,7 +262,7 @@ class ModelConfig(Config):
 
 
 def tiny_config(**overrides) -> ModelConfig:
-    """The desk-scale reference configuration (32x32 inputs, ~0.6M params)."""
+    """The desk-scale reference configuration (32x32 inputs, 1,180,972 params)."""
     return ModelConfig(**overrides)
 
 
@@ -312,7 +310,7 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
         layout[weight] = ((rows, cols), "he")
         layout[bias] = ((cols,), 0.0)
 
-    patch_in = cfg.patch_size * cfg.patch_size * cfg.in_channels
+    patch_in = cfg.patch_size * cfg.patch_size * IN_CHANNELS
     affine("stem.weight", "stem.bias", patch_in, cfg.stage_widths[0])
 
     n_offsets = (2 * cfg.radius + 1) ** 2
@@ -338,8 +336,8 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
         affine(pre + "fuse.weight", pre + "fuse.bias", c, c)
         layout[pre + "norm2.gamma"] = ((c,), 1.0)
         layout[pre + "norm2.beta"] = ((c,), 0.0)
-        affine(pre + "ffn.w1", pre + "ffn.b1", c, cfg.ffn_ratio * c)
-        affine(pre + "ffn.w2", pre + "ffn.b2", cfg.ffn_ratio * c, c)
+        affine(pre + "ffn.w1", pre + "ffn.b1", c, FFN_RATIO * c)
+        affine(pre + "ffn.w2", pre + "ffn.b2", FFN_RATIO * c, c)
         if plan.layer_scaled:
             layout[pre + "scale1"] = ((c,), cfg.layer_scale_init)
             layout[pre + "scale2"] = ((c,), cfg.layer_scale_init)
@@ -510,9 +508,9 @@ class Model:
         cfg = self.config
         P = self.params
         x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=self.dtype))
-        if x.data.ndim != 4 or x.shape[1:] != (cfg.image_size, cfg.image_size, cfg.in_channels):
+        if x.data.ndim != 4 or x.shape[1:] != (cfg.image_size, cfg.image_size, IN_CHANNELS):
             raise DimensionError(
-                f"expected [batch, {cfg.image_size}, {cfg.image_size}, {cfg.in_channels}] images, "
+                f"expected [batch, {cfg.image_size}, {cfg.image_size}, {IN_CHANNELS}] images, "
                 f"got {x.shape}"
             )
         batch = x.shape[0]
@@ -583,7 +581,7 @@ def count_params_flops(config: ModelConfig) -> tuple[int, int]:
     cfg = config
     params = sum(math.prod(shape) for shape, _ in param_layout(cfg).values())
     plans = cfg.blocks()
-    patch_in = cfg.patch_size * cfg.patch_size * cfg.in_channels
+    patch_in = cfg.patch_size * cfg.patch_size * IN_CHANNELS
     flops = plans[0].grid ** 2 * patch_in * cfg.stage_widths[0]
     for plan in plans:
         s = plan.stage
@@ -599,7 +597,7 @@ def count_params_flops(config: ModelConfig) -> tuple[int, int]:
         # Similarity: each global branch scores n^2 pairs over its own width.
         flops += n * n * (first_c + second_c)
         flops += n * c * c  # fusion
-        flops += 2 * n * c * cfg.ffn_ratio * c
+        flops += 2 * n * c * FFN_RATIO * c
         if plan.layer_scaled:
             flops += 2 * n * c
     flops += cfg.stage_widths[-1] * cfg.num_classes

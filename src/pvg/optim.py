@@ -1,10 +1,10 @@
 """AdamW with decoupled weight decay and a warmup + cosine schedule.
 
-An update runs over flat blocks of :data:`ADAMW_BLOCK` entries through one
-small scratch array; every step of it is elementwise, so the blocks give the
-bits of whole-array arithmetic. A training step may update its parameters one
-call at a time (``train`` does, from the backward sweep) by fixing the step
-count once and passing it as ``t``.
+:func:`adamw_step` updates one parameter for a given step count; ``train``
+calls it from the backward sweep, once per parameter per step. An update runs
+over flat blocks of :data:`ADAMW_BLOCK` entries through one small scratch
+array; every step of it is elementwise, so the blocks give the bits of
+whole-array arithmetic.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from .tensor import Tensor
 
 @dataclass
 class AdamWState:
-    """First/second moment accumulators, keyed like the parameter dict."""
+    """First/second moment accumulators, keyed by parameter name."""
 
-    step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -30,62 +29,49 @@ class AdamWState:
 ADAMW_BLOCK = 2**14
 
 
-def decay_mask(params: dict[str, Tensor]) -> dict[str, bool]:
-    """Weight decay applies to matrices only; vectors and scalars (norm
-    scale/shift, biases, LayerScale, activation relaxations) are exempt."""
-    return {name: t.data.ndim >= 2 for name, t in params.items()}
-
-
 def adamw_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    name: str,
+    p: Tensor,
+    grad: np.ndarray | None,
     state: AdamWState,
     lr_t: float,
+    t: int,
     betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
     weight_decay: float = 0.05,
-    apply_decay: dict[str, bool] | None = None,
-    t: int | None = None,
 ) -> None:
-    """One in-place update. Decay is decoupled (applied to the raw weights,
-    not folded into the gradient); moments are bias-corrected for step ``t``.
-
-    By default a call is a step of its own: ``state.step`` advances by one
-    and gives ``t``. A step that updates its parameters in several calls
-    advances ``state.step`` once itself and passes it as ``t`` to each.
+    """One in-place update of parameter ``p``, whose moments ``state`` keeps
+    under ``name``; a ``None`` gradient changes nothing. Moments are
+    bias-corrected for step ``t`` (the first step is 1). Decay is decoupled
+    (applied to the raw weights, not folded into the gradient) and applies to
+    matrices only; vectors and scalars (norm scale/shift, biases, LayerScale,
+    activation relaxations) are exempt.
     """
+    if grad is None:
+        return
     beta1, beta2 = betas
-    if t is None:
-        state.step += 1
-        t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    todo = [(name, p, grads[name]) for name, p in params.items() if grads.get(name) is not None]
-    if not todo:
-        return
+    if name not in state.m:
+        state.m[name] = np.zeros_like(p.data)
+        state.v[name] = np.zeros_like(p.data)
+    decay = weight_decay and p.data.ndim >= 2
     # Scratch rows for the steps below, in the order of the commented expressions.
-    width = min(ADAMW_BLOCK, max(p.data.size for _, p, _ in todo))
-    scratch = np.empty((2, width), np.result_type(*(g for _, _, g in todo)))
-    for name, p, g in todo:
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        decay = weight_decay and (apply_decay is None or apply_decay[name])
-        # Every expression is elementwise, so flat blocks give the whole arrays' bits.
-        flat = [x.reshape(-1) for x in (p.data, np.asarray(g), state.m[name], state.v[name])]
-        for lo in range(0, p.data.size, ADAMW_BLOCK):
-            w, gb, m, v = (x[lo : lo + ADAMW_BLOCK] for x in flat)
-            a, b = (row[: w.size] for row in scratch)
-            m *= beta1
-            m += np.multiply(1.0 - beta1, gb, out=a)  # (1 - beta1) * g
-            v *= beta2
-            v += np.multiply(1.0 - beta2, np.multiply(gb, gb, out=a), out=a)  # (1 - beta2) * (g * g)
-            if decay:
-                w *= 1.0 - lr_t * weight_decay
-            # lr_t * (m / bc1) / (sqrt(v / bc2) + eps)
-            step = np.multiply(lr_t, np.divide(m, bc1, out=a), out=a)
-            denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), eps, out=b)
-            w -= np.divide(step, denom, out=a)
+    scratch = np.empty((2, min(ADAMW_BLOCK, p.data.size)), np.result_type(grad))
+    # Every expression is elementwise, so flat blocks give the whole arrays' bits.
+    flat = [x.reshape(-1) for x in (p.data, np.asarray(grad), state.m[name], state.v[name])]
+    for lo in range(0, p.data.size, ADAMW_BLOCK):
+        w, gb, m, v = (x[lo : lo + ADAMW_BLOCK] for x in flat)
+        a, b = (row[: w.size] for row in scratch)
+        m *= beta1
+        m += np.multiply(1.0 - beta1, gb, out=a)  # (1 - beta1) * g
+        v *= beta2
+        v += np.multiply(1.0 - beta2, np.multiply(gb, gb, out=a), out=a)  # (1 - beta2) * (g * g)
+        if decay:
+            w *= 1.0 - lr_t * weight_decay
+        # lr_t * (m / bc1) / (sqrt(v / bc2) + 1e-8)
+        step = np.multiply(lr_t, np.divide(m, bc1, out=a), out=a)
+        denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), 1e-8, out=b)
+        w -= np.divide(step, denom, out=a)
 
 
 def cosine_lr(step: int, base_lr: float, warmup_steps: int, total_steps: int) -> float:

@@ -7,13 +7,14 @@ per-epoch diversity trace, and a final checkpoint directory.
 A :class:`RunConfig` holds a model, an optimizer and a schedule config, all
 four :class:`~pvg.net.Config` subclasses checked at construction.
 
-A step fixes its learning rate and AdamW step count, then runs backward. For
-the run each parameter carries a hook (:meth:`~pvg.tensor.Tensor.backward`),
-so the sweep updates a parameter with ``adamw_step`` as soon as its gradient
-is final and drops that gradient at once, rather than holding every gradient
-until the sweep ends. Updating after the whole sweep gives the same bits: no
-node left in the sweep reads a parameter that has been updated. The hooks are
-cleared when ``train`` returns or raises, so the returned model has none.
+A step fixes its learning rate, then runs backward. For the run each
+parameter carries a hook (:meth:`~pvg.tensor.Tensor.backward`), so the sweep
+updates a parameter with ``adamw_step``, for step count ``global_step + 1``,
+as soon as its gradient is final and drops that gradient at once, rather
+than holding every gradient until the sweep ends. Updating after the whole
+sweep gives the same bits: no node left in the sweep reads a parameter that
+has been updated. The hooks are cleared when ``train`` returns or raises, so
+the returned model has none.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .data import Dataset
 from .diagnostics import DiversityTrace, trace_diversity, write_trace_csv
 from .errors import ConfigError, DegenerateInputError, NonFiniteError
 from .net import Config, Model, ModelConfig, load_checkpoint, read_json, save_checkpoint
-from .optim import AdamWState, adamw_step, cosine_lr, decay_mask
+from .optim import AdamWState, adamw_step, cosine_lr
 from .tensor import softmax_cross_entropy
 
 TRACE_BATCH = 8  # the first training images, whose per-block diversity each epoch traces
@@ -154,21 +155,20 @@ def train(
 
     model = Model(run.model, seed=run.seed)
     rng = np.random.default_rng(run.seed)
-    wd_mask = decay_mask(model.params)
     state = AdamWState()
 
     def update(name: str, grad: np.ndarray | None) -> None:
         # A parameter's hook: the sweep calls it once the gradient is final,
-        # with the step's lr_t and step count already fixed.
+        # with the step's lr_t already fixed, during step global_step + 1.
         adamw_step(
-            {name: model.params[name]},
-            {name: grad},
+            name,
+            model.params[name],
+            grad,
             state,
             lr_t,
+            global_step + 1,
             betas=run.optimizer.betas,
             weight_decay=run.optimizer.weight_decay,
-            apply_decay=wd_mask,
-            t=state.step,
         )
 
     n = len(dataset)
@@ -207,7 +207,6 @@ def train(
                     run.schedule.warmup_steps,
                     total_steps,
                 )
-                state.step += 1
                 # Each parameter's hook updates it, and drops its gradient, as
                 # soon as the sweep has released the last node that reads it.
                 loss.backward()

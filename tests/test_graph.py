@@ -140,11 +140,12 @@ class TestTopkNeighbors:
         assert batched.neighbor_idx.shape == (2, 10, 4)
         np.testing.assert_array_equal(batched.neighbor_idx[0], topo.neighbor_idx)
 
-    def test_clamp_warns(self):
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_k_of_n_or_more_rejected(self, k):
+        # ModelConfig.blocks() clamps the model's k; a direct caller's is checked.
         s = np.random.default_rng(3).normal(size=(4, 4))
-        with pytest.warns(UserWarning):
-            topo = topk_neighbors(s, 10)
-        assert topo.k == 3
+        with pytest.raises(ConfigError, match=f"k={k} must be below the node count n=4"):
+            topk_neighbors(s, k)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):

@@ -201,12 +201,10 @@ class TestConfig:
         [
             {"radius": -1},
             {"radius": 16},  # the tiny config's stage-0 grid is 16x16
-            {"ffn_ratio": 0},
             {"layer_scale_blocks": -1},
             {"layer_scale_blocks": 6},  # the tiny config has 5 blocks
             {"stage_k": [4, 0, 8, 8]},
             {"patch_size": 0},
-            {"granularity": 0},
             {"schedule_start": [0.25, 0.25, 0.25, 0.25]},
             {"schedule_end": [0.75, 0.75, 0.75, 0.75]},
             {"schedule_start": None},
@@ -217,23 +215,23 @@ class TestConfig:
             {"image_size": "32"},
             {"stage_k": [4, 4, 8.5, 8]},
             {"stage_depths": (1, 1, 2, 1)},
-            {"ffn_ratio": 2.5},
             {"layer_scale_init": "1e-5"},
             {"layer_scale_init": float("nan")},
             {"layer_scale_init": float("inf")},
             {"layer_scale_init": float("-inf")},
             {"schedule_start": 0.8, "schedule_end": 0.5},
-            {"in_channels": 0},
-            {"in_channels": -1},
+            {"num_classes": 1},
+            {"num_classes": net.MAX_CLASSES + 1},
+            {"num_classes": 10**30},
         ],
         ids=[
-            "radius", "radius-grid-side", "ffn-ratio", "layer-scale-low", "layer-scale-high", "stage-k",
-            "patch-size", "granularity", "schedule-start-list", "schedule-end-list",
+            "radius", "radius-grid-side", "layer-scale-low", "layer-scale-high", "stage-k",
+            "patch-size", "schedule-start-list", "schedule-end-list",
             "schedule-start-none", "activation-relu", "aggregator", "radius-float",
             "radius-bool", "image-size-str", "stage-k-float", "stage-depths-tuple",
-            "ffn-ratio-float", "layer-scale-init-str", "layer-scale-init-nan",
+            "layer-scale-init-str", "layer-scale-init-nan",
             "layer-scale-init-inf", "layer-scale-init-neg-inf", "schedule-ratios-reversed",
-            "in-channels-zero", "in-channels-negative",
+            "num-classes-one", "num-classes-above-max", "num-classes-1e30",
         ],
     )
     def test_invalid_value_rejected_at_construction(self, overrides):
@@ -250,6 +248,9 @@ class TestConfig:
     def test_layer_scale_on_every_block_accepted(self):
         model = Model(tiny_config(layer_scale_blocks=5), seed=0)
         assert "stage0.block0.scale1" in model.params
+
+    def test_num_classes_at_the_bound_accepted(self):
+        assert tiny_config(num_classes=net.MAX_CLASSES).num_classes == net.MAX_CLASSES
 
 
 class TestForward:
@@ -666,7 +667,7 @@ class TestLayerScalePlacement:
 def analytic_param_count(cfg: ModelConfig) -> int:
     """The parameter count written out by hand, block by block: an oracle
     that shares no code with ``param_layout``."""
-    params = cfg.patch_size**2 * cfg.in_channels * cfg.stage_widths[0] + cfg.stage_widths[0]
+    params = cfg.patch_size**2 * net.IN_CHANNELS * cfg.stage_widths[0] + cfg.stage_widths[0]
     n_offsets = (2 * cfg.radius + 1) ** 2
     uses_graphlu = cfg.activation == "graphlu"
     ls_from = cfg.total_blocks() - cfg.layer_scale_blocks
@@ -674,7 +675,7 @@ def analytic_param_count(cfg: ModelConfig) -> int:
     for s in range(4):
         c = cfg.stage_widths[s]
         ratios = cfg.schedule_start, cfg.schedule_end
-        schedule = psgc_schedule(c, cfg.stage_depths[s], *ratios, cfg.granularity)
+        schedule = psgc_schedule(c, cfg.stage_depths[s], *ratios, net.GRANULARITY)
         for local_c, first_c, second_c in schedule:
             params += 4 * c  # two norms, scale and shift each
             params += 2 * n_offsets * local_c  # offset weights and biases
@@ -684,7 +685,7 @@ def analytic_param_count(cfg: ModelConfig) -> int:
             if uses_graphlu:
                 params += 2
             params += c * c + c  # fusion
-            hidden = cfg.ffn_ratio * c
+            hidden = net.FFN_RATIO * c
             params += c * hidden + hidden + hidden * c + c
             if block_index >= ls_from:
                 params += 2 * c

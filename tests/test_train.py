@@ -30,7 +30,7 @@ from pvg.errors import (
     NonFiniteError,
 )
 from pvg.net import Model, ModelConfig, save_checkpoint
-from pvg.optim import AdamWState, adamw_step, cosine_lr, decay_mask
+from pvg.optim import AdamWState, adamw_step, cosine_lr
 from pvg.pvgt import write_tensor
 from pvg.tensor import Tensor, softmax_cross_entropy
 from pvg.train import (
@@ -54,6 +54,14 @@ BAD_SECTION_ERRORS = {
     json.dumps({"schedule": [1]}): "'schedule' must be an object, got list",
     json.dumps({"optimizer": {"lrate": 0.1}}): "'optimizer' has unknown keys ['lrate']",
     json.dumps({"schedule": {"warmup": 1}}): "'schedule' has unknown keys ['warmup']",
+}
+# Other bad run configs whose error must name the field.
+NAMED_FIELD_ERRORS = {
+    json.dumps({"model": {"ffn_ratio": 2.5}}): "'model' has unknown keys ['ffn_ratio']",
+    json.dumps({"model": {"in_channels": 0}}): "'model' has unknown keys ['in_channels']",
+    json.dumps({"model": {"in_channels": -1}}): "'model' has unknown keys ['in_channels']",
+    json.dumps({"model": {"granularity": 16}}): "'model' has unknown keys ['granularity']",
+    json.dumps({"model": {"num_classes": 10**30}}): f"num_classes must lie in [2, 65536], got {10**30}",
 }
 
 
@@ -138,16 +146,22 @@ class TestDatasetIO:
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_fixed_point(self):
-        p = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
-        before = p["w"].data.copy()
-        adamw_step(p, {"w": np.zeros(2)}, AdamWState(), lr_t=0.1, weight_decay=0.0)
-        np.testing.assert_array_equal(p["w"].data, before)
+        w = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        before = w.data.copy()
+        adamw_step("w", w, np.zeros((1, 2)), AdamWState(), lr_t=0.1, t=1, weight_decay=0.0)
+        np.testing.assert_array_equal(w.data, before)
+
+    def test_none_gradient_changes_nothing(self):
+        w = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        before = w.data.copy()
+        state = AdamWState()
+        adamw_step("w", w, None, state, lr_t=0.1, t=1)
+        np.testing.assert_array_equal(w.data, before)
+        assert state == AdamWState()
 
     def test_descends_quadratic(self):
         w = Tensor(np.array([1.0]), requires_grad=True)
-        params = {"w": w}
-        state = AdamWState()
-        adamw_step(params, {"w": 2.0 * w.data}, state, lr_t=0.01, weight_decay=0.0)
+        adamw_step("w", w, 2.0 * w.data, AdamWState(), lr_t=0.01, t=1, weight_decay=0.0)
         assert w.data[0] < 1.0
 
     def test_matches_scalar_oracle(self):
@@ -155,7 +169,6 @@ class TestAdamW:
         lr, b1, b2, eps, wd = 0.37, 0.9, 0.999, 1e-8, 0.04
 
         w = Tensor(np.array([[0.5]], dtype=np.float64), requires_grad=True)
-        params = {"w": w}
         state = AdamWState()
 
         # scalar reference, written from the update equations
@@ -163,7 +176,7 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         for t in range(1, 11):
             g = float(rng.normal())
-            adamw_step(params, {"w": np.array([[g]])}, state, lr_t=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+            adamw_step("w", w, np.array([[g]]), state, lr_t=lr, t=t, betas=(b1, b2), weight_decay=wd)
             sm = b1 * sm + (1 - b1) * g
             sv = b2 * sv + (1 - b2) * g * g
             mhat = sm / (1 - b1**t)
@@ -172,24 +185,23 @@ class TestAdamW:
             sw -= lr * mhat / (np.sqrt(vhat) + eps)
             assert abs(w.data[0, 0] - sw) <= 1e-10
 
-    def test_decay_mask_exempts_vectors(self):
-        from pvg.optim import decay_mask
-
-        params = {
-            "m": Tensor(np.ones((2, 2)), requires_grad=True),
-            "v": Tensor(np.ones(2), requires_grad=True),
-        }
-        mask = decay_mask(params)
-        assert mask == {"m": True, "v": False}
+    def test_decay_exempts_vectors(self):
+        # A zero gradient leaves only the decay: a matrix scales by exactly
+        # 1 - lr * wd, and a vector keeps its values.
+        lr, wd = 0.1, 0.5
+        state = AdamWState()
+        for name, shape, want in (("m", (2, 2), 3.0 * (1.0 - lr * wd)), ("v", (2,), 3.0)):
+            p = Tensor(np.full(shape, 3.0), requires_grad=True)
+            adamw_step(name, p, np.zeros(shape), state, lr_t=lr, t=1, weight_decay=wd)
+            np.testing.assert_array_equal(p.data, np.full(shape, want))
 
 
 def train_updating_after_the_sweep(run: RunConfig, dataset: Dataset) -> Model:
     """``train()``'s steps and metrics.csv, with each step's update after its
-    whole backward sweep: one ``adamw_step`` over every gradient."""
+    whole backward sweep: ``adamw_step`` over every gradient in turn."""
     model = Model(run.model, seed=run.seed)
     rng = np.random.default_rng(run.seed)
-    wd_mask = decay_mask(model.params)
-    state = AdamWState()
+    state, opt = AdamWState(), run.optimizer
     total_steps = run.schedule.total_steps
     metrics, step, epoch = [], 0, 0
     while step < total_steps:
@@ -203,16 +215,8 @@ def train_updating_after_the_sweep(run: RunConfig, dataset: Dataset) -> Model:
             loss = softmax_cross_entropy(model.forward(dataset.images[batch]), dataset.labels[batch])
             loss.backward()
             lr_t = cosine_lr(step, run.optimizer.lr, run.schedule.warmup_steps, total_steps)
-            grads = {name: t.grad for name, t in model.params.items()}
-            adamw_step(
-                model.params,
-                grads,
-                state,
-                lr_t,
-                betas=run.optimizer.betas,
-                weight_decay=run.optimizer.weight_decay,
-                apply_decay=wd_mask,
-            )
+            for name, p in model.params.items():
+                adamw_step(name, p, p.grad, state, lr_t, step + 1, opt.betas, opt.weight_decay)
             model.clamp_activation_params()
             losses.append(loss.item())
             step += 1
@@ -631,9 +635,7 @@ class TestCli:
             json.dumps({"model": {"activation": "relu"}}),
             json.dumps({"model": {"schedule_end": [0.75, 0.75, 0.75, 0.75]}}),
             json.dumps({"model": {"stage_k": [4, 4, 8.5, 8]}}),
-            json.dumps({"model": {"ffn_ratio": 2.5}}),
-            json.dumps({"model": {"in_channels": 0}}),
-            json.dumps({"model": {"in_channels": -1}}),
+            *NAMED_FIELD_ERRORS,
             json.dumps({"model": {"layer_scale_init": 1e300}}),
             json.dumps({"model": {"stage_depths": [1, 1, 10**400, 1]}}),
             json.dumps({"model": {"stage_widths": [32, 64, 10**400, 256]}}),
@@ -652,7 +654,8 @@ class TestCli:
             "malformed-json", "wrong-field-type", "not-an-object", "zero-patch-size", "1x1-last-stage",
             "unknown-aggregator", "radius-float", "radius-past-grid", "layer-scale-init-nan", "layer-scale-init-inf",
             "removed-graph-mode", "removed-relu", "removed-schedule-list",
-            "stage-k-float", "ffn-ratio-float", "in-channels-zero", "in-channels-negative",
+            "stage-k-float", "removed-ffn-ratio", "removed-in-channels-zero", "removed-in-channels-negative",
+            "removed-granularity", "num-classes-1e30",
             "layer-scale-init-beyond-float32", "stage-depth-beyond-float64", "stage-width-beyond-float64", "lr-str", "lr-beyond-float64", "betas-length", "lr-nan", "total-steps-float",
             "warmup-negative", "batch-size-bool", "seed-float", "output-dir-int", "model-not-an-object",
             "model-str", "optimizer-str", "schedule-list", "optimizer-unknown-key", "schedule-unknown-key",
@@ -664,7 +667,7 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:config:")
         assert "\n" not in err
-        assert BAD_SECTION_ERRORS.get(text, "") in err
+        assert {**BAD_SECTION_ERRORS, **NAMED_FIELD_ERRORS}.get(text, "") in err
 
     @pytest.mark.parametrize(
         "command, category", [("count", "config"), ("train", "file-format"), ("eval", "checkpoint")]
@@ -688,6 +691,20 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error:{category}:") and "UTF-8" in err
         assert "\n" not in err
+
+    def test_checkpoint_with_a_removed_field_is_one_config_error(self, workspace, capsys):
+        # Every checkpoint written while ffn_ratio, in_channels and
+        # granularity were ModelConfig fields records them in its manifest.
+        tp = workspace
+        save_checkpoint(Model(ModelConfig(), seed=0), tp / "ckpt")
+        manifest = json.loads((tp / "ckpt" / "manifest.json").read_text())
+        manifest["config"]["ffn_ratio"] = 4
+        (tp / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+        data = ["--data", str(tp / "x.pvgt"), "--labels", str(tp / "y.csv")]
+        assert cli_main(["eval", "--checkpoint", str(tp / "ckpt")] + data) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and err.count("\n") == 1
+        assert "unknown keys ['ffn_ratio']" in err
 
     @pytest.mark.parametrize("command, category", [("count", "config"), ("eval", "checkpoint")])
     def test_deeply_nested_json_is_one_line_error(self, workspace, capsys, command, category):
