@@ -11,20 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .data import load_dataset
+import numpy as np
+
+from .data import load_dataset, read_images
 from .diagnostics import trace_diversity, write_trace_csv
-from .errors import ConfigError, DimensionError, PvgError
+from .errors import ConfigError, NonFiniteError, PvgError
 from .graph import GraphTopology, export_edges
 from .net import count_params_flops, load_checkpoint
-from .pvgt import read_tensor
 from .train import RunConfig, _check_batch_size, evaluate, train
-
-
-def _read_images(path: str):
-    images = read_tensor(path)
-    if images.ndim != 4:
-        raise DimensionError(f"{path}: images must be rank 4, got rank {images.ndim}")
-    return images
 
 
 def _cmd_train(args) -> int:
@@ -42,7 +36,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data, args.labels, model.config.num_classes, split="eval")
+    dataset = load_dataset(args.data, args.labels, model.config.num_classes)
     acc, loss = evaluate(model, dataset, batch_size=args.batch_size)
     print(f"accuracy={acc:.6f} loss={loss:.6f}")
     return 0
@@ -51,7 +45,7 @@ def _cmd_eval(args) -> int:
 def _cmd_diag(args) -> int:
     _check_batch_size(args.batch_size)
     model = load_checkpoint(args.checkpoint)
-    images = _read_images(args.data)
+    images = read_images(args.data)
     trace = trace_diversity(model, images[: args.batch_size], run_id=args.run_id)
     write_trace_csv(args.out, trace)
     print(f"wrote {len(trace.per_block)} block rows to {args.out}")
@@ -60,7 +54,7 @@ def _cmd_diag(args) -> int:
 
 def _cmd_export_graph(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    images = _read_images(args.data)
+    images = read_images(args.data)
     if not (0 <= args.image < images.shape[0]):
         raise ConfigError(f"image index {args.image} outside dataset of {images.shape[0]}")
     collect: dict = {"graphs": []}
@@ -133,10 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # An overflow, a division by zero or a NaN would reach what the command
+    # reports, so it ends the command as one line, not as numpy's warnings.
+    # Underflow stays ignored: training expects subnormal gradients.
     try:
-        return args.fn(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(args)
     except PvgError as e:
         print(f"error:{e.category}: {e}", file=sys.stderr)
+        return 1
+    except FloatingPointError as e:
+        print(f"error:{NonFiniteError.category}: {e}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"error:io: {e}", file=sys.stderr)

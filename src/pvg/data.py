@@ -29,29 +29,27 @@ class Dataset:
     images: np.ndarray  # [N, h, w, 3] float32 in [0, 1]
     labels: np.ndarray  # [N] int64 in [0, num_classes)
     num_classes: int
-    split: str = "train"
 
     def __len__(self) -> int:
         return self.images.shape[0]
 
 
-def load_dataset(
-    images_path: str | Path,
-    labels_path: str | Path,
-    num_classes: int,
-    split: str = "train",
-) -> Dataset:
-    images = read_tensor(images_path)
+def read_images(path: str | Path) -> np.ndarray:
+    """The images of a PVGT file: rank 4, ``IN_CHANNELS`` channels, every
+    value in [0, 1]. Anything else raises :class:`FileFormatError`."""
+    images = read_tensor(path)
     if images.ndim != 4:
-        raise FileFormatError(f"{images_path}: dataset tensor must be rank 4, got rank {images.ndim}")
+        raise FileFormatError(f"{path}: images must be rank 4, got rank {images.ndim}")
     if images.shape[-1] != IN_CHANNELS:
-        raise FileFormatError(
-            f"{images_path}: expected {IN_CHANNELS} channels, got {images.shape[-1]}"
-        )
+        raise FileFormatError(f"{path}: expected {IN_CHANNELS} channels, got {images.shape[-1]}")
     # Written so that a NaN, which compares False, fails it.
     if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
-        raise FileFormatError(f"{images_path}: pixel values outside [0, 1] or NaN")
+        raise FileFormatError(f"{path}: pixel values outside [0, 1] or NaN")
+    return images
 
+
+def load_dataset(images_path: str | Path, labels_path: str | Path, num_classes: int) -> Dataset:
+    images = read_images(images_path)
     labels = np.full(images.shape[0], -1, dtype=np.int64)
     seen = 0
     try:
@@ -87,7 +85,7 @@ def load_dataset(
         raise CountMismatchError(
             f"{labels_path}: {seen} labels for {images.shape[0]} images"
         )
-    return Dataset(images=images, labels=labels, num_classes=num_classes, split=split)
+    return Dataset(images=images, labels=labels, num_classes=num_classes)
 
 
 def save_dataset(images_path: str | Path, labels_path: str | Path, dataset: Dataset) -> None:
@@ -127,7 +125,7 @@ def make_two_class_patches(n_images: int = 512, size: int = 32, seed: int = 0) -
         base = t1 if label else t0
         img = 0.5 + CONTRAST * (base - 0.5) + rng.normal(0.0, NOISE, size=base.shape)
         images[i] = np.clip(img, 0.0, 1.0)
-    return Dataset(images=images, labels=labels, num_classes=2, split="train")
+    return Dataset(images=images, labels=labels, num_classes=2)
 
 
 def oracle_linear_accuracy(dataset: Dataset) -> float:

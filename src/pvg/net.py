@@ -67,6 +67,7 @@ GRAPH_BLOCK = 2**18
 MAX_STAGE_DEPTH = 2**10
 MAX_STAGE_WIDTH = 2**16
 MAX_CLASSES = 2**16
+MAX_PARAMS = 2**27  # 512 MiB of float32 parameters; Pyramid ViG-S has 19.76 M
 # Fixed by the model, not by its config: RGB input (a dataset's images have
 # IN_CHANNELS channels too), FFN hidden width per channel, and the granule
 # PSGC rounds branch widths to.
@@ -236,6 +237,8 @@ class ModelConfig(Config):
             raise ConfigError(
                 f"layer_scale_blocks must lie in [0, {self.total_blocks()}]"
             )
+        if (params := param_count(self)) > MAX_PARAMS:
+            raise ConfigError(f"config has {params:,} parameters, more than MAX_PARAMS = {MAX_PARAMS:,}")
 
     def blocks(self) -> list[BlockPlan]:
         """Every block in forward order. The one place that derives each
@@ -300,8 +303,8 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
     initialiser), in the order :class:`Model` draws them.
 
     This table is the one enumeration of the parameter set: initialisation
-    walks it, checkpoint loading checks files against it, and
-    :func:`count_params_flops` sums its sizes.
+    walks it, checkpoints save and load the files it names, and
+    :func:`param_count` sums its sizes.
     """
     cfg = config
     layout: dict[str, tuple[tuple[int, ...], Init]] = {}
@@ -343,6 +346,11 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
             layout[pre + "scale2"] = ((c,), cfg.layer_scale_init)
     affine("head.weight", "head.bias", cfg.stage_widths[-1], cfg.num_classes)
     return layout
+
+
+def param_count(config: ModelConfig) -> int:
+    """The number of parameter values the configuration implies."""
+    return sum(math.prod(shape) for shape, _ in param_layout(config).values())
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +582,12 @@ def _local_pair_count(grid: int, r: int) -> int:
 def count_params_flops(config: ModelConfig) -> tuple[int, int]:
     """Parameter count and analytic per-image mult-adds.
 
-    The parameter count is the total size of :func:`param_layout`. Mult-adds
+    The parameter count is :func:`param_count`. Mult-adds
     cover linear maps, local mixing, similarity construction, and LayerScale;
     normalizations, activations, and pooling are excluded by convention.
     """
     cfg = config
-    params = sum(math.prod(shape) for shape, _ in param_layout(cfg).values())
+    params = param_count(cfg)
     plans = cfg.blocks()
     patch_in = cfg.patch_size * cfg.patch_size * IN_CHANNELS
     flops = plans[0].grid ** 2 * patch_in * cfg.stage_widths[0]
@@ -611,9 +619,14 @@ def count_params_flops(config: ModelConfig) -> tuple[int, int]:
 MANIFEST_NAME = "manifest.json"
 
 
+def param_file(name: str) -> str:
+    """The file, inside a checkpoint directory, that holds parameter ``name``."""
+    return name.replace(".", "__") + ".pvgt"
+
+
 def save_checkpoint(model: Model, ckpt_dir: str | Path) -> None:
-    """Write every parameter as a PVGT file plus a JSON manifest recording
-    the configuration and the name -> file mapping.
+    """Write each parameter to its :func:`param_file` and the configuration
+    alone to the manifest, ``{"config": ...}``: it fixes the file set.
 
     PVGT stores float32 only, so a model of any other dtype raises
     :class:`CheckpointError` before anything is written. The files go to a
@@ -639,12 +652,9 @@ def save_checkpoint(model: Model, ckpt_dir: str | Path) -> None:
     old = tmp.with_suffix(".old")
     tmp.mkdir()
     try:
-        mapping: dict[str, str] = {}
         for name, t in model.params.items():
-            fname = name.replace(".", "__") + ".pvgt"
-            write_tensor(tmp / fname, t.data)
-            mapping[name] = fname
-        manifest = {"config": model.config.to_dict(), "params": mapping}
+            write_tensor(tmp / param_file(name), t.data)
+        manifest = {"config": model.config.to_dict()}
         (tmp / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1, sort_keys=True))
         if ckpt_dir.exists():
             ckpt_dir.rename(old)
@@ -662,9 +672,10 @@ def save_checkpoint(model: Model, ckpt_dir: str | Path) -> None:
 
 
 def load_checkpoint(ckpt_dir: str | Path) -> Model:
-    """Rebuild a model from a checkpoint directory, verifying that manifest
-    and :func:`param_layout` agree on the exact parameter set and shapes.
-    Nothing is drawn at random."""
+    """Rebuild a model from a checkpoint directory, reading each parameter
+    of the manifest's configuration's :func:`param_layout` from its
+    :func:`param_file`. A manifest key besides ``config``, a missing file or
+    a wrong shape raises :class:`CheckpointError`. Nothing is drawn at random."""
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / MANIFEST_NAME
     if not manifest_path.exists():
@@ -672,29 +683,18 @@ def load_checkpoint(ckpt_dir: str | Path) -> Model:
     manifest = read_json(manifest_path, CheckpointError)
     if not (
         isinstance(manifest, dict)
-        and isinstance(manifest.get("config"), dict)
-        and isinstance(manifest.get("params"), dict)
+        and list(manifest) == ["config"]
+        and isinstance(manifest["config"], dict)
     ):
-        raise CheckpointError(
-            f'{manifest_path} must be an object with "config" and "params" objects'
-        )
+        raise CheckpointError(f'{manifest_path} must be an object holding only a "config" object')
     config = ModelConfig.from_dict(manifest["config"])
-    layout = param_layout(config)
-    recorded = manifest["params"]
-    if set(layout) != set(recorded):
-        missing = sorted(set(layout) - set(recorded))
-        surplus = sorted(set(recorded) - set(layout))
-        raise CheckpointError(
-            f"manifest/config parameter mismatch: missing={missing[:4]} surplus={surplus[:4]}"
-        )
     params: dict[str, Tensor] = {}
-    for name, (shape, _) in layout.items():
-        fname = recorded[name]
-        if not isinstance(fname, str) or fname in ("", "..") or Path(fname).name != fname:
-            raise CheckpointError(
-                f"{manifest_path}: {name} must name a file inside the checkpoint, got {fname!r}"
-            )
-        arr = read_tensor(ckpt_dir / fname)
+    for name, (shape, _) in param_layout(config).items():
+        path = ckpt_dir / param_file(name)
+        try:
+            arr = read_tensor(path)
+        except FileNotFoundError:
+            raise CheckpointError(f"{ckpt_dir} has no file {path.name} for {name}") from None
         if arr.shape != shape:
             raise CheckpointError(
                 f"{name}: checkpoint shape {arr.shape} != config shape {shape}"

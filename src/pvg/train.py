@@ -99,11 +99,14 @@ class EpochMetrics:
     lr: float
 
 
-def _forward_pass_metrics(model: Model, dataset: Dataset, batch_size: int) -> tuple[float, float]:
-    """Mean loss and top-1 accuracy over a split, forward only."""
+def evaluate(model_or_dir, dataset: Dataset, batch_size: int = 32) -> tuple[float, float]:
+    """Top-1 accuracy and mean loss of a model (or checkpoint dir) on a
+    dataset, forward only; non-finite logits raise :class:`NonFiniteError`."""
+    _check_batch_size(batch_size)
+    model = model_or_dir if isinstance(model_or_dir, Model) else load_checkpoint(model_or_dir)
     n = len(dataset)
     if n == 0:
-        raise DegenerateInputError(f"the {dataset.split} split holds no images")
+        raise DegenerateInputError("the dataset holds no images")
     model = model.detached()
     total_loss = 0.0
     correct = 0
@@ -112,18 +115,12 @@ def _forward_pass_metrics(model: Model, dataset: Dataset, batch_size: int) -> tu
         images = dataset.images[start:stop]
         labels = dataset.labels[start:stop]
         logits = model.forward(images)
+        if not np.all(np.isfinite(logits.data)):
+            raise NonFiniteError(f"non-finite logits for images {start} to {stop - 1}")
         loss = softmax_cross_entropy(logits, labels)
         total_loss += loss.item() * (stop - start)
         correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
-    return total_loss / n, correct / n
-
-
-def evaluate(model_or_dir, dataset: Dataset, batch_size: int = 32) -> tuple[float, float]:
-    """Top-1 accuracy and mean loss of a model (or checkpoint dir) on a split."""
-    _check_batch_size(batch_size)
-    model = model_or_dir if isinstance(model_or_dir, Model) else load_checkpoint(model_or_dir)
-    loss, acc = _forward_pass_metrics(model, dataset, batch_size)
-    return acc, loss
+    return correct / n, total_loss / n
 
 
 def train(
@@ -214,7 +211,7 @@ def train(
                 epoch_losses.append(loss_value)
                 global_step += 1
 
-            _, train_acc = _forward_pass_metrics(model, dataset, run.batch_size)
+            train_acc, _ = evaluate(model, dataset, run.batch_size)
             metrics.append(
                 EpochMetrics(
                     epoch=epoch,

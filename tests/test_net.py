@@ -252,6 +252,18 @@ class TestConfig:
     def test_num_classes_at_the_bound_accepted(self):
         assert tiny_config(num_classes=net.MAX_CLASSES).num_classes == net.MAX_CLASSES
 
+    def test_parameter_cap(self):
+        # Pyramid ViG-S's shape (Han et al., arXiv 2206.00272) fits under the cap.
+        vig_s = ModelConfig(
+            stage_depths=[2, 2, 6, 2], stage_widths=[80, 160, 400, 640], stage_k=[9] * 4,
+            image_size=224, patch_size=4, num_classes=1000,
+        )
+        assert 19.7e6 < net.param_count(vig_s) < 19.8e6
+        assert net.param_count(tiny_config(num_classes=net.MAX_CLASSES)) <= net.MAX_PARAMS
+        # 2,476,514,476 parameters: one [16384, 65536] FFN weight alone is 4 GiB.
+        with pytest.raises(ConfigError, match="2,476,514,476 parameters, more than MAX_PARAMS"):
+            tiny_config(stage_widths=[32, 64, 128, 16384])
+
 
 class TestForward:
     def test_non_finite_features_stop_the_graph_build(self):
@@ -970,13 +982,11 @@ class TestCheckpoint:
         assert (tmp_path / "ckpt" / "notes.txt").read_text() == "keep me"
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
-    def test_manifest_mismatch(self, tmp_path):
+    def test_missing_parameter_file(self, tmp_path):
         model = Model(tiny_config(), seed=15)
         save_checkpoint(model, tmp_path / "ckpt")
-        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        manifest["params"].pop("head.bias")
-        (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError):
+        (tmp_path / "ckpt" / "head__bias.pvgt").unlink()
+        with pytest.raises(CheckpointError, match="head__bias.pvgt for head.bias"):
             load_checkpoint(tmp_path / "ckpt")
 
     def test_shape_mismatch(self, tmp_path):
@@ -988,23 +998,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "ckpt")
 
-    @pytest.mark.parametrize(
-        "entry", [3, None, "", "..", "sub/head__bias.pvgt", "../outside.pvgt"],
-        ids=["int", "null", "empty", "parent", "subdirectory", "outside"],
-    )
-    def test_manifest_entry_must_name_a_file_in_the_checkpoint(self, tmp_path, monkeypatch, entry):
+    def test_manifest_with_a_params_table_is_refused_reading_nothing(self, tmp_path, monkeypatch):
+        # The layout the config implies names every file, so a manifest
+        # that lists files, as checkpoints once did, is refused whole.
         save_checkpoint(Model(tiny_config(), seed=17), tmp_path / "ckpt")
-        # A file of the right shape outside the checkpoint: it must not be read.
         from pvg.pvgt import write_tensor
 
         write_tensor(tmp_path / "outside.pvgt", np.zeros(2, dtype=np.float32))
-        (tmp_path / "ckpt" / "sub").mkdir()
-        write_tensor(tmp_path / "ckpt" / "sub" / "head__bias.pvgt", np.zeros(2, dtype=np.float32))
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        manifest["params"]["head.bias"] = entry
+        manifest["params"] = {"head.bias": "../outside.pvgt"}
         (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
-        read, original = [], net.read_tensor
-        monkeypatch.setattr(net, "read_tensor", lambda path: read.append(path) or original(path))
-        with pytest.raises(CheckpointError, match="head.bias must name a file inside the checkpoint"):
+        read = []
+        monkeypatch.setattr(net, "read_tensor", read.append)
+        with pytest.raises(CheckpointError, match='holding only a "config" object'):
             load_checkpoint(tmp_path / "ckpt")
-        assert all(p.parent == tmp_path / "ckpt" for p in read)
+        assert read == []
+
+    def test_manifest_holds_only_the_config(self, tmp_path):
+        model = Model(tiny_config(num_classes=3), seed=18)
+        save_checkpoint(model, tmp_path / "ckpt")
+        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        assert manifest == {"config": model.config.to_dict()}
+        files = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
+        assert files == sorted([net.param_file(name) for name in model.params] + ["manifest.json"])

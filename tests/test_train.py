@@ -38,7 +38,6 @@ from pvg.train import (
     OptimizerConfig,
     RunConfig,
     ScheduleConfig,
-    _forward_pass_metrics,
     _write_metrics_csv,
     evaluate,
     train,
@@ -220,7 +219,7 @@ def train_updating_after_the_sweep(run: RunConfig, dataset: Dataset) -> Model:
             model.clamp_activation_params()
             losses.append(loss.item())
             step += 1
-        _, acc = _forward_pass_metrics(model, dataset, run.batch_size)
+        acc, _ = evaluate(model, dataset, run.batch_size)
         metrics.append(EpochMetrics(epoch, step, float(np.mean(losses)), acc, lr_t))
         epoch += 1
     out_dir = Path(run.output_dir)
@@ -451,8 +450,8 @@ class TestMemoryHeld:
         # hold 43.3 MiB of graph; without a graph the pass peaks at 27.5 MiB.
         ds = small_dataset(32, seed=10)
         model = Model(ModelConfig(num_classes=2), seed=0)
-        _forward_pass_metrics(model, ds, 32)  # first-call allocations stay out of the measurement
-        peak, held = traced_memory(lambda: _forward_pass_metrics(model, ds, 32))
+        evaluate(model, ds, 32)  # first-call allocations stay out of the measurement
+        peak, held = traced_memory(lambda: evaluate(model, ds, 32))
         assert peak <= 30 * 2**20, peak / 2**20
         assert held <= 2**20, held / 2**20
 
@@ -824,25 +823,87 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, extra, category",
         [
-            ("diag", ["--data", "rank3.pvgt", "--out", "t.csv"], "dimension"),
-            ("export-graph", ["--data", "rank0.pvgt", "--image", "0", "--block", "0", "--out", "e.csv"], "dimension"),
+            ("diag", ["--data", "rank3.pvgt", "--out", "t.csv"], "file-format"),
+            ("export-graph", ["--data", "rank0.pvgt", "--image", "0", "--block", "0", "--out", "e.csv"], "file-format"),
+            *[
+                (command, ["--data", f"{bad}.pvgt"] + extra, "file-format")
+                for bad in ("above-one", "nan", "four-channels")
+                for command, extra in (
+                    ("diag", ["--out", "t.csv"]),
+                    ("export-graph", ["--image", "0", "--block", "0", "--out", "e.csv"]),
+                )
+            ],
             ("export-graph", ["--data", "x.pvgt", "--image", "-1", "--block", "0", "--out", "e.csv"], "config"),
             ("export-graph", ["--data", "x.pvgt", "--image", "4", "--block", "0", "--out", "e.csv"], "config"),
             ("export-graph", ["--data", "x.pvgt", "--image", "0", "--block", "99", "--out", "e.csv"], "config"),
             ("export-graph", ["--data", "x.pvgt", "--image", "0", "--block", "0", "--branch", "second", "--out", "e.csv"], "config"),
         ],
-        ids=["diag-rank3", "export-rank0", "export-image-negative", "export-image-past-end", "export-no-block", "export-no-branch"],
+        ids=[
+            "diag-rank3", "export-rank0",
+            "diag-above-one", "export-above-one", "diag-nan", "export-nan", "diag-four-channels", "export-four-channels",
+            "export-image-negative", "export-image-past-end", "export-no-block", "export-no-branch",
+        ],
     )
     def test_diag_and_export_error_categories(self, tmp_path, capsys, command, extra, category):
+        # diag and export-graph read images as eval and train do: rank 4, three
+        # channels, values in [0, 1].
         save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
         write_tensor(tmp_path / "rank3.pvgt", np.zeros((4, 32, 32), dtype=np.float32))
         write_tensor(tmp_path / "rank0.pvgt", np.zeros((), dtype=np.float32))
+        write_tensor(tmp_path / "above-one.pvgt", np.full((4, 32, 32, 3), 2.0, dtype=np.float32))
+        nan = np.full((4, 32, 32, 3), 0.5, dtype=np.float32)
+        nan[1, 2, 3, 0] = np.nan
+        write_tensor(tmp_path / "nan.pvgt", nan)
+        write_tensor(tmp_path / "four-channels.pvgt", np.full((4, 32, 32, 4), 0.5, dtype=np.float32))
         save_checkpoint(Model(ModelConfig(), seed=0), tmp_path / "ckpt")
         extra = [str(tmp_path / a) if a.endswith((".pvgt", ".csv")) else a for a in extra]
         assert cli_main([command, "--checkpoint", str(tmp_path / "ckpt")] + extra) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error:{category}:")
         assert "\n" not in err
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a stderr line of its own
+    @pytest.mark.parametrize("name", ["head.weight", "stem.weight"])
+    def test_overflowing_parameter_is_one_non_finite_line(self, tmp_path, capsys, name):
+        # In the head the logits overflow; in the stem the node features do.
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
+        model = Model(ModelConfig(), seed=0)
+        model.params[name].data.flat[0] = 3e38
+        save_checkpoint(model, tmp_path / "ckpt")
+        assert cli_main([
+            "eval", "--checkpoint", str(tmp_path / "ckpt"),
+            "--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv"),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:non-finite:") and captured.err.count("\n") == 1
+
+    def test_missing_parameter_file_is_one_checkpoint_line(self, tmp_path, capsys):
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
+        save_checkpoint(Model(ModelConfig(), seed=0), tmp_path / "ckpt")
+        (tmp_path / "ckpt" / "stage2__block1__ffn__w1.pvgt").unlink()
+        assert cli_main([
+            "eval", "--checkpoint", str(tmp_path / "ckpt"),
+            "--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:checkpoint:") and err.count("\n") == 1
+        assert "stage2.block1.ffn.w1" in err
+
+    @pytest.mark.parametrize("command", ["count", "train"])
+    def test_config_past_the_parameter_cap_is_one_config_line(self, workspace, capsys, command):
+        tp = workspace
+        run = json.loads((tp / "run.json").read_text())
+        run["model"]["stage_widths"] = [32, 64, 128, 16384]
+        (tp / "run.json").write_text(json.dumps(run))
+        args = [command, "--config", str(tp / "run.json")]
+        if command == "train":
+            args += ["--data", str(tp / "x.pvgt"), "--labels", str(tp / "y.csv")]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and err.count("\n") == 1
+        assert "2,476,514,476 parameters" in err
+        assert not (tp / "run").exists()
 
     @pytest.mark.parametrize("bad", ["label-7,1.0", "label-x,1", "nan-pixel"])
     def test_bad_dataset_is_one_line_file_format_error(self, tmp_path, capsys, bad):
