@@ -3,7 +3,9 @@
 Subcommands: train, eval, diag, export-graph, count. Configs are JSON files
 mirroring RunConfig field names. Exit code 0 on success; on failure a single
 machine-parsable line ``error:<category>: <message>`` goes to stderr and the
-exit code is nonzero.
+exit code is nonzero. Categories are those of :mod:`pvg.errors`, plus
+``non-finite`` for numpy's floating-point errors, ``io`` for a failed file
+operation and ``memory`` for an allocation the host cannot satisfy.
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # An overflow, a division by zero or a NaN would reach what the command
     # reports, so it ends the command as one line, not as numpy's warnings.
-    # Underflow stays ignored: training expects subnormal gradients.
+    # Underflow stays ignored: a softmax probability or AdamW's squared
+    # gradient may round to zero or to a subnormal number in a sound run.
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.fn(args)
@@ -141,6 +144,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as e:
         print(f"error:io: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error:memory: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

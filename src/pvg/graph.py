@@ -1,10 +1,11 @@
 """Per-block graph structure.
 
 Everything a trident block needs before aggregation: first-order similarity
-matrices and top-k neighbor selection, both batched over images so that one
-call per branch serves a whole batch, and the progressive channel schedule
-that moves capacity from grid-local mixing (``tensor.offset_mix``) into the
-global graph branches.
+matrices and top-k neighbor selection (k first-maximum passes over one work
+copy of the scores, or a stable sort where k is large against n), both
+batched over images so that one call per branch serves a whole batch, and
+the progressive channel schedule that moves capacity from grid-local mixing
+(``tensor.offset_mix``) into the global graph branches.
 
 Similarity computation and neighbor selection are structural: gradients never
 flow through them, so they work on plain float arrays internally.
@@ -71,42 +72,15 @@ def similarity_matrix(xa: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return np.matmul(xa, xa.swapaxes(-1, -2), out=out)
 
 
-# Rows shorter than this take the full sort, which is faster there. Over the
-# rows of 32 images at k = 4 (2-core x86-64, numpy 2.4): 0.18 vs 0.19 ms sorted
-# vs partitioned at n = 16, 0.84 vs 0.42 ms at n = 32, 113 vs 13 ms at n = 256.
-_PARTITION_MIN_N = 32
+def _sorted_prefix(rows: np.ndarray, nodes: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    # A stable sort of each row's negated scores (into ``out`` if given) with
+    # its own node's at NaN: NaN and the node itself sort last.
+    neg = np.negative(rows, out=out, dtype=np.result_type(rows.dtype, np.float32))
+    neg[np.arange(len(neg)), nodes] = np.nan
+    return np.argsort(neg, axis=1, kind="stable")[:, :k]
 
 
-def _stable_argsort_prefix(a: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:
-    """``np.argsort(a, axis=1, kind="stable")[:, :k]``, sorting whole rows
-    only where needed. ``work``, an array of ``a``'s shape and dtype, takes
-    the partitioned copy in place of a new array.
-
-    Partition finds each row's k-th smallest value. Where exactly k entries
-    are <= it, they are the sorted prefix's entries, in column order, so a
-    stable sort of just those k gives the prefix. A tie at the boundary, or a
-    NaN k-th value, leaves some other count; such rows take the full sort.
-    """
-    if k < 1 or a.shape[1] < _PARTITION_MIN_N:
-        return np.argsort(a, axis=1, kind="stable")[:, :k]
-    work = np.empty_like(a) if work is None else work
-    np.copyto(work, a)
-    work.partition(k - 1, axis=1)  # what np.partition does to its copy
-    kth = work[:, k - 1 : k].copy()  # frees a partitioned copy of its own
-    keep = a <= kth
-    exact = np.count_nonzero(keep, axis=1) == k
-    keep[~exact] = False
-    rows, cols = np.divmod(np.flatnonzero(keep).reshape(-1, k), a.shape[1])
-    by_value = np.argsort(a[rows, cols], axis=1, kind="stable")  # gathers no whole row
-    if exact.all():
-        return np.take_along_axis(cols, by_value, axis=1)
-    out = np.empty((a.shape[0], k), dtype=np.intp)
-    out[exact] = np.take_along_axis(cols, by_value, axis=1)
-    out[~exact] = np.argsort(a[~exact], axis=1, kind="stable")[:, :k]
-    return out
-
-
-def topk_neighbors(S, k: int, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> GraphTopology:
+def topk_neighbors(S, k: int, work: np.ndarray | None = None) -> GraphTopology:
     """Select each node's k most similar non-self nodes from a similarity
     matrix. Ties break toward the lower node index; rows come back sorted by
     non-increasing similarity. k must lie in [1, n - 1] (the model clamps it
@@ -115,13 +89,18 @@ def topk_neighbors(S, k: int, scratch: tuple[np.ndarray, np.ndarray] | None = No
     :class:`DegenerateInputError`. A leading batch axis, ``[batch, n, n]``,
     selects within each image and gives the topology's arrays that axis.
 
-    The node itself ranks with the NaN scores, below every number, so a row
-    with fewer than k non-NaN scores for other nodes raises
+    Selection is k ``argmax`` passes over a copy of the scores, the diagonal
+    and each pick set to -inf; ``argmax`` takes the first maximum, so ties go
+    to the lower index. Where 8k > n, which a sort does faster, and in rows
+    whose passes reach NaN (``argmax`` takes it first) or only -inf, a stable
+    sort of the negated scores with the node itself at NaN picks instead, in
+    the same order. NaN and the node itself rank below every number, so a
+    row with fewer than k non-NaN scores for other nodes raises
     :class:`DegenerateInputError` rather than picking NaN or a self-loop.
 
-    ``scratch``, two arrays of ``S``'s shape in the dtype of the negated
-    scores, takes the negated scores and their partitioned copy in place of
-    new arrays, so one pair serves a caller's every block of images."""
+    ``work``, an array of ``S``'s shape and ``S``'s dtype promoted with
+    float32, takes the copy in place of a new array, so one array serves a
+    caller's every block of images. ``S`` is not written."""
     sa = np.asarray(S)
     if sa.ndim not in (2, 3) or sa.shape[-1] != sa.shape[-2]:
         raise DimensionError(f"similarity matrix must be square, got {sa.shape}")
@@ -132,16 +111,28 @@ def topk_neighbors(S, k: int, scratch: tuple[np.ndarray, np.ndarray] | None = No
         raise DegenerateInputError(f"top-k needs at least 2 nodes, got {n}")
     if k >= n:
         raise ConfigError(f"k={k} must be below the node count n={n}")
-    # Negated scores with the diagonal at NaN: ascending order is descending
-    # similarity, and NaN, the node itself included, sorts last. Float input
-    # keeps its dtype; integer input is promoted with float32 as numpy does,
-    # which orders it exactly as float64 would.
-    neg, work = (None, None) if scratch is None else scratch
-    neg = np.negative(sa, out=neg, dtype=np.result_type(sa.dtype, np.float32))
-    neg[..., range(n), range(n)] = np.nan
-    work = None if work is None else work.reshape(-1, n)
-    order = _stable_argsort_prefix(neg.reshape(-1, n), k, work).reshape(sa.shape[:-1] + (k,))
-    short = np.isnan(np.take_along_axis(neg, order, axis=-1)).any(axis=-1)
+    # Integer input is promoted with float32 as numpy does, which orders it
+    # exactly as float64 would.
+    rows = sa.reshape(-1, n)
+    w = np.empty(rows.shape, np.result_type(sa.dtype, np.float32)) if work is None else work.reshape(-1, n)
+    r = np.arange(len(rows))
+    nodes = r % n
+    if 8 * k > n:
+        order = _sorted_prefix(rows, nodes, k, out=w)
+    else:
+        np.copyto(w, rows)
+        w[r, nodes] = -np.inf
+        order = np.empty((len(rows), k), np.intp)
+        numbers = np.ones(len(rows), bool)
+        for j in range(k):
+            pick = order[:, j] = np.argmax(w, axis=1)
+            numbers &= w[r, pick] > -np.inf  # False at NaN, or once only -inf is left
+            w[r, pick] = -np.inf
+        if not numbers.all():
+            order[~numbers] = _sorted_prefix(rows[~numbers], nodes[~numbers], k)
+    order = order.reshape(sa.shape[:-1] + (k,))
+    sims = np.take_along_axis(sa, order, axis=-1)
+    short = (np.isnan(sims) | (order == nodes.reshape(sa.shape[:-1])[..., None])).any(axis=-1)
     if short.any():
         *image, node = np.unravel_index(np.argmax(short), short.shape)
         where = f"image {image[0]} node {node}" if image else f"node {node}"
@@ -149,7 +140,6 @@ def topk_neighbors(S, k: int, scratch: tuple[np.ndarray, np.ndarray] | None = No
             f"{where} has fewer than k={k} non-NaN similarity scores"
             f" ({np.count_nonzero(short)} such rows)"
         )
-    sims = np.take_along_axis(sa, order, axis=-1)
     return GraphTopology(neighbor_idx=order, neighbor_sim=sims)
 
 

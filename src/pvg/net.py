@@ -59,15 +59,17 @@ from .tensor import (
 ACTIVATIONS = ("graphlu", "gelu")
 N_STAGES = 4
 # Similarity scores per graph-build block. Selection holds the block's scores
-# and two copies of them (negated, and partitioned), so the whole-batch
-# arrays of a large graph never exist: 32 images at n = 256 would be 8 MiB
-# each in float32.
+# and one work copy of them, so the whole-batch arrays of a large graph never
+# exist: 32 images at n = 256 would be 8 MiB each in float32.
 GRAPH_BLOCK = 2**18
 # Stage sizes far past any buildable model: counting and laying out blocks finish.
 MAX_STAGE_DEPTH = 2**10
 MAX_STAGE_WIDTH = 2**16
 MAX_CLASSES = 2**16
 MAX_PARAMS = 2**27  # 512 MiB of float32 parameters; Pyramid ViG-S has 19.76 M
+# Stage-0 nodes per image: the graph build's two n x n float32 score arrays
+# stay within 128 MiB. 224 / 4 gives the paper's n = 3136.
+MAX_NODES = 2**12
 # Fixed by the model, not by its config: RGB input (a dataset's images have
 # IN_CHANNELS channels too), FFN hidden width per channel, and the granule
 # PSGC rounds branch widths to.
@@ -204,6 +206,8 @@ class ModelConfig(Config):
         if self.image_size % self.patch_size:
             raise ConfigError("image size must divide by patch size")
         grid = self.image_size // self.patch_size
+        if grid * grid > MAX_NODES:
+            raise ConfigError(f"{grid * grid:,} stage-0 nodes per image, more than MAX_NODES = {MAX_NODES:,}")
         if grid % (2 ** (N_STAGES - 1)):
             raise ConfigError(
                 f"patch grid {grid} cannot be halved {N_STAGES - 1} times"
@@ -427,15 +431,13 @@ class Model:
             raise NonFiniteError("non-finite node features reached the graph build")
         batch, n, _ = feats.shape
         step = max(1, GRAPH_BLOCK // (n * n))
-        # One set of score, negated-score and partition buffers serves every block.
-        buffers = np.empty((3, min(step, batch), n, n), np.result_type(feats.dtype, np.float32))
+        # One pair of score and work buffers serves every block.
+        buffers = np.empty((2, min(step, batch), n, n), np.result_type(feats.dtype, np.float32))
         topos = []
         for i in range(0, batch, step):
-            scores, neg, work = buffers[:, : min(step, batch - i)]
+            scores, work = buffers[:, : min(step, batch - i)]
             scores = similarity_matrix(feats[i : i + step], out=scores)
-            topos.append(topk_neighbors(scores, k, scratch=(neg, work)))
-        if len(topos) == 1:
-            return topos[0]
+            topos.append(topk_neighbors(scores, k, work=work))
         return GraphTopology(
             neighbor_idx=np.concatenate([t.neighbor_idx for t in topos]),
             neighbor_sim=np.concatenate([t.neighbor_sim for t in topos]),
@@ -674,8 +676,9 @@ def save_checkpoint(model: Model, ckpt_dir: str | Path) -> None:
 def load_checkpoint(ckpt_dir: str | Path) -> Model:
     """Rebuild a model from a checkpoint directory, reading each parameter
     of the manifest's configuration's :func:`param_layout` from its
-    :func:`param_file`. A manifest key besides ``config``, a missing file or
-    a wrong shape raises :class:`CheckpointError`. Nothing is drawn at random."""
+    :func:`param_file`. A manifest key besides ``config``, a ``.pvgt`` file
+    that names no such parameter, a missing file or a wrong shape raises
+    :class:`CheckpointError`. Nothing is drawn at random."""
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / MANIFEST_NAME
     if not manifest_path.exists():
@@ -688,8 +691,12 @@ def load_checkpoint(ckpt_dir: str | Path) -> Model:
     ):
         raise CheckpointError(f'{manifest_path} must be an object holding only a "config" object')
     config = ModelConfig.from_dict(manifest["config"])
+    layout = param_layout(config)
+    stray = sorted({p.name for p in ckpt_dir.glob("*.pvgt")} - {param_file(name) for name in layout})
+    if stray:
+        raise CheckpointError(f"{ckpt_dir} holds {len(stray)} files of no parameter, first {stray[0]}")
     params: dict[str, Tensor] = {}
-    for name, (shape, _) in param_layout(config).items():
+    for name, (shape, _) in layout.items():
         path = ckpt_dir / param_file(name)
         try:
             arr = read_tensor(path)

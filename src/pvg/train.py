@@ -15,6 +15,16 @@ than holding every gradient until the sweep ends. Updating after the whole
 sweep gives the same bits: no node left in the sweep reads a parameter that
 has been updated. The hooks are cleared when ``train`` returns or raises, so
 the returned model has none.
+
+Backward is seeded with :data:`LOSS_SCALE`, not 1, and each hook checks that
+its scaled gradient is finite, then multiplies it by 1 / ``LOSS_SCALE``
+before the update. Once a run is confident its unscaled gradients fall below
+float32's smallest normal number, and backward on subnormal numbers is many
+times slower. Backward is linear in its seed and both factors are powers of
+two, so the update is bit-identical to the unscaled one wherever the
+unscaled sweep met no subnormal number; where it met one, the scaled sweep
+is the more precise. The scale lives only here: ``Tensor.backward``,
+``evaluate`` and gradient checks keep their meaning.
 """
 
 from __future__ import annotations
@@ -34,6 +44,10 @@ from .optim import AdamWState, adamw_step, cosine_lr
 from .tensor import softmax_cross_entropy
 
 TRACE_BATCH = 8  # the first training images, whose per-block diversity each epoch traces
+# The backward seed of a training step. 2^64 left subnormal gradients in
+# confident train-tiny runs; there the largest gradient of a sweep was the
+# seed itself, so 2^96 stays about 2^31 below float32's largest number.
+LOSS_SCALE = 2.0**96
 
 
 @dataclass
@@ -157,6 +171,10 @@ def train(
     def update(name: str, grad: np.ndarray | None) -> None:
         # A parameter's hook: the sweep calls it once the gradient is final,
         # with the step's lr_t already fixed, during step global_step + 1.
+        if grad is not None:
+            if not np.all(np.isfinite(grad)):
+                raise NonFiniteError(f"non-finite gradient of {name} at step {global_step}")
+            grad *= 1.0 / LOSS_SCALE
         adamw_step(
             name,
             model.params[name],
@@ -204,9 +222,10 @@ def train(
                     run.schedule.warmup_steps,
                     total_steps,
                 )
-                # Each parameter's hook updates it, and drops its gradient, as
-                # soon as the sweep has released the last node that reads it.
-                loss.backward()
+                # Each parameter's hook unscales and updates it, and drops its
+                # gradient, as soon as the sweep has released the last node
+                # that reads it.
+                loss.backward(np.full_like(loss.data, LOSS_SCALE))
                 model.clamp_activation_params()
                 epoch_losses.append(loss_value)
                 global_step += 1

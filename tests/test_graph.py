@@ -157,22 +157,67 @@ class TestTopkNeighbors:
         with pytest.raises(DegenerateInputError, match="fewer than k=2"):
             topk_neighbors(s, 2)
 
-    def test_minus_inf_scores_rank_above_the_node_itself(self):
-        s = np.zeros((4, 4))
-        s[0] = [5.0, 1.0, -np.inf, -np.inf]
+    @pytest.mark.parametrize("n", [4, 64])  # the sort (8k > n) and the argmax passes
+    def test_minus_inf_scores_rank_above_the_node_itself(self, n):
+        # Node 0 has one finite score for another node, so its second pick
+        # is its first -inf score, never itself or its first pick again.
+        s = np.zeros((n, n))
+        s[0] = -np.inf
+        s[0, :2] = [5.0, 1.0]
         topo = checked_topology(topk_neighbors(s, 2))
         assert topo.neighbor_idx[0].tolist() == [1, 2]
+        np.testing.assert_array_equal(topo.neighbor_idx, brute_force_topk(s, 2))
 
-    def test_short_row_names_image_and_node(self):
+    @pytest.mark.parametrize("n", [16, 64])  # k = 4: the sort and the argmax passes
+    def test_short_row_names_image_and_node(self, n):
         # The cosine of finite features is finite, so only a direct caller
-        # can pass NaN scores: in image 1, nodes 2..15 keep two scores each.
-        n = 16
+        # can pass NaN scores: in image 1 only, nodes 2..n-1 keep two scores
+        # each; images 0 and 2 alone select.
         s = similarity_matrix(np.random.default_rng(1).normal(size=(3, n, 8)).astype(np.float32))
         s[1, 2:, 2:] = np.nan
-        with pytest.raises(DegenerateInputError, match="image 1 node 2 .*fewer than k=4"):
+        with pytest.raises(DegenerateInputError, match=f"image 1 node 2 has fewer than k=4 .*\\({n - 2} such rows\\)"):
             topk_neighbors(s, 4)
+        checked_topology(topk_neighbors(s[::2], 4))
 
-    @pytest.mark.parametrize("n", [4, 80])  # the full-sort and the partition path
+    @pytest.mark.parametrize("seed", range(4))
+    def test_infinite_scores_match_brute_force(self, seed):
+        # n = 64 and k <= 8, so every row starts on the argmax passes. Rows
+        # hold +inf and -inf scores; in some, fewer than k scores exceed
+        # -inf, so their picks reach -inf and they take the sort.
+        rng = np.random.default_rng(seed)
+        n = 64
+        s = rng.normal(size=(n, n))
+        s[rng.random((n, n)) < 0.1] = np.inf
+        s[rng.random((n, n)) < 0.3] = -np.inf
+        sparse = rng.random(n) < 0.25
+        s[sparse] = np.where(rng.random((np.count_nonzero(sparse), n)) < 0.05, np.inf, -np.inf)
+        s[sparse, rng.integers(0, n, np.count_nonzero(sparse))] = 0.5
+        for dtype in (np.float32, np.float64):
+            for k in range(1, 9):
+                topo = topk_neighbors(s.astype(dtype), k)
+                with np.errstate(invalid="ignore"):  # +inf - +inf along a row
+                    checked_topology(topo)
+                np.testing.assert_array_equal(topo.neighbor_idx, brute_force_topk(s, k))
+
+    @pytest.mark.parametrize("n, k", [(16, 4), (64, 4)])  # the sort and the argmax passes
+    def test_work_array_gives_the_same_bytes_and_leaves_scores_unchanged(self, n, k):
+        rng = np.random.default_rng(n)
+        s = rng.normal(size=(3, n, n)).astype(np.float32)
+        s[0] = np.round(s[0])  # ties
+        s[1, 3:6] = -np.inf  # one finite score each: their picks reach -inf
+        s[1, 3:6, 0] = 0.5
+        s[1, 9, 7] = np.nan  # argmax would pick it first
+        before = s.tobytes()
+        plain = topk_neighbors(s, k)
+        work = np.full_like(s, 7.0)
+        given = topk_neighbors(s, k, work=work)
+        assert s.tobytes() == before
+        assert plain.neighbor_idx.tobytes() == given.neighbor_idx.tobytes()
+        assert plain.neighbor_sim.tobytes() == given.neighbor_sim.tobytes()
+        for image in range(3):
+            np.testing.assert_array_equal(plain.neighbor_idx[image], brute_force_topk(s[image], k))
+
+    @pytest.mark.parametrize("n", [4, 80])  # the sort and the argmax passes
     def test_row_with_fewer_than_k_scores(self, n):
         s = np.random.default_rng(n).normal(size=(n, n))
         s[2] = np.nan

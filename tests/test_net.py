@@ -167,6 +167,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="image_size .* patch_size"):
             ModelConfig(image_size=image_size, patch_size=patch_size)
 
+    def test_stage0_node_cap(self):
+        # The paper's 224 / 4 (n = 3136) is admitted; one more step of the
+        # grid is not, and the cap holds whatever the parameter count.
+        assert ModelConfig(image_size=224, patch_size=4).blocks()[0].grid ** 2 == 3136 <= net.MAX_NODES
+        assert ModelConfig(image_size=128, patch_size=2).blocks()[0].grid ** 2 == net.MAX_NODES
+        for image_size, patch_size in ((264, 4), (2**40, 1)):
+            with pytest.raises(ConfigError, match="stage-0 nodes per image, more than MAX_NODES"):
+                ModelConfig(image_size=image_size, patch_size=patch_size)
+
     def test_smallest_grid_accepted(self):
         cfg = ModelConfig(image_size=16, patch_size=1)
         assert [p.grid for p in cfg.blocks()] == [16, 8, 4, 4, 2]
@@ -464,8 +473,9 @@ class TestInNetworkGraphs:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_build_graphs_matches_per_image_pipeline(self, dtype):
         # Scoring and selecting a block of images per call must equal doing
-        # each image alone, bit for bit, on both selection paths (full sort
-        # below n = 32, partition above), under heavy ties, in either dtype,
+        # each image alone, bit for bit, on both selection paths (the sort at
+        # n = 16, k = 4, where 8k > n, and the argmax passes at n = 256, k =
+        # 8), under heavy ties, in either dtype,
         # and at n = 256 over a batch of several blocks, the last one short.
         model = Model(tiny_config(), seed=0)
         per_block = net.GRAPH_BLOCK // 256**2
@@ -485,7 +495,7 @@ class TestInNetworkGraphs:
 
     def test_build_graphs_at_batch_32_and_n_256_peaks_below_4_mib(self):
         # One image's 256 x 256 float32 scores are 0.25 MiB; the whole batch's
-        # would be 8 MiB, and selection copies them twice.
+        # would be 8 MiB, and selection copies them once.
         model = Model(tiny_config(), seed=0)
         feats = np.random.default_rng(5).normal(size=(32, 256, 8)).astype(np.float32)
         model._build_graphs(feats, 4)  # first-call allocations stay out of the measurement

@@ -255,6 +255,87 @@ class TestUpdateInBackward:
             assert t.data.tobytes() == before[name].tobytes(), name
 
 
+def count_subnormal_gradients(monkeypatch) -> list[int]:
+    """From now on, the subnormal entries of every interior gradient a
+    backward sweep computes, in a one-element list: each closure's gradient
+    as it enters, every contribution to a non-leaf node, and the gate's
+    output and input gradients in ``_gate_bw``, where ``cdf_gate`` and
+    ``ffn`` write the input's gradient without ``Node._accumulate``."""
+    tiny = np.finfo(np.float32).tiny
+    found = [0]
+
+    def count(g) -> None:
+        g = np.asarray(g)
+        found[0] += int(np.count_nonzero((np.abs(g) < tiny) & (g != 0)))
+
+    set_backward, accumulate, gate_bw = tensor_mod._set_backward, tensor_mod.Node._accumulate, tensor_mod._gate_bw
+
+    def counted_closure(out, fn):
+        set_backward(out, lambda g: (count(g), fn(g)))
+
+    def counted_accumulate(node, g, owned=False):
+        if node.op != "leaf":
+            count(g)
+        accumulate(node, g, owned)
+
+    def counted_gate_bw(g, e, s, shifted, x, eps, x_blocks):
+        count(g)
+        gate_bw(g, e, s, shifted, x, eps, x_blocks)
+        count(x.grad if x.grad is not None else 0.0)
+
+    monkeypatch.setattr(tensor_mod, "_set_backward", counted_closure)
+    monkeypatch.setattr(tensor_mod.Node, "_accumulate", counted_accumulate)
+    monkeypatch.setattr(tensor_mod, "_gate_bw", counted_gate_bw)
+    return found
+
+
+class TestLossScale:
+    """``train()`` seeds backward with ``LOSS_SCALE`` and unscales each
+    gradient in its parameter's hook."""
+
+    def test_confident_step_sweeps_no_subnormal_gradient_and_updates_the_same_bits(
+        self, tmp_path, monkeypatch
+    ):
+        # A confident state: labels are the predictions, and the head's
+        # weights and biases times 20 put the logit margins at 35 to 164, so
+        # softmax's gradients start at 1e-16 or below and fall below
+        # float32's smallest normal number on their way down the unscaled
+        # sweep (871,070 entries); the scaled sweep meets none.
+        train_mod = importlib.import_module("pvg.train")
+        run = quick_run(tmp_path, n=8, epochs=1, batch_size=8, seed=3)
+        images = small_dataset(8, seed=21).images
+        logits = Model(run.model, seed=run.seed).detached().forward(images).data
+        labels = np.argmax(logits, axis=1)
+
+        class Confident(Model):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                for name in ("head.weight", "head.bias"):
+                    self.params[name].data *= 20
+
+        monkeypatch.setattr(train_mod, "Model", Confident)
+        found = count_subnormal_gradients(monkeypatch)
+        params, subnormal = [], []
+        for scale in (train_mod.LOSS_SCALE, 1.0):
+            monkeypatch.setattr(train_mod, "LOSS_SCALE", scale)
+            found[0] = 0
+            run.output_dir = str(tmp_path / f"scale{scale:g}")
+            model, metrics = train(run, Dataset(images, labels, 2))
+            assert metrics[-1].train_loss < 1e-18
+            params.append({name: t.data.tobytes() for name, t in model.params.items()})
+            subnormal.append(found[0])
+        assert subnormal[0] == 0 and subnormal[1] > 1000, subnormal
+        assert params[0] == params[1]
+
+    def test_non_finite_scaled_gradient_stops_the_run(self, tmp_path, monkeypatch):
+        # A scaled gradient that overflows is never skipped: the hook raises
+        # with the step, and the run returns no model.
+        train_mod = importlib.import_module("pvg.train")
+        monkeypatch.setattr(train_mod, "LOSS_SCALE", 2.0**127)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="non-finite gradient of .* at step 0"):
+            train(quick_run(tmp_path, n=8, epochs=1, batch_size=8, seed=3), small_dataset(8, seed=21))
+
+
 class TestCosineSchedule:
     def test_endpoints(self):
         base, warm, total = 1e-3, 10, 110
@@ -889,6 +970,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:checkpoint:") and err.count("\n") == 1
         assert "stage2.block1.ffn.w1" in err
+
+    def test_parameter_file_the_config_does_not_name_is_one_checkpoint_line(self, tmp_path, capsys):
+        # A GraphLU checkpoint whose manifest says gelu: the config names no
+        # act*.epsilon parameter, so those files would be silently ignored.
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
+        save_checkpoint(Model(ModelConfig(), seed=0), tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.json"
+        assert manifest.read_text().count('"graphlu"') == 1
+        manifest.write_text(manifest.read_text().replace('"graphlu"', '"gelu"'))
+        assert cli_main([
+            "eval", "--checkpoint", str(tmp_path / "ckpt"),
+            "--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:checkpoint:") and err.count("\n") == 1
+        assert "10 files of no parameter, first stage0__block0__act1__epsilon.pvgt" in err
+
+    def test_image_size_past_the_node_cap_is_one_config_line(self, workspace, capsys):
+        tp = workspace
+        run = json.loads((tp / "run.json").read_text())
+        run["model"]["image_size"] = 256  # 128 x 128 stage-0 nodes
+        (tp / "run.json").write_text(json.dumps(run))
+        assert cli_main(["count", "--config", str(tp / "run.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and err.count("\n") == 1
+        assert "16,384 stage-0 nodes per image, more than MAX_NODES = 4,096" in err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 128. GiB for an array", ""], ids=["numpy", "bare"])
+    def test_memory_error_is_one_memory_line(self, workspace, capsys, monkeypatch, message):
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(importlib.import_module("pvg.cli"), "count_params_flops", no_memory)
+        assert cli_main(["count", "--config", str(workspace / "run.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error:memory: {message or 'out of memory'}\n"
 
     @pytest.mark.parametrize("command", ["count", "train"])
     def test_config_past_the_parameter_cap_is_one_config_line(self, workspace, capsys, command):
