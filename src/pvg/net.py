@@ -21,6 +21,7 @@ is the one JSON parse, of run configs and checkpoint manifests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import shutil
@@ -52,6 +53,7 @@ from .tensor import (
     narrow,
     offset_mix,
     permute,
+    recompute,
     reduce_mean,
     reshape,
 )
@@ -477,9 +479,11 @@ class Model:
             topo = self._build_graphs(x.data.reshape(batch, n, width), plan.k)
             # Each image's node indices shift to its rows of the batch.
             rows = topo.neighbor_idx + (np.arange(batch) * n)[:, None, None]
-            weights = {w: P[f"{pre}{branch}.{w}"] for w in AGGREGATOR_WEIGHTS[cfg.aggregator]}
-            y = baseline_aggregate(cfg.aggregator, x, rows.reshape(batch * n, plan.k), weights)
-            branch_outs.append(graphlu(y, act1))
+            params = [P[f"{pre}{branch}.{w}"] for w in AGGREGATOR_WEIGHTS[cfg.aggregator]]
+            # The aggregate and its gate keep only their inputs until backward,
+            # which runs them again; the graph build is not re-run.
+            branch_fn = functools.partial(_graph_branch, cfg.aggregator, rows.reshape(batch * n, plan.k))
+            branch_outs.append(recompute(branch_fn, [x, *params] + ([] if act1 is None else [act1])))
             if collect is not None and "graphs" in collect:
                 collect["graphs"].append((plan.index, branch, topo))
 
@@ -488,6 +492,8 @@ class Model:
         if plan.layer_scaled:
             y = mul_rowvec(y, P[pre + "scale1"])
         h = add(h, y)
+        # Values that no backward reads go before the FFN allocates its own.
+        del z, branch_outs, fused, y
 
         f = ffn(
             h,
@@ -543,6 +549,16 @@ class Model:
         c_last = cfg.stage_widths[-1]
         pooled = reduce_mean(reshape(h, (batch, h.shape[0] // batch, c_last)), axis=1)
         return linear(pooled, P["head.weight"], P["head.bias"])
+
+
+def _graph_branch(kind: str, rows: np.ndarray, x: Tensor, *params: Tensor) -> Tensor:
+    """A global branch after its graph build: the ``kind`` aggregate of ``x``
+    over the [nodes, k] neighbour ``rows``, gated. ``params`` are the kind's
+    weights in :data:`AGGREGATOR_WEIGHTS` order, then the gate's epsilon if
+    it has one (GELU if not)."""
+    names = AGGREGATOR_WEIGHTS[kind]
+    eps = params[len(names)] if len(params) > len(names) else None
+    return graphlu(baseline_aggregate(kind, x, rows, dict(zip(names, params))), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,15 @@ class AdamWState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
+    @staticmethod
+    def zeros(params: dict[str, Tensor]) -> "AdamWState":
+        """Zero moments for every parameter, allocated now rather than amid
+        the first step's temporaries."""
+        return AdamWState(
+            {name: np.zeros_like(p.data) for name, p in params.items()},
+            {name: np.zeros_like(p.data) for name, p in params.items()},
+        )
+
 
 # Entries per flat block of the update; its scratch is two rows of this many.
 ADAMW_BLOCK = 2**14
@@ -40,7 +49,8 @@ def adamw_step(
     weight_decay: float = 0.05,
 ) -> None:
     """One in-place update of parameter ``p``, whose moments ``state`` keeps
-    under ``name``; a ``None`` gradient changes nothing. Moments are
+    under ``name`` (:meth:`AdamWState.zeros` allocates them); a ``None``
+    gradient changes nothing. Moments are
     bias-corrected for step ``t`` (the first step is 1). Decay is decoupled
     (applied to the raw weights, not folded into the gradient) and applies to
     matrices only; vectors and scalars (norm scale/shift, biases, LayerScale,
@@ -51,9 +61,6 @@ def adamw_step(
     beta1, beta2 = betas
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    if name not in state.m:
-        state.m[name] = np.zeros_like(p.data)
-        state.v[name] = np.zeros_like(p.data)
     decay = weight_decay and p.data.ndim >= 2
     # Scratch rows for the steps below, in the order of the commented expressions.
     scratch = np.empty((2, min(ADAMW_BLOCK, p.data.size)), np.result_type(grad))

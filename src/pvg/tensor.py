@@ -12,12 +12,16 @@ shape, dtype). Each op rebinds its arguments to their nodes before it defines
 its closure, which keeps only the arrays its backward reads: the multiplied
 inputs of ``linear``, ``mul_rowvec`` and ``offset_mix``, the
 inputs of ``max0`` and ``cdf_gate`` (with its erf values), ``layer_norm``'s
-and ``ffn``'s normalised input and row scales, ``reduce_max``'s winners,
-``gather_rows``' index and the loss's probabilities. Any other value is freed
-once the forward drops it; ``ffn`` keeps no array of its hidden width 4c and
-recomputes its normalised rows' affine map, its pre-gate values, their erf
-values and its gate output in backward with the forward's operations, in row
-blocks of at least 8 rows, holding at most two arrays of the hidden width.
+and ``ffn``'s normalised input and row scales, ``reduce_max``'s winners (found
+only when its output needs a gradient), ``gather_rows``' index and the loss's
+probabilities. Any other value is freed once the forward drops it; ``ffn``
+keeps no array of its hidden width 4c and recomputes its normalised rows'
+affine map, its pre-gate values, their erf values and its gate output in
+backward with the forward's operations, in row blocks of at least 8 rows,
+holding at most two arrays of the hidden width. ``recompute(fn, inputs)`` is
+one node that keeps only its inputs' values: backward runs ``fn`` again and
+sweeps that local graph, so ``fn``'s intermediate values live only while its
+own backward runs.
 
 Backward consumes the graph it sweeps: each interior node drops its gradient,
 its closure and its parent links as soon as its closure has run, so the
@@ -90,6 +94,7 @@ DIFFERENTIABLE_OPS = [
     "softmax_cross_entropy",
     "offset_mix",
     "ffn",
+    "recompute",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -173,6 +178,14 @@ class Tensor:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _leaf(data: np.ndarray, requires_grad: bool) -> "Tensor":
+        # A leaf over a value that a tensor already holds, so already checked.
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        out._node = Node(data, requires_grad, (), "leaf")
+        return out
+
+    @staticmethod
     def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], op: str) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data = np.asarray(data)  # a reduction to a scalar is 0-d: weakly referable
@@ -233,59 +246,64 @@ class Tensor:
             seed = np.asarray(seed, dtype=self.data.dtype)
             if seed.shape != self.data.shape:
                 raise DimensionError("backward seed shape mismatch")
-
-        order: list[Node] = []
-        visited: set[int] = set()
-        consumers: dict[int, int] = {}  # per hooked leaf, the readers not yet released
-        stack: list[tuple[Node, bool]] = [(self._node, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            # Every op sets a closure on a node that needs a gradient, so an
-            # interior node without one was released by an earlier backward.
-            if node.requires_grad and node.op != "leaf" and node._backward is None:
-                raise GraphReleasedError(
-                    f"backward reached a {node.op!r} node that an earlier backward released"
-                )
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad:
-                    if p.hook is not None and p.op == "leaf":
-                        consumers[id(p)] = consumers.get(id(p), 0) + 1
-                    if id(p) not in visited:
-                        stack.append((p, False))
-
-        self._node._accumulate(seed)
-        if self._node.hook is not None and self._node.op == "leaf":
-            _call_hook(self._node)
-        # Popping drops the list's reference, so a released node and the
-        # arrays only its closure kept are freed as the sweep moves on.
-        while order:
-            node = order.pop()
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-            if node.op != "leaf":
-                parents = node._parents
-                node.grad = None
-                node._backward = None
-                node._parents = ()
-                for p in parents if consumers else ():
-                    left = consumers.get(id(p))
-                    if left == 1:
-                        del consumers[id(p)]
-                        _call_hook(p)
-                    elif left:
-                        consumers[id(p)] = left - 1
+        _sweep(self._node, seed)
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _sweep(root: Node, seed: np.ndarray, owned: bool = False) -> None:
+    # Tensor.backward's sweep from ``root``; ``owned`` hands ``seed`` over
+    # as in ``Node._accumulate``.
+    order: list[Node] = []
+    visited: set[int] = set()
+    consumers: dict[int, int] = {}  # per hooked leaf, the readers not yet released
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        # Every op sets a closure on a node that needs a gradient, so an
+        # interior node without one was released by an earlier backward.
+        if node.requires_grad and node.op != "leaf" and node._backward is None:
+            raise GraphReleasedError(
+                f"backward reached a {node.op!r} node that an earlier backward released"
+            )
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad:
+                if p.hook is not None and p.op == "leaf":
+                    consumers[id(p)] = consumers.get(id(p), 0) + 1
+                if id(p) not in visited:
+                    stack.append((p, False))
+
+    root._accumulate(seed, owned)
+    if root.hook is not None and root.op == "leaf":
+        _call_hook(root)
+    # Popping drops the list's reference, so a released node and the
+    # arrays only its closure kept are freed as the sweep moves on.
+    while order:
+        node = order.pop()
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+        if node.op != "leaf":
+            parents = node._parents
+            node.grad = None
+            node._backward = None
+            node._parents = ()
+            for p in parents if consumers else ():
+                left = consumers.get(id(p))
+                if left == 1:
+                    del consumers[id(p)]
+                    _call_hook(p)
+                elif left:
+                    consumers[id(p)] = left - 1
 
 
 def _call_hook(leaf: Node) -> None:
@@ -461,12 +479,14 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
     """Max along ``axis``; ties route the gradient to the lowest index."""
     axis = _check_axis(x, axis)
     m = np.max(x.data, axis=axis)
+    out = Tensor._from_op(m, (x,), "reduce_max")
+    if not out._node.requires_grad:
+        return out
     # One equality pass per index, highest first: the lowest maximal index is
     # written last, as argmax picks it. The narrowest unsigned dtype holds them.
     winners = np.zeros(m.shape, dtype=np.min_scalar_type(x.shape[axis] - 1))
     for j in reversed(range(x.shape[axis])):
         np.copyto(winners, j, where=x.data[(slice(None),) * axis + (j,)] == m)
-    out = Tensor._from_op(m, (x,), "reduce_max")
     x = x._node
 
     def bw(g: np.ndarray) -> None:
@@ -961,6 +981,40 @@ def offset_mix(x: Tensor, weights: Tensor, grid: tuple[int, int], bias: Tensor) 
             gb = np.zeros(bias.shape, bias.dtype)
             gb.reshape(side, side, c)[live] = np.einsum("ijc,ijyx->yxc", gg.sum(axis=0), valid)
             bias._accumulate(gb, owned=True)
+
+    _set_backward(out, bw)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# recomputation
+# ---------------------------------------------------------------------------
+
+
+def recompute(fn: Callable[..., Tensor], inputs: Sequence[Tensor]) -> Tensor:
+    """``fn(*inputs)`` as one node that keeps only the inputs' values.
+
+    Forward runs ``fn`` on leaves over the inputs' values that need no
+    gradient, so its ops record no graph and its intermediate values are
+    freed as it goes. Backward runs ``fn`` again on leaves that need a
+    gradient where their inputs do, sweeps that local graph from ``g`` (the
+    sweep of :meth:`Tensor.backward`, taking ``g`` over, not a nested
+    ``backward`` call) and hands each leaf's gradient to its input: the sum
+    of the input's terms inside ``fn``, as one term. No parameter changes
+    before this closure has run (a leaf's hook waits for the release of
+    every node that reads the leaf), so a deterministic ``fn`` gives the
+    forward's values again bit for bit.
+    """
+    values = [t.data for t in inputs]
+    out = Tensor._from_op(fn(*[Tensor._leaf(v, False) for v in values]).data, tuple(inputs), "recompute")
+    nodes = [t._node for t in inputs]
+
+    def bw(g: np.ndarray) -> None:
+        leaves = [Tensor._leaf(v, node.requires_grad) for v, node in zip(values, nodes)]
+        _sweep(fn(*leaves)._node, g, owned=True)
+        for leaf, node in zip(leaves, nodes):
+            if leaf.grad is not None:
+                node._accumulate(leaf.grad, owned=True)
 
     _set_backward(out, bw)
     return out

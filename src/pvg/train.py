@@ -166,7 +166,7 @@ def train(
 
     model = Model(run.model, seed=run.seed)
     rng = np.random.default_rng(run.seed)
-    state = AdamWState()
+    state = AdamWState.zeros(model.params)
 
     def update(name: str, grad: np.ndarray | None) -> None:
         # A parameter's hook: the sweep calls it once the gradient is final,

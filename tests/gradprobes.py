@@ -163,4 +163,22 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
     case("ffn", "h_gelu", ffn_of("h", gelu=True), _rng(62).normal(size=(5, 4)))
     case("ffn", "w1_gelu", ffn_of("w1", gelu=True), _rng(63).normal(size=(4, 6)))
 
+    # recompute: a graph branch in miniature, each input probed.
+    def rc_branch(x, w, eps):
+        nbh = T.gather_rows(x, np.array([[1, 2], [0, 2], [3, 1], [0, 0]]))
+        return T.cdf_gate(T.linear(T.concat([x, T.reduce_max(nbh, 1)], axis=1), w), eps)
+
+    rc_args = {"x": _distinct((4, 3), 64), "w": _rng(65).normal(size=(6, 2)), "eps": np.array([0.3])}
+    rc_fixed = {name: Tensor(v) for name, v in rc_args.items()}
+
+    def recompute_of(name):
+        def fn(x):
+            args = {**rc_fixed, name: x}
+            return T.recompute(rc_branch, [args[a] for a in rc_args])
+
+        return fn
+
+    for name, x0 in rc_args.items():
+        case("recompute", name, recompute_of(name), x0)
+
     return cases

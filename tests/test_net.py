@@ -337,6 +337,11 @@ class TestForward:
 
 
 # Block layouts that take different paths through Model.block_forward.
+def pass_through(fn, inputs):
+    """``net.recompute`` without the recompute: ``fn``'s own graph, op by op."""
+    return fn(*inputs)
+
+
 SWEPT_LAYOUTS = {
     "tiny": {},  # a second-order branch in one block only
     "no-second": {"schedule_start": 0.5, "schedule_end": 0.5},  # local and first-order only
@@ -349,12 +354,17 @@ class TestAutogradGraph:
     @pytest.mark.parametrize("layout", SWEPT_LAYOUTS)
     @pytest.mark.parametrize("activation", net.ACTIVATIONS)
     @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
-    def test_every_model_op_is_registered(self, aggregator, activation, layout):
+    def test_every_model_op_is_registered(self, monkeypatch, aggregator, activation, layout):
         # Gradient certification and the benchmark's per-op backward table
-        # both cover exactly DIFFERENTIABLE_OPS.
+        # both cover exactly DIFFERENTIABLE_OPS. The graph branches' ops run
+        # inside recompute nodes; the pass-through form shows them.
         cfg = tiny_config(aggregator=aggregator, activation=activation, **SWEPT_LAYOUTS[layout])
         model = Model(cfg, seed=0)
         imgs = np.random.default_rng(30).uniform(size=(1, 32, 32, 3)).astype(np.float32)
+        ops = {node.op for node in graph_nodes(model.forward(imgs))} - {"leaf"}
+        assert "linear" in ops and "recompute" in ops
+        assert ops <= set(DIFFERENTIABLE_OPS), ops - set(DIFFERENTIABLE_OPS)
+        monkeypatch.setattr(net, "recompute", pass_through)
         ops = {node.op for node in graph_nodes(model.forward(imgs))} - {"leaf"}
         assert "linear" in ops and "gather_rows" in ops
         assert ops <= set(DIFFERENTIABLE_OPS), ops - set(DIFFERENTIABLE_OPS)
@@ -383,15 +393,18 @@ class TestAutogradGraph:
                 (b, br, t.neighbor_idx.tobytes(), t.neighbor_sim.tobytes()) for b, br, t in free_collect["graphs"]
             ] == [(b, br, t.neighbor_idx.tobytes(), t.neighbor_sim.tobytes()) for b, br, t in rec_collect["graphs"]]
 
-    def test_every_registered_op_is_reached_by_some_model(self):
+    def test_every_registered_op_is_reached_by_some_model(self, monkeypatch):
         # The registry holds no op that only tests call: each one is in the
-        # loss graph of at least one aggregator x activation.
+        # loss graph of at least one aggregator x activation, as the model
+        # runs or with its recompute nodes in pass-through form.
         imgs = np.random.default_rng(31).uniform(size=(1, 32, 32, 3)).astype(np.float32)
         reached = set()
-        for aggregator, activation in itertools.product(AGGREGATOR_KINDS, net.ACTIVATIONS):
-            cfg = tiny_config(aggregator=aggregator, activation=activation)
-            loss = softmax_cross_entropy(Model(cfg, seed=0).forward(imgs), np.array([1]))
-            reached |= {node.op for node in graph_nodes(loss)} - {"leaf"}
+        for form in (net.recompute, pass_through):
+            monkeypatch.setattr(net, "recompute", form)
+            for aggregator, activation in itertools.product(AGGREGATOR_KINDS, net.ACTIVATIONS):
+                cfg = tiny_config(aggregator=aggregator, activation=activation)
+                loss = softmax_cross_entropy(Model(cfg, seed=0).forward(imgs), np.array([1]))
+                reached |= {node.op for node in graph_nodes(loss)} - {"leaf"}
         assert reached == set(DIFFERENTIABLE_OPS), set(DIFFERENTIABLE_OPS) ^ reached
 
     @pytest.mark.parametrize("layout", SWEPT_LAYOUTS)
@@ -417,11 +430,31 @@ class TestAutogradGraph:
                 runs.append((logits.data.tobytes(), x.grad.tobytes(), grads))
             assert runs[0] == runs[1]
 
-    def test_tiny_forward_at_batch_32_holds_at_most_17_mib(self):
+    @pytest.mark.parametrize("layout", SWEPT_LAYOUTS)
+    @pytest.mark.parametrize("activation", net.ACTIVATIONS)
+    @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
+    def test_recompute_equals_the_pass_through_in_the_model(self, monkeypatch, aggregator, activation, layout):
+        # Logits and every gradient, input included, bit for bit in both
+        # dtypes, with each graph branch as one recompute node and as its ops.
+        cfg = tiny_config(aggregator=aggregator, activation=activation, **SWEPT_LAYOUTS[layout])
+        imgs = np.random.default_rng(34).uniform(size=(3, 32, 32, 3))
+        for dtype in (np.float32, np.float64):
+            runs = []
+            for form in (net.recompute, pass_through):
+                monkeypatch.setattr(net, "recompute", form)
+                model = cast_model(Model(cfg, seed=1), dtype)
+                x = Tensor(imgs.astype(dtype), requires_grad=True)
+                logits = model.forward(x)
+                softmax_cross_entropy(logits, np.array([0, 1, 1])).backward()
+                grads = {name: t.grad.tobytes() for name, t in model.params.items()}
+                runs.append((logits.data.tobytes(), x.grad.tobytes(), grads))
+            assert runs[0] == runs[1]
+
+    def test_tiny_forward_at_batch_32_holds_at_most_13_mib(self):
         # numpy's buffers are traced by tracemalloc. What the logits keep
-        # alive is what a train step's backward will read: 15.7 MiB. Each
+        # alive is what a train step's backward will read: 12.0 MiB. Each
         # FFN keeps its normalised input and row scales, and no array of its
-        # hidden width.
+        # hidden width; each graph branch keeps its inputs, not its aggregate.
         model = Model(tiny_config(), seed=0)
         imgs = np.random.default_rng(3).random((32, 32, 32, 3)).astype(np.float32)
         tracemalloc.start()
@@ -432,13 +465,13 @@ class TestAutogradGraph:
         finally:
             tracemalloc.stop()
         assert logits.shape == (32, 2)
-        assert held <= 17 * 2**20, held / 2**20
+        assert held <= 13 * 2**20, held / 2**20
 
-    def test_tiny_forward_and_backward_at_batch_32_peak_at_most_24_mib(self):
+    def test_tiny_forward_and_backward_at_batch_32_peak_at_most_22_mib(self):
         # The peak is set in backward, by stage 0's FFN, which holds two
         # arrays of its hidden width: the recomputed erf values, and the
         # gate output that the gate's gradient then overwrites. It reads
-        # 23.0 MiB above the start, the parameter gradients included.
+        # 21.0 MiB above the start, the parameter gradients included.
         model = Model(tiny_config(), seed=0)
         imgs = np.random.default_rng(3).random((32, 32, 32, 3)).astype(np.float32)
         tracemalloc.start()
@@ -450,19 +483,27 @@ class TestAutogradGraph:
         finally:
             tracemalloc.stop()
         assert all(t.grad is not None for t in model.params.values())
-        assert peak <= 24 * 2**20, peak / 2**20
+        assert peak <= 22 * 2**20, peak / 2**20
 
-    def test_graph_keeps_no_value_that_no_backward_reads(self):
+    @pytest.mark.parametrize("form", ["recompute", "pass-through"])
+    def test_graph_keeps_no_value_that_no_backward_reads(self, monkeypatch, form):
         # No backward reads the output of these ops, so once the forward has
         # returned only the loss holds the graph and their values are gone.
         # The one exception is the pooled mean: the head's linear reads it.
+        # Every tiny block concatenates its branches, so no linear reads a
+        # recompute node's output; in pass-through form the branch ops show.
+        unread = {"reduce_mean", "add", "offset_mix", "mul_rowvec"}
+        if form == "recompute":
+            unread |= {"recompute"}
+        else:
+            monkeypatch.setattr(net, "recompute", pass_through)
+            unread |= {"gather_rows", "reduce_max", "sub"}
         model = Model(tiny_config(), seed=0)
         imgs = np.random.default_rng(4).random((2, 32, 32, 3)).astype(np.float32)
         loss = softmax_cross_entropy(model.forward(imgs), np.array([0, 1]))
         (head,) = [p for p in loss._parents if p.op == "linear"]
         pooled = head._parents[0]
         assert pooled.op == "reduce_mean" and pooled.data.shape == (2, model.config.stage_widths[-1])
-        unread = {"gather_rows", "reduce_max", "reduce_mean", "sub", "add", "offset_mix", "mul_rowvec"}
         nodes = [node for node in graph_nodes(loss) if node.op in unread]
         assert {node.op for node in nodes} == unread
         held = [node for node in nodes if node.data.size]

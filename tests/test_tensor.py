@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pvg import net
 from pvg import tensor as T
 from pvg.errors import (
     DimensionError,
@@ -498,6 +499,16 @@ class TestReduce:
         report = grad_check(lambda x: T.reduce_max(x, 0), Tensor(x0), op_name="reduce_max")
         assert report.passed, report
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_grad_free_max_keeps_no_closure(self, axis):
+        # A max whose output needs no gradient finds no winners: no closure,
+        # no parents, and np.max's value bit for bit.
+        x0 = np.random.default_rng(5).choice(np.array([-0.0, 0.0, -1.0, 2.5]), size=(6, 5, 3))
+        for dtype in (np.float32, np.float64):
+            out = T.reduce_max(Tensor(x0.astype(dtype)), axis)
+            assert out._backward is None and out._parents == ()
+            assert out.data.tobytes() == np.max(x0.astype(dtype), axis=axis).tobytes()
+
     def test_sum_matches_sequential_accumulation(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 200)).astype(np.float64)
@@ -648,7 +659,12 @@ class TestBackwardConsumesGraph:
     def grad_bytes(t: Tensor) -> bytes | None:
         return None if t.grad is None else t.grad.tobytes()
 
-    def test_interior_nodes_released_and_leaf_gradients_unchanged(self):
+    @pytest.mark.parametrize("form", ["recompute", "pass-through"])
+    def test_interior_nodes_released_and_leaf_gradients_unchanged(self, monkeypatch, form):
+        # In pass-through form the graph branches' ops are nodes of the
+        # graph; as the model runs, each branch is one recompute node.
+        if form == "pass-through":
+            monkeypatch.setattr(net, "recompute", lambda fn, inputs: fn(*inputs))
         model = Model(tiny_config(), seed=0)
         images = np.random.default_rng(0).random((2, 32, 32, 3)).astype(np.float32)
         x_ref, loss_ref = self.model_loss(model, images)
@@ -659,7 +675,10 @@ class TestBackwardConsumesGraph:
         model.zero_grad()
         x, loss = self.model_loss(model, images)
         interior = [node for node in graph_nodes(loss) if node.op != "leaf"]
-        assert len(interior) > 100
+        if form == "pass-through":
+            assert len(interior) > 100
+        else:
+            assert "recompute" in {node.op for node in interior}
         loss.backward()
         for node in interior:
             assert node.grad is None and node._backward is None and node._parents == ()
@@ -855,6 +874,66 @@ class TestLeafHooks:
         [(_, g)] = self.hook_calls(events, "u")
         assert g.tobytes() == u_ref.grad.tobytes() and u.grad is None
         assert w.grad.tobytes() == w_ref.grad.tobytes()
+
+
+class TestRecompute:
+    """``recompute`` runs its function in forward without a graph, and again
+    in backward on leaves that carry the inputs' gradients."""
+
+    @staticmethod
+    def branch(x: Tensor, w: Tensor, eps: Tensor) -> Tensor:
+        # A graph branch in miniature: gather, max, concat, linear, gate.
+        nbh = T.gather_rows(x, np.array([[1, 2], [0, 2], [3, 1], [0, 0]]))
+        return T.cdf_gate(T.linear(T.concat([x, T.reduce_max(nbh, 1)], axis=1), w), eps)
+
+    @staticmethod
+    def inputs(dtype, requires_grad: bool = True) -> list[Tensor]:
+        rng = np.random.default_rng(8)
+        arrays = (rng.normal(size=(4, 3)), rng.normal(size=(6, 2)), np.array([0.3]))
+        return [Tensor(a.astype(dtype), requires_grad=requires_grad) for a in arrays]
+
+    def test_values_and_gradients_equal_the_function_graph(self):
+        for dtype in (np.float32, np.float64):
+            runs = []
+            for form in (T.recompute, lambda fn, inputs: fn(*inputs)):
+                ins = self.inputs(dtype)
+                out = form(self.branch, ins)
+                out.backward(np.random.default_rng(9).normal(size=out.shape).astype(dtype))
+                runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in ins])
+            assert runs[0] == runs[1]
+
+    def test_one_node_that_keeps_only_the_input_values(self):
+        ins = self.inputs(np.float64)
+        out = T.recompute(self.branch, ins)
+        assert out.op == "recompute" and out._parents == tuple(t._node for t in ins)
+        cells = [c.cell_contents for c in out._backward.__closure__]
+        kept = [a for c in cells for a in (c if isinstance(c, list) else [c]) if isinstance(a, np.ndarray)]
+        assert sorted(map(id, kept)) == sorted(id(t.data) for t in ins)
+
+    def test_grad_free_inputs_record_nothing(self):
+        out = T.recompute(self.branch, self.inputs(np.float64, requires_grad=False))
+        assert out._backward is None and out._parents == ()
+
+    def test_input_read_twice_and_input_without_gradient(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 2)))
+        out = T.recompute(lambda a, b, k: T.sub(T.max0(a), T.add(b, k)), [x, x, c])
+        total(out).backward()
+        np.testing.assert_array_equal(x.grad, (x.data > 0) - 1.0)
+        assert c.grad is None
+
+    def test_hooked_input_gets_its_gradient_once_the_node_is_released(self):
+        ref = self.inputs(np.float64)
+        total(self.branch(*ref)).backward()
+        ins = self.inputs(np.float64)
+        out = T.recompute(self.branch, ins)
+        calls = []
+        ins[1].hook = lambda g: calls.append((out._node._backward, g))
+        total(out).backward()
+        [(closure, g)] = calls
+        assert closure is None  # released before the hook ran
+        assert g.tobytes() == ref[1].grad.tobytes() and ins[1].grad is None
 
 
 class TestGradCheckHarness:
