@@ -49,41 +49,51 @@ def read_images(path: str | Path) -> np.ndarray:
 
 
 def load_dataset(images_path: str | Path, labels_path: str | Path, num_classes: int) -> Dataset:
+    """The images of a PVGT file with their labels from an ``index,label``
+    CSV that labels each image once."""
     images = read_images(images_path)
     labels = np.full(images.shape[0], -1, dtype=np.int64)
-    seen = 0
+    label_rows: dict[int, int] = {}  # image -> the row that labels it
     try:
         text = Path(labels_path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
         raise FileFormatError(f"{labels_path}: not UTF-8 text: {e}") from None
     # newline="" hands the reader each line's own ending, as open(newline="") does.
+    rows: list[list[str]] = []
     with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "label"]:
-            raise FileFormatError(f"{labels_path}: expected 'index,label' header, got {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise FileFormatError(f"{labels_path}: row {row_no} is not 'index,label'")
-            try:
-                idx, label = int(row[0]), int(row[1])
-            except ValueError:
-                raise FileFormatError(
-                    f"{labels_path}: row {row_no} has a non-integer cell: {row}"
-                ) from None
-            if not (0 <= label < num_classes):
-                raise LabelRangeError(
-                    f"{labels_path}: row {row_no} has label {label} outside [0, {num_classes})"
-                )
-            if not (0 <= idx < images.shape[0]):
-                raise CountMismatchError(
-                    f"{labels_path}: row {row_no} indexes image {idx} of {images.shape[0]}"
-                )
-            labels[idx] = label
-            seen += 1
-    if seen != images.shape[0] or np.any(labels < 0):
+        try:
+            rows.extend(csv.reader(fh))
+        except csv.Error as e:
+            raise FileFormatError(f"{labels_path}: row {len(rows) + 1} is not CSV: {e}") from None
+    header = rows[0] if rows else None
+    if header != ["index", "label"]:
+        raise FileFormatError(f"{labels_path}: expected 'index,label' header, got {header}")
+    for row_no, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise FileFormatError(f"{labels_path}: row {row_no} is not 'index,label'")
+        try:
+            idx, label = int(row[0]), int(row[1])
+        except ValueError:
+            raise FileFormatError(
+                f"{labels_path}: row {row_no} has a non-integer cell: {row}"
+            ) from None
+        if not (0 <= label < num_classes):
+            raise LabelRangeError(
+                f"{labels_path}: row {row_no} has label {label} outside [0, {num_classes})"
+            )
+        if not (0 <= idx < images.shape[0]):
+            raise CountMismatchError(
+                f"{labels_path}: row {row_no} indexes image {idx} of {images.shape[0]}"
+            )
+        if idx in label_rows:
+            raise CountMismatchError(
+                f"{labels_path}: row {row_no} labels image {idx} again, after row {label_rows[idx]}"
+            )
+        labels[idx] = label
+        label_rows[idx] = row_no
+    if len(label_rows) != images.shape[0]:
         raise CountMismatchError(
-            f"{labels_path}: {seen} labels for {images.shape[0]} images"
+            f"{labels_path}: {len(label_rows)} labels for {images.shape[0]} images"
         )
     return Dataset(images=images, labels=labels, num_classes=num_classes)
 

@@ -43,10 +43,10 @@ from .graph import GraphTopology, psgc_schedule, similarity_matrix, topk_neighbo
 from .graphlu import EPSILON_FLOOR, graphlu
 from .pvgt import read_tensor, write_tensor
 from .tensor import (
+    GATE_BLOCK,
     Tensor,
     add,
     concat,
-    ffn,
     layer_norm,
     linear,
     mul_rowvec,
@@ -495,16 +495,14 @@ class Model:
         # Values that no backward reads go before the FFN allocates its own.
         del z, branch_outs, fused, y
 
-        f = ffn(
-            h,
-            P[pre + "norm2.gamma"],
-            P[pre + "norm2.beta"],
-            P[pre + "ffn.w1"],
-            P[pre + "ffn.b1"],
-            P[pre + "ffn.w2"],
-            P[pre + "ffn.b2"],
-            act2,
-        )
+        # The FFN keeps only its input rows until backward, which runs it
+        # again, one row block at a time: a block holds GATE_BLOCK entries of
+        # the hidden width.
+        names = ("norm2.gamma", "norm2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+        ffn_params = [P[pre + name] for name in names] + ([] if act2 is None else [act2])
+        rows, step = h.shape[0], max(1, GATE_BLOCK // (FFN_RATIO * h.shape[1]))
+        blocks = [recompute(_ffn, [narrow(h, 0, lo, min(step, rows - lo)), *ffn_params]) for lo in range(0, rows, step)]
+        f = blocks[0] if len(blocks) == 1 else concat(blocks, axis=0)
         if plan.layer_scaled:
             f = mul_rowvec(f, P[pre + "scale2"])
         h = add(h, f)
@@ -559,6 +557,12 @@ def _graph_branch(kind: str, rows: np.ndarray, x: Tensor, *params: Tensor) -> Te
     names = AGGREGATOR_WEIGHTS[kind]
     eps = params[len(names)] if len(params) > len(names) else None
     return graphlu(baseline_aggregate(kind, x, rows, dict(zip(names, params))), eps)
+
+
+def _ffn(h: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, eps=None) -> Tensor:
+    """A block's feed-forward sublayer on rows ``h``: normalised, widened by
+    ``w1``, gated (GELU without ``eps``) and mapped back by ``w2``."""
+    return linear(graphlu(linear(layer_norm(h, gamma, beta), w1, b1), eps), w2, b2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,12 @@ shape, dtype). Each op rebinds its arguments to their nodes before it defines
 its closure, which keeps only the arrays its backward reads: the multiplied
 inputs of ``linear``, ``mul_rowvec`` and ``offset_mix``, the
 inputs of ``max0`` and ``cdf_gate`` (with its erf values), ``layer_norm``'s
-and ``ffn``'s normalised input and row scales, ``reduce_max``'s winners (found
-only when its output needs a gradient), ``gather_rows``' index and the loss's
-probabilities. Any other value is freed once the forward drops it; ``ffn``
-keeps no array of its hidden width 4c and recomputes its normalised rows'
-affine map, its pre-gate values, their erf values and its gate output in
-backward with the forward's operations, in row blocks of at least 8 rows,
-holding at most two arrays of the hidden width. ``recompute(fn, inputs)`` is
-one node that keeps only its inputs' values: backward runs ``fn`` again and
-sweeps that local graph, so ``fn``'s intermediate values live only while its
-own backward runs.
+normalised input and row scales, ``reduce_max``'s winners (found only when
+its output needs a gradient), ``gather_rows``' index and the loss's
+probabilities. Any other value is freed once the forward drops it.
+``recompute(fn, inputs)`` is one node that keeps only its inputs' values:
+backward runs ``fn`` again and sweeps that local graph, so ``fn``'s
+intermediate values live only while its own backward runs.
 
 Backward consumes the graph it sweeps: each interior node drops its gradient,
 its closure and its parent links as soon as its closure has run, so the
@@ -46,10 +42,8 @@ scale ``mul_rowvec``, the optional bias of ``linear`` and the bias map of
 optimization, automatic fusion, or device support; the fused ops are written
 by hand: ``linear`` (the package's one matrix product, with an optional bias,
 one node per affine map), ``layer_norm``, ``cdf_gate`` (the Gaussian-CDF
-gate), ``ffn`` (the block's feed-forward sublayer ``layer_norm``, ``linear``,
-``cdf_gate``, ``linear`` as one node, on the same forward and backward kernels
-as those three ops) and ``offset_mix`` (the local branch's grid-window
-mixing, one ``einsum`` over padded-grid windows).
+gate) and ``offset_mix`` (the local branch's grid-window mixing, one
+``einsum`` over padded-grid windows).
 Max reductions route the gradient to the lowest index among maximal entries
 so every subgradient choice is deterministic and testable. No op loops in
 Python over offsets, images or rows; ``reduce_max`` loops over its k indices.
@@ -93,17 +87,17 @@ DIFFERENTIABLE_OPS = [
     "layer_norm",
     "softmax_cross_entropy",
     "offset_mix",
-    "ffn",
     "recompute",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 * (1.0 / np.sqrt(np.pi))
-# Entries per block of the gate backward's temporaries; ``ffn`` runs its
-# pre-gate values in blocks of GATE_BLOCK // 4c rows, never fewer than 8.
+# Entries per block: the gate's backward runs its temporaries GATE_BLOCK
+# entries at a time, and the model runs its FFN in row blocks of GATE_BLOCK
+# entries of the hidden width (pvg.net).
 GATE_BLOCK = 2**16
-# Added to each row's variance by ``layer_norm`` and ``ffn``'s norm.
+# Added to each row's variance by ``layer_norm``.
 LAYER_NORM_EPS = 1e-5
 
 
@@ -373,36 +367,6 @@ def max0(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _check_linear(rows: tuple[int, ...], weight: Tensor, bias: Tensor | None, op: str) -> None:
-    if len(rows) != 2 or weight.data.ndim != 2:
-        raise DimensionError(f"{op} requires rank-2 input and weight")
-    if rows[1] != weight.shape[0]:
-        raise DimensionError(f"{op} inner extents differ: {rows} x {weight.shape}")
-    if bias is not None and bias.shape != (weight.shape[1],):
-        raise DimensionError(f"{op}: bias {bias.shape} does not match output width {weight.shape[1]}")
-
-
-def _linear_fwd(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None) -> np.ndarray:
-    # The bias goes in place into the product buffer.
-    y = xd @ wd
-    if bd is not None:
-        y += bd
-    return y
-
-
-def _linear_bw(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, x, weight, bias, out=None) -> None:
-    # The weight's gradient comes first and xd is not read after it, so an
-    # input that only this call holds is freed before g @ wd^T is allocated;
-    # ``out`` (which may be xd) takes g @ wd^T in place of a new array.
-    if weight.requires_grad:
-        weight._accumulate(xd.T @ g, owned=True)
-    del xd
-    if bias is not None and bias.requires_grad:
-        bias._accumulate(g.reshape(-1, wd.shape[1]).sum(axis=0), owned=True)
-    if x.requires_grad:
-        x._accumulate(np.matmul(g, wd.T, out=out), owned=True)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight + bias`` of rank-2 ``x``, ``bias`` added to every row;
     ``bias=None`` is the product ``x @ weight`` alone.
@@ -412,14 +376,27 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     gradients equal, bit for bit, those of the product followed by a
     row-vector bias add of the same dtype. d x = g weight^T, d weight = x^T g.
     """
-    _check_linear(x.shape, weight, bias, "linear")
+    if x.data.ndim != 2 or weight.data.ndim != 2:
+        raise DimensionError("linear requires rank-2 input and weight")
+    if x.shape[1] != weight.shape[0]:
+        raise DimensionError(f"linear inner extents differ: {x.shape} x {weight.shape}")
+    if bias is not None and bias.shape != (weight.shape[1],):
+        raise DimensionError(f"linear: bias {bias.shape} does not match output width {weight.shape[1]}")
+    y = x.data @ weight.data
+    if bias is not None:
+        y += bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
-    bd, bias = (None, None) if bias is None else (bias.data, bias._node)
-    out = Tensor._from_op(_linear_fwd(x.data, weight.data, bd), parents, "linear")
+    out = Tensor._from_op(y, parents, "linear")
     xd, wd, x, weight = x.data, weight.data, x._node, weight._node
+    bias = None if bias is None else bias._node
 
     def bw(g: np.ndarray) -> None:
-        _linear_bw(g, xd, wd, x, weight, bias)
+        if weight.requires_grad:
+            weight._accumulate(xd.T @ g, owned=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.reshape(-1, wd.shape[1]).sum(axis=0), owned=True)
+        if x.requires_grad:
+            x._accumulate(g @ wd.T, owned=True)
 
     _set_backward(out, bw)
     return out
@@ -646,36 +623,10 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _gate_scale(dtype, eps: Tensor | None) -> tuple[np.ndarray, np.ndarray | None]:
-    # s = 1 / (sqrt(2) (1 + eps)) and 1 + eps, by the chain ``1 + eps``,
-    # reciprocal, ``* 1/sqrt(2)``; without eps, s = 1/sqrt(2) in ``dtype``.
-    if eps is None:
-        return np.asarray(_INV_SQRT2, dtype=dtype), None
-    if eps.size != 1:
-        raise DimensionError(f"cdf_gate: eps must hold one value, got shape {eps.shape}")
-    shifted = eps.data + np.asarray(1.0, dtype=eps.data.dtype)
-    inv_sd = 1.0 / shifted
-    return (inv_sd * np.asarray(_INV_SQRT2, dtype=inv_sd.dtype)).reshape(()), shifted
-
-
-def _gate_erf(xd: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    e = np.multiply(xd, s, out=out)
-    _erf(e, out=e)
-    return e
-
-
-def _gate_out(xd: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # 0.5 * x * (1 + e) from the erf values e (``out`` may be e).
-    y = np.add(e, np.asarray(1.0, dtype=e.dtype), out=out)
-    np.multiply(xd, y, out=y)
-    np.multiply(y, np.asarray(0.5, dtype=y.dtype), out=y)
-    return y
-
-
-def _gate_bw(g, e, s, shifted, x, eps, x_blocks) -> None:
+def _gate_bw(g, e, xd, s, shifted, x, eps) -> None:
     # Overwrites g and e: each closure runs once, and both go with it. Every
-    # step runs on the flat blocks of x that ``x_blocks`` yields, so g and e
-    # are the only arrays of the gate's size. e becomes x's first gradient
+    # step runs on flat blocks of GATE_BLOCK entries of the input xd, so g and
+    # e are the only arrays of the gate's size. e becomes x's first gradient
     # where it can (0 + x's two terms, in the chain's order); g ends as eps's term.
     dt = e.dtype
     g = np.ascontiguousarray(g)  # the blocks write into a flat view of it
@@ -684,13 +635,11 @@ def _gate_bw(g, e, s, shifted, x, eps, x_blocks) -> None:
             x.grad = e if e.dtype == x.dtype else np.zeros(x.shape, x.dtype)
         x.grad = np.ascontiguousarray(x.grad)
         dx, adopted = x.grad.reshape(-1), x.grad is e
-    flat_g, flat_e = g.reshape(-1), e.reshape(-1)
+    flat_x, flat_g, flat_e = xd.reshape(-1), g.reshape(-1), e.reshape(-1)
     two_over_sqrt_pi = np.asarray(_TWO_OVER_SQRT_PI, dtype=dt)
-    start = 0
-    for xb in x_blocks:
-        block = slice(start, start + xb.size)
-        start = block.stop
-        gb, eb = flat_g[block], flat_e[block]
+    for start in range(0, xd.size, GATE_BLOCK):
+        block = slice(start, start + GATE_BLOCK)
+        xb, gb, eb = flat_x[block], flat_g[block], flat_e[block]
         np.multiply(gb, np.asarray(0.5, dtype=dt), out=gb)  # gradient at x * (1 + erf)
         if x.requires_grad:
             np.add(eb, np.asarray(1.0, dtype=dt), out=eb)
@@ -730,61 +679,38 @@ def cdf_gate(x: Tensor, eps: Tensor | None = None) -> Tensor:
     round. float64 erf is the cephes port, within 1 ulp of scipy's, and the
     float64 slope is evaluated in float64 as before.
 
-    One node that keeps the input and the erf values for backward. Values and
+    One node that keeps the input and the erf values for backward; without
+    a gradient to compute, the output is written over the erf values. Values and
     gradients equal, bit for bit, those of the elementwise chain ``1 + eps``,
     reciprocal, ``* 1/sqrt(2)``, ``x * s``, erf, ``+ 1``, ``x * (.)``,
     ``* 0.5``: each step rounds in the same dtype and order, and x receives
     its two terms in the order that chain's backward sweep added them.
     """
-    s, shifted = _gate_scale(x.data.dtype, eps)
-    e = _gate_erf(x.data, s)
-    out = Tensor._from_op(_gate_out(x.data, e), (x,) if eps is None else (x, eps), "cdf_gate")
-    xd, x = x.data, x._node
+    xd = x.data
+    if eps is None:
+        s, shifted = np.asarray(_INV_SQRT2, dtype=xd.dtype), None
+    else:
+        if eps.size != 1:
+            raise DimensionError(f"cdf_gate: eps must hold one value, got shape {eps.shape}")
+        shifted = eps.data + np.asarray(1.0, dtype=eps.data.dtype)
+        inv_sd = 1.0 / shifted
+        s = (inv_sd * np.asarray(_INV_SQRT2, dtype=inv_sd.dtype)).reshape(())
+    e = np.multiply(xd, s)
+    _erf(e, out=e)
+    # Backward reads e; an output that needs no gradient is written over it.
+    needs_grad = x.requires_grad or (eps is not None and eps.requires_grad)
+    y = np.add(e, np.asarray(1.0, dtype=e.dtype), out=None if needs_grad else e)
+    np.multiply(xd, y, out=y)
+    np.multiply(y, np.asarray(0.5, dtype=y.dtype), out=y)
+    out = Tensor._from_op(y, (x,) if eps is None else (x, eps), "cdf_gate")
+    x = x._node
     eps = None if eps is None else eps._node
 
     def bw(g: np.ndarray) -> None:
-        flat_x = xd.reshape(-1)
-        _gate_bw(g, e, s, shifted, x, eps, (flat_x[i : i + GATE_BLOCK] for i in range(0, xd.size, GATE_BLOCK)))
+        _gate_bw(g, e, xd, s, shifted, x, eps)
 
     _set_backward(out, bw)
     return out
-
-
-def _check_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> None:
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError("layer_norm scale/shift must match channel extent")
-
-
-def _normalize(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Each row's (x - mean) / sqrt(var + eps), and 1 / sqrt(var + eps).
-    xc = xd - _mean(xd, -1)
-    var = _mean(xc * xc, -1)
-    inv = 1.0 / np.sqrt(var + np.asarray(LAYER_NORM_EPS, dtype=xd.dtype))
-    return xc * inv, inv
-
-
-def _affine(xhat: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    # layer_norm's output: forward, and the recompute in ffn's backward.
-    return xhat * gd + bd
-
-
-def _layer_norm_bw(g, xhat, inv, gd, x, gamma, beta) -> None:
-    # Each [rows, c] product goes into a or b, of g's shape and dtype (that of
-    # the output, so of every product); a ends as (gh - m1 - xhat * m2) * inv.
-    c = gd.shape[0]
-    a, b = np.empty(g.shape, g.dtype), np.empty(g.shape, g.dtype)
-    if gamma.requires_grad:
-        gamma._accumulate(np.multiply(g, xhat, out=b).reshape(-1, c).sum(axis=0), owned=True)
-    if beta.requires_grad:
-        beta._accumulate(g.reshape(-1, c).sum(axis=0), owned=True)
-    if x.requires_grad:
-        gh = np.multiply(g, gd, out=a)
-        m1 = _mean(gh, -1)
-        m2 = _mean(np.multiply(gh, xhat, out=b), -1)
-        np.subtract(gh, m1, out=a)
-        np.subtract(a, np.multiply(xhat, m2, out=b), out=a)
-        x._accumulate(np.multiply(a, inv, out=a), owned=True)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -793,93 +719,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     Each row (node) is normalized over its channel vector independently of
     every other row, so the result does not depend on batch composition.
     """
-    _check_layer_norm(x, gamma, beta)
-    xhat, inv = _normalize(x.data)
-    out = Tensor._from_op(_affine(xhat, gamma.data, beta.data), (x, gamma, beta), "layer_norm")
+    c = x.shape[-1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError("layer_norm scale/shift must match channel extent")
+    # Each row's (x - mean) / sqrt(var + eps), and 1 / sqrt(var + eps).
+    xc = x.data - _mean(x.data, -1)
+    inv = 1.0 / np.sqrt(_mean(xc * xc, -1) + np.asarray(LAYER_NORM_EPS, dtype=xc.dtype))
+    xhat = xc * inv
+    del xc
+    out = Tensor._from_op(xhat * gamma.data + beta.data, (x, gamma, beta), "layer_norm")
     gd, x, gamma, beta = gamma.data, x._node, gamma._node, beta._node
 
     def bw(g: np.ndarray) -> None:
-        _layer_norm_bw(g, xhat, inv, gd, x, gamma, beta)
-
-    _set_backward(out, bw)
-    return out
-
-
-def _row_blocks(rows: int, width: int) -> list[slice]:
-    # A tail of fewer than 8 rows joins the block before it: on OpenBLAS,
-    # [rows, c] @ [c, 4c] over 8 rows or more gave the full product's bits,
-    # over 1 or 2 not always (and [rows, 4c] @ [4c, c] over row blocks not).
-    step = max(8, GATE_BLOCK // width)
-    starts = list(range(0, max(rows, 1), step))
-    if len(starts) > 1 and rows - starts[-1] < 8:
-        starts.pop()
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [rows])]
-
-
-def ffn(
-    h: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    w1: Tensor,
-    b1: Tensor,
-    w2: Tensor,
-    b2: Tensor,
-    eps: Tensor | None = None,
-) -> Tensor:
-    """The feed-forward sublayer ``linear(cdf_gate(linear(layer_norm(h,
-    gamma, beta), w1, b1), eps), w2, b2)`` as one node.
-
-    The node keeps the normalised input and its row scales, and no array of
-    the hidden width 4c. Forward and backward compute the pre-gate values
-    ``x = affine(xhat) @ w1 + b1`` in the same row blocks of ``GATE_BLOCK //
-    4c`` rows, never fewer than 8, whose products give the full product's
-    bits. Backward's first pass writes erf(x s) into one array E of x's size
-    and the gate output into a second, G, which gives ``w2`` its gradient
-    and is then overwritten by the gate's gradient; a second pass turns E
-    into x's gradient and G into eps's term. So erf runs once in backward,
-    and at most two arrays of x's size are live. No parameter changes before
-    this closure has run (a leaf's hook waits for the release of every node
-    that reads the leaf), so each recomputed value comes back bit for bit,
-    and with the kernels of ``layer_norm``, ``linear`` and ``cdf_gate``,
-    values and gradients equal the chain's bit for bit.
-    """
-    _check_linear(h.shape, w1, b1, "ffn")
-    _check_layer_norm(h, gamma, beta)
-    _check_linear((h.shape[0], w1.shape[1]), w2, b2, "ffn")
-    gd, bd, w1d, b1d, w2d, b2d = (t.data for t in (gamma, beta, w1, b1, w2, b2))
-    xhat, inv = _normalize(h.data)
-    a = _affine(xhat, gd, bd)
-    hidden = (h.shape[0], w1.shape[1])
-    blocks = _row_blocks(*hidden)
-    dtype = np.result_type(a, w1d)
-    s, shifted = _gate_scale(dtype, eps)
-
-    def gate(a: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # erf(x s) into e and the gate output into y (which may be e).
-        for rows in blocks:
-            xb = _linear_fwd(a[rows], w1d, b1d)
-            _gate_out(xb, _gate_erf(xb, s, out=e[rows]), out=y[rows])
-        return y
-
-    y = np.empty(hidden, dtype)
-    parents = (h, gamma, beta, w1, b1, w2, b2) + (() if eps is None else (eps,))
-    out = Tensor._from_op(_linear_fwd(gate(a, y, y), w2d, b2d), parents, "ffn")
-    h, gamma, beta, w1, b1, w2, b2 = (t._node for t in parents[:7])
-    eps = None if eps is None else eps._node
-
-    def bw(g: np.ndarray) -> None:
-        a = _affine(xhat, gd, bd)
-        e = np.empty(hidden, dtype)
-        y = gate(a, e, np.empty(hidden, dtype))
-        dy = Node(y, True, (), "ffn")
-        _linear_bw(g, y, w2d, dy, w2, b2, out=y)  # y now holds the gate's gradient
-        dx = Node(e, True, (), "ffn")
-        _gate_bw(dy.grad, e, s, shifted, dx, eps, (_linear_fwd(a[r], w1d, b1d).reshape(-1) for r in blocks))
-        del dy, y, e  # dx.grad is e, now x's gradient
-        normed = Node(xhat, True, (), "ffn")
-        _linear_bw(dx.grad, a, w1d, normed, w1, b1)
-        del dx, a
-        _layer_norm_bw(normed.grad, xhat, inv, gd, h, gamma, beta)
+        # Each [rows, c] product goes into a or b, of g's shape and dtype (that
+        # of the output, so of every product); a ends as (gh - m1 - xhat * m2) * inv.
+        a, b = np.empty(g.shape, g.dtype), np.empty(g.shape, g.dtype)
+        if gamma.requires_grad:
+            gamma._accumulate(np.multiply(g, xhat, out=b).reshape(-1, c).sum(axis=0), owned=True)
+        if beta.requires_grad:
+            beta._accumulate(g.reshape(-1, c).sum(axis=0), owned=True)
+        if x.requires_grad:
+            gh = np.multiply(g, gd, out=a)
+            m1 = _mean(gh, -1)
+            m2 = _mean(np.multiply(gh, xhat, out=b), -1)
+            np.subtract(gh, m1, out=a)
+            np.subtract(a, np.multiply(xhat, m2, out=b), out=a)
+            x._accumulate(np.multiply(a, inv, out=a), owned=True)
 
     _set_backward(out, bw)
     return out

@@ -1,9 +1,11 @@
 """Shared pytest setup: every run's header names the BLAS kernel in use.
 
-Some byte-exact tests compare a product computed in row blocks with the whole
-product. Those bits match on OpenBLAS's SkylakeX kernels; on its Haswell
-kernels they differ in the last place, so a failure there reads differently
-once the header shows the kernel.
+A few byte-exact tests hold that a row's result does not depend on the rows
+batched with it. On OpenBLAS's SkylakeX kernels a row of a product has the
+same bits wherever it sits; on its Haswell kernels it can differ in the last
+place, so a failure there reads differently once the header shows the
+kernel. ``test_blas_kernels.py`` reruns the equalities that hold on every
+kernel under each one the CPU can run.
 """
 
 import ctypes

@@ -2,11 +2,15 @@
 with exactly one ``error:<category>:`` line on stderr.
 
 ``pvg eval`` cases corrupt a checkpoint: a manifest leaf replaced, a
-parameter file deleted, truncated or with one byte flipped. ``pvg count``
-cases replace a leaf of a run config. The cases are fixed by their seeds,
-and each runs ``cli.main`` in-process on files under ``tmp_path``.
+parameter file deleted, truncated or with one byte flipped. Other ``pvg
+eval`` cases corrupt the dataset: the image file or the labels CSV truncated
+or with one byte flipped, or one CSV cell replaced. ``pvg count`` cases
+replace a leaf of a run config. The cases are fixed by their seeds, and each
+runs ``cli.main`` in-process on files under ``tmp_path``.
 """
 
+import csv
+import io
 import json
 import random
 import re
@@ -27,6 +31,9 @@ VALUES = [
     float("nan"), float("inf"), True, False, None, "", "MaxE", "gelu", [], {}, [1, 1, 2, 1],
 ]
 ERROR_LINE = re.compile(r"error:[a-z-]+: [^\n]*\n")
+DATA_CASES = 80  # per seed
+# A labels cell past csv's default field limit of 131072 characters.
+LONG_CELL = "7" * 200_000
 
 
 def leaves(value, path=()):
@@ -102,6 +109,40 @@ def test_corrupted_checkpoint_eval(checkpoint, capsys, seed):
                 flipped[at] ^= mask
                 target.write_bytes(bytes(flipped))
                 case = f"seed {seed} case {i}: {target.name} byte {at} ^ {mask}"
+        try:
+            run_case(argv, case, capsys)
+        finally:
+            target.write_bytes(original)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", SEEDS)
+def test_corrupted_dataset_eval(checkpoint, capsys, seed):
+    tp = checkpoint
+    images, labels = tp / "x.pvgt", tp / "y.csv"
+    argv = ["eval", "--checkpoint", str(tp / "ckpt"), "--data", str(images), "--labels", str(labels)]
+    rng = random.Random(seed)
+    for i in range(DATA_CASES):
+        kind = rng.choice(["truncate", "flip", "cell"])
+        target = labels if kind == "cell" else rng.choice([images, labels])
+        original = target.read_bytes()
+        if kind == "truncate":
+            size = rng.randrange(len(original))
+            target.write_bytes(original[:size])
+            case = f"seed {seed} case {i}: {target.name} truncated to {size} bytes"
+        elif kind == "flip":
+            at, mask = rng.randrange(len(original)), 1 << rng.randrange(8)
+            flipped = bytearray(original)
+            flipped[at] ^= mask
+            target.write_bytes(bytes(flipped))
+            case = f"seed {seed} case {i}: {target.name} byte {at} ^ {mask}"
+        else:
+            rows = list(csv.reader(io.StringIO(original.decode(), newline="")))
+            row, col, value = rng.randrange(len(rows)), rng.randrange(2), rng.choice(VALUES + [LONG_CELL])
+            rows[row][col] = str(value)
+            with open(target, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            case = f"seed {seed} case {i}: {target.name} row {row + 1} cell {col} = {str(value)[:20]!r}"
         try:
             run_case(argv, case, capsys)
         finally:

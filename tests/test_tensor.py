@@ -149,78 +149,10 @@ class TestLinear:
             T.linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
 
-class TestFfn:
-    NAMES = ("h", "gamma", "beta", "w1", "b1", "w2", "b2", "eps")
-
-    @staticmethod
-    def leaves(dtype, seed=7):
-        rng = np.random.default_rng(seed)
-        arrays = {
-            "h": rng.normal(size=(9, 4)),
-            "gamma": 0.5 + rng.uniform(size=4),
-            "beta": rng.normal(size=4),
-            "w1": rng.normal(size=(4, 16)),
-            "b1": rng.normal(size=16),
-            "w2": rng.normal(size=(16, 4)),
-            "b2": rng.normal(size=4),
-            "eps": np.array([0.25]),
-        }
-        return {name: Tensor(a.astype(dtype), requires_grad=True) for name, a in arrays.items()}
-
-    @staticmethod
-    def chain(h, gamma, beta, w1, b1, w2, b2, eps):
-        """The sublayer as the four ops it fuses."""
-        return T.linear(T.cdf_gate(T.linear(T.layer_norm(h, gamma, beta), w1, b1), eps), w2, b2)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("gate", ["graphlu", "gelu"])
-    @pytest.mark.parametrize("with_prior", [False, True], ids=["fresh", "prior-grad"])
-    def test_matches_the_op_chain_bit_for_bit(self, dtype, gate, with_prior):
-        g = np.random.default_rng(8).normal(size=(9, 4)).astype(dtype)
-        g[0] = -0.0  # a zero row: signed zeros reach every gradient
-        results = []
-        for op in (self.chain, T.ffn):
-            leaves = self.leaves(dtype)
-            if gate == "gelu":
-                leaves["eps"] = None
-            if with_prior:
-                leaves["h"].grad = np.random.default_rng(9).normal(size=(9, 4)).astype(dtype)
-            out = op(*leaves.values())
-            got = [out.data.copy()]
-            out.backward(seed=g)
-            got += [t.grad for t in leaves.values() if t is not None]
-            results.append(got)
-        want, fused = results
-        assert len(fused) == len(want) == (9 if gate == "graphlu" else 8)
-        for got, ref in zip(fused, want):
-            assert got.dtype == ref.dtype == dtype and got.shape == ref.shape
-            assert got.tobytes() == ref.tobytes()
-
-    def test_one_node_over_every_argument(self):
-        leaves = self.leaves(np.float64)
-        out = T.ffn(*leaves.values())
-        assert out.op == "ffn" and out.shape == (9, 4)
-        assert all(p is q._node for p, q in zip(out._parents, leaves.values(), strict=True))
-        assert len(graph_nodes(out)) == 9
-        gelu = T.ffn(*list(leaves.values())[:-1])
-        assert len(gelu._parents) == 7
-
-    @pytest.mark.parametrize(
-        "name, shape",
-        [("h", (9, 4, 1)), ("gamma", (3,)), ("w1", (5, 16)), ("b1", (15,)), ("w2", (15, 4)), ("b2", (16,)), ("eps", (2,))],
-    )
-    def test_shape_mismatch(self, name, shape):
-        leaves = self.leaves(np.float64)
-        leaves[name] = Tensor(np.zeros(shape))
-        with pytest.raises(DimensionError):
-            T.ffn(*leaves.values())
-
-
 class TestBlockedGate:
-    """The gate's backward runs ``T.GATE_BLOCK`` entries at a time, and
-    ``ffn`` runs its pre-gate values in row blocks of as many entries;
-    arrays of several blocks and a short last one give the bits of the
-    elementwise chain."""
+    """The gate's backward runs ``T.GATE_BLOCK`` entries at a time; arrays
+    of several blocks and a short last one give the bits of the elementwise
+    chain."""
 
     SIZE = 3 * T.GATE_BLOCK + 392
 
@@ -259,106 +191,22 @@ class TestBlockedGate:
             grads.append((x.grad.tobytes(), e.grad.tobytes()))
         assert grads[0] == grads[1]
 
-    # (rows, c, ffn ratio): ffn computes its pre-gate values in blocks of
-    # GATE_BLOCK // (ratio c) rows, never fewer than 8, and a tail of fewer
-    # than 8 rows joins the block before it. A product of 8 rows or more
-    # gives the bits of the full product's rows; one of 1 row may not (at
-    # c = 256 it does not, in either dtype).
-    FFN_SHAPES = {
-        "blocks": (3100, 16, 4),  # blocks of 1024 rows, the last of 28
-        "short-tail": (2 * 64 + 1, 256, 4),  # a tail of 1 row joins the second block
-        "under-8-rows": (4, 256, 4),  # stage 3 at batch 1: one block of 4 rows
-        "ratio-3": (2000, 24, 3),  # blocks of 910 rows, the last of 180
-    }
-
-    @pytest.mark.parametrize("shape", FFN_SHAPES)
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("eps", [0.3, None], ids=["eps", "no-eps"])
-    def test_ffn_equals_the_elementwise_chain(self, dtype, eps, shape):
-        # layer_norm and linear as ops, the gate as the elementwise chain in
-        # numpy, and the second linear by hand.
-        rng = np.random.default_rng(22)
-        rows, c, ratio = self.FFN_SHAPES[shape]
-        width = ratio * c
-        per_block = T.GATE_BLOCK // width
-        if shape == "short-tail":
-            assert 0 < rows % per_block < 8 and rows > per_block
-        elif shape == "under-8-rows":
-            assert rows < 8
-        else:
-            assert rows > 2 * per_block and rows % per_block >= 8
-        arrays = {
-            "h": rng.normal(size=(rows, c)),
-            "gamma": 0.5 + rng.uniform(size=c),
-            "beta": rng.normal(size=c),
-            "w1": rng.normal(size=(c, width)) * 0.5,
-            "b1": rng.normal(size=width),
-            "w2": rng.normal(size=(width, c)) * 0.5,
-            "b2": rng.normal(size=c),
-            "eps": np.array([0.0 if eps is None else eps]),
-        }
-        g = rng.normal(size=(rows, c)).astype(dtype)
-
-        def leaves():
-            made = {name: Tensor(a.astype(dtype), requires_grad=True) for name, a in arrays.items()}
-            if eps is None:
-                made["eps"] = None
-            return made
-
-        fused = leaves()
-        out = T.ffn(*fused.values())
-        out.backward(seed=g)
-
-        ref = leaves()
-        pre = T.linear(T.layer_norm(ref["h"], ref["gamma"], ref["beta"]), ref["w1"], ref["b1"])
-        g0 = g + 0.0  # the ffn node's gradient: 0 + g
-        eps0 = None if eps is None else ref["eps"].data
-        gate_y, d_pre, d_eps = eight_op_chain(pre.data, eps0, (g0 @ ref["w2"].data.T) + 0.0)
-        want_out = gate_y @ ref["w2"].data
-        want_out += ref["b2"].data
-        pre.backward(seed=d_pre)
-        ref["w2"].grad = (gate_y.T @ g0) + 0.0
-        ref["b2"].grad = g0.sum(axis=0) + 0.0
-        if eps is not None:
-            ref["eps"].grad = d_eps
-
-        assert out.data.tobytes() == want_out.tobytes()
-        for name, t in fused.items():
-            if t is not None:
-                assert t.grad.dtype == dtype and t.grad.tobytes() == ref[name].grad.tobytes(), name
-
-    def test_ffn_holds_at_most_two_hidden_width_arrays(self):
-        # Stage 0 of tiny at batch 32. Above the state before the call, the
-        # forward and backward together peak at 3.2 arrays of [rows, 4c]:
-        # backward's erf values and gate output (2), and the [rows, c]
-        # normalised input, its affine map, the output and its gradient
-        # (0.25 each). Keeping the erf values from forward to backward made
-        # it 4.1.
-        rng = np.random.default_rng(23)
-        rows, c = 8192, 32
-        args = [
-            rng.normal(size=(rows, c)),
-            0.5 + rng.uniform(size=c),
-            rng.normal(size=c),
-            rng.normal(size=(c, 4 * c)) * 0.2,
-            rng.normal(size=4 * c),
-            rng.normal(size=(4 * c, c)) * 0.2,
-            rng.normal(size=c),
-            np.array([0.3]),
-        ]
-        leaves = [Tensor(a.astype(np.float32), requires_grad=True) for a in args]
-        g = rng.normal(size=(rows, c)).astype(np.float32)
-        unit = rows * 4 * c * np.dtype(np.float32).itemsize
+    def test_cdf_gate_without_a_gradient_holds_one_array_of_its_size(self):
+        # Every recompute forward and every detached forward runs the gate
+        # without a gradient: its output is written over the erf values,
+        # which only backward reads. With a gradient both live (2.0 arrays).
+        x0 = (np.random.default_rng(25).normal(size=(1024, 1024)) * 3.0).astype(np.float32)
+        want = T.cdf_gate(Tensor(x0, requires_grad=True), Tensor(np.array([0.3], np.float32))).data
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            T.ffn(*leaves).backward(seed=g)
+            y = T.cdf_gate(Tensor(x0), Tensor(np.array([0.3], np.float32)))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert all(t.grad is not None for t in leaves)
-        assert peak <= 3.4 * unit, peak / unit
+        assert y.data.tobytes() == want.tobytes()
+        assert peak <= 1.5 * x0.nbytes, peak / x0.nbytes
 
 
 class TestElementwise:

@@ -139,6 +139,14 @@ class TestDatasetIO:
         with pytest.raises(FileFormatError, match=r"y\.csv: row 3 has a non-integer cell"):
             load_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", 2)
 
+    def test_repeated_index_names_its_row_and_image(self, tmp_path):
+        # Image 1 labelled twice and image 2 not at all: four rows for four
+        # images, so only the repeat shows what is wrong.
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
+        (tmp_path / "y.csv").write_text("index,label\n0,0\n1,1\n1,0\n3,1\n")
+        with pytest.raises(CountMismatchError, match=r"y\.csv: row 4 labels image 1 again, after row 3"):
+            load_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", 2)
+
     def test_oracle_certifies_learnability(self):
         assert oracle_linear_accuracy(make_two_class_patches(512, 32, seed=0)) >= 0.99
 
@@ -258,8 +266,8 @@ def count_subnormal_gradients(monkeypatch) -> list[int]:
     """From now on, the subnormal entries of every interior gradient a
     backward sweep computes, in a one-element list: each closure's gradient
     as it enters, every contribution to a non-leaf node, and the gate's
-    output and input gradients in ``_gate_bw``, where ``cdf_gate`` and
-    ``ffn`` write the input's gradient without ``Node._accumulate``."""
+    output and input gradients in ``_gate_bw``, where ``cdf_gate`` writes
+    the input's gradient without ``Node._accumulate``."""
     tiny = np.finfo(np.float32).tiny
     found = [0]
 
@@ -277,9 +285,9 @@ def count_subnormal_gradients(monkeypatch) -> list[int]:
             count(g)
         accumulate(node, g, owned)
 
-    def counted_gate_bw(g, e, s, shifted, x, eps, x_blocks):
+    def counted_gate_bw(g, e, xd, s, shifted, x, eps):
         count(g)
-        gate_bw(g, e, s, shifted, x, eps, x_blocks)
+        gate_bw(g, e, xd, s, shifted, x, eps)
         count(x.grad if x.grad is not None else 0.0)
 
     monkeypatch.setattr(tensor_mod, "_set_backward", counted_closure)
@@ -570,10 +578,11 @@ class TestMemoryHeld:
     def test_train_step_peaks_at_most_17_5_mib(self, tmp_path, monkeypatch):
         # One tiny batch-32 step, its moments allocated before step 1.
         # Updating each parameter as soon as its gradient is final drops the
-        # gradients before the sweep reaches stage 0's FFN, and each graph
-        # branch keeps its inputs, not its aggregate: 16.5 MiB, set by stage
-        # 0's FFN backward (18.9 MiB when the branches kept their graphs,
-        # 23.0 MiB updating after the sweep).
+        # gradients as the sweep goes, and each graph branch and FFN row
+        # block keeps its inputs, not its aggregate or hidden-width values:
+        # 16.5 MiB, set in the backward re-run of stage 3's FFN (18.9 MiB
+        # when the branches kept their graphs, 23.0 MiB updating after the
+        # sweep).
         starts, peaks = [], []
         zero_grad, clamp = Model.zero_grad, Model.clamp_activation_params
 
@@ -890,6 +899,25 @@ class TestCli:
         assert err.startswith("error:degenerate-input:")
         assert "\n" not in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_labels_cell_past_the_csv_field_limit_is_one_line_error(self, tmp_path, capsys, command):
+        # csv's default field limit is 131072 characters; past it the reader
+        # raises its own error, which must not escape as a traceback.
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
+        (tmp_path / "y.csv").write_text("index,label\n0,0\n1," + "1" * 200_000 + "\n2,1\n3,0\n")
+        data = ["--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv")]
+        if command == "eval":
+            save_checkpoint(Model(ModelConfig(), seed=0), tmp_path / "ckpt")
+            args = ["eval", "--checkpoint", str(tmp_path / "ckpt")] + data
+        else:
+            run = quick_run(tmp_path / "run", n=4, epochs=1)
+            (tmp_path / "run.json").write_text(json.dumps(run.to_dict()))
+            args = ["train", "--config", str(tmp_path / "run.json")] + data
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:file-format:") and err.count("\n") == 1, err
+        assert "y.csv: row 3 is not CSV" in err
 
     @pytest.mark.parametrize("command, batch_size", [("eval", "0"), ("diag", "0"), ("diag", "-3")])
     def test_batch_size_below_one_is_one_line_error(self, tmp_path, capsys, command, batch_size):
