@@ -495,14 +495,8 @@ class Model:
         # Values that no backward reads go before the FFN allocates its own.
         del z, branch_outs, fused, y
 
-        # The FFN keeps only its input rows until backward, which runs it
-        # again, one row block at a time: a block holds GATE_BLOCK entries of
-        # the hidden width.
         names = ("norm2.gamma", "norm2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
-        ffn_params = [P[pre + name] for name in names] + ([] if act2 is None else [act2])
-        rows, step = h.shape[0], max(1, GATE_BLOCK // (FFN_RATIO * h.shape[1]))
-        blocks = [recompute(_ffn, [narrow(h, 0, lo, min(step, rows - lo)), *ffn_params]) for lo in range(0, rows, step)]
-        f = blocks[0] if len(blocks) == 1 else concat(blocks, axis=0)
+        f = _ffn_sublayer(h, [P[pre + name] for name in names] + ([] if act2 is None else [act2]))
         if plan.layer_scaled:
             f = mul_rowvec(f, P[pre + "scale2"])
         h = add(h, f)
@@ -557,6 +551,16 @@ def _graph_branch(kind: str, rows: np.ndarray, x: Tensor, *params: Tensor) -> Te
     names = AGGREGATOR_WEIGHTS[kind]
     eps = params[len(names)] if len(params) > len(names) else None
     return graphlu(baseline_aggregate(kind, x, rows, dict(zip(names, params))), eps)
+
+
+def _ffn_sublayer(h: Tensor, params: list[Tensor]) -> Tensor:
+    """:func:`_ffn` on rows ``h`` with ``params`` in its argument order, as
+    one :func:`recompute` node per row block. A block keeps only its input
+    rows until backward runs it again, and holds GATE_BLOCK entries of the
+    hidden width (``w1``'s columns), one row at least."""
+    rows, step = h.shape[0], max(1, GATE_BLOCK // params[2].shape[1])
+    blocks = [recompute(_ffn, [narrow(h, 0, lo, min(step, rows - lo)), *params]) for lo in range(0, rows, step)]
+    return blocks[0] if len(blocks) == 1 else concat(blocks, axis=0)
 
 
 def _ffn(h: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, eps=None) -> Tensor:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from pvg import net
 from pvg import tensor as T
 from pvg.tensor import Tensor
 
@@ -155,5 +156,31 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
 
     for name, x0 in rc_args.items():
         case("recompute", name, recompute_of(name), x0)
+
+    # recompute: a block's FFN, every argument, with the GraphLU eps and as
+    # exact-erf GELU.
+    ffn_args = {
+        "h": _rng(55).normal(size=(5, 4)),
+        "gamma": 0.5 + _rng(56).uniform(size=4),
+        "beta": _rng(57).normal(size=4),
+        "w1": _rng(58).normal(size=(4, 6)),
+        "b1": _rng(59).normal(size=6),
+        "w2": _rng(60).normal(size=(6, 3)),
+        "b2": _rng(61).normal(size=3),
+        "eps": np.array([0.3]),
+    }
+    ffn_fixed = {name: Tensor(v) for name, v in ffn_args.items()}
+
+    def ffn_of(name, gelu=False):
+        def fn(x):
+            args = {**ffn_fixed, name: x}
+            return T.recompute(net._ffn, [args[a] for a in ffn_args if not (gelu and a == "eps")])
+
+        return fn
+
+    for name, x0 in ffn_args.items():
+        case("recompute", f"ffn_{name}", ffn_of(name), x0)
+    case("recompute", "ffn_h_gelu", ffn_of("h", gelu=True), _rng(62).normal(size=(5, 4)))
+    case("recompute", "ffn_w1_gelu", ffn_of("w1", gelu=True), _rng(63).normal(size=(4, 6)))
 
     return cases

@@ -34,7 +34,8 @@ KERNELS = {
     "SkylakeX": ({"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"}, {"SkylakeX"}),
 }
 # The recompute node against its pass-through (MaxE, every activation and
-# layout), the recompute op itself, and the gate against its elementwise chain.
+# layout), the recompute op itself, the gate against its elementwise chain,
+# and the FFN's row blocks against theirs.
 BIT_TESTS = [
     f"tests/test_net.py::TestAutogradGraph::test_recompute_equals_the_pass_through_in_the_model[MaxE-{act}-{layout}]"
     for act in ACTIVATIONS
@@ -42,6 +43,7 @@ BIT_TESTS = [
 ] + [
     "tests/test_tensor.py::TestRecompute",
     "tests/test_tensor.py::TestBlockedGate::test_cdf_gate_equals_the_elementwise_chain",
+    "tests/test_net.py::TestFfnSublayer::test_row_blocks_equal_the_elementwise_chain",
 ]
 
 

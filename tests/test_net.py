@@ -7,6 +7,7 @@ and demands agreement with the composed implementation.
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -34,14 +35,17 @@ from pvg.net import (
     tiny_config,
 )
 from pvg.train import OptimizerConfig, RunConfig, ScheduleConfig
+from pvg import tensor as T
 from pvg.tensor import (
     DIFFERENTIABLE_OPS,
+    GATE_BLOCK,
     Tensor,
     reshape,
     softmax_cross_entropy,
 )
 
 from oracles import cast_model, param_count
+from test_graphlu import eight_op_chain
 from test_tensor import graph_nodes
 
 
@@ -508,6 +512,181 @@ class TestAutogradGraph:
             want += ffn_inputs + scaled
         held = [node for node in nodes if node.data.size]
         assert {id(node) for node in held} == {id(node) for node in want}, [node.op for node in held]
+
+
+class TestFfnSublayer:
+    """A block's FFN: ``_ffn`` (layer_norm, linear, gate, linear) as one
+    recompute node, and ``_ffn_sublayer``, which runs it in row blocks of
+    GATE_BLOCK hidden-width entries as the model does."""
+
+    NAMES = ("h", "gamma", "beta", "w1", "b1", "w2", "b2", "eps")
+
+    @staticmethod
+    def leaves(dtype, seed=7):
+        rng = np.random.default_rng(seed)
+        arrays = {
+            "h": rng.normal(size=(9, 4)),
+            "gamma": 0.5 + rng.uniform(size=4),
+            "beta": rng.normal(size=4),
+            "w1": rng.normal(size=(4, 16)),
+            "b1": rng.normal(size=16),
+            "w2": rng.normal(size=(16, 4)),
+            "b2": rng.normal(size=4),
+            "eps": np.array([0.25]),
+        }
+        return {name: Tensor(a.astype(dtype), requires_grad=True) for name, a in arrays.items()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("gate", ["graphlu", "gelu"])
+    @pytest.mark.parametrize("with_prior", [False, True], ids=["fresh", "prior-grad"])
+    def test_recompute_matches_the_op_chain_bit_for_bit(self, dtype, gate, with_prior):
+        g = np.random.default_rng(8).normal(size=(9, 4)).astype(dtype)
+        g[0] = -0.0  # a zero row: signed zeros reach every gradient
+        results = []
+        for form in (pass_through, T.recompute):
+            leaves = self.leaves(dtype)
+            if gate == "gelu":
+                del leaves["eps"]
+            if with_prior:
+                leaves["h"].grad = np.random.default_rng(9).normal(size=(9, 4)).astype(dtype)
+            out = form(net._ffn, list(leaves.values()))
+            got = [out.data.copy()]
+            out.backward(seed=g)
+            got += [t.grad for t in leaves.values()]
+            results.append(got)
+        want, node = results
+        assert len(node) == len(want) == (9 if gate == "graphlu" else 8)
+        for got, ref in zip(node, want):
+            assert got.dtype == ref.dtype == dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_one_node_over_every_argument(self):
+        leaves = self.leaves(np.float64)
+        out = T.recompute(net._ffn, list(leaves.values()))
+        assert out.op == "recompute" and out.shape == (9, 4)
+        assert all(p is q._node for p, q in zip(out._parents, leaves.values(), strict=True))
+        assert len(graph_nodes(out)) == 9
+        gelu = T.recompute(net._ffn, list(leaves.values())[:-1])
+        assert len(gelu._parents) == 7
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("h", (9, 4, 1)), ("gamma", (3,)), ("w1", (5, 16)), ("b1", (15,)), ("w2", (15, 4)), ("b2", (16,)), ("eps", (2,))],
+    )
+    def test_shape_mismatch(self, name, shape):
+        leaves = self.leaves(np.float64)
+        leaves[name] = Tensor(np.zeros(shape))
+        with pytest.raises(DimensionError):
+            T.recompute(net._ffn, list(leaves.values()))
+
+    # (rows, c, ffn ratio): blocks of GATE_BLOCK // (ratio c) rows, at
+    # least one row, the last block short.
+    SHAPES = {
+        "blocks": (3100, 16, 4),  # blocks of 1024 rows, the last of 28
+        "short-tail": (2 * 64 + 1, 256, 4),  # blocks of 64 rows, the last of 1
+        "under-8-rows": (4, 256, 4),  # stage 3 at batch 1: one block of 4 rows
+        "ratio-3": (2000, 24, 3),  # blocks of 910 rows, the last of 180
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("eps", [0.3, None], ids=["eps", "no-eps"])
+    def test_row_blocks_equal_the_elementwise_chain(self, dtype, eps, shape):
+        # Per row block: layer_norm and linear as ops, the gate as the
+        # elementwise chain in numpy, and the second linear by hand. Each
+        # parameter's gradient is the sum of the blocks' terms, first block
+        # first; each row's output and input gradient are its block's.
+        rng = np.random.default_rng(22)
+        rows, c, ratio = self.SHAPES[shape]
+        width = ratio * c
+        step = max(1, GATE_BLOCK // width)
+        starts = range(0, rows, step)
+        assert len(starts) == (1 if shape == "under-8-rows" else math.ceil(rows / step)) and rows % step
+        arrays = {
+            "h": rng.normal(size=(rows, c)),
+            "gamma": 0.5 + rng.uniform(size=c),
+            "beta": rng.normal(size=c),
+            "w1": rng.normal(size=(c, width)) * 0.5,
+            "b1": rng.normal(size=width),
+            "w2": rng.normal(size=(width, c)) * 0.5,
+            "b2": rng.normal(size=c),
+            "eps": np.array([0.0 if eps is None else eps]),
+        }
+        names = [name for name in arrays if eps is not None or name != "eps"]
+        g = rng.normal(size=(rows, c)).astype(dtype)
+
+        def leaves():
+            return {name: Tensor(arrays[name].astype(dtype), requires_grad=True) for name in names}
+
+        run = leaves()
+        out = net._ffn_sublayer(run["h"], [run[name] for name in names[1:]])
+        blocks = [out] if out.op == "recompute" else [p for p in out._parents]
+        assert [b.op for b in blocks] == ["recompute"] * len(starts)
+        out.backward(seed=g)
+
+        ref = leaves()
+        want_out, d_h = [], []
+        sums = dict.fromkeys(names[1:])
+
+        def add_term(name, term):
+            sums[name] = term + 0.0 if sums[name] is None else sums[name] + term
+
+        for lo in starts:
+            h_k = Tensor(ref["h"].data[lo : lo + step], requires_grad=True)
+            g_k = g[lo : lo + step]
+            pre = T.linear(T.layer_norm(h_k, ref["gamma"], ref["beta"]), ref["w1"], ref["b1"])
+            eps0 = None if eps is None else ref["eps"].data
+            gate_y, d_pre, d_eps = eight_op_chain(pre.data, eps0, (g_k @ ref["w2"].data.T) + 0.0)
+            out_k = gate_y @ ref["w2"].data
+            out_k += ref["b2"].data
+            want_out.append(out_k)
+            pre.backward(seed=d_pre)
+            d_h.append(h_k.grad)
+            add_term("w2", gate_y.T @ g_k)
+            add_term("b2", g_k.sum(axis=0))
+            if eps is not None:
+                add_term("eps", d_eps)
+        for name in ("gamma", "beta", "w1", "b1"):
+            sums[name] = ref[name].grad
+        sums["h"] = np.concatenate(d_h)
+
+        assert out.data.tobytes() == np.concatenate(want_out).tobytes()
+        for name, t in run.items():
+            assert t.grad.dtype == dtype and t.grad.tobytes() == sums[name].tobytes(), name
+
+    def test_row_blocks_hold_no_array_of_the_whole_hidden_width(self):
+        # Stage 0 of tiny at batch 32: 8192 rows of c = 32, hidden width
+        # 4c, 16 blocks of 512 rows. Above the state before the call, the
+        # forward and backward together peak at 4.2 arrays of [rows, c]:
+        # the output, its gradient, the input's gradient and a narrow's
+        # zero-padded term, plus one block's hidden-width temporaries. One
+        # recompute node over all rows, whose temporaries are [rows, 4c]
+        # arrays, read 20.1.
+        rng = np.random.default_rng(23)
+        rows, c = 8192, 32
+        args = [
+            rng.normal(size=(rows, c)),
+            0.5 + rng.uniform(size=c),
+            rng.normal(size=c),
+            rng.normal(size=(c, 4 * c)) * 0.2,
+            rng.normal(size=4 * c),
+            rng.normal(size=(4 * c, c)) * 0.2,
+            rng.normal(size=c),
+            np.array([0.3]),
+        ]
+        leaves = [Tensor(a.astype(np.float32), requires_grad=True) for a in args]
+        g = rng.normal(size=(rows, c)).astype(np.float32)
+        unit = rows * c * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            net._ffn_sublayer(leaves[0], leaves[1:]).backward(seed=g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(t.grad is not None for t in leaves)
+        assert peak <= 4.5 * unit, peak / unit
 
 
 class TestInNetworkGraphs:
