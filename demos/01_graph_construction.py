@@ -57,6 +57,8 @@ print(f"{'block':>5} {'local':>6} {'first':>6} {'second':>7}")
 for b, (local_c, first_c, second_c) in enumerate(sched):
     print(f"{b:>5} {local_c:>6} {first_c:>6} {second_c:>7}")
 print(
-    "\nThe first-order width stays pinned while the ramp converts local"
-    "\ncapacity into second-order capacity block by block."
+    "\nThe first graph's width stays pinned while the ramp moves local"
+    "\nchannels to the second graph block by block. Both graphs are cosine"
+    "\ntop-k on their own channels; moving channels to the second graph is"
+    "\nwhat the paper calls introducing second-order similarity."
 )

@@ -1,8 +1,8 @@
 """Progressive vision-graph backbone, desk scale.
 
 Three mechanisms, each independently testable: progressive graph construction
-with second-order similarity (channel capacity migrates from a Chebyshev
-local branch to global graph branches with depth), MaxE neighbor aggregation
+(PSGC: with depth, channels move from a Chebyshev local branch to a second
+cosine top-k graph beside the first), MaxE neighbor aggregation
 (self || max neighbor difference || neighbor mean, then one linear map), and
 the GraphLU activation (Gaussian-CDF gating with a learnable relaxation that
 counteracts node-feature collapse in deep stacks). Everything runs on a small

@@ -166,10 +166,11 @@ def psgc_schedule(
     passes ``net.GRANULARITY``; the argument stays so that the schedule's
     invariants can be checked over many granularities.
 
-    The first-order width is pinned at the block-0 global width; everything
-    the ramp adds beyond that goes to the second-order branch, and the local
-    branch gives up exactly that much. So every triple sums to the budget,
-    the second-order width never falls and the local width never rises.
+    The first graph's width is pinned at the block-0 global width;
+    everything the ramp adds beyond that goes to the second graph branch,
+    and the local branch gives up exactly that much. So every triple sums to
+    the budget, the second width never falls and the local width never
+    rises. Both graph branches score cosine similarity on their own slice.
     """
     if not (0.0 < start_ratio <= end_ratio < 1.0):
         raise ConfigError("need 0 < start_ratio <= end_ratio < 1")

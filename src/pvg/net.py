@@ -1,12 +1,15 @@
 """The progressive vision-graph network.
 
 A four-stage pyramid over image patches. Each stage runs trident blocks that
-split the channel budget three ways (Chebyshev-local mixing, a first-order
-similarity graph, a second-order similarity graph), aggregate with MaxE (or a
-comparison aggregator), fuse, and follow with a feed-forward transform; both
-sublayers are residual. The channel schedule hands local capacity over to the
-second-order graph branch as blocks deepen, so first-order similarity on the
-transferred channels carries neighborhood-level information. LayerScale is
+split the channel budget three ways (Chebyshev-local mixing, a first and a
+second graph branch), aggregate with MaxE (or a comparison aggregator), fuse,
+and follow with a feed-forward transform; both sublayers are residual. Both
+graphs are first-order cosine top-k graphs, each on its own channel slice.
+The PSGC schedule widens the second branch as blocks deepen by exactly the
+channels the local branch gives up; that is how the paper introduces its
+second-order similarity. The hand-over is by position only: every block's
+fuse and FFN mix all channels, so the channels a block's second graph
+scores are not the previous block's local-branch outputs. LayerScale is
 applied on the last ``layer_scale_blocks`` blocks of the stack (two by
 default).
 

@@ -516,7 +516,8 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along ``axis``; the gradient zero-pads outside it."""
+    """Contiguous slice along ``axis``; the gradient adds into the input's
+    rows of the slice, and is zero outside it."""
     rank = x.data.ndim
     axis = _axis(rank, axis)
     if start < 0 or length < 0 or start + length > x.shape[axis]:
@@ -529,9 +530,11 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     x = x._node
 
     def bw(g: np.ndarray) -> None:
-        dx = np.zeros(x.shape, x.dtype)
-        dx[tuple(sl)] = g
-        x._accumulate(dx, owned=True)
+        # Into the input's gradient in place: a zero-filled array of the whole
+        # input only for its first gradient.
+        if x.grad is None:
+            x.grad = np.zeros(x.shape, x.dtype)
+        x.grad[tuple(sl)] += g
 
     _set_backward(out, bw)
     return out

@@ -70,7 +70,7 @@ def test_traced_forward_attributes_blocks_to_their_stages():
     metrics = tracing.layer_metrics(rec, list(DIFFERENTIABLE_OPS), count_params_flops(cfg)[1])
     assert all(metrics[f"net.stage{s}_ms"][0] > 0 for s in range(4))
     assert metrics["trace.ops"][0] == 1
-    assert metrics["graph.build_calls"][0] == 6  # five first-order graphs, one second-order
+    assert metrics["graph.build_calls"][0] == 6  # five first graphs, one second
 
 
 def test_traced_train_step_times_every_backward_op():

@@ -1,12 +1,14 @@
 """Seeded fuzzing of the CLI's inputs: every case either succeeds or fails
 with exactly one ``error:<category>:`` line on stderr.
 
-``pvg eval`` cases corrupt a checkpoint: a manifest leaf replaced, a
-parameter file deleted, truncated or with one byte flipped. Other ``pvg
-eval`` cases corrupt the dataset: the image file or the labels CSV truncated
-or with one byte flipped, or one CSV cell replaced. ``pvg count`` cases
-replace a leaf of a run config. The cases are fixed by their seeds, and each
-runs ``cli.main`` in-process on files under ``tmp_path``.
+``pvg eval`` and ``pvg diag`` cases corrupt a checkpoint: a manifest leaf
+replaced, a parameter file deleted, truncated or with one byte flipped.
+Other ``pvg eval`` cases corrupt the dataset: the image file or the labels
+CSV truncated or with one byte flipped, or one CSV cell replaced; other
+``pvg diag`` cases corrupt the image file. ``pvg count`` cases replace a
+leaf of a run config, and ``pvg train`` cases replace one or corrupt the
+image or labels file. The cases are fixed by their seeds, and each runs
+``cli.main`` in-process on files under a pytest temporary directory.
 """
 
 import csv
@@ -19,8 +21,8 @@ import pytest
 
 from pvg.cli import main as cli_main
 from pvg.data import make_two_class_patches, save_dataset
-from pvg.net import Model, ModelConfig, save_checkpoint
-from pvg.train import RunConfig
+from pvg.net import Model, ModelConfig, count_params_flops, save_checkpoint
+from pvg.train import RunConfig, ScheduleConfig
 
 CASES = 120  # per seed and command
 SEEDS = [0, 1]
@@ -34,6 +36,11 @@ ERROR_LINE = re.compile(r"error:[a-z-]+: [^\n]*\n")
 DATA_CASES = 80  # per seed
 # A labels cell past csv's default field limit of 131072 characters.
 LONG_CELL = "7" * 200_000
+TRAIN_CASES = 32  # per seed
+# A train case runs at most this many steps, at most twice MODEL's parameters
+# and mult-adds: each replaced value then costs at most a few tenths of a
+# second.
+MAX_STEPS = 3
 
 
 def leaves(value, path=()):
@@ -67,24 +74,26 @@ def run_case(argv, case: str, capsys) -> None:
         assert "nan" not in out and "inf" not in out, f"{case}: reported {out!r}"
 
 
-@pytest.fixture(scope="module")
-def checkpoint(tmp_path_factory):
-    tp = tmp_path_factory.mktemp("fuzz")
-    ds = make_two_class_patches(n_images=2, size=16, seed=0)
-    save_dataset(tp / "x.pvgt", tp / "y.csv", ds)
-    save_checkpoint(Model(ModelConfig(**MODEL), seed=0), tp / "ckpt")
-    return tp
+def corrupt(target, kind: str, rng: random.Random) -> str:
+    """Truncate ``target`` or flip one of its bits; the case's description."""
+    original = target.read_bytes()
+    if kind == "truncate":
+        size = rng.randrange(len(original))
+        target.write_bytes(original[:size])
+        return f"{target.name} truncated to {size} bytes"
+    at, mask = rng.randrange(len(original)), 1 << rng.randrange(8)
+    flipped = bytearray(original)
+    flipped[at] ^= mask
+    target.write_bytes(bytes(flipped))
+    return f"{target.name} byte {at} ^ {mask}"
 
 
-@pytest.mark.filterwarnings("error")  # a warning would be a stderr line of its own
-@pytest.mark.parametrize("seed", SEEDS)
-def test_corrupted_checkpoint_eval(checkpoint, capsys, seed):
-    tp = checkpoint
-    ckpt = tp / "ckpt"
+def corrupted_checkpoint_cases(ckpt, argv, seed, capsys):
+    """CASES runs of ``argv`` on a checkpoint with its manifest, or one
+    parameter file, corrupted; each case is undone after it runs."""
     manifest_path = ckpt / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     files = sorted(p for p in ckpt.iterdir() if p.suffix == ".pvgt")
-    argv = ["eval", "--checkpoint", str(ckpt), "--data", str(tp / "x.pvgt"), "--labels", str(tp / "y.csv")]
     rng = random.Random(seed)
     for i in range(CASES):
         kind = rng.choice(["manifest", "delete", "truncate", "flip"])
@@ -99,20 +108,37 @@ def test_corrupted_checkpoint_eval(checkpoint, capsys, seed):
             if kind == "delete":
                 target.unlink()
                 case = f"seed {seed} case {i}: {target.name} deleted"
-            elif kind == "truncate":
-                size = rng.randrange(len(original))
-                target.write_bytes(original[:size])
-                case = f"seed {seed} case {i}: {target.name} truncated to {size} bytes"
             else:
-                at, mask = rng.randrange(len(original)), 1 << rng.randrange(8)
-                flipped = bytearray(original)
-                flipped[at] ^= mask
-                target.write_bytes(bytes(flipped))
-                case = f"seed {seed} case {i}: {target.name} byte {at} ^ {mask}"
+                case = f"seed {seed} case {i}: {corrupt(target, kind, rng)}"
         try:
             run_case(argv, case, capsys)
         finally:
             target.write_bytes(original)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    tp = tmp_path_factory.mktemp("fuzz")
+    ds = make_two_class_patches(n_images=2, size=16, seed=0)
+    save_dataset(tp / "x.pvgt", tp / "y.csv", ds)
+    save_checkpoint(Model(ModelConfig(**MODEL), seed=0), tp / "ckpt")
+    return tp
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a stderr line of its own
+@pytest.mark.parametrize("seed", SEEDS)
+def test_corrupted_checkpoint_eval(checkpoint, capsys, seed):
+    tp = checkpoint
+    argv = ["eval", "--checkpoint", str(tp / "ckpt"), "--data", str(tp / "x.pvgt"), "--labels", str(tp / "y.csv")]
+    corrupted_checkpoint_cases(tp / "ckpt", argv, seed, capsys)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", SEEDS)
+def test_corrupted_checkpoint_diag(checkpoint, tmp_path, capsys, seed):
+    tp = checkpoint
+    argv = ["diag", "--checkpoint", str(tp / "ckpt"), "--data", str(tp / "x.pvgt"), "--out", str(tmp_path / "trace.csv")]
+    corrupted_checkpoint_cases(tp / "ckpt", argv, seed, capsys)
 
 
 @pytest.mark.filterwarnings("error")
@@ -126,16 +152,8 @@ def test_corrupted_dataset_eval(checkpoint, capsys, seed):
         kind = rng.choice(["truncate", "flip", "cell"])
         target = labels if kind == "cell" else rng.choice([images, labels])
         original = target.read_bytes()
-        if kind == "truncate":
-            size = rng.randrange(len(original))
-            target.write_bytes(original[:size])
-            case = f"seed {seed} case {i}: {target.name} truncated to {size} bytes"
-        elif kind == "flip":
-            at, mask = rng.randrange(len(original)), 1 << rng.randrange(8)
-            flipped = bytearray(original)
-            flipped[at] ^= mask
-            target.write_bytes(bytes(flipped))
-            case = f"seed {seed} case {i}: {target.name} byte {at} ^ {mask}"
+        if kind != "cell":
+            case = f"seed {seed} case {i}: {corrupt(target, kind, rng)}"
         else:
             rows = list(csv.reader(io.StringIO(original.decode(), newline="")))
             row, col, value = rng.randrange(len(rows)), rng.randrange(2), rng.choice(VALUES + [LONG_CELL])
@@ -159,3 +177,83 @@ def test_mutated_run_config_count(tmp_path, capsys, seed):
         (tmp_path / "run.json").write_text(json.dumps(replaced(run, path, value)))
         run_case(["count", "--config", str(tmp_path / "run.json")], f"seed {seed} case {i}: {path} = {value!r}", capsys)
 
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", SEEDS)
+def test_corrupted_image_file_diag(checkpoint, tmp_path, capsys, seed):
+    tp = checkpoint
+    images = tp / "x.pvgt"
+    argv = ["diag", "--checkpoint", str(tp / "ckpt"), "--data", str(images), "--out", str(tmp_path / "trace.csv")]
+    original = images.read_bytes()
+    rng = random.Random(seed)
+    for i in range(DATA_CASES // 2):  # one file, not eval's two
+        case = f"seed {seed} case {i}: {corrupt(images, rng.choice(['truncate', 'flip']), rng)}"
+        try:
+            run_case(argv, case, capsys)
+        finally:
+            images.write_bytes(original)
+
+
+def too_long(path) -> bool:
+    """Whether the run config at ``path`` is valid but would train for more
+    than MAX_STEPS steps, or more than twice MODEL's parameters or mult-adds
+    (a stage depth of 1000, 64 x 64 images at patch 1). Such a run is not an
+    error to find, only a slow one, so its case is skipped."""
+    try:
+        run = RunConfig.from_json(path)
+    except Exception:  # the case fails fast; run_case judges how
+        return False
+    params, multadds = count_params_flops(ModelConfig(**MODEL))
+    run_params, run_multadds = count_params_flops(run.model)
+    return run.schedule.total_steps > MAX_STEPS or run_params > 2 * params or run_multadds > 2 * multadds
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("schedule", "total_steps"), 1000), (("model", "stage_depths", 2), 1000), (("model", "image_size"), 64)],
+)
+def test_long_train_is_skipped(tmp_path, path, value):
+    run = RunConfig(model=ModelConfig(**MODEL), schedule=ScheduleConfig(warmup_steps=0, total_steps=1)).to_dict()
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    assert not too_long(tmp_path / "run.json")
+    (tmp_path / "run.json").write_text(json.dumps(replaced(run, path, value)))
+    assert too_long(tmp_path / "run.json")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_train(tmp_path, monkeypatch, capsys, seed):
+    # A relative output_dir ("", "MaxE") lands under tmp_path too.
+    monkeypatch.chdir(tmp_path)
+    images, labels, config = tmp_path / "x.pvgt", tmp_path / "y.csv", tmp_path / "run.json"
+    save_dataset(images, labels, make_two_class_patches(n_images=2, size=16, seed=0))
+    run = RunConfig(
+        model=ModelConfig(**MODEL),
+        schedule=ScheduleConfig(warmup_steps=0, total_steps=1),
+        batch_size=2,
+        output_dir=str(tmp_path / "run"),
+    ).to_dict()
+    config.write_text(json.dumps(run))
+    argv = ["train", "--config", str(config), "--data", str(images), "--labels", str(labels)]
+    rng = random.Random(seed)
+    skipped = 0
+    for i in range(TRAIN_CASES):
+        kind = rng.choice(["config", "config", "truncate", "flip"])
+        if kind == "config":
+            target, original = config, config.read_bytes()
+            path, value = rng.choice(leaves(run)), rng.choice(VALUES)
+            config.write_text(json.dumps(replaced(run, path, value)))
+            case = f"seed {seed} case {i}: {path} = {value!r}"
+        else:
+            target = rng.choice([images, labels])
+            original = target.read_bytes()
+            case = f"seed {seed} case {i}: {corrupt(target, kind, rng)}"
+        try:
+            if kind == "config" and too_long(config):
+                skipped += 1
+                continue
+            run_case(argv, case, capsys)
+        finally:
+            target.write_bytes(original)
+    assert skipped < TRAIN_CASES // 4, skipped

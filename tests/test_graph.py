@@ -1,6 +1,5 @@
 """Graph construction: similarity, top-k selection, the Chebyshev window of
-the local branch, the progressive channel schedule, and second-order
-equivalence."""
+the local branch, and the progressive channel schedule."""
 
 import csv
 import math
@@ -286,47 +285,6 @@ def dense_local_oracle(x, alpha, h, w, r):
     return y
 
 
-def chebyshev_neighborhoods(alpha, h, w, r):
-    """Per-node in-grid neighbors and their offset weights, in row-major
-    offset order, enumerated from (row, col) = divmod(node, w)."""
-    nbrs = [[] for _ in range(h * w)]
-    ws = [[] for _ in range(h * w)]
-    for i in range(h * w):
-        ri, ci = divmod(i, w)
-        for dy in range(-r, r + 1):
-            for dx in range(-r, r + 1):
-                if 0 <= ri + dy < h and 0 <= ci + dx < w:
-                    nbrs[i].append((ri + dy) * w + ci + dx)
-                    ws[i].append(alpha[(dy + r) * (2 * r + 1) + (dx + r)])
-    return nbrs, ws
-
-
-def second_order_similarity(x, neighborhoods, agg_weights) -> np.ndarray:
-    """Affinity between aggregated neighborhoods, computed definitionally.
-
-    For each node, phi_i = sum over its neighbors t of w_it * x_t (weights
-    may be scalars or per-channel vectors); the result is the float64
-    dot-product similarity S2[i][j] = sum over channels of phi_i * phi_j. It
-    equals the first-order similarity of local-branch outputs when the
-    neighborhoods and weights come from the same Chebyshev structure.
-    """
-    xa = np.asarray(x, dtype=np.float64)
-    n, c = xa.shape
-    if len(neighborhoods) != n or len(agg_weights) != n:
-        raise DimensionError("one neighborhood and weight list required per node")
-    agg = np.zeros((n, c), dtype=np.float64)
-    for i, (nbrs, ws) in enumerate(zip(neighborhoods, agg_weights)):
-        if len(nbrs) == 0:
-            raise DegenerateInputError(f"node {i} has an empty neighborhood")
-        for j, wj in zip(nbrs, np.asarray(ws, dtype=np.float64)):
-            agg[i] += wj * xa[j]
-    s2 = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            s2[i, j] = float(np.dot(agg[i], agg[j]))
-    return s2
-
-
 class TestLocalBranch:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("h, w, ry, rx", [(4, 5, 1, 2), (3, 3, 0, 0), (2, 3, 2, 5), (1, 4, 3, 0)])
@@ -466,7 +424,7 @@ class TestPsgcSchedule:
     def test_invariants_over_random_schedules(self):
         # Every schedule psgc_schedule returns splits the budget exactly, into
         # non-negative granule multiples, with a constant first-order width of
-        # at least one granule, a non-decreasing second-order width and a
+        # at least one granule, a non-decreasing second width and a
         # non-increasing local width.
         rng = np.random.default_rng(0)
         valid = 0
@@ -485,50 +443,6 @@ class TestPsgcSchedule:
             assert np.all(first == first[0]) and first[0] >= g
             assert np.all(np.diff(second) >= 0) and np.all(np.diff(local) <= 0)
         assert valid > 1000
-
-
-class TestSecondOrderSimilarity:
-    def test_identical_neighborhoods(self):
-        x = np.random.default_rng(8).normal(size=(4, 3))
-        nbrs = [[1, 2], [1, 2], [0, 3], [0, 1]]
-        ws = [[0.5, 0.5]] * 4
-        s2 = second_order_similarity(x, nbrs, ws)
-        assert abs(s2[0, 1] - s2[0, 0]) < 1e-12  # nodes 0,1 aggregate identically
-
-    def test_path_graph_hand_case(self):
-        # 4-node path 0-1-2-3, mean over the 2 interior neighbors of node 1 and 2
-        x = np.array([[1.0], [2.0], [3.0], [4.0]])
-        nbrs = [[1], [0, 2], [1, 3], [2]]
-        ws = [[1.0], [0.5, 0.5], [0.5, 0.5], [1.0]]
-        s2 = second_order_similarity(x, nbrs, ws)
-        # phi = [2, 2, 3, 3]; s2[1][2] = 2*3
-        assert s2[1, 2] == 6.0
-        assert s2[0, 0] == 4.0
-
-    def test_empty_neighborhood(self):
-        with pytest.raises(DegenerateInputError):
-            second_order_similarity(np.ones((2, 2)), [[1], []], [[1.0], []])
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_two_path_equivalence(self, seed):
-        """Aggregate-then-first-order equals direct second-order similarity."""
-        rng = np.random.default_rng(seed)
-        h = w = 4
-        r = 1
-        c = 3
-        alpha = rng.normal(size=((2 * r + 1) ** 2, c)).astype(np.float32)
-        x = rng.normal(size=(h * w, c)).astype(np.float32)
-
-        # path 1: local aggregation then plain dot-product similarity
-        agg = offset_mix(Tensor(x), Tensor(alpha), (h, w), Tensor(np.zeros_like(alpha))).data
-        s_pipeline = agg @ agg.T
-
-        # path 2: definitional neighborhoods from the same Chebyshev structure
-        nbrs, ws = chebyshev_neighborhoods(alpha, h, w, r)
-        s_direct = second_order_similarity(x, nbrs, ws)
-
-        denom = np.maximum(np.abs(s_direct), 1.0)
-        assert np.max(np.abs(s_pipeline - s_direct) / denom) <= 1e-5
 
 
 class TestExportEdges:

@@ -317,7 +317,7 @@ class TestForward:
             model.forward(np.zeros((0, 32, 32, 3), dtype=np.float32))
 
     def test_vig_style_collapse(self):
-        # constant schedule: no second-order branch anywhere
+        # constant schedule: no second graph branch anywhere
         cfg = tiny_config(schedule_start=0.5, schedule_end=0.5)
         model = Model(cfg, seed=3)
         assert not any(".second." in name for name in model.params)
@@ -354,7 +354,7 @@ def ffn_blocks(root, rows: int | None) -> list:
 
 
 SWEPT_LAYOUTS = {
-    "tiny": {},  # a second-order branch in one block only
+    "tiny": {},  # a second graph branch in one block only
     "no-second": {"schedule_start": 0.5, "schedule_end": 0.5},  # local and first-order only
     # a block without a local branch, and LayerScale on every block
     "no-local-all-scaled": {"schedule_end": 0.95, "layer_scale_blocks": 5},
@@ -958,6 +958,8 @@ COUNTED_CONFIGS = {
         aggregator="EdgeConv", image_size=16, patch_size=1, stage_k=[300, 64, 16, 8]
     ),
     "graphsage-deep21": lambda: deep_tiny_config(21, aggregator="GraphSAGE"),
+    # A second graph branch at n = 64 (stage 1, block 1), as well as at n = 16.
+    "second-n64": lambda: tiny_config(stage_depths=[1, 2, 2, 1]),
 }
 
 
@@ -985,6 +987,7 @@ class TestCounting:
             ("k-clamped", (1180684, 15427072)),
             ("edgeconv-k-clamped", (1212940, 130442752)),
             ("graphsage-deep21", (863244, 18254976)),
+            ("second-n64", (1223886, 18333440)),
         ],
     )
     def test_counts_are_pinned(self, name, want):
@@ -1066,7 +1069,7 @@ class TestFullForwardGradient:
     def test_parameter_gradients_match_central_differences(self):
         cfg = tiny_config(num_classes=3)
         model = cast_model(Model(cfg, seed=12), np.float64)
-        # The tiny config's only second-order branch is in a LayerScale block;
+        # The tiny config's only second graph branch is in a LayerScale block;
         # this model leaves that block unscaled so its weights can be probed.
         shallow_scale = cast_model(Model(tiny_config(num_classes=3, layer_scale_blocks=1), seed=12), np.float64)
         rng = np.random.default_rng(16)

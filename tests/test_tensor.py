@@ -413,6 +413,36 @@ class TestConcatSplit:
         np.testing.assert_array_equal(a.grad, seed[:, :2])
         np.testing.assert_array_equal(b.grad, seed[:, 2:])
 
+    def test_narrow_backward_adds_into_the_input_gradient(self):
+        # Each FFN row block narrows its block's input. Once the input holds
+        # a gradient, a block's backward adds its rows in place; an array of
+        # the whole input is filled only for the first gradient.
+        rng = np.random.default_rng(26)
+        x0 = rng.normal(size=(4096, 64)).astype(np.float32)
+        g = rng.normal(size=(512, 64)).astype(np.float32)
+        g[0, 0] = -0.0
+        x = Tensor(x0, requires_grad=True)
+        out = T.narrow(x, 0, 1024, 512)
+        out._node._backward(g)
+        want = np.zeros_like(x0)
+        want[1024:1536] = 0.0 + g
+        assert x.grad.tobytes() == want.tobytes()
+
+        held = rng.normal(size=x0.shape).astype(np.float32)
+        x.grad = held.copy()
+        out = T.narrow(x, 0, 2048, 512)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out._node._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held[2048:2560] += g
+        assert x.grad.tobytes() == held.tobytes()
+        assert peak < x0.nbytes, peak / x0.nbytes
+
 
 class TestGatherRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

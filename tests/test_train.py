@@ -430,6 +430,20 @@ class TestTraining:
         with pytest.raises(NonFiniteError, match="step"):
             train(run, ds)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
+    @pytest.mark.parametrize(
+        "scale, what", [(1e30, "gradient of head.weight"), (3.4e38, "node features reached the graph build")]
+    )
+    def test_overflowing_layer_scale_stops_at_step_0(self, tmp_path, scale, what):
+        # A LayerScale this large is finite in float32, so the config takes
+        # it; the first step's gradients (1e30) or node features (3.4e38)
+        # overflow, and the run stops there. A large but sane scale runs.
+        ds = small_dataset(8, seed=21)
+        with pytest.raises(NonFiniteError, match=f"^non-finite {what} at step 0$"):
+            train(quick_run(tmp_path / "huge", n=8, epochs=1, batch_size=8, seed=3, layer_scale_init=scale), ds)
+        _, metrics = train(quick_run(tmp_path / "sane", n=8, epochs=1, batch_size=8, seed=3, layer_scale_init=1e6), ds)
+        assert np.isfinite(metrics[-1].train_loss)
+
     def test_class_count_mismatch(self, tmp_path):
         ds = small_dataset(16, seed=8)
         run = quick_run(tmp_path, n=16, epochs=1, num_classes=3)
@@ -987,6 +1001,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:non-finite:") and captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e30, 3.4e38])
+    def test_overflowing_layer_scale_is_one_non_finite_line(self, tmp_path, capsys, scale):
+        save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(8, seed=21))
+        run = quick_run(tmp_path / "run", n=8, epochs=1, batch_size=8, seed=3, layer_scale_init=scale)
+        (tmp_path / "run.json").write_text(json.dumps(run.to_dict()))
+        assert cli_main([
+            "train", "--config", str(tmp_path / "run.json"),
+            "--data", str(tmp_path / "x.pvgt"), "--labels", str(tmp_path / "y.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:non-finite:") and err.count("\n") == 1, err
 
     def test_missing_parameter_file_is_one_checkpoint_line(self, tmp_path, capsys):
         save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
