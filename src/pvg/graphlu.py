@@ -13,13 +13,13 @@ representation. epsilon is learnable per usage site: a plain one-element
 Tensor that the caller owns (``Model.params`` in the network), kept at or
 above :data:`EPSILON_FLOOR` after every update so 1 + epsilon stays positive.
 
-Both ``graphlu`` and ``gelu`` are one call to :func:`pvg.tensor.cdf_gate`,
+``graphlu`` and ``gelu`` are each one call to :func:`pvg.tensor.cdf_gate`,
 a single autograd node whose backward computes the input and epsilon
-gradients directly; ``graphlu(x, None)`` is ``gelu(x)``, so the network calls
-``graphlu`` at every gate and passes ``None`` where it has no epsilon. Their
-erf and :func:`phi`'s are the package's own (:mod:`pvg._erf`), evaluated in
-the input's dtype: within 1.5 ulp in float32, and in float64 a port of the
-cephes tables within 1 ulp of scipy's.
+gradients directly; ``gelu(x)`` is ``graphlu`` at a fixed epsilon = 0 that
+needs no gradient, bit for bit. Their erf and :func:`phi`'s are the
+package's own (:mod:`pvg._erf`), evaluated in the input's dtype: within
+1.5 ulp in float32, and in float64 a port of the cephes tables within 1 ulp
+of scipy's.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ def phi(x, epsilon: float = 0.0):
     return 0.5 * (1.0 + _erf(a, out=a))
 
 
-def graphlu(x: Tensor, epsilon: Tensor | None) -> Tensor:
-    """Differentiable GraphLU; gradients flow to x and to the one-element
-    ``epsilon``. ``epsilon=None`` is :func:`gelu`."""
+def graphlu(x: Tensor, epsilon: Tensor) -> Tensor:
+    """Differentiable GraphLU; gradients flow to x and, where it needs one,
+    to the one-element ``epsilon``."""
     return cdf_gate(x, epsilon)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU (the epsilon = 0 limit, without a learnable parameter)."""
-    return cdf_gate(x)
+    """Exact-erf GELU: the gate at a fixed epsilon = 0."""
+    return cdf_gate(x, Tensor(np.zeros(1, x.dtype)))

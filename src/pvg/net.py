@@ -46,7 +46,6 @@ from .graph import GraphTopology, psgc_schedule, similarity_matrix, topk_neighbo
 from .graphlu import EPSILON_FLOOR, graphlu
 from .pvgt import read_tensor, write_tensor
 from .tensor import (
-    GATE_BLOCK,
     Tensor,
     add,
     concat,
@@ -67,6 +66,9 @@ N_STAGES = 4
 # and one work copy of them, so the whole-batch arrays of a large graph never
 # exist: 32 images at n = 256 would be 8 MiB each in float32.
 GRAPH_BLOCK = 2**18
+# Hidden-width entries per FFN row block: each block's recompute re-runs
+# and keeps that many entries of the widened rows, one row at least.
+GATE_BLOCK = 2**16
 # Stage sizes far past any buildable model: counting and laying out blocks finish.
 MAX_STAGE_DEPTH = 2**10
 MAX_STAGE_WIDTH = 2**16
@@ -459,9 +461,10 @@ class Model:
         pre = plan.prefix
         local_c, first_c, second_c = plan.widths
         n = plan.grid * plan.grid
-        act1 = act2 = None  # a gate without a relaxation is GELU
         if cfg.activation == "graphlu":
             act1, act2 = P[pre + "act1.epsilon"], P[pre + "act2.epsilon"]
+        else:  # GELU is the gate at a fixed epsilon = 0
+            act1 = act2 = Tensor(np.zeros(1, h.dtype))
 
         z = layer_norm(h, P[pre + "norm1.gamma"], P[pre + "norm1.beta"])
         branch_outs: list[Tensor] = []
@@ -486,7 +489,7 @@ class Model:
             # The aggregate and its gate keep only their inputs until backward,
             # which runs them again; the graph build is not re-run.
             branch_fn = functools.partial(_graph_branch, cfg.aggregator, rows.reshape(batch * n, plan.k))
-            branch_outs.append(recompute(branch_fn, [x, *params] + ([] if act1 is None else [act1])))
+            branch_outs.append(recompute(branch_fn, [x, *params, act1]))
             if collect is not None and "graphs" in collect:
                 collect["graphs"].append((plan.index, branch, topo))
 
@@ -499,7 +502,7 @@ class Model:
         del z, branch_outs, fused, y
 
         names = ("norm2.gamma", "norm2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
-        f = _ffn_sublayer(h, [P[pre + name] for name in names] + ([] if act2 is None else [act2]))
+        f = _ffn_sublayer(h, [*(P[pre + name] for name in names), act2])
         if plan.layer_scaled:
             f = mul_rowvec(f, P[pre + "scale2"])
         h = add(h, f)
@@ -549,11 +552,9 @@ class Model:
 def _graph_branch(kind: str, rows: np.ndarray, x: Tensor, *params: Tensor) -> Tensor:
     """A global branch after its graph build: the ``kind`` aggregate of ``x``
     over the [nodes, k] neighbour ``rows``, gated. ``params`` are the kind's
-    weights in :data:`AGGREGATOR_WEIGHTS` order, then the gate's epsilon if
-    it has one (GELU if not)."""
-    names = AGGREGATOR_WEIGHTS[kind]
-    eps = params[len(names)] if len(params) > len(names) else None
-    return graphlu(baseline_aggregate(kind, x, rows, dict(zip(names, params))), eps)
+    weights in :data:`AGGREGATOR_WEIGHTS` order, then the gate's epsilon."""
+    *weights, eps = params
+    return graphlu(baseline_aggregate(kind, x, rows, dict(zip(AGGREGATOR_WEIGHTS[kind], weights))), eps)
 
 
 def _ffn_sublayer(h: Tensor, params: list[Tensor]) -> Tensor:
@@ -566,9 +567,9 @@ def _ffn_sublayer(h: Tensor, params: list[Tensor]) -> Tensor:
     return blocks[0] if len(blocks) == 1 else concat(blocks, axis=0)
 
 
-def _ffn(h: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, eps=None) -> Tensor:
+def _ffn(h: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, eps: Tensor) -> Tensor:
     """A block's feed-forward sublayer on rows ``h``: normalised, widened by
-    ``w1``, gated (GELU without ``eps``) and mapped back by ``w2``."""
+    ``w1``, gated at ``eps`` and mapped back by ``w2``."""
     return linear(graphlu(linear(layer_norm(h, gamma, beta), w1, b1), eps), w2, b2)
 
 

@@ -93,10 +93,6 @@ DIFFERENTIABLE_OPS = [
 _FLOAT_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 * (1.0 / np.sqrt(np.pi))
-# Entries per block: the gate's backward runs its temporaries GATE_BLOCK
-# entries at a time, and the model runs its FFN in row blocks of GATE_BLOCK
-# entries of the hidden width (pvg.net).
-GATE_BLOCK = 2**16
 # Added to each row's variance by ``layer_norm``.
 LAYER_NORM_EPS = 1e-5
 
@@ -627,52 +623,38 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
 
 def _gate_bw(g, e, xd, s, shifted, x, eps) -> None:
-    # Overwrites g and e: each closure runs once, and both go with it. Every
-    # step runs on flat blocks of GATE_BLOCK entries of the input xd, so g and
-    # e are the only arrays of the gate's size. e becomes x's first gradient
-    # where it can (0 + x's two terms, in the chain's order); g ends as eps's term.
+    # Overwrites g and e: each closure runs once, and both go with it. e
+    # becomes x's first term (0 + it, where x has no gradient yet); g ends as
+    # eps's term, summed in C order whatever layout g came in.
     dt = e.dtype
-    g = np.ascontiguousarray(g)  # the blocks write into a flat view of it
+    g = np.ascontiguousarray(g)
+    np.multiply(g, np.asarray(0.5, dtype=dt), out=g)  # gradient at x * (1 + erf)
     if x.requires_grad:
-        if x.grad is None:
-            x.grad = e if e.dtype == x.dtype else np.zeros(x.shape, x.dtype)
-        x.grad = np.ascontiguousarray(x.grad)
-        dx, adopted = x.grad.reshape(-1), x.grad is e
-    flat_x, flat_g, flat_e = xd.reshape(-1), g.reshape(-1), e.reshape(-1)
-    two_over_sqrt_pi = np.asarray(_TWO_OVER_SQRT_PI, dtype=dt)
-    for start in range(0, xd.size, GATE_BLOCK):
-        block = slice(start, start + GATE_BLOCK)
-        xb, gb, eb = flat_x[block], flat_g[block], flat_e[block]
-        np.multiply(gb, np.asarray(0.5, dtype=dt), out=gb)  # gradient at x * (1 + erf)
-        if x.requires_grad:
-            np.add(eb, np.asarray(1.0, dtype=dt), out=eb)
-            np.multiply(gb, eb, out=eb)  # x's first term
-            dxb = dx[block]
-            np.add(dxb, 0.0 if adopted else eb, out=dxb)
-        # d erf(a) / da = 2/sqrt(pi) exp(-a^2) at a = x * s, in the gate's dtype.
-        buf = xb * s
-        np.square(buf, out=buf)
-        np.negative(buf, out=buf)
-        np.exp(buf, out=buf)
-        np.multiply(buf, two_over_sqrt_pi, out=buf)
-        np.multiply(gb, xb, out=gb)  # gradient at erf
-        np.multiply(gb, buf, out=gb)  # gradient at a
-        if x.requires_grad:
-            np.multiply(gb, s, out=buf)
-            dxb += buf
-        if eps is not None and eps.requires_grad:
-            np.multiply(gb, xb, out=gb)
-    if eps is not None and eps.requires_grad:
+        np.add(e, np.asarray(1.0, dtype=dt), out=e)
+        x._accumulate(np.multiply(g, e, out=e), owned=True)  # x's first term
+    # d erf(a) / da = 2/sqrt(pi) exp(-a^2) at a = x * s, in the gate's dtype.
+    slope = xd * s
+    np.square(slope, out=slope)
+    np.negative(slope, out=slope)
+    np.exp(slope, out=slope)
+    np.multiply(slope, np.asarray(_TWO_OVER_SQRT_PI, dtype=dt), out=slope)
+    np.multiply(g, xd, out=g)  # gradient at erf
+    np.multiply(g, slope, out=g)  # gradient at a
+    if x.requires_grad:
+        x.grad += np.multiply(g, s, out=slope)  # x's second term
+    if eps.requires_grad:
+        np.multiply(g, xd, out=g)
         g_inv_sd = np.sum(g).reshape(eps.shape) * np.asarray(_INV_SQRT2, dtype=eps.dtype)
         eps._accumulate(-g_inv_sd / (shifted * shifted), owned=True)
 
 
-def cdf_gate(x: Tensor, eps: Tensor | None = None) -> Tensor:
+def cdf_gate(x: Tensor, eps: Tensor) -> Tensor:
     """Gaussian-CDF gate ``0.5 * x * (1 + erf(x * s))``, ``s = 1 / (sqrt(2) (1 + eps))``.
 
     That is x times the probability that a zero-mean Gaussian with standard
     deviation 1 + eps falls below x. ``eps`` is a one-element tensor and gets
-    a gradient; ``eps=None`` is exact-erf GELU, s = 1/sqrt(2).
+    a gradient where it needs one; at eps = 0, s rounds to 1/sqrt(2) and the
+    gate is exact-erf GELU.
 
     Everything runs in the gate's dtype, erf included (:mod:`pvg._erf`). In
     float32, erf is within 1.5 ulp of the exact value, and the backward's
@@ -689,25 +671,21 @@ def cdf_gate(x: Tensor, eps: Tensor | None = None) -> Tensor:
     ``* 0.5``: each step rounds in the same dtype and order, and x receives
     its two terms in the order that chain's backward sweep added them.
     """
+    if eps.size != 1:
+        raise DimensionError(f"cdf_gate: eps must hold one value, got shape {eps.shape}")
     xd = x.data
-    if eps is None:
-        s, shifted = np.asarray(_INV_SQRT2, dtype=xd.dtype), None
-    else:
-        if eps.size != 1:
-            raise DimensionError(f"cdf_gate: eps must hold one value, got shape {eps.shape}")
-        shifted = eps.data + np.asarray(1.0, dtype=eps.data.dtype)
-        inv_sd = 1.0 / shifted
-        s = (inv_sd * np.asarray(_INV_SQRT2, dtype=inv_sd.dtype)).reshape(())
+    shifted = eps.data + np.asarray(1.0, dtype=eps.data.dtype)
+    inv_sd = 1.0 / shifted
+    s = (inv_sd * np.asarray(_INV_SQRT2, dtype=inv_sd.dtype)).reshape(())
     e = np.multiply(xd, s)
     _erf(e, out=e)
     # Backward reads e; an output that needs no gradient is written over it.
-    needs_grad = x.requires_grad or (eps is not None and eps.requires_grad)
+    needs_grad = x.requires_grad or eps.requires_grad
     y = np.add(e, np.asarray(1.0, dtype=e.dtype), out=None if needs_grad else e)
     np.multiply(xd, y, out=y)
     np.multiply(y, np.asarray(0.5, dtype=y.dtype), out=y)
-    out = Tensor._from_op(y, (x,) if eps is None else (x, eps), "cdf_gate")
-    x = x._node
-    eps = None if eps is None else eps._node
+    out = Tensor._from_op(y, (x, eps), "cdf_gate")
+    x, eps = x._node, eps._node
 
     def bw(g: np.ndarray) -> None:
         _gate_bw(g, e, xd, s, shifted, x, eps)

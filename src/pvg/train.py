@@ -173,7 +173,7 @@ def train(
         # with the step's lr_t already fixed, during step global_step + 1.
         if grad is not None:
             if not np.all(np.isfinite(grad)):
-                raise NonFiniteError(f"non-finite gradient of {name} at step {global_step}")
+                raise NonFiniteError(f"non-finite gradient of {name}")
             grad *= 1.0 / LOSS_SCALE
         adamw_step(
             name,
@@ -208,24 +208,26 @@ def train(
                 labels = dataset.labels[batch]
 
                 model.zero_grad()
-                try:
-                    logits = model.forward(images)
-                except NonFiniteError as err:
-                    raise NonFiniteError(f"{err} at step {global_step}") from err
-                loss = softmax_cross_entropy(logits, labels)
-                loss_value = loss.item()
-                if not np.isfinite(loss_value):
-                    raise NonFiniteError(f"non-finite loss at step {global_step}")
                 lr_t = cosine_lr(
                     global_step,
                     run.optimizer.lr,
                     run.schedule.warmup_steps,
                     total_steps,
                 )
-                # Each parameter's hook unscales and updates it, and drops its
-                # gradient, as soon as the sweep has released the last node
-                # that reads it.
-                loss.backward(np.full_like(loss.data, LOSS_SCALE))
+                # Every non-finite stop of a step names the step, numpy's own
+                # too: pvg train runs with its overflow flag raising.
+                try:
+                    logits = model.forward(images)
+                    loss = softmax_cross_entropy(logits, labels)
+                    loss_value = loss.item()
+                    if not np.isfinite(loss_value):
+                        raise NonFiniteError("non-finite loss")
+                    # Each parameter's hook unscales and updates it, and drops
+                    # its gradient, as soon as the sweep has released the last
+                    # node that reads it.
+                    loss.backward(np.full_like(loss.data, LOSS_SCALE))
+                except (NonFiniteError, FloatingPointError) as err:
+                    raise NonFiniteError(f"{err} at step {global_step}") from err
                 model.clamp_activation_params()
                 epoch_losses.append(loss_value)
                 global_step += 1

@@ -13,6 +13,7 @@ import numpy as np
 
 from pvg import net
 from pvg import tensor as T
+from pvg.graphlu import gelu
 from pvg.tensor import Tensor
 
 
@@ -136,7 +137,7 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
     gate_eps = Tensor(np.array([0.3]))
     gate_x = Tensor(_rng(44).normal(size=(4, 5)) * 2.0)
     case("cdf_gate", "x", lambda x: T.cdf_gate(x, gate_eps), _rng(8).normal(size=(4, 4)) * 2.0)
-    case("cdf_gate", "x_gelu", lambda x: T.cdf_gate(x), _rng(45).normal(size=(4, 4)) * 2.0)
+    case("cdf_gate", "x_gelu", gelu, _rng(45).normal(size=(4, 4)) * 2.0)
     case("cdf_gate", "eps", lambda e: T.cdf_gate(gate_x, e), [-0.4])
 
     # recompute: a graph branch in miniature, each input probed.
@@ -158,7 +159,7 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
         case("recompute", name, recompute_of(name), x0)
 
     # recompute: a block's FFN, every argument, with the GraphLU eps and as
-    # exact-erf GELU.
+    # exact-erf GELU (eps a fixed zero).
     ffn_args = {
         "h": _rng(55).normal(size=(5, 4)),
         "gamma": 0.5 + _rng(56).uniform(size=4),
@@ -171,16 +172,16 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
     }
     ffn_fixed = {name: Tensor(v) for name, v in ffn_args.items()}
 
-    def ffn_of(name, gelu=False):
+    def ffn_of(name, as_gelu=False):
         def fn(x):
-            args = {**ffn_fixed, name: x}
-            return T.recompute(net._ffn, [args[a] for a in ffn_args if not (gelu and a == "eps")])
+            args = {**ffn_fixed, **({"eps": Tensor(np.zeros(1))} if as_gelu else {}), name: x}
+            return T.recompute(net._ffn, [args[a] for a in ffn_args])
 
         return fn
 
     for name, x0 in ffn_args.items():
         case("recompute", f"ffn_{name}", ffn_of(name), x0)
-    case("recompute", "ffn_h_gelu", ffn_of("h", gelu=True), _rng(62).normal(size=(5, 4)))
-    case("recompute", "ffn_w1_gelu", ffn_of("w1", gelu=True), _rng(63).normal(size=(4, 6)))
+    case("recompute", "ffn_h_gelu", ffn_of("h", as_gelu=True), _rng(62).normal(size=(5, 4)))
+    case("recompute", "ffn_w1_gelu", ffn_of("w1", as_gelu=True), _rng(63).normal(size=(4, 6)))
 
     return cases

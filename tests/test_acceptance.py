@@ -231,17 +231,26 @@ def test_criterion_decomposition_identity():
 
 
 def test_criterion_graphlu_limit():
-    """At eps = 0 GraphLU matches exact-erf GELU within 1e-6 on a 10^4-point
-    grid over [-6, 6]; phi(0) = 0.5 exactly."""
+    """At eps = 0 GraphLU is exact-erf GELU byte for byte, values and
+    x-gradients, on a 10^4-point grid over [-6, 6] in both dtypes;
+    phi(0) = 0.5 exactly."""
     xs = np.linspace(-6.0, 6.0, 10_000)
-    got = graphlu(Tensor(xs, dtype=np.float64), Tensor(np.zeros(1))).data
-    ref = gelu(Tensor(xs, dtype=np.float64)).data
-    gap = float(np.max(np.abs(got - ref)))
+    g = np.random.default_rng(0).normal(size=xs.shape)
+    equal = []
+    for dtype in (np.float32, np.float64):
+        runs = []
+        for gate in (lambda x: graphlu(x, Tensor(np.zeros(1, dtype))), gelu):
+            x = Tensor(xs.astype(dtype), requires_grad=True)
+            y = gate(x)
+            y.backward(seed=g.astype(dtype))
+            runs.append((y.data.tobytes(), x.grad.tobytes()))
+        equal.append(runs[0] == runs[1])
     phi_zero = phi(0.0, 0.37)
     report(
         "graphlu-limit",
-        gap <= 1e-6 and phi_zero == 0.5,
-        f"max |graphlu - gelu| {gap:.2e} on 10^4 grid, phi(0) == {phi_zero}",
+        all(equal) and phi_zero == 0.5,
+        f"graphlu(eps=0) == gelu byte for byte (values, x-gradients) on 10^4 grid in "
+        f"float32/float64: {equal}, phi(0) == {phi_zero}",
     )
 
 

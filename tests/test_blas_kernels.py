@@ -42,7 +42,7 @@ BIT_TESTS = [
     for layout in SWEPT_LAYOUTS
 ] + [
     "tests/test_tensor.py::TestRecompute",
-    "tests/test_tensor.py::TestBlockedGate::test_cdf_gate_equals_the_elementwise_chain",
+    "tests/test_tensor.py::TestWholeArrayGate::test_cdf_gate_equals_the_elementwise_chain",
     "tests/test_net.py::TestFfnSublayer::test_row_blocks_equal_the_elementwise_chain",
 ]
 

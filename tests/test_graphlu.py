@@ -121,10 +121,12 @@ class TestFusedGate:
 
         x = Tensor(x0, requires_grad=True)
         x.grad = None if dx0 is None else dx0.copy()
+        # GELU is the gate at an epsilon = 0 leaf that needs no gradient; the
+        # chain checks it against the constant 1/sqrt(2) scale.
         e = None if eps is None else Tensor(eps0, requires_grad=True)
         if e is not None:
             e.grad = None if deps0 is None else deps0.copy()
-        y = cdf_gate(x, e)
+        y = gelu(x) if e is None else cdf_gate(x, e)
         y.backward(seed=g)
         want_y, want_dx, want_deps = eight_op_chain(x0, eps0, g, dx0, deps0)
 
@@ -155,7 +157,10 @@ class TestFusedGate:
         assert y.op == "cdf_gate" and y._parents == (x._node, epsilon._node)
         assert all(p.op == "leaf" for p in y._parents)
         z = gelu(x)
-        assert z.op == "cdf_gate" and z._parents == (x._node,)
+        assert z.op == "cdf_gate" and z._parents[0] is x._node
+        (zero,) = z._parents[1:]
+        assert zero.op == "leaf" and not zero.requires_grad
+        assert zero.dtype == x.dtype and zero.shape == (1,)
 
     def test_eps_must_be_one_value(self):
         with pytest.raises(DimensionError):

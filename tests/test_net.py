@@ -25,6 +25,7 @@ from pvg.errors import (
 from pvg.gradcheck import grad_check
 from pvg.graph import psgc_schedule, similarity_matrix, topk_neighbors
 from pvg.net import (
+    GATE_BLOCK,
     Model,
     ModelConfig,
     count_params_flops,
@@ -38,7 +39,6 @@ from pvg.train import OptimizerConfig, RunConfig, ScheduleConfig
 from pvg import tensor as T
 from pvg.tensor import (
     DIFFERENTIABLE_OPS,
-    GATE_BLOCK,
     Tensor,
     reshape,
     softmax_cross_entropy,
@@ -380,6 +380,20 @@ class TestAutogradGraph:
         assert "linear" in ops and "gather_rows" in ops
         assert ops <= set(DIFFERENTIABLE_OPS), ops - set(DIFFERENTIABLE_OPS)
 
+    @pytest.mark.parametrize("activation", net.ACTIVATIONS)
+    @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
+    def test_every_gate_runs_inside_a_recompute_node(self, monkeypatch, aggregator, activation):
+        # The gate's backward is one chain over its whole input. Its
+        # temporaries stay small because every gate runs on one graph branch
+        # or one FFN row block inside a recompute node, so the model's own
+        # graph holds no gate; the pass-through form shows them.
+        model = Model(tiny_config(aggregator=aggregator, activation=activation), seed=0)
+        imgs = np.random.default_rng(35).uniform(size=(2, 32, 32, 3)).astype(np.float32)
+        ops = [node.op for node in graph_nodes(model.forward(imgs))]
+        assert "recompute" in ops and "cdf_gate" not in ops
+        monkeypatch.setattr(net, "recompute", pass_through)
+        assert "cdf_gate" in {node.op for node in graph_nodes(model.forward(imgs))}
+
     @pytest.mark.parametrize("layout", SWEPT_LAYOUTS)
     @pytest.mark.parametrize("activation", net.ACTIVATIONS)
     @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
@@ -546,13 +560,14 @@ class TestFfnSublayer:
         for form in (pass_through, T.recompute):
             leaves = self.leaves(dtype)
             if gate == "gelu":
-                del leaves["eps"]
+                leaves["eps"] = Tensor(np.zeros(1, dtype))
             if with_prior:
                 leaves["h"].grad = np.random.default_rng(9).normal(size=(9, 4)).astype(dtype)
             out = form(net._ffn, list(leaves.values()))
             got = [out.data.copy()]
             out.backward(seed=g)
-            got += [t.grad for t in leaves.values()]
+            got += [t.grad for t in leaves.values() if t.requires_grad]
+            assert leaves["eps"].grad is None or gate == "graphlu"
             results.append(got)
         want, node = results
         assert len(node) == len(want) == (9 if gate == "graphlu" else 8)
@@ -566,8 +581,9 @@ class TestFfnSublayer:
         assert out.op == "recompute" and out.shape == (9, 4)
         assert all(p is q._node for p, q in zip(out._parents, leaves.values(), strict=True))
         assert len(graph_nodes(out)) == 9
-        gelu = T.recompute(net._ffn, list(leaves.values())[:-1])
-        assert len(gelu._parents) == 7
+        zero = Tensor(np.zeros(1))
+        gelu = T.recompute(net._ffn, [*list(leaves.values())[:-1], zero])
+        assert gelu._parents[-1] is zero._node and not zero.requires_grad
 
     @pytest.mark.parametrize(
         "name, shape",
@@ -590,7 +606,7 @@ class TestFfnSublayer:
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("eps", [0.3, None], ids=["eps", "no-eps"])
+    @pytest.mark.parametrize("eps", [0.3, None], ids=["eps", "gelu"])
     def test_row_blocks_equal_the_elementwise_chain(self, dtype, eps, shape):
         # Per row block: layer_norm and linear as ops, the gate as the
         # elementwise chain in numpy, and the second linear by hand. Each
@@ -612,11 +628,15 @@ class TestFfnSublayer:
             "b2": rng.normal(size=c),
             "eps": np.array([0.0 if eps is None else eps]),
         }
-        names = [name for name in arrays if eps is not None or name != "eps"]
+        names = list(arrays)
         g = rng.normal(size=(rows, c)).astype(dtype)
 
         def leaves():
-            return {name: Tensor(arrays[name].astype(dtype), requires_grad=True) for name in names}
+            # GELU's eps is a fixed zero that needs no gradient.
+            return {
+                name: Tensor(arrays[name].astype(dtype), requires_grad=eps is not None or name != "eps")
+                for name in names
+            }
 
         run = leaves()
         out = net._ffn_sublayer(run["h"], [run[name] for name in names[1:]])
@@ -652,6 +672,9 @@ class TestFfnSublayer:
 
         assert out.data.tobytes() == np.concatenate(want_out).tobytes()
         for name, t in run.items():
+            if eps is None and name == "eps":
+                assert t.grad is None
+                continue
             assert t.grad.dtype == dtype and t.grad.tobytes() == sums[name].tobytes(), name
 
     def test_row_blocks_hold_no_array_of_the_whole_hidden_width(self):

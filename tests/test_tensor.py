@@ -17,6 +17,7 @@ from pvg.errors import (
     PvgError,
 )
 from pvg.gradcheck import grad_check
+from pvg.graphlu import gelu
 from pvg.net import Model, tiny_config
 from pvg.pvgt import read_tensor, write_tensor
 from pvg.tensor import Tensor
@@ -149,28 +150,27 @@ class TestLinear:
             T.linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
 
-class TestBlockedGate:
-    """The gate's backward runs ``T.GATE_BLOCK`` entries at a time; arrays
-    of several blocks and a short last one give the bits of the elementwise
-    chain."""
+class TestWholeArrayGate:
+    """The gate's backward is one chain over the whole array: a large array,
+    a prior gradient in Fortran order and a gradient in Fortran order give
+    the bits of the elementwise chain."""
 
-    SIZE = 3 * T.GATE_BLOCK + 392
+    SIZE = 3 * 2**16 + 392
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("eps", [0.3, None], ids=["eps", "no-eps"])
+    @pytest.mark.parametrize("eps", [0.3, None], ids=["eps", "gelu"])
     def test_cdf_gate_equals_the_elementwise_chain(self, dtype, eps):
         rng = np.random.default_rng(21)
         x0 = (rng.normal(size=(self.SIZE // 1000, 1000)) * 3.0).astype(dtype)
-        assert x0.size > 3 * T.GATE_BLOCK and x0.size % T.GATE_BLOCK
         g = rng.normal(size=x0.shape).astype(dtype)
-        # A prior gradient that is not C-contiguous: the blocks add x's second
-        # term into a flat view of it.
+        # A prior gradient that is not C-contiguous: x's two terms are added
+        # into it where it lies.
         dx0 = np.asfortranarray(rng.normal(size=x0.shape).astype(dtype))
         eps0 = None if eps is None else np.array([eps], dtype=dtype)
         x = Tensor(x0, requires_grad=True)
         x.grad = dx0.copy(order="F")
         e = None if eps is None else Tensor(eps0, requires_grad=True)
-        y = T.cdf_gate(x, e)
+        y = gelu(x) if e is None else T.cdf_gate(x, e)
         y.backward(seed=g)
         want_y, want_dx, want_deps = eight_op_chain(x0, eps0, g, dx0)
         assert y.data.tobytes() == want_y.tobytes()
@@ -179,8 +179,8 @@ class TestBlockedGate:
             assert e.grad.tobytes() == want_deps.tobytes()
 
     def test_cdf_gate_takes_a_gradient_that_is_not_contiguous(self):
-        # The backward leaves eps's terms in a flat view of g, so a g in
-        # Fortran order must give the bits a C-ordered one gives.
+        # eps's gradient sums its terms over g, so a g in Fortran order
+        # must give the bits a C-ordered one gives.
         rng = np.random.default_rng(24)
         x0 = rng.normal(size=(3, 5)) * 2.0
         g = rng.normal(size=(3, 5))
@@ -215,7 +215,7 @@ class TestElementwise:
     # float64 the recovery adds error far below 1e-12.
     def test_erf_odd_at_zero(self):
         x = Tensor([0.0], requires_grad=True)
-        y = T.cdf_gate(x)
+        y = gelu(x)
         assert y.item() == 0.0
         y.backward()
         assert x.grad[0] == 0.5
@@ -224,7 +224,7 @@ class TestElementwise:
         # expected value frozen from 50-digit series evaluation of
         # (2/sqrt(pi)) * int_0^1 exp(-t^2) dt
         x = math.sqrt(2.0)
-        y = T.cdf_gate(Tensor([x], dtype=np.float64)).item()
+        y = gelu(Tensor([x], dtype=np.float64)).item()
         assert abs(2 * y / x - 1 - 0.8427007929497149) < 1e-12
 
     def test_erf_accuracy_contract(self):
@@ -233,7 +233,7 @@ class TestElementwise:
 
         xs = np.linspace(-6.0, 6.0, 201)
         xs = xs[xs != 0.0]
-        got = 2 * T.cdf_gate(Tensor(xs * math.sqrt(2.0), dtype=np.float64)).data / (xs * math.sqrt(2.0)) - 1
+        got = 2 * gelu(Tensor(xs * math.sqrt(2.0), dtype=np.float64)).data / (xs * math.sqrt(2.0)) - 1
         for x, g in zip(xs, got):
             ref, err = quad(
                 lambda t: 2.0 / math.sqrt(math.pi) * math.exp(-t * t),
@@ -834,7 +834,7 @@ class TestGradCheckHarness:
 
     def test_report_invariant(self):
         x = Tensor(np.random.default_rng(8).normal(size=(3, 3)))
-        report = grad_check(lambda t: T.cdf_gate(t), x, op_name="cdf_gate")
+        report = grad_check(gelu, x, op_name="cdf_gate")
         assert report.passed == (report.max_rel_error <= report.tolerance)
         assert report.probe_count >= 1
 

@@ -266,8 +266,8 @@ def count_subnormal_gradients(monkeypatch) -> list[int]:
     """From now on, the subnormal entries of every interior gradient a
     backward sweep computes, in a one-element list: each closure's gradient
     as it enters, every contribution to a non-leaf node, and the gate's
-    output and input gradients in ``_gate_bw``, where ``cdf_gate`` writes
-    the input's gradient without ``Node._accumulate``."""
+    output and input gradients in ``_gate_bw``, which adds the input's
+    second term without ``Node._accumulate``."""
     tiny = np.finfo(np.float32).tiny
     found = [0]
 
@@ -1014,6 +1014,7 @@ class TestCli:
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:non-finite:") and err.count("\n") == 1, err
+        assert err.endswith(" at step 0\n"), err
 
     def test_missing_parameter_file_is_one_checkpoint_line(self, tmp_path, capsys):
         save_dataset(tmp_path / "x.pvgt", tmp_path / "y.csv", small_dataset(4))
