@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# 54 ufunc calls a block: 32768 ran 15 % faster than 16384 on a 2-core x86 host.
+# A block costs 50 ufunc calls in float32 and 65 in float64, each clamp one
+# ndarray.clip pass: 32768 ran 15 % faster than 16384 on a 2-core x86 host.
 _BLOCK = 32768
 
 
@@ -112,12 +113,6 @@ def _polevl(coef, v: np.ndarray, out: np.ndarray, monic: bool = False) -> None:
         np.add(out, c, out=out)
 
 
-def _clip(x, lo, hi, out) -> None:
-    """``np.clip(x, lo, hi, out=out)``, NaN kept, without its Python layer."""
-    np.maximum(x, lo, out=out)
-    np.minimum(out, hi, out=out)
-
-
 def _blend(out, small, large, ind) -> None:
     """``out = small`` where |x| < 1 and ``sign(x) * large`` elsewhere, for
     ``ind = trunc(clip(x, -1, 1))``: sign(x) where |x| >= 1, else +-0. Both
@@ -133,13 +128,13 @@ def _blend(out, small, large, ind) -> None:
 
 
 def _erf32(x, out, a, b, c, d) -> None:
-    _clip(x, -1, 1, a)
+    x.clip(-1, 1, out=a)
     np.multiply(a, a, out=b)
     _polevl(_SMALL32, b, out=c)
     np.multiply(c, a, out=c)
     np.add(c, a, out=c)  # x + x p(x^2)
     np.abs(x, out=b)
-    _clip(b, 1, _CLAMP32, b)
+    b.clip(1, _CLAMP32, out=b)
     np.subtract(b, _CENTER32, out=b)
     _polevl(_LARGE32, b, out=d)
     np.subtract(1, d, out=d)  # 1 - r(|x| - 2.5)
@@ -148,7 +143,7 @@ def _erf32(x, out, a, b, c, d) -> None:
 
 
 def _erf64(x, out, a, b, c, d) -> None:
-    _clip(x, -6.0, 6.0, a)
+    x.clip(-6.0, 6.0, out=a)
     np.multiply(a, a, out=b)
     _polevl(_T, b, out=c)
     np.multiply(a, c, out=c)
@@ -162,6 +157,6 @@ def _erf64(x, out, a, b, c, d) -> None:
     _polevl(_Q, a, out=d, monic=True)
     np.divide(b, d, out=b)
     np.subtract(1.0, b, out=b)  # 1 - exp(-x^2) P(|x|) / Q(|x|)
-    _clip(x, -1, 1, a)
+    x.clip(-1, 1, out=a)
     np.trunc(a, out=a)
     _blend(out, c, b, a)

@@ -42,11 +42,14 @@ scale ``mul_rowvec``, the optional bias of ``linear`` and the bias map of
 optimization, automatic fusion, or device support; the fused ops are written
 by hand: ``linear`` (the package's one matrix product, with an optional bias,
 one node per affine map), ``layer_norm``, ``cdf_gate`` (the Gaussian-CDF
-gate) and ``offset_mix`` (the local branch's grid-window mixing, one
-``einsum`` over padded-grid windows).
+gate) and ``offset_mix`` (the local branch's grid-window mixing: one
+``einsum`` each for the value and its gradients, over padded-grid windows
+with two axes merged into one long contiguous axis).
 Max reductions route the gradient to the lowest index among maximal entries
 so every subgradient choice is deterministic and testable. No op loops in
-Python over offsets, images or rows; ``reduce_max`` loops over its k indices.
+Python over offsets, images or rows; ``reduce_max`` loops over its k indices
+(one ``np.maximum`` pass each for a max along an outer axis, one equality
+pass each for its winners).
 """
 
 from __future__ import annotations
@@ -451,7 +454,19 @@ def reduce_mean(x: Tensor, axis: int) -> Tensor:
 def reduce_max(x: Tensor, axis: int) -> Tensor:
     """Max along ``axis``; ties route the gradient to the lowest index."""
     axis = _check_axis(x, axis)
-    m = np.max(x.data, axis=axis)
+    lead = (slice(None),) * axis  # x.data[lead + (j,)]: the entries at index j, a view
+    if math.prod(x.shape[axis + 1 :]) == 1:
+        # The axis is the innermost one. np.max reduces along it with a kernel
+        # of its own, whose NaN results can differ in sign from np.maximum's.
+        m = np.max(x.data, axis=axis)
+    else:
+        # One np.maximum pass per index, each along the entries after the axis.
+        # np.max reduces in this order too, so the bits are its own, NaN and
+        # signed zeros included; at the aggregators' [8192, 4, 16] it took
+        # three times as long.
+        m = x.data[lead + (0,)].copy()
+        for j in range(1, x.shape[axis]):
+            np.maximum(m, x.data[lead + (j,)], out=m)
     out = Tensor._from_op(m, (x,), "reduce_max")
     if not out._node.requires_grad:
         return out
@@ -459,7 +474,7 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
     # written last, as argmax picks it. The narrowest unsigned dtype holds them.
     winners = np.zeros(m.shape, dtype=np.min_scalar_type(x.shape[axis] - 1))
     for j in reversed(range(x.shape[axis])):
-        np.copyto(winners, j, where=x.data[(slice(None),) * axis + (j,)] == m)
+        np.copyto(winners, j, where=x.data[lead + (j,)] == m)
     x = x._node
 
     def bw(g: np.ndarray) -> None:
@@ -757,17 +772,34 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return out
 
 
-def _grid_windows(a: np.ndarray, ry: int, rx: int) -> np.ndarray:
-    # Windows of [batch, h, w, c] grids zero-padded by (ry, rx): [batch, h, w, c, 2ry+1, 2rx+1],
-    # read-only, with sliding_window_view's strides over np.pad's array, built without their
-    # per-call Python layers.
+def _grid_windows(a: np.ndarray, ry: int, rx: int, merge: str) -> np.ndarray:
+    """Read-only windows of [batch, h, w, c] grids zero-padded by (ry, rx).
+
+    They are the [batch, h, w, c, 2ry+1, 2rx+1] sliding windows of the padded
+    grid with two adjacent axes merged into one: ``merge="column"`` gives
+    [batch, h, w·c, 2ry+1, 2rx+1], each row's (column, channel) pairs as one
+    axis, and ``merge="offset"`` gives [batch, h, w, 2ry+1, (2rx+1)·c], each
+    window row's (column offset, channel) pairs as one axis. Each merged axis
+    is contiguous, built with ``as_strided`` and without the Python layers of
+    ``np.pad`` and ``sliding_window_view``.
+    """
     batch, h, w, c = a.shape
-    padded = np.zeros((batch, h + 2 * ry, w + 2 * rx, c), dtype=a.dtype)
-    padded[:, ry : ry + h, rx : rx + w] = a
-    sb, sy, sx, sc = padded.strides
-    return as_strided(
-        padded, (batch, h, w, c, 2 * ry + 1, 2 * rx + 1), (sb, sy, sx, sc, sy, sx), writeable=False
-    )
+    padded = np.zeros((batch, h + 2 * ry, (w + 2 * rx) * c), dtype=a.dtype)
+    padded.reshape(batch, h + 2 * ry, w + 2 * rx, c)[:, ry : ry + h, rx : rx + w] = a
+    sb, sy, s = padded.strides
+    if merge == "column":
+        shape, strides = (batch, h, w * c, 2 * ry + 1, 2 * rx + 1), (sb, sy, s, sy, c * s)
+    else:
+        shape, strides = (batch, h, w, 2 * ry + 1, (2 * rx + 1) * c), (sb, sy, c * s, sy, s)
+    return as_strided(padded, shape, strides, writeable=False)
+
+
+def _tile_last(a: np.ndarray, n: int) -> np.ndarray:
+    # a[..., c] repeated n times along a merged last axis of n·c, to pair with a
+    # merged window axis. A copy, except at c = 1, where it is a zero-stride view:
+    # einsum then loops over the window offsets innermost, as over the unmerged
+    # windows, and so keeps their sums' bits.
+    return np.broadcast_to(a[..., None, :], (*a.shape[:-1], n, a.shape[-1])).reshape(*a.shape[:-1], -1)
 
 
 def offset_mix(x: Tensor, weights: Tensor, grid: tuple[int, int], bias: Tensor) -> Tensor:
@@ -782,8 +814,18 @@ def offset_mix(x: Tensor, weights: Tensor, grid: tuple[int, int], bias: Tensor) 
 
     over the offsets whose source lies on the grid (zero padding: an offset
     that falls off the grid contributes neither its weight nor its bias).
-    Forward, input and weight gradients are one ``einsum`` each over the zero-padded
-    grid's windows, clipped to offsets that reach it; bias adds one [h, w, c] map.
+    The value and each gradient are one ``einsum`` over the zero-padded
+    grid's windows, clipped to offsets that reach it; the bias terms are the
+    weights' terms over a grid of ones. numpy runs an einsum's inner loop
+    along one axis of its operands, and over the plain windows that axis is
+    c, too short to pay for the loop (c = 16 at tiny's stage 0). So the value
+    and x's gradient take windows with each row's (column, channel) pairs
+    merged, one loop w·c long, against the kernel repeated over the columns;
+    the weight and bias gradients take windows with each window row's
+    (column offset, channel) pairs merged, one loop (2r+1)·c long, against
+    ``g`` repeated over the column offsets. Every output element still sums
+    its terms in the same order, so the bits are those of the unmerged
+    einsums.
     """
     if weights.data.ndim != 2:
         raise DimensionError("offset_mix: weights must be [offsets, channels]")
@@ -804,12 +846,25 @@ def offset_mix(x: Tensor, weights: Tensor, grid: tuple[int, int], bias: Tensor) 
     live = (slice(r - ry, r + ry + 1), slice(r - rx, r + rx + 1))
     kernel = weights.data.reshape(side, side, c)[live]
     xg = x.data.reshape(batch, h, w, c)
-    # valid[i, j, y, x] = 1 where node (i, j)'s offset (y - ry, x - rx) is on the grid.
-    valid = _grid_windows(np.ones((1, h, w, 1), dtype=xg.dtype), ry, rx)[0, :, :, 0]
+    # Padded, a grid of ones gives the bias terms' windows (one stored entry).
+    ones = np.broadcast_to(np.ones((), dtype=xg.dtype), (1, h, w, c))
 
     # No ``optimize``: it would copy the windows out, 49 times the grid at r = 3.
-    y = np.einsum("bijcyx,yxc->bijc", _grid_windows(xg, ry, rx), kernel)
-    y += np.einsum("ijyx,yxc->ijc", valid, bias.data.reshape(side, side, c)[live])
+    def mix(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # [batch, h, w·c]: each node's sum over offsets of k times a there.
+        return np.einsum("bimyx,yxm->bim", _grid_windows(a, ry, rx, "column"), _tile_last(k, w))
+
+    def correlate(ga: np.ndarray, a: np.ndarray, dtype) -> np.ndarray:
+        # [offsets, c]: each offset's sum over nodes of ga times a there, 0 for
+        # the offsets that never reach the grid.
+        table = np.zeros((side, side, c), dtype)
+        table[live] = np.einsum(
+            "bijn,bijyn->yn", _tile_last(ga, 2 * rx + 1), _grid_windows(a, ry, rx, "offset")
+        ).reshape(2 * ry + 1, 2 * rx + 1, c)
+        return table.reshape(n_off, c)
+
+    y = mix(xg, kernel)
+    y += mix(ones, bias.data.reshape(side, side, c)[live])
     out = Tensor._from_op(y.reshape(x.shape), (x, weights, bias), "offset_mix")
     x, weights, bias = x._node, weights._node, bias._node
 
@@ -817,16 +872,11 @@ def offset_mix(x: Tensor, weights: Tensor, grid: tuple[int, int], bias: Tensor) 
         gg = g.reshape(batch, h, w, c)
         if x.requires_grad:
             # Node p feeds node p - offset: the adjoint flips the kernel.
-            gx = np.einsum("bijcyx,yxc->bijc", _grid_windows(gg, ry, rx), kernel[::-1, ::-1])
-            x._accumulate(gx.reshape(x.shape), owned=True)
+            x._accumulate(mix(gg, kernel[::-1, ::-1]).reshape(x.shape), owned=True)
         if weights.requires_grad:
-            gw = np.zeros(weights.shape, weights.dtype)
-            gw.reshape(side, side, c)[live] = np.einsum("bijc,bijcyx->yxc", gg, _grid_windows(xg, ry, rx))
-            weights._accumulate(gw, owned=True)
+            weights._accumulate(correlate(gg, xg, weights.dtype), owned=True)
         if bias.requires_grad:
-            gb = np.zeros(bias.shape, bias.dtype)
-            gb.reshape(side, side, c)[live] = np.einsum("ijc,ijyx->yxc", gg.sum(axis=0), valid)
-            bias._accumulate(gb, owned=True)
+            bias._accumulate(correlate(gg.sum(axis=0, keepdims=True), ones, bias.dtype), owned=True)
 
     _set_backward(out, bw)
     return out

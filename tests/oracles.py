@@ -7,7 +7,9 @@ formulas by hand (tests compare it with ``AGGREGATOR_WEIGHTS`` and
 decomposition identity that motivates MaxE's max-of-differences term, and
 :func:`checked_topology` asserts what every top-k selection promises.
 :func:`cast_model` gives the float64 copies of a model that the gradient and
-oracle checks run on.
+oracle checks run on. :func:`offset_mix_einsums` and :func:`max_reference`
+are the plain numpy forms that ``offset_mix`` and ``reduce_max`` must match
+byte for byte.
 """
 
 from __future__ import annotations
@@ -115,3 +117,40 @@ def cast_model(model: Model, dtype) -> Model:
     leaves that need gradients."""
     params = {name: Tensor(t.data.astype(dtype), requires_grad=True) for name, t in model.params.items()}
     return Model(model.config, dtype=dtype, params=params)
+
+
+def offset_mix_einsums(x, weights, bias, grid, g):
+    """``offset_mix``'s value and its x, weight and bias gradients for the
+    output gradient ``g``, each one einsum over the [batch, h, w, c, 2ry+1,
+    2rx+1] windows that ``np.pad`` and ``sliding_window_view`` give, with an
+    inner loop only c long."""
+    n_off, c = weights.shape
+    side = int(round(n_off**0.5))
+    r = side // 2
+    h, w = grid
+    ry, rx = min(r, h - 1), min(r, w - 1)
+    live = (slice(r - ry, r + ry + 1), slice(r - rx, r + rx + 1))
+
+    def windows(a):
+        padded = np.pad(a, ((0, 0), (ry, ry), (rx, rx), (0, 0)))
+        return np.lib.stride_tricks.sliding_window_view(padded, (2 * ry + 1, 2 * rx + 1), axis=(1, 2))
+
+    xg, gg = x.reshape(-1, h, w, c), g.reshape(-1, h, w, c)
+    kernel = weights.reshape(side, side, c)[live]
+    valid = windows(np.ones((1, h, w, 1), x.dtype))[0, :, :, 0]
+    y = np.einsum("bijcyx,yxc->bijc", windows(xg), kernel)
+    y += np.einsum("ijyx,yxc->ijc", valid, bias.reshape(side, side, c)[live])
+    gx = np.einsum("bijcyx,yxc->bijc", windows(gg), kernel[::-1, ::-1])
+    gw, gb = np.zeros_like(weights), np.zeros_like(bias)
+    gw.reshape(side, side, c)[live] = np.einsum("bijc,bijcyx->yxc", gg, windows(xg))
+    gb.reshape(side, side, c)[live] = np.einsum("ijc,ijyx->yxc", gg.sum(axis=0), valid)
+    return y.reshape(x.shape), gx.reshape(x.shape), gw, gb
+
+
+def max_reference(x, axis, g):
+    """``np.max`` of ``x`` along ``axis``, and the gradient ``g`` routed to
+    the first maximal index, where ``np.argmax`` points."""
+    grad = np.zeros_like(x)
+    first = np.expand_dims(np.argmax(x, axis=axis), axis)
+    np.put_along_axis(grad, first, np.expand_dims(g, axis), axis)
+    return np.max(x, axis=axis), grad

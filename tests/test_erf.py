@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy.special import erf as sp_erf
 
+from pvg import _erf
 from pvg._erf import erf
 
 ULP_BOUND = 1.5  # the float32 bound stated in cdf_gate's docstring
@@ -100,6 +101,38 @@ class TestFloat64:
         got = call(np.array([-0.0, 0.0, np.inf, -np.inf, np.nan]))
         assert np.signbit(got[:2]).tolist() == [True, False] and got[1] == 0.0
         assert got[2:4].tolist() == [1.0, -1.0] and np.isnan(got[4])
+
+
+class TwoPassClamp(np.ndarray):
+    """An array whose ``clip`` is the two-pass ``maximum``/``minimum`` clamp,
+    NaN kept as ``maximum`` keeps it: the reference for erf's one-pass clamps."""
+
+    def clip(self, lo, hi, out):
+        np.maximum(self, lo, out=out)
+        return np.minimum(out, hi, out=out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clamps_give_the_bits_of_the_two_pass_clamp(dtype):
+    # Each kernel runs once on plain arrays and once on arrays whose clip is
+    # the two passes; the results must be the same bytes.
+    fi = np.finfo(dtype)
+    edges = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, fi.smallest_subnormal,
+             fi.tiny / 2, fi.tiny, 1.0, 3.92, 6.0, fi.max]
+    x = np.concatenate([
+        np.array(edges, dtype=dtype),
+        -np.array(edges, dtype=dtype),
+        np.nextafter(np.array([1.0, 3.92, 6.0], dtype=dtype), 0),
+        np.random.default_rng(33).normal(scale=3.0, size=4096).astype(dtype),
+    ])
+    kernel = _erf._erf32 if dtype == np.float32 else _erf._erf64
+    runs = []
+    for kind in (np.ndarray, TwoPassClamp):
+        arrays = [a.view(kind) for a in (x, np.empty_like(x), *np.empty((4, x.size), dtype))]
+        kernel(*arrays)
+        runs.append(arrays[1].tobytes())
+    assert runs[0] == runs[1]
+    assert runs[0] == call(x).tobytes()
 
 
 class TestCalling:

@@ -3,6 +3,7 @@ the local branch, and the progressive channel schedule."""
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pvg.graph import (
 )
 from pvg.tensor import Tensor, _grid_windows, offset_mix
 
-from oracles import checked_topology
+from oracles import checked_topology, offset_mix_einsums
 
 
 def zero_bias(weights: Tensor) -> Tensor:
@@ -286,19 +287,79 @@ def dense_local_oracle(x, alpha, h, w, r):
 
 
 class TestLocalBranch:
+    @pytest.mark.parametrize("merge", ["column", "offset"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("h, w, ry, rx", [(4, 5, 1, 2), (3, 3, 0, 0), (2, 3, 2, 5), (1, 4, 3, 0)])
-    def test_grid_windows_equal_pad_and_sliding_window_view(self, dtype, h, w, ry, rx):
-        # Byte for byte, strides included, with radii at and beyond the grid side.
-        a = np.random.default_rng(h * w + ry).normal(size=(2, h, w, 3)).astype(dtype)
+    def test_grid_windows_equal_pad_and_sliding_window_view(self, dtype, h, w, ry, rx, merge):
+        # Byte for byte, strides included, with radii at and beyond the grid side:
+        # the sliding windows with (column, channel) or (column offset, channel)
+        # merged, which numpy reshapes as a view.
+        batch, c = 2, 3
+        a = np.random.default_rng(h * w + ry).normal(size=(batch, h, w, c)).astype(dtype)
         a[0, 0, 0] = [np.nan, np.inf, -0.0]
         want = np.lib.stride_tricks.sliding_window_view(
             np.pad(a, ((0, 0), (ry, ry), (rx, rx), (0, 0))), (2 * ry + 1, 2 * rx + 1), axis=(1, 2)
         )
-        got = _grid_windows(a, ry, rx)
-        assert got.dtype == want.dtype and got.shape == want.shape and got.strides == want.strides
+        if merge == "column":
+            want = want.reshape(batch, h, w * c, 2 * ry + 1, 2 * rx + 1)
+        else:
+            want = want.transpose(0, 1, 2, 4, 5, 3).reshape(batch, h, w, 2 * ry + 1, (2 * rx + 1) * c)
+        assert not want.flags.owndata
+        got = _grid_windows(a, ry, rx, merge)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # reshape may give an axis of length 1 any stride
+        assert [st for n, st in zip(got.shape, got.strides) if n > 1] == [
+            st for n, st in zip(want.shape, want.strides) if n > 1
+        ]
         assert not got.flags.writeable
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 16, 48])
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    @pytest.mark.parametrize("h, w", [(16, 16), (4, 4), (2, 3), (1, 5)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_equals_the_unmerged_einsums_bit_for_bit(self, batch, h, w, r, c, dtype):
+        # The value and every gradient are the bytes of one einsum over the
+        # unmerged windows, on windows that the grid clips (r = 3 on 4 x 4, 2 x 3,
+        # 1 x 5, where ry != rx) and at c = 1, where the repeated kernel and
+        # gradient are zero-stride views.
+        side = 2 * r + 1
+        rng = np.random.default_rng(1000 * h + 100 * w + 10 * r + c)
+        x, weights, bias = (
+            rng.normal(size=shape).astype(dtype)
+            for shape in ((batch * h * w, c), (side * side, c), (side * side, c))
+        )
+        g = rng.normal(size=x.shape).astype(dtype)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, weights, bias)]
+        y = offset_mix(leaves[0], leaves[1], (h, w), bias=leaves[2])
+        got = [y.data.tobytes()]
+        y.backward(g)
+        got += [t.grad.tobytes() for t in leaves]
+        assert got == [a.tobytes() for a in offset_mix_einsums(x, weights, bias, (h, w), g)]
+
+    def test_forward_and_backward_at_tiny_stage_0_peak_at_most_12_5_gradients(self):
+        # Batch 32, 16 x 16, c = 16, r = 3. The weight gradient repeats g over
+        # the 7 column offsets, and the padded grid is 1.9 times x: the peak
+        # reads 11.9 times g (the unmerged einsums read 4.9). An einsum that
+        # copied its windows out would hold 49 times x.
+        batch, h, w, c, r = 32, 16, 16, 16, 3
+        rng = np.random.default_rng(16)
+        x, weights, bias = (
+            Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+            for shape in ((batch * h * w, c), ((2 * r + 1) ** 2, c), ((2 * r + 1) ** 2, c))
+        )
+        g = rng.normal(size=x.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            offset_mix(x, weights, (h, w), bias=bias).backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(t.grad is not None for t in (x, weights, bias))
+        assert peak <= 12.5 * g.nbytes, peak / g.nbytes
 
     def test_delta_weights_identity(self):
         r, c = 2, 3

@@ -1,5 +1,6 @@
 """Tensor core: forward semantics, gradient rules, and the PVGT format."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -21,6 +22,7 @@ from pvg.graphlu import gelu
 from pvg.net import Model, tiny_config
 from pvg.pvgt import read_tensor, write_tensor
 from pvg.tensor import Tensor
+from oracles import max_reference
 from test_graphlu import eight_op_chain
 
 
@@ -317,10 +319,13 @@ class TestReduce:
         np.testing.assert_array_equal(x.grad, want)
 
     @pytest.mark.parametrize("axis", [0, 1, 2, -1])
-    @pytest.mark.parametrize("kind", ["duplicated-rows", "signed-zeros", "all-equal", "few-levels"])
+    @pytest.mark.parametrize(
+        "kind", ["duplicated-rows", "signed-zeros", "all-equal", "few-levels", "infinities", "aggregator-layout"]
+    )
     def test_max_winners_equal_argmax_under_ties(self, kind, axis):
-        # The winners come from equality passes, not argmax; the gradient
-        # lands where argmax's first maximum is, on every axis.
+        # The max is np.max's, byte for byte; the winners come from equality
+        # passes, not argmax, and the gradient lands where argmax's first
+        # maximum is, on every axis.
         rng = np.random.default_rng(len(kind) + axis)
         if kind == "duplicated-rows":  # neighbour blocks that repeat a row
             x0 = rng.normal(size=(5, 3))[rng.integers(0, 5, size=(6, 5))]
@@ -328,18 +333,33 @@ class TestReduce:
             x0 = rng.choice(np.array([-0.0, 0.0, -1.0]), size=(6, 5, 3))
         elif kind == "all-equal":
             x0 = np.full((6, 5, 3), 0.25)
+        elif kind == "infinities":
+            x0 = rng.choice(np.array([-np.inf, np.inf, -0.0, 0.0, 1.0]), size=(6, 5, 3))
+        elif kind == "aggregator-layout":  # [rows, k, c], each pass 16 channels long
+            x0 = rng.choice(np.array([-0.0, 0.0, -2.0, 0.5]), size=(64, 9, 16))
         else:
             x0 = rng.integers(0, 3, size=(6, 5, 3)).astype(np.float64)
         for dtype in (np.float32, np.float64):
-            x = Tensor(x0.astype(dtype), requires_grad=True)
+            x = Tensor._leaf(x0.astype(dtype), True)  # infinities pass no constructor check
             out = T.reduce_max(x, axis)
-            assert out.data.tobytes() == np.max(x.data, axis=axis).tobytes()
             seed = rng.uniform(1.0, 2.0, size=out.shape).astype(dtype)
+            want, want_grad = max_reference(x.data, axis, seed)
+            assert out.data.tobytes() == want.tobytes()
             out.backward(seed=seed)
-            want = np.zeros_like(x.data)
-            first = np.expand_dims(np.argmax(x.data, axis=axis), axis)
-            np.put_along_axis(want, first, np.expand_dims(seed, axis), axis)
-            assert x.grad.tobytes() == want.tobytes()
+            assert x.grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_equals_np_max_on_every_pair_and_triple_of_special_values(self, dtype):
+        # NaN of either sign, signed zeros and infinities, reduced along the
+        # innermost axis (np.max) and along outer ones (the np.maximum passes).
+        values = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0]
+        for k in (2, 3):
+            rows = np.array(list(itertools.product(values, repeat=k)), dtype=dtype)  # [8**k, k]
+            for x in (rows, rows.T.copy(), np.stack([rows, rows[::-1]] * 8, axis=2)):
+                for axis in range(x.ndim):
+                    got = T.reduce_max(Tensor._leaf(x, False), axis)
+                    want, _ = max_reference(x, axis, np.zeros(got.shape, dtype))
+                    assert got.data.tobytes() == want.tobytes(), (k, x.shape, axis)
 
     def test_max_gradient_matches_fd_off_ties(self):
         # away from ties the subgradient is the true gradient
