@@ -35,7 +35,8 @@ KERNELS = {
 }
 # The recompute node against its pass-through (MaxE, every activation and
 # layout), the recompute op itself, the gate against its elementwise chain,
-# and the FFN's row blocks against theirs.
+# the FFN's row blocks against theirs, and the similarity scores' symmetry,
+# which rests on numpy mirroring one syrk triangle of ``xa @ xa^T``.
 BIT_TESTS = [
     f"tests/test_net.py::TestAutogradGraph::test_recompute_equals_the_pass_through_in_the_model[MaxE-{act}-{layout}]"
     for act in ACTIVATIONS
@@ -44,6 +45,7 @@ BIT_TESTS = [
     "tests/test_tensor.py::TestRecompute",
     "tests/test_tensor.py::TestWholeArrayGate::test_cdf_gate_equals_the_elementwise_chain",
     "tests/test_net.py::TestFfnSublayer::test_row_blocks_equal_the_elementwise_chain",
+    "tests/test_graph.py::TestPairwiseSimilarity::test_symmetry",
 ]
 
 

@@ -4,8 +4,9 @@ with exactly one ``error:<category>:`` line on stderr.
 ``pvg eval`` and ``pvg diag`` cases corrupt a checkpoint: a manifest leaf
 replaced, a parameter file deleted, truncated or with one byte flipped.
 Other ``pvg eval`` cases corrupt the dataset: the image file or the labels
-CSV truncated or with one byte flipped, or one CSV cell replaced; other
-``pvg diag`` cases corrupt the image file. ``pvg count`` cases replace a
+CSV truncated or with one byte flipped, or one CSV cell replaced, or one
+extent of a parameter file or of the image file raised past what the file
+holds; other ``pvg diag`` cases corrupt the image file. ``pvg count`` cases replace a
 leaf of a run config, and ``pvg train`` cases replace one or corrupt the
 image or labels file. The cases are fixed by their seeds, and each runs
 ``cli.main`` in-process on files under a pytest temporary directory.
@@ -193,6 +194,41 @@ def test_corrupted_image_file_diag(checkpoint, tmp_path, capsys, seed):
             run_case(argv, case, capsys)
         finally:
             images.write_bytes(original)
+
+
+# Extents that declare more than the file holds: one element more, 1024
+# times as many, and past what any allocation could hold.
+INFLATED = [lambda e: e + 1, lambda e: e * 1024, lambda e: 2**31, lambda e: 2**32 - 1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("which", ["parameter", "images"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_extents_past_the_file_eval(checkpoint, capsys, which, seed):
+    # The declared size is checked against the file's before anything is
+    # allocated: a file-format error, never a memory error.
+    tp = checkpoint
+    argv = ["eval", "--checkpoint", str(tp / "ckpt"), "--data", str(tp / "x.pvgt"), "--labels", str(tp / "y.csv")]
+    if which == "parameter":
+        files = sorted(p for p in (tp / "ckpt").iterdir() if p.suffix == ".pvgt")
+    else:
+        files = [tp / "x.pvgt"]
+    rng = random.Random(seed)
+    for i in range(len(INFLATED) * 4):
+        target = rng.choice(files)
+        original = target.read_bytes()
+        rank = int.from_bytes(original[4:8], "little")
+        axis, inflate = rng.randrange(rank), INFLATED[i % len(INFLATED)]
+        at = 8 + 4 * axis
+        extent = int.from_bytes(original[at : at + 4], "little")
+        target.write_bytes(original[:at] + inflate(extent).to_bytes(4, "little") + original[at + 4 :])
+        case = f"seed {seed} case {i}: {target.name} extent {axis} {extent} -> {inflate(extent)}"
+        try:
+            code = cli_main(argv)
+            _, err = capsys.readouterr()
+            assert code and ERROR_LINE.fullmatch(err) and err.startswith("error:file-format:"), f"{case}: {err!r}"
+        finally:
+            target.write_bytes(original)
 
 
 def too_long(path) -> bool:

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -879,6 +881,19 @@ class TestGradCheckHarness:
 
 
 class TestPVGTFormat:
+    @staticmethod
+    def traced_peak(fn):
+        """fn's result and the most memory tracemalloc saw held during it."""
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 128 images of 32 x 32 x 3, 1.5 MiB: eval-b1's corpus.
+    IMAGES = (128, 32, 32, 3)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         arr = np.random.default_rng(9).normal(size=(3, 5, 2)).astype(np.float32)
         path = tmp_path / "t.pvgt"
@@ -925,3 +940,92 @@ class TestPVGTFormat:
         path.write_bytes(data[:-7])
         with pytest.raises(FileFormatError):
             read_tensor(path)
+
+    def test_trailing_bytes_name_both_sizes(self, tmp_path):
+        path = tmp_path / "t.pvgt"
+        write_tensor(path, np.ones((4, 4), dtype=np.float32))
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(FileFormatError, match="payload is 67 bytes, expected 64"):
+            read_tensor(path)
+
+    def test_declared_size_is_checked_before_any_allocation(self, tmp_path):
+        # [2**20, 2**10] declares 4 GiB on a 32-byte file.
+        path = tmp_path / "big.pvgt"
+        path.write_bytes(b"PVGT" + struct.pack("<3I", 2, 2**20, 2**10) + bytes(16))
+
+        def read():
+            with pytest.raises(FileFormatError, match="payload is 16 bytes, expected 4294967296"):
+                read_tensor(path)
+
+        _, peak = self.traced_peak(read)
+        assert peak < 2**20, peak
+
+    def test_file_that_shrinks_after_its_size_is_read(self, tmp_path, monkeypatch):
+        # The array is allocated uninitialised: a short read must not return it.
+        path = tmp_path / "t.pvgt"
+        write_tensor(path, np.ones((4, 4), dtype=np.float32))
+        real = path.stat()
+        path.write_bytes(path.read_bytes()[:-6])
+        monkeypatch.setattr(os, "fstat", lambda fd: real)
+        with pytest.raises(FileFormatError, match="payload is 58 bytes, expected 64"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "kind", ["float64", "non-contiguous", "fortran", "rank-0", "empty", "big-endian", "list"]
+    )
+    def test_written_bytes_are_header_then_c_order_little_endian_f4(self, tmp_path, kind):
+        base = np.random.default_rng(11).normal(size=(4, 6, 5))
+        array = {
+            "float64": base,
+            "non-contiguous": base.astype(np.float32)[:, ::2, 1:],
+            "fortran": np.asfortranarray(base.astype(np.float32)),
+            "rank-0": np.float64(3.25),
+            "empty": np.empty((2, 0, 3)),
+            "big-endian": base.astype(">f4"),
+            "list": [[1, 2, 3], [4, 5, 6]],
+        }[kind]
+        values = np.array(array, dtype=np.float32)
+        want = (
+            b"PVGT"
+            + struct.pack(f"<{1 + values.ndim}I", values.ndim, *values.shape)
+            + values.astype("<f4").tobytes(order="C")
+        )
+        write_tensor(tmp_path / "t.pvgt", array)
+        assert (tmp_path / "t.pvgt").read_bytes() == want
+
+    def test_read_back_is_writable_float32(self, tmp_path):
+        path = tmp_path / "t.pvgt"
+        write_tensor(path, np.arange(6, dtype=np.float32).reshape(2, 3))
+        back = read_tensor(path)
+        assert back.dtype == np.dtype("<f4") and back.flags.writeable and back.flags.c_contiguous
+        back[1, 2] = -1.0
+        assert back.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, -1.0]]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to name a pipe")
+    def test_a_pipe_is_not_read(self, tmp_path):
+        # Its size is unknown before reading, so nothing bounds the payload.
+        path = tmp_path / "t.pvgt"
+        write_tensor(path, np.ones(3, dtype=np.float32))
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, path.read_bytes())
+            os.close(write_end)
+            with pytest.raises(FileFormatError, match="not a regular file"):
+                read_tensor(f"/proc/self/fd/{read_end}")
+        finally:
+            os.close(read_end)
+
+    def test_read_peaks_at_one_payload(self, tmp_path):
+        # The file read whole as bytes and then converted would peak at two.
+        images = np.random.default_rng(12).random(self.IMAGES, dtype=np.float32)
+        write_tensor(tmp_path / "x.pvgt", images)
+        back, peak = self.traced_peak(lambda: read_tensor(tmp_path / "x.pvgt"))
+        assert np.array_equal(back, images)
+        assert peak <= 1.1 * images.nbytes, peak / images.nbytes
+
+    def test_write_of_c_contiguous_float32_adds_no_copy(self, tmp_path):
+        # A converted copy and then its tobytes() would add two payloads.
+        images = np.random.default_rng(13).random(self.IMAGES, dtype=np.float32)
+        _, peak = self.traced_peak(lambda: write_tensor(tmp_path / "x.pvgt", images))
+        assert np.array_equal(read_tensor(tmp_path / "x.pvgt"), images)
+        assert peak < 0.1 * images.nbytes, peak / images.nbytes
