@@ -9,12 +9,22 @@ The PSGC schedule widens the second branch as blocks deepen by exactly the
 channels the local branch gives up; that is how the paper introduces its
 second-order similarity. The hand-over is by position only: every block's
 fuse and FFN mix all channels, so the channels a block's second graph
-scores are not the previous block's local-branch outputs. LayerScale is
-applied on the last ``layer_scale_blocks`` blocks of the stack (two by
-default).
+scores are not the previous block's local-branch outputs. LayerScale
+covers the last :data:`LAYER_SCALE_BLOCKS` blocks of the stack.
 
 Graphs are rebuilt every block, per image, from that block's own post-norm
 branch features; neighbor selection is structural and carries no gradient.
+They are scored and selected :data:`GRAPH_BLOCK` scores at a time. Each
+graph branch's aggregate and gate, and each FFN row block of
+:data:`GATE_BLOCK` hidden-width entries, run inside ``recompute``, so
+backward re-runs them from their inputs, never the graph build.
+
+Construction bounds every config: stage depths and widths
+(:data:`MAX_STAGE_DEPTH`, :data:`MAX_STAGE_WIDTH`), classes
+(:data:`MAX_CLASSES`), the parameter count (:data:`MAX_PARAMS`) and the
+stage-0 nodes per image (:data:`MAX_NODES`). ``Model.params`` is the only
+home of every parameter. Checkpoints hold float32 only and are written to a
+temporary directory that is renamed into place.
 
 :class:`Config`, the base of :class:`ModelConfig` and of :mod:`pvg.train`'s
 run configs, checks, reads and writes every configuration; :func:`read_json`
@@ -78,11 +88,17 @@ MAX_PARAMS = 2**27  # 512 MiB of float32 parameters; Pyramid ViG-S has 19.76 M
 # stay within 128 MiB. 224 / 4 gives the paper's n = 3136.
 MAX_NODES = 2**12
 # Fixed by the model, not by its config: RGB input (a dataset's images have
-# IN_CHANNELS channels too), FFN hidden width per channel, and the granule
-# PSGC rounds branch widths to.
+# IN_CHANNELS channels too), FFN hidden width per channel, the granule PSGC
+# rounds branch widths to, the local branch's Chebyshev radius (a 7x7 window;
+# every config's stage-0 grid is at least 16 wide), and LayerScale's initial
+# value and how many of the stack's last blocks it covers (every config has
+# at least 4 blocks).
 IN_CHANNELS = 3
 FFN_RATIO = 4
 GRANULARITY = 16
+RADIUS = 3
+LAYER_SCALE_INIT = 1e-5
+LAYER_SCALE_BLOCKS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +110,6 @@ def _has_type(value, tp) -> bool:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is list:
         return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
-    if origin is tuple:  # JSON has no tuples; a list of the right length will do
-        return (
-            isinstance(value, (list, tuple))
-            and len(value) == len(args)
-            and all(map(_has_type, value, args))
-        )
     if tp is not bool and isinstance(value, bool):
         return False
     return isinstance(value, (int, float) if tp is float else tp)
@@ -181,13 +191,10 @@ class ModelConfig(Config):
     stage_depths: list[int] = field(default_factory=lambda: [1, 1, 2, 1])
     stage_widths: list[int] = field(default_factory=lambda: [32, 64, 128, 256])
     stage_k: list[int] = field(default_factory=lambda: [4, 4, 8, 8])
-    radius: int = 3
     schedule_start: float = 0.25
     schedule_end: float = 0.75
     aggregator: str = "MaxE"
     activation: str = "graphlu"
-    layer_scale_init: float = 1e-5
-    layer_scale_blocks: int = 2
     num_classes: int = 2
     image_size: int = 32
     patch_size: int = 2
@@ -233,31 +240,16 @@ class ModelConfig(Config):
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not 2 <= self.num_classes <= MAX_CLASSES:
             raise ConfigError(f"num_classes must lie in [2, {MAX_CLASSES}], got {self.num_classes}")
-        if not 0 <= self.radius < grid:  # an offset of a whole grid side reaches no node
-            raise ConfigError(f"radius must lie in [0, {grid}), the grid side, got {self.radius}")
-        try:
-            with np.errstate(over="ignore"):
-                finite = bool(np.isfinite(np.float32(self.layer_scale_init)))
-        except OverflowError:  # an int beyond float64's range
-            finite = False
-        if not finite:
-            raise ConfigError(
-                f"layer_scale_init must be finite in float32, got {self.layer_scale_init}"
-            )
-        if not 0 <= self.layer_scale_blocks <= self.total_blocks():
-            raise ConfigError(
-                f"layer_scale_blocks must lie in [0, {self.total_blocks()}]"
-            )
         if (params := param_count(self)) > MAX_PARAMS:
             raise ConfigError(f"config has {params:,} parameters, more than MAX_PARAMS = {MAX_PARAMS:,}")
 
     def blocks(self) -> list[BlockPlan]:
         """Every block in forward order. The one place that derives each
         stage's grid, each block's channel split and effective k, and which
-        blocks LayerScale covers: the last ``layer_scale_blocks`` of the
-        stack."""
+        blocks LayerScale covers: the last :data:`LAYER_SCALE_BLOCKS` of
+        the stack."""
         side = self.image_size // self.patch_size
-        scaled_from = self.total_blocks() - self.layer_scale_blocks
+        scaled_from = self.total_blocks() - LAYER_SCALE_BLOCKS
         start, end = self.schedule_start, self.schedule_end
         plans: list[BlockPlan] = []
         for s in range(N_STAGES):
@@ -327,7 +319,7 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
     patch_in = cfg.patch_size * cfg.patch_size * IN_CHANNELS
     affine("stem.weight", "stem.bias", patch_in, cfg.stage_widths[0])
 
-    n_offsets = (2 * cfg.radius + 1) ** 2
+    n_offsets = (2 * RADIUS + 1) ** 2
     for plan in cfg.blocks():
         s, pre = plan.stage, plan.prefix
         c = cfg.stage_widths[s]
@@ -353,8 +345,8 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
         affine(pre + "ffn.w1", pre + "ffn.b1", c, FFN_RATIO * c)
         affine(pre + "ffn.w2", pre + "ffn.b2", FFN_RATIO * c, c)
         if plan.layer_scaled:
-            layout[pre + "scale1"] = ((c,), cfg.layer_scale_init)
-            layout[pre + "scale2"] = ((c,), cfg.layer_scale_init)
+            layout[pre + "scale1"] = ((c,), LAYER_SCALE_INIT)
+            layout[pre + "scale2"] = ((c,), LAYER_SCALE_INIT)
     affine("head.weight", "head.bias", cfg.stage_widths[-1], cfg.num_classes)
     return layout
 
@@ -376,23 +368,19 @@ class Model:
     :func:`param_layout` order, which is what makes checkpoints, counting,
     and reproducibility straightforward. ``params`` is their only home: the
     forward looks every tensor up by name per call, so replacing an entry
-    takes effect on the next forward.
+    takes effect on the next forward. Parameters drawn from the seed are
+    float32, the checkpoint format's dtype; given ``params`` may be of
+    another float dtype, and :attr:`dtype`, the dtype images are cast to,
+    is that of the first of them.
     """
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        seed: int = 0,
-        dtype=np.float32,
-        params: dict[str, Tensor] | None = None,
-    ):
+    def __init__(self, config: ModelConfig, seed: int = 0, params: dict[str, Tensor] | None = None):
         self.config = config
-        self.dtype = dtype
         self.plans = {(p.stage, p.block): p for p in config.blocks()}
         if params is None:
-            self.params = self._init_params(np.random.default_rng(seed))
-        else:
-            self.params = params
+            params = self._init_params(np.random.default_rng(seed))
+        self.params = params
+        self.dtype = next(iter(params.values())).dtype
 
     def _init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {}
@@ -403,7 +391,7 @@ class Model:
                 arr = rng.normal(0.0, np.sqrt(1.0 / shape[0]), size=shape)
             else:
                 arr = np.full(shape, init)
-            params[name] = Tensor(arr.astype(self.dtype), requires_grad=True)
+            params[name] = Tensor(arr.astype(np.float32), requires_grad=True)
         return params
 
     # -- housekeeping --------------------------------------------------------
@@ -416,7 +404,7 @@ class Model:
         """The same parameter buffers, not copied, as leaves that need no
         gradient: a forward of the result records no graph."""
         params = {name: Tensor(t.data) for name, t in self.params.items()}
-        return Model(self.config, dtype=self.dtype, params=params)
+        return Model(self.config, params=params)
 
     def clamp_activation_params(self) -> None:
         for name, t in self.params.items():
@@ -629,7 +617,7 @@ def count_params_flops(config: ModelConfig) -> tuple[int, int]:
             flops += n * 4 * cfg.stage_widths[s - 1] * c
         local_c, first_c, second_c = plan.widths
         if local_c:
-            flops += _local_pair_count(plan.grid, cfg.radius) * local_c
+            flops += _local_pair_count(plan.grid, RADIUS) * local_c
         for width in (first_c, second_c):  # a width of 0 adds nothing
             flops += transform_multadds(cfg.aggregator, width, n, plan.k)
         # Similarity: each global branch scores n^2 pairs over its own width.

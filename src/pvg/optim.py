@@ -51,7 +51,8 @@ def adamw_step(
     """One in-place update of parameter ``p``, whose moments ``state`` keeps
     under ``name`` (:meth:`AdamWState.zeros` allocates them); a ``None``
     gradient changes nothing. Moments are
-    bias-corrected for step ``t`` (the first step is 1). Decay is decoupled
+    bias-corrected for step ``t`` (the first step is 1); ``betas`` defaults
+    to (0.9, 0.999), the only value training uses. Decay is decoupled
     (applied to the raw weights, not folded into the gradient) and applies to
     matrices only; vectors and scalars (norm scale/shift, biases, LayerScale,
     activation relaxations) are exempt.

@@ -70,8 +70,8 @@ from .errors import (
 )
 
 # Names of every differentiable operation exposed by this module, each
-# reached by some model forward or its loss. Gradient certification (tests)
-# must cover each entry.
+# reached by some model forward or its loss (a test checks this over every
+# aggregator x activation). Gradient certification (tests) must cover each entry.
 DIFFERENTIABLE_OPS = [
     "add",
     "sub",
@@ -528,7 +528,9 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice along ``axis``; the gradient adds into the input's
-    rows of the slice, and is zero outside it."""
+    rows of the slice, and is zero outside it. It adds in place, filling a
+    zero array of the whole input only for the input's first gradient (the
+    FFN row blocks each narrow the block input)."""
     rank = x.data.ndim
     axis = _axis(rank, axis)
     if start < 0 or length < 0 or start + length > x.shape[axis]:
@@ -557,7 +559,8 @@ def gather_rows(x: Tensor, row_idx: np.ndarray) -> Tensor:
     ``row_idx`` may have any shape and must hold integers in [0, rows); the
     result has shape ``row_idx.shape + (x.shape[1],)``. Duplicate indices
     accumulate their gradients, which is what makes this double as an
-    explicit broadcast.
+    explicit broadcast. Backward scatters the gradient with one flat
+    ``np.add.at``.
     """
     if x.data.ndim != 2:
         raise DimensionError("gather_rows requires a rank-2 source")
@@ -685,6 +688,9 @@ def cdf_gate(x: Tensor, eps: Tensor) -> Tensor:
     reciprocal, ``* 1/sqrt(2)``, ``x * s``, erf, ``+ 1``, ``x * (.)``,
     ``* 0.5``: each step rounds in the same dtype and order, and x receives
     its two terms in the order that chain's backward sweep added them.
+    The backward is one whole-array chain over the gate's entries; every
+    model gate runs inside a :func:`recompute` node, on one graph branch or
+    one FFN row block, which keeps that chain's temporaries small.
     """
     if eps.size != 1:
         raise DimensionError(f"cdf_gate: eps must hold one value, got shape {eps.shape}")

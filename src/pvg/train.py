@@ -53,20 +53,16 @@ LOSS_SCALE = 2.0**96
 @dataclass
 class OptimizerConfig(Config):
     lr: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 0.05
 
     def _check(self) -> None:
         # Comparisons, not isfinite: they hold for an int past float64's range.
         if not 0 <= self.lr <= sys.float_info.max:
             raise ConfigError(f"lr must be finite and non-negative, got {self.lr}")
-        if not all(0 <= beta < 1 for beta in self.betas):
-            raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
         if not 0 <= self.weight_decay <= sys.float_info.max:
             raise ConfigError(
                 f"weight_decay must be finite and non-negative, got {self.weight_decay}"
             )
-        self.betas = tuple(self.betas)  # type: ignore[assignment]
 
 
 @dataclass
@@ -115,7 +111,9 @@ class EpochMetrics:
 
 def evaluate(model_or_dir, dataset: Dataset, batch_size: int = 32) -> tuple[float, float]:
     """Top-1 accuracy and mean loss of a model (or checkpoint dir) on a
-    dataset, forward only; non-finite logits raise :class:`NonFiniteError`."""
+    dataset; non-finite logits raise :class:`NonFiniteError`. The one
+    forward-only metric pass (``pvg eval`` and each epoch's accuracy call
+    it), run on :meth:`Model.detached`, so it records no graph."""
     _check_batch_size(batch_size)
     model = model_or_dir if isinstance(model_or_dir, Model) else load_checkpoint(model_or_dir)
     n = len(dataset)
@@ -182,7 +180,6 @@ def train(
             state,
             lr_t,
             global_step + 1,
-            betas=run.optimizer.betas,
             weight_decay=run.optimizer.weight_decay,
         )
 

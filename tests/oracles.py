@@ -116,7 +116,7 @@ def cast_model(model: Model, dtype) -> Model:
     """A copy of ``model`` with every parameter cast to ``dtype``, as fresh
     leaves that need gradients."""
     params = {name: Tensor(t.data.astype(dtype), requires_grad=True) for name, t in model.params.items()}
-    return Model(model.config, dtype=dtype, params=params)
+    return Model(model.config, params=params)
 
 
 def offset_mix_einsums(x, weights, bias, grid, g):

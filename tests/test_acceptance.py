@@ -16,6 +16,7 @@ from pvg.errors import DegenerateInputError
 from pvg.gradcheck import grad_check
 from pvg.graph import similarity_matrix, topk_neighbors
 from pvg.graphlu import gelu, graphlu, phi
+from pvg import net
 from pvg.net import Model, ModelConfig, deep_tiny_config, tiny_config
 from pvg.tensor import DIFFERENTIABLE_OPS, Tensor, layer_norm, softmax_cross_entropy
 from pvg.train import OptimizerConfig, RunConfig, ScheduleConfig, train
@@ -31,7 +32,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
-def test_criterion_gradient_certification():
+def test_criterion_gradient_certification(monkeypatch):
     """Every differentiable op and the full tiny forward pass the central
     finite-difference oracle in f64 at 1e-4 relative, >= 20 probes each."""
     t0 = time.time()
@@ -61,7 +62,9 @@ def test_criterion_gradient_certification():
     # The tiny config's only second graph branch sits in a LayerScale block,
     # where a 1e-5 scale puts its weights' gradients at the finite-difference
     # noise floor; it is probed where LayerScale covers the last block only.
-    shallow_scale = cast_model(Model(tiny_config(num_classes=3, layer_scale_blocks=1), seed=11), np.float64)
+    with monkeypatch.context() as patch:
+        patch.setattr(net, "LAYER_SCALE_BLOCKS", 1)
+        shallow_scale = cast_model(Model(cfg, seed=11), np.float64)
     for probed, pname in (
         (model, "stem.weight"),
         (model, "stage0.block0.first.W"),

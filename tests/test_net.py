@@ -196,23 +196,19 @@ class TestConfig:
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
         run = RunConfig(
             model=cfg,
-            optimizer=OptimizerConfig(lr=0.5, betas=(0.8, 0.9), weight_decay=0.0),
+            optimizer=OptimizerConfig(lr=0.5, weight_decay=0.0),
             schedule=ScheduleConfig(warmup_steps=1, total_steps=4),
             batch_size=3,
             seed=2,
             output_dir="out",
         )
         for config in (cfg, run.optimizer, run.schedule, run):
-            # Through JSON text, which has no tuples.
+            # Through JSON text.
             assert type(config).from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"radius": -1},
-            {"radius": 16},  # the tiny config's stage-0 grid is 16x16
-            {"layer_scale_blocks": -1},
-            {"layer_scale_blocks": 6},  # the tiny config has 5 blocks
             {"stage_k": [4, 0, 8, 8]},
             {"patch_size": 0},
             {"schedule_start": [0.25, 0.25, 0.25, 0.25]},
@@ -220,27 +216,22 @@ class TestConfig:
             {"schedule_start": None},
             {"activation": "relu"},
             {"aggregator": "Foo"},
-            {"radius": 1.5},
-            {"radius": True},
+            {"patch_size": 1.5},
+            {"patch_size": True},
             {"image_size": "32"},
             {"stage_k": [4, 4, 8.5, 8]},
             {"stage_depths": (1, 1, 2, 1)},
-            {"layer_scale_init": "1e-5"},
-            {"layer_scale_init": float("nan")},
-            {"layer_scale_init": float("inf")},
-            {"layer_scale_init": float("-inf")},
             {"schedule_start": 0.8, "schedule_end": 0.5},
             {"num_classes": 1},
             {"num_classes": net.MAX_CLASSES + 1},
             {"num_classes": 10**30},
         ],
         ids=[
-            "radius", "radius-grid-side", "layer-scale-low", "layer-scale-high", "stage-k",
+            "stage-k",
             "patch-size", "schedule-start-list", "schedule-end-list",
-            "schedule-start-none", "activation-relu", "aggregator", "radius-float",
-            "radius-bool", "image-size-str", "stage-k-float", "stage-depths-tuple",
-            "layer-scale-init-str", "layer-scale-init-nan",
-            "layer-scale-init-inf", "layer-scale-init-neg-inf", "schedule-ratios-reversed",
+            "schedule-start-none", "activation-relu", "aggregator", "patch-size-float",
+            "patch-size-bool", "image-size-str", "stage-k-float", "stage-depths-tuple",
+            "schedule-ratios-reversed",
             "num-classes-one", "num-classes-above-max", "num-classes-1e30",
         ],
     )
@@ -248,27 +239,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(**overrides)
 
-    @pytest.mark.parametrize("value", [1e300, -3.5e38, 10**400])
-    def test_layer_scale_init_beyond_float32_rejected(self, value):
-        # The parameters are float32: such a value would become inf there.
-        with pytest.raises(ConfigError, match="layer_scale_init"):
-            tiny_config(layer_scale_init=value)
-        assert tiny_config(layer_scale_init=3.4e38).layer_scale_init == 3.4e38
-
-    def test_layer_scale_on_every_block_accepted(self):
-        model = Model(tiny_config(layer_scale_blocks=5), seed=0)
-        assert "stage0.block0.scale1" in model.params
-
     def test_num_classes_at_the_bound_accepted(self):
         assert tiny_config(num_classes=net.MAX_CLASSES).num_classes == net.MAX_CLASSES
 
     def test_parameter_cap(self):
-        # Pyramid ViG-S's shape (Han et al., arXiv 2206.00272) fits under the cap.
-        vig_s = ModelConfig(
-            stage_depths=[2, 2, 6, 2], stage_widths=[80, 160, 400, 640], stage_k=[9] * 4,
-            image_size=224, patch_size=4, num_classes=1000,
-        )
-        assert 19.7e6 < net.param_count(vig_s) < 19.8e6
+        assert 19.7e6 < net.param_count(vig_s_config()) < 19.8e6  # fits under the cap
         assert net.param_count(tiny_config(num_classes=net.MAX_CLASSES)) <= net.MAX_PARAMS
         # 2,476,514,476 parameters: one [16384, 65536] FFN weight alone is 4 GiB.
         with pytest.raises(ConfigError, match="2,476,514,476 parameters, more than MAX_PARAMS"):
@@ -356,8 +331,7 @@ def ffn_blocks(root, rows: int | None) -> list:
 SWEPT_LAYOUTS = {
     "tiny": {},  # a second graph branch in one block only
     "no-second": {"schedule_start": 0.5, "schedule_end": 0.5},  # local and first-order only
-    # a block without a local branch, and LayerScale on every block
-    "no-local-all-scaled": {"schedule_end": 0.95, "layer_scale_blocks": 5},
+    "no-local": {"schedule_end": 0.95},  # a block without a local branch
 }
 
 
@@ -806,7 +780,7 @@ class TestMonolithicBlockOracle:
         P = {k: v.data for k, v in model.params.items()}
         pre = f"stage{s}.block{b}."
         local_c, first_c, second_c = model.plans[s, b].widths
-        r = cfg.radius
+        r = net.RADIUS
         n = grid * grid
 
         def ln(x, g, be):
@@ -933,9 +907,9 @@ def analytic_param_count(cfg: ModelConfig) -> int:
     """The parameter count written out by hand, block by block: an oracle
     that shares no code with ``param_layout``."""
     params = cfg.patch_size**2 * net.IN_CHANNELS * cfg.stage_widths[0] + cfg.stage_widths[0]
-    n_offsets = (2 * cfg.radius + 1) ** 2
+    n_offsets = (2 * net.RADIUS + 1) ** 2
     uses_graphlu = cfg.activation == "graphlu"
-    ls_from = cfg.total_blocks() - cfg.layer_scale_blocks
+    ls_from = cfg.total_blocks() - net.LAYER_SCALE_BLOCKS
     block_index = 0
     for s in range(4):
         c = cfg.stage_widths[s]
@@ -971,8 +945,8 @@ COUNTED_CONFIGS = {
     "vig-collapse": lambda: tiny_config(schedule_start=0.5, schedule_end=0.5),
     "ratios-scalar": lambda: tiny_config(schedule_start=0.375, schedule_end=0.625),
     "deep21": lambda: deep_tiny_config(21),
-    "radius0": lambda: tiny_config(radius=0),
-    "layer-scale-all": lambda: tiny_config(layer_scale_blocks=5, schedule_end=0.95),
+    "radius0": tiny_config,  # with RADIUS = 0 (PATCHED_CONSTANTS)
+    "layer-scale-all": lambda: tiny_config(schedule_end=0.95),  # with LAYER_SCALE_BLOCKS = 5
     # k at or above n - 1 in the first three stages: 256, 64 and 16 nodes.
     "k-clamped": lambda: tiny_config(image_size=16, patch_size=1, stage_k=[300, 64, 16, 8]),
     # Per-edge transforms cost n·k rows: clamped k in EdgeConv, and GraphSAGE's
@@ -984,15 +958,36 @@ COUNTED_CONFIGS = {
     # A second graph branch at n = 64 (stage 1, block 1), as well as at n = 16.
     "second-n64": lambda: tiny_config(stage_depths=[1, 2, 2, 1]),
 }
+# Counted layouts that a module constant fixes, reached by patching it.
+PATCHED_CONSTANTS = {"radius0": {"RADIUS": 0}, "layer-scale-all": {"LAYER_SCALE_BLOCKS": 5}}
+
+
+def counted_config(name: str, monkeypatch) -> ModelConfig:
+    """``COUNTED_CONFIGS[name]``, with its ``PATCHED_CONSTANTS`` set in
+    ``pvg.net`` through ``monkeypatch``."""
+    for constant, value in PATCHED_CONSTANTS.get(name, {}).items():
+        monkeypatch.setattr(net, constant, value)
+    return COUNTED_CONFIGS[name]()
+
+
+def vig_s_config(**overrides) -> ModelConfig:
+    """Pyramid ViG-S's shape (Han et al., arXiv 2206.00272): depths
+    [2, 2, 6, 2], widths [80, 160, 400, 640], k = 9, 224 / 4, 1000 classes."""
+    shape = dict(
+        stage_depths=[2, 2, 6, 2], stage_widths=[80, 160, 400, 640], stage_k=[9] * 4,
+        image_size=224, patch_size=4, num_classes=1000,
+    )
+    return ModelConfig(**{**shape, **overrides})
 
 
 class TestCounting:
-    def test_analytic_equals_enumeration(self):
-        for name, make in COUNTED_CONFIGS.items():
-            cfg = make()
-            params, _ = count_params_flops(cfg)
-            assert params == analytic_param_count(cfg), name
-            assert params == sum(t.size for t in Model(cfg, seed=0).params.values()), name
+    def test_analytic_equals_enumeration(self, monkeypatch):
+        for name in COUNTED_CONFIGS:
+            with monkeypatch.context() as patch:
+                cfg = counted_config(name, patch)
+                params, _ = count_params_flops(cfg)
+                assert params == analytic_param_count(cfg), name
+                assert params == sum(t.size for t in Model(cfg, seed=0).params.values()), name
 
     @pytest.mark.parametrize(
         "name, want",
@@ -1013,10 +1008,22 @@ class TestCounting:
             ("second-n64", (1223886, 18333440)),
         ],
     )
-    def test_counts_are_pinned(self, name, want):
+    def test_counts_are_pinned(self, monkeypatch, name, want):
         # (params, mult-adds) as the counting gave them before the block walk
         # was shared with the forward; a change here is a change of model.
-        assert count_params_flops(COUNTED_CONFIGS[name]()) == want
+        assert count_params_flops(counted_config(name, monkeypatch)) == want
+
+    @pytest.mark.parametrize(
+        "aggregator, want",
+        [("MaxE", (19762592, 4062016448)), ("MRGraphConv", (19445920, 4007776192))],
+        ids=["MaxE", "MRGraphConv"],
+    )
+    def test_paper_shape_counts_are_pinned(self, aggregator, want):
+        # What `pvg count` gives at the shape the README cites, counted
+        # without building the model's 19.76 M parameters.
+        cfg = vig_s_config(aggregator=aggregator)
+        assert count_params_flops(cfg) == want
+        assert want[0] == analytic_param_count(cfg)
 
     def test_doubling_widths_roughly_quadruples(self):
         base, _ = count_params_flops(tiny_config())
@@ -1064,8 +1071,8 @@ class TestBlockPlans:
         assert want[2:4] == [(80, 48, 0), (48, 48, 32)]
 
     @pytest.mark.parametrize("name", COUNTED_CONFIGS)
-    def test_forward_reads_exactly_the_layout(self, name):
-        cfg = COUNTED_CONFIGS[name]()
+    def test_forward_reads_exactly_the_layout(self, monkeypatch, name):
+        cfg = counted_config(name, monkeypatch)
         model = Model(cfg, seed=0)
         model.params = RecordingParams(model.params)
         model.forward(np.zeros((1, cfg.image_size, cfg.image_size, 3), np.float32))
@@ -1089,12 +1096,14 @@ class TestFullForwardGradient:
         report = grad_check(fn, Tensor(img), probes=20, seed=15, h=1e-5, op_name="pvg-forward/input")
         assert report.passed, str(report)
 
-    def test_parameter_gradients_match_central_differences(self):
+    def test_parameter_gradients_match_central_differences(self, monkeypatch):
         cfg = tiny_config(num_classes=3)
         model = cast_model(Model(cfg, seed=12), np.float64)
         # The tiny config's only second graph branch is in a LayerScale block;
         # this model leaves that block unscaled so its weights can be probed.
-        shallow_scale = cast_model(Model(tiny_config(num_classes=3, layer_scale_blocks=1), seed=12), np.float64)
+        with monkeypatch.context() as patch:
+            patch.setattr(net, "LAYER_SCALE_BLOCKS", 1)
+            shallow_scale = cast_model(Model(cfg, seed=12), np.float64)
         rng = np.random.default_rng(16)
         img = rng.uniform(0.2, 0.8, size=(1, 32, 32, 3))
         labels = np.array([2])
