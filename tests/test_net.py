@@ -902,6 +902,40 @@ class TestLayerScalePlacement:
             "stage3.block2.scale2",
         }
 
+    @pytest.mark.parametrize("scaled", [0, 1, 2, 3, 5])
+    def test_the_constant_counts_scaled_blocks_from_the_end(self, monkeypatch, scaled):
+        # blocks() and param_layout read LAYER_SCALE_BLOCKS when called, so
+        # the constant is the one place the placement is set.
+        monkeypatch.setattr(net, "LAYER_SCALE_BLOCKS", scaled)
+        cfg = tiny_config()
+        plans = cfg.blocks()
+        assert [p.layer_scaled for p in plans] == [i >= 5 - scaled for i in range(5)]
+        names = {name for name in net.param_layout(cfg) if ".scale" in name}
+        assert names == {p.prefix + s for p in plans if p.layer_scaled for s in ("scale1", "scale2")}
+
+    def test_scales_start_at_the_constant_in_float32(self):
+        model = Model(tiny_config(), seed=9)
+        scales = [t.data for name, t in model.params.items() if ".scale" in name]
+        assert len(scales) == 2 * net.LAYER_SCALE_BLOCKS
+        for data in scales:
+            assert data.dtype == np.float32
+            assert np.all(data == np.float32(net.LAYER_SCALE_INIT))
+
+
+class TestModelDtype:
+    def test_drawn_parameters_are_float32(self):
+        model = Model(tiny_config(), seed=3)
+        assert model.dtype == np.float32
+        assert {t.data.dtype for t in model.params.values()} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_is_that_of_the_given_parameters(self, dtype):
+        model = cast_model(Model(tiny_config(), seed=3), dtype)
+        assert model.dtype == dtype
+        assert model.detached().dtype == dtype
+        logits = model.detached().forward(np.full((1, 32, 32, 3), 0.5, np.float32))
+        assert logits.data.dtype == dtype
+
 
 def analytic_param_count(cfg: ModelConfig) -> int:
     """The parameter count written out by hand, block by block: an oracle
@@ -1024,6 +1058,17 @@ class TestCounting:
         cfg = vig_s_config(aggregator=aggregator)
         assert count_params_flops(cfg) == want
         assert want[0] == analytic_param_count(cfg)
+
+    @pytest.mark.parametrize("activation", ["graphlu", "gelu"])
+    @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
+    def test_paper_shape_layout_equals_the_analytic_count(self, aggregator, activation):
+        # Widths 400 and 640 split into 16-channel granules unlike tiny's;
+        # checked against the hand count and the layout's shapes, still
+        # without building the model.
+        cfg = vig_s_config(aggregator=aggregator, activation=activation)
+        params, _ = count_params_flops(cfg)
+        assert params == analytic_param_count(cfg)
+        assert params == sum(math.prod(shape) for shape, _ in net.param_layout(cfg).values())
 
     def test_doubling_widths_roughly_quadruples(self):
         base, _ = count_params_flops(tiny_config())
