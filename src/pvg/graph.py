@@ -9,6 +9,7 @@ the progressive channel schedule that moves capacity from grid-local mixing
 
 Similarity computation and neighbor selection are structural: gradients never
 flow through them, so they work on plain float arrays internally.
+:func:`export_edges` writes chosen edges as the CSV of ``pvg export-graph``.
 """
 
 from __future__ import annotations

@@ -16,10 +16,12 @@ above :data:`EPSILON_FLOOR` after every update so 1 + epsilon stays positive.
 ``graphlu`` and ``gelu`` are each one call to :func:`pvg.tensor.cdf_gate`,
 a single autograd node whose backward computes the input and epsilon
 gradients directly; ``gelu(x)`` is ``graphlu`` at a fixed epsilon = 0 that
-needs no gradient, bit for bit. Their erf and :func:`phi`'s are the
-package's own (:mod:`pvg._erf`), evaluated in the input's dtype: within
-1.5 ulp in float32, and in float64 a port of the cephes tables within 1 ulp
-of scipy's.
+needs no gradient, bit for bit. So the network calls ``graphlu`` at every
+gate, with such a fixed zero in a GELU model, which has no epsilon
+parameter. Their erf and :func:`phi`'s are the package's own
+(:mod:`pvg._erf`), evaluated in the input's dtype: within 1.5 ulp in
+float32, and in float64 a port of the cephes tables within 1 ulp of
+scipy's.
 """
 
 from __future__ import annotations

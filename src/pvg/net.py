@@ -15,9 +15,10 @@ covers the last :data:`LAYER_SCALE_BLOCKS` blocks of the stack.
 Graphs are rebuilt every block, per image, from that block's own post-norm
 branch features; neighbor selection is structural and carries no gradient.
 They are scored and selected :data:`GRAPH_BLOCK` scores at a time. Each
-graph branch's aggregate and gate, and each FFN row block of
-:data:`GATE_BLOCK` hidden-width entries, run inside ``recompute``, so
-backward re-runs them from their inputs, never the graph build.
+graph branch's aggregate and gate, and each FFN row block, run inside
+``recompute``, so backward re-runs them from their inputs, never the graph
+build. A row block holds :data:`GATE_BLOCK` hidden-width entries, or as many
+as the block's ``w1`` where that is more.
 
 Construction bounds every config: stage depths and widths
 (:data:`MAX_STAGE_DEPTH`, :data:`MAX_STAGE_WIDTH`), classes
@@ -76,8 +77,10 @@ N_STAGES = 4
 # and one work copy of them, so the whole-batch arrays of a large graph never
 # exist: 32 images at n = 256 would be 8 MiB each in float32.
 GRAPH_BLOCK = 2**18
-# Hidden-width entries per FFN row block: each block's recompute re-runs
-# and keeps that many entries of the widened rows, one row at least.
+# Hidden-width entries per FFN row block, at least: each block's recompute
+# re-runs and keeps this many entries of the widened rows, or as many as
+# ``w1`` has where that is more (c > 128 at FFN_RATIO 4), so that no block's
+# partial weight gradient is larger than the block itself.
 GATE_BLOCK = 2**16
 # Stage sizes far past any buildable model: counting and laying out blocks finish.
 MAX_STAGE_DEPTH = 2**10
@@ -548,9 +551,13 @@ def _graph_branch(kind: str, rows: np.ndarray, x: Tensor, *params: Tensor) -> Te
 def _ffn_sublayer(h: Tensor, params: list[Tensor]) -> Tensor:
     """:func:`_ffn` on rows ``h`` with ``params`` in its argument order, as
     one :func:`recompute` node per row block. A block keeps only its input
-    rows until backward runs it again, and holds GATE_BLOCK entries of the
-    hidden width (``w1``'s columns), one row at least."""
-    rows, step = h.shape[0], max(1, GATE_BLOCK // params[2].shape[1])
+    rows until backward runs it again. A block has ``max(GATE_BLOCK,
+    w1.size) // w1.shape[1]`` rows, the last perhaps fewer: at least as many
+    hidden-width entries (``w1``'s columns) as ``w1`` has, so a full block's
+    partial ``w1`` and ``w2`` gradients are no larger than its own
+    hidden-width arrays, and at least one row per channel."""
+    w1 = params[2]
+    rows, step = h.shape[0], max(GATE_BLOCK, w1.size) // w1.shape[1]
     blocks = [recompute(_ffn, [narrow(h, 0, lo, min(step, rows - lo)), *params]) for lo in range(0, rows, step)]
     return blocks[0] if len(blocks) == 1 else concat(blocks, axis=0)
 

@@ -1,10 +1,11 @@
 """AdamW with decoupled weight decay and a warmup + cosine schedule.
 
 :func:`adamw_step` updates one parameter for a given step count; ``train``
-calls it from the backward sweep, once per parameter per step. An update runs
-over flat blocks of :data:`ADAMW_BLOCK` entries through one small scratch
-array; every step of it is elementwise, so the blocks give the bits of
-whole-array arithmetic.
+calls it from the backward sweep, once per parameter per step, after
+:meth:`AdamWState.zeros` has allocated every parameter's moments. An update
+runs over flat blocks of :data:`ADAMW_BLOCK` entries through one small
+scratch array; every step of it is elementwise, so the blocks give the bits
+of whole-array arithmetic.
 """
 
 from __future__ import annotations
