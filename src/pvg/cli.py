@@ -6,6 +6,12 @@ machine-parsable line ``error:<category>: <message>`` goes to stderr and the
 exit code is nonzero. Categories are those of :mod:`pvg.errors`, plus
 ``non-finite`` for numpy's floating-point errors, ``io`` for a failed file
 operation and ``memory`` for an allocation the host cannot satisfy.
+
+numpy's overflow, divide and invalid flags raise inside a command, so each
+ends it as one ``error:non-finite:`` line; inside a training step, that line
+names the step. A ``MemoryError`` is one ``error:memory:`` line. Like eval's
+and diag's, export-graph's forward runs on ``Model.detached()`` and records
+no graph.
 """
 
 from __future__ import annotations

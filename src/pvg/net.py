@@ -14,11 +14,13 @@ covers the last :data:`LAYER_SCALE_BLOCKS` blocks of the stack.
 
 Graphs are rebuilt every block, per image, from that block's own post-norm
 branch features; neighbor selection is structural and carries no gradient.
-They are scored and selected :data:`GRAPH_BLOCK` scores at a time. Each
-graph branch's aggregate and gate, and each FFN row block, run inside
-``recompute``, so backward re-runs them from their inputs, never the graph
-build. A row block holds :data:`GATE_BLOCK` hidden-width entries, or as many
-as the block's ``w1`` where that is more.
+They are scored and selected :data:`GRAPH_BLOCK` scores at a time. A block
+normalises its input once, and each of its branches runs inside
+``recompute`` over those normalised rows, which they share: the branch's
+scale and shift, then its local mixing or its aggregate and gate. Each FFN
+row block runs inside ``recompute`` too. Backward re-runs them from their
+inputs, never the graph build. A row block holds :data:`GATE_BLOCK`
+hidden-width entries, or as many as the block's ``w1`` where that is more.
 
 Construction bounds every config: stage depths and widths
 (:data:`MAX_STAGE_DEPTH`, :data:`MAX_STAGE_WIDTH`), classes
@@ -59,11 +61,13 @@ from .pvgt import read_tensor, write_tensor
 from .tensor import (
     Tensor,
     add,
+    affine,
     concat,
     layer_norm,
     linear,
     mul_rowvec,
     narrow,
+    normalize,
     offset_mix,
     permute,
     recompute,
@@ -457,30 +461,35 @@ class Model:
         else:  # GELU is the gate at a fixed epsilon = 0
             act1 = act2 = Tensor(np.zeros(1, h.dtype))
 
-        z = layer_norm(h, P[pre + "norm1.gamma"], P[pre + "norm1.beta"])
+        # h is normalised once, and xhat is the only array of it that the
+        # step keeps. Each branch, the local one included, is one recompute
+        # node over the whole of xhat, sharing its buffer: it narrows xhat
+        # and norm1's gamma and beta to its columns, applies them and runs
+        # its mixing. Backward runs all of that again.
+        xhat = normalize(h)
+        norm = [P[pre + "norm1.gamma"], P[pre + "norm1.beta"]]
         branch_outs: list[Tensor] = []
 
         if local_c:
-            x_local = narrow(z, 1, 0, local_c)
-            grid = (plan.grid, plan.grid)
-            branch_outs.append(
-                offset_mix(x_local, P[pre + "local.alpha"], grid, bias=P[pre + "local.pos_bias"])
-            )
+            local_fn = functools.partial(_local_branch, slice(0, local_c), (plan.grid, plan.grid))
+            local = [P[pre + "local.alpha"], P[pre + "local.pos_bias"]]
+            branch_outs.append(recompute(local_fn, [xhat, *norm, *local]))
 
         start = local_c
         for branch, width in (("first", first_c), ("second", second_c)):
             if not width:
                 continue
-            x = narrow(z, 1, start, width)
+            cols = slice(start, start + width)
             start += width
-            topo = self._build_graphs(x.data.reshape(batch, n, width), plan.k)
+            # The graph scores the branch's input: _branch_input's ops, in numpy.
+            gamma, beta = (t.data[cols] for t in norm)
+            topo = self._build_graphs((xhat.data[:, cols] * gamma + beta).reshape(batch, n, width), plan.k)
             # Each image's node indices shift to its rows of the batch.
             rows = topo.neighbor_idx + (np.arange(batch) * n)[:, None, None]
             params = [P[f"{pre}{branch}.{w}"] for w in AGGREGATOR_WEIGHTS[cfg.aggregator]]
-            # The aggregate and its gate keep only their inputs until backward,
-            # which runs them again; the graph build is not re-run.
-            branch_fn = functools.partial(_graph_branch, cfg.aggregator, rows.reshape(batch * n, plan.k))
-            branch_outs.append(recompute(branch_fn, [x, *params, act1]))
+            # The graph build is not re-run in backward.
+            branch_fn = functools.partial(_graph_branch, cfg.aggregator, rows.reshape(batch * n, plan.k), cols)
+            branch_outs.append(recompute(branch_fn, [xhat, *norm, *params, act1]))
             if collect is not None and "graphs" in collect:
                 collect["graphs"].append((plan.index, branch, topo))
 
@@ -489,8 +498,8 @@ class Model:
         if plan.layer_scaled:
             y = mul_rowvec(y, P[pre + "scale1"])
         h = add(h, y)
-        # Values that no backward reads go before the FFN allocates its own.
-        del z, branch_outs, fused, y
+        # What no backward reads goes before the FFN allocates its own.
+        del xhat, branch_outs, fused, y
 
         names = ("norm2.gamma", "norm2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
         f = _ffn_sublayer(h, [*(P[pre + name] for name in names), act2])
@@ -540,11 +549,30 @@ class Model:
         return linear(pooled, P["head.weight"], P["head.bias"])
 
 
-def _graph_branch(kind: str, rows: np.ndarray, x: Tensor, *params: Tensor) -> Tensor:
-    """A global branch after its graph build: the ``kind`` aggregate of ``x``
-    over the [nodes, k] neighbour ``rows``, gated. ``params`` are the kind's
-    weights in :data:`AGGREGATOR_WEIGHTS` order, then the gate's epsilon."""
+def _branch_input(cols: slice, xhat: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """A branch's columns ``cols`` of a block's normalised input ``xhat``,
+    scaled and shifted by norm1's ``gamma`` and ``beta`` there."""
+    lo, width = cols.start, cols.stop - cols.start
+    return affine(narrow(xhat, 1, lo, width), narrow(gamma, 0, lo, width), narrow(beta, 0, lo, width))
+
+
+def _local_branch(
+    cols: slice, grid: tuple[int, int], xhat: Tensor, gamma: Tensor, beta: Tensor, alpha: Tensor, pos_bias: Tensor
+) -> Tensor:
+    """The local branch on its columns ``cols`` of ``xhat``: grid-window
+    mixing of the branch input with the offset weights ``alpha``."""
+    return offset_mix(_branch_input(cols, xhat, gamma, beta), alpha, grid, bias=pos_bias)
+
+
+def _graph_branch(
+    kind: str, rows: np.ndarray, cols: slice, xhat: Tensor, gamma: Tensor, beta: Tensor, *params: Tensor
+) -> Tensor:
+    """A global branch after its graph build: the ``kind`` aggregate of its
+    columns ``cols`` of ``xhat`` over the [nodes, k] neighbour ``rows``,
+    gated. ``params`` are the kind's weights in :data:`AGGREGATOR_WEIGHTS`
+    order, then the gate's epsilon."""
     *weights, eps = params
+    x = _branch_input(cols, xhat, gamma, beta)
     return graphlu(baseline_aggregate(kind, x, rows, dict(zip(AGGREGATOR_WEIGHTS[kind], weights))), eps)
 
 

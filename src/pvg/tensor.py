@@ -10,11 +10,13 @@ The graph holds no values: a :class:`Tensor` holds its value and a
 :class:`Node` (gradient, ``requires_grad``, parent nodes, closure, ``op``,
 shape, dtype). Each op rebinds its arguments to their nodes before it defines
 its closure, which keeps only the arrays its backward reads: the multiplied
-inputs of ``linear``, ``mul_rowvec`` and ``offset_mix``, the
-inputs of ``max0`` and ``cdf_gate`` (with its erf values), ``layer_norm``'s
-normalised input and row scales, ``reduce_max``'s winners (found only when
-its output needs a gradient), ``gather_rows``' index and the loss's
+inputs of ``linear``, ``mul_rowvec``, ``affine`` and ``offset_mix``, the
+inputs of ``max0`` and ``cdf_gate`` (with its erf values), ``normalize``'s
+own output and row scales, ``reduce_max``'s winners (found only when its
+output needs a gradient), ``gather_rows``' index and the loss's
 probabilities. Any other value is freed once the forward drops it.
+``layer_norm`` is ``affine(normalize(x), gamma, beta)``: the normalised rows
+are kept once, as ``normalize``'s output and ``affine``'s input.
 ``recompute(fn, inputs)`` is one node that keeps only its inputs' values:
 backward runs ``fn`` again and sweeps that local graph, so ``fn``'s
 intermediate values live only while its own backward runs.
@@ -31,20 +33,22 @@ backward from the same root, or from a root whose graph shares nodes with a
 swept one, raises :class:`~pvg.errors.GraphReleasedError` before any gradient
 is accumulated or any hook runs.
 As each closure runs once, it may overwrite the gradient it is handed and the
-arrays it kept (the gate's backward does), and an op hands the fresh arrays
+arrays it kept (the gate's backward does both; ``normalize``'s and
+``affine``'s overwrite their gradients), and an op hands the fresh arrays
 it computes to ``Node._accumulate`` as ``owned``, so a node's first gradient
 is that array rather than a copy of it.
 
 Scope is deliberately narrow: binary elementwise ops take equal shapes, the
 only broadcasts are explicit (``cdf_gate``'s one-element eps, the row-vector
-scale ``mul_rowvec``, the optional bias of ``linear`` and the bias map of
-``offset_mix``), reductions remove their axis, and there is no graph
-optimization, automatic fusion, or device support; the fused ops are written
-by hand: ``linear`` (the package's one matrix product, with an optional bias,
-one node per affine map), ``layer_norm``, ``cdf_gate`` (the Gaussian-CDF
-gate) and ``offset_mix`` (the local branch's grid-window mixing: one
-``einsum`` each for the value and its gradients, over padded-grid windows
-with two axes merged into one long contiguous axis).
+scale ``mul_rowvec``, ``affine``'s row-vector scale and shift, the optional
+bias of ``linear`` and the bias map of ``offset_mix``), reductions remove
+their axis, and there is no graph optimization, automatic fusion, or device
+support; the fused ops are written by hand: ``linear`` (the package's one
+matrix product, with an optional bias, one node per affine map),
+``normalize``, ``cdf_gate`` (the Gaussian-CDF gate) and ``offset_mix`` (the
+local branch's grid-window mixing: one ``einsum`` each for the value and its
+gradients, over padded-grid windows with two axes merged into one long
+contiguous axis).
 Max reductions route the gradient to the lowest index among maximal entries
 so every subgradient choice is deterministic and testable. No op loops in
 Python over offsets, images or rows; ``reduce_max`` loops over its k indices
@@ -87,7 +91,8 @@ DIFFERENTIABLE_OPS = [
     "permute",
     "mul_rowvec",
     "linear",
-    "layer_norm",
+    "normalize",
+    "affine",
     "softmax_cross_entropy",
     "offset_mix",
     "recompute",
@@ -96,7 +101,7 @@ DIFFERENTIABLE_OPS = [
 _FLOAT_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 * (1.0 / np.sqrt(np.pi))
-# Added to each row's variance by ``layer_norm``.
+# Added to each row's variance by ``normalize``.
 LAYER_NORM_EPS = 1e-5
 
 
@@ -715,41 +720,63 @@ def cdf_gate(x: Tensor, eps: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-row normalization over the last axis with learnable scale/shift.
+def normalize(x: Tensor) -> Tensor:
+    """Each row of ``x`` less its mean, over sqrt(its variance + :data:`LAYER_NORM_EPS`).
 
-    Each row (node) is normalized over its channel vector independently of
-    every other row, so the result does not depend on batch composition.
+    Rows are normalized over the last axis, each independently of every other
+    row, so the result does not depend on batch composition. One node that
+    keeps its own output and each row's 1 / sqrt(var + eps): its backward
+    reads nothing else, so a caller that keeps the output keeps no second
+    array. d x = (g - mean(g) - out * mean(g out)) / sqrt(var + eps), per row.
     """
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError("layer_norm scale/shift must match channel extent")
-    # Each row's (x - mean) / sqrt(var + eps), and 1 / sqrt(var + eps).
     xc = x.data - _mean(x.data, -1)
     inv = 1.0 / np.sqrt(_mean(xc * xc, -1) + np.asarray(LAYER_NORM_EPS, dtype=xc.dtype))
-    xhat = xc * inv
-    del xc
-    out = Tensor._from_op(xhat * gamma.data + beta.data, (x, gamma, beta), "layer_norm")
-    gd, x, gamma, beta = gamma.data, x._node, gamma._node, beta._node
+    xhat = np.multiply(xc, inv, out=xc)
+    out = Tensor._from_op(xhat, (x,), "normalize")
+    x = x._node
 
     def bw(g: np.ndarray) -> None:
-        # Each [rows, c] product goes into a or b, of g's shape and dtype (that
-        # of the output, so of every product); a ends as (gh - m1 - xhat * m2) * inv.
-        a, b = np.empty(g.shape, g.dtype), np.empty(g.shape, g.dtype)
-        if gamma.requires_grad:
-            gamma._accumulate(np.multiply(g, xhat, out=b).reshape(-1, c).sum(axis=0), owned=True)
-        if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, c).sum(axis=0), owned=True)
-        if x.requires_grad:
-            gh = np.multiply(g, gd, out=a)
-            m1 = _mean(gh, -1)
-            m2 = _mean(np.multiply(gh, xhat, out=b), -1)
-            np.subtract(gh, m1, out=a)
-            np.subtract(a, np.multiply(xhat, m2, out=b), out=a)
-            x._accumulate(np.multiply(a, inv, out=a), owned=True)
+        # Overwrites g, this node's own gradient: it ends as x's.
+        g = np.ascontiguousarray(g)
+        b = np.multiply(g, xhat)
+        m1, m2 = _mean(g, -1), _mean(b, -1)
+        np.subtract(g, m1, out=g)
+        np.subtract(g, np.multiply(xhat, m2, out=b), out=g)
+        x._accumulate(np.multiply(g, inv, out=g), owned=True)
 
     _set_backward(out, bw)
     return out
+
+
+def affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """``x * gamma + beta``, with ``gamma`` and ``beta`` vectors over the last axis.
+
+    One node that keeps ``x`` and ``gamma``. d x = g gamma; d gamma and
+    d beta are the column sums of g x and of g.
+    """
+    c = x.shape[-1]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError(f"affine: scale {gamma.shape} and shift {beta.shape} must match channel extent {c}")
+    out = Tensor._from_op(x.data * gamma.data + beta.data, (x, gamma, beta), "affine")
+    xd, gd, x, gamma, beta = x.data, gamma.data, x._node, gamma._node, beta._node
+
+    def bw(g: np.ndarray) -> None:
+        if gamma.requires_grad:
+            gamma._accumulate((g * xd).reshape(-1, c).sum(axis=0), owned=True)
+        if beta.requires_grad:
+            beta._accumulate(g.reshape(-1, c).sum(axis=0), owned=True)
+        if x.requires_grad:
+            x._accumulate(np.multiply(g, gd, out=g), owned=True)
+
+    _set_backward(out, bw)
+    return out
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-row normalization with learnable scale and shift:
+    ``affine(normalize(x), gamma, beta)``, two nodes that keep the
+    normalized rows once between them."""
+    return affine(normalize(x), gamma, beta)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

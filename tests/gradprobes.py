@@ -77,9 +77,14 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
     ln_g = Tensor(0.5 + _rng(31).uniform(size=6))
     ln_b = Tensor(_rng(32).normal(size=6))
     ln_x = Tensor(_rng(33).normal(size=(4, 6)))
-    case("layer_norm", "x", lambda x: T.layer_norm(x, ln_g, ln_b), _rng(34).normal(size=(4, 6)))
-    case("layer_norm", "gamma", lambda x: T.layer_norm(ln_x, x, ln_b), 0.5 + _rng(35).uniform(size=6))
-    case("layer_norm", "beta", lambda x: T.layer_norm(ln_x, ln_g, x), _rng(36).normal(size=6))
+    case("normalize", "x", T.normalize, _rng(66).normal(size=(4, 6)))
+    case("affine", "x", lambda x: T.affine(x, ln_g, ln_b), _rng(67).normal(size=(4, 6)))
+    case("affine", "gamma", lambda x: T.affine(ln_x, x, ln_b), 0.5 + _rng(68).uniform(size=6))
+    case("affine", "beta", lambda x: T.affine(ln_x, ln_g, x), _rng(69).normal(size=6))
+    # A layer norm is normalize then affine; each of its arguments probed through both.
+    case("normalize", "layer_norm_x", lambda x: T.layer_norm(x, ln_g, ln_b), _rng(34).normal(size=(4, 6)))
+    case("affine", "layer_norm_gamma", lambda x: T.layer_norm(ln_x, x, ln_b), 0.5 + _rng(35).uniform(size=6))
+    case("affine", "layer_norm_beta", lambda x: T.layer_norm(ln_x, ln_g, x), _rng(36).normal(size=6))
 
     labels = np.array([0, 2, 1, 2])
     case(

@@ -7,9 +7,10 @@ formulas by hand (tests compare it with ``AGGREGATOR_WEIGHTS`` and
 decomposition identity that motivates MaxE's max-of-differences term, and
 :func:`checked_topology` asserts what every top-k selection promises.
 :func:`cast_model` gives the float64 copies of a model that the gradient and
-oracle checks run on. :func:`offset_mix_einsums` and :func:`max_reference`
-are the plain numpy forms that ``offset_mix`` and ``reduce_max`` must match
-byte for byte.
+oracle checks run on. :func:`offset_mix_einsums`, :func:`max_reference` and
+:func:`layer_norm_fused` are the plain numpy forms that ``offset_mix``,
+``reduce_max`` and ``affine(normalize(x), gamma, beta)`` must match byte for
+byte.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from pvg.errors import ConfigError, DimensionError
 from pvg.net import Model
-from pvg.tensor import Tensor
+from pvg.tensor import LAYER_NORM_EPS, Tensor
 
 
 @dataclass
@@ -154,3 +155,17 @@ def max_reference(x, axis, g):
     first = np.expand_dims(np.argmax(x, axis=axis), axis)
     np.put_along_axis(grad, first, np.expand_dims(g, axis), axis)
     return np.max(x, axis=axis), grad
+
+
+def layer_norm_fused(x, gamma, beta, g):
+    """A layer norm over the last axis as one fused formula: its value and
+    its x, gamma and beta gradients for the output gradient ``g``. Each row
+    is centred, scaled by 1 / sqrt(var + eps) and then by gamma, and shifted
+    by beta; every step rounds in x's dtype."""
+    c = x.shape[-1]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + np.asarray(LAYER_NORM_EPS, dtype=x.dtype))
+    xhat = xc * inv
+    gh = g * gamma
+    gx = (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) * inv
+    return xhat * gamma + beta, gx, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)

@@ -430,11 +430,13 @@ class TestAutogradGraph:
                 runs.append((logits.data.tobytes(), x.grad.tobytes(), grads))
             assert runs[0] == runs[1]
 
-    def test_tiny_forward_at_batch_32_holds_at_most_13_mib(self):
+    def test_tiny_forward_at_batch_32_holds_at_most_10_5_mib(self):
         # numpy's buffers are traced by tracemalloc. What the logits keep
-        # alive is what a train step's backward will read: 12.0 MiB. Each
-        # FFN row block and each graph branch keeps its inputs, not its
-        # hidden-width values or its aggregate.
+        # alive is what a train step's backward will read: 9.8 MiB. Each
+        # FFN row block and each branch keeps its inputs, not its
+        # hidden-width values or its aggregate, and a block's branches share
+        # its normalised input. A copy of each branch's columns of the
+        # normalised, scaled and shifted input as well read 12.0.
         model = Model(tiny_config(), seed=0)
         imgs = np.random.default_rng(3).random((32, 32, 32, 3)).astype(np.float32)
         tracemalloc.start()
@@ -445,7 +447,7 @@ class TestAutogradGraph:
         finally:
             tracemalloc.stop()
         assert logits.shape == (32, 2)
-        assert held <= 13 * 2**20, held / 2**20
+        assert held <= 10.5 * 2**20, held / 2**20
 
     @staticmethod
     def tiny_step_peak(model: Model) -> int:
@@ -461,30 +463,32 @@ class TestAutogradGraph:
         finally:
             tracemalloc.stop()
 
-    def test_tiny_forward_and_backward_at_batch_32_peak_at_most_16_5_mib(self):
+    def test_tiny_forward_and_backward_at_batch_32_peak_at_most_16_mib(self):
         # Every parameter gradient stays on its leaf, so the peak is set
-        # late in backward, in stage 1's local branch (offset_mix's
-        # backward), on top of what the forward kept and the gradients so
-        # far. It reads 16.4 MiB above the start; a single FFN node over
-        # all rows, with two arrays of the whole hidden width, read 21.0.
+        # late in backward, in the sweep of stage 1's local branch re-run,
+        # on top of what the forward kept and the gradients so far. It reads
+        # 15.6 MiB above the start (16.4 when each branch kept a copy of its
+        # input columns); a single FFN node over all rows, with two arrays
+        # of the whole hidden width, read 21.0.
         model = Model(tiny_config(), seed=0)
         peak = self.tiny_step_peak(model)
         assert all(t.grad is not None for t in model.params.values())
-        assert peak <= 16.5 * 2**20, peak / 2**20
+        assert peak <= 16.0 * 2**20, peak / 2**20
 
-    def test_tiny_step_with_parameter_hooks_at_batch_32_peaks_at_most_15_75_mib(self):
+    def test_tiny_step_with_parameter_hooks_at_batch_32_peaks_at_most_13_5_mib(self):
         # Hooks take each gradient out of the sweep once it is final, as
         # train() does. The peak is then set early in backward, by the
-        # re-run of stage 3's FFN, one block of 128 rows (c = 256): 15.4
-        # MiB. Two blocks of 64 rows, each adding partial w1 and w2
-        # gradients of 1 MiB, larger than its hidden-width arrays, read 16.5.
+        # re-run of stage 3's FFN, one block of 128 rows (c = 256): 13.2
+        # MiB, 15.4 when each branch kept a copy of its input columns. Two
+        # blocks of 64 rows, each adding partial w1 and w2 gradients of 1
+        # MiB, larger than its hidden-width arrays, read 16.5 on top of that.
         model = Model(tiny_config(), seed=0)
         final = []
         for t in model.params.values():
             t.hook = lambda grad: final.append(grad is not None)
         peak = self.tiny_step_peak(model)
         assert len(final) == len(model.params) and all(final)
-        assert peak <= 15.75 * 2**20, peak / 2**20
+        assert peak <= 13.5 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("form", ["recompute", "pass-through"])
     def test_graph_keeps_no_value_that_no_backward_reads(self, monkeypatch, form):
@@ -495,14 +499,16 @@ class TestAutogradGraph:
         # a view of the block's first residual add: one add per block. And
         # LayerScale's mul_rowvec reads the FFN's recompute output in the
         # two scaled blocks. Every tiny block concatenates its branches, so
-        # no linear reads a graph branch's recompute output. In pass-through
-        # form the FFN and branch ops show, and only the pooled mean is held.
-        unread = {"reduce_mean", "add", "offset_mix", "mul_rowvec"}
+        # no linear reads a branch's recompute output, and each branch,
+        # the local one included, runs its ops inside its recompute node. In
+        # pass-through form the FFN and branch ops show, and only the pooled
+        # mean is held.
+        unread = {"reduce_mean", "add", "mul_rowvec"}
         if form == "recompute":
             unread |= {"recompute"}
         else:
             monkeypatch.setattr(net, "recompute", pass_through)
-            unread |= {"gather_rows", "reduce_max", "sub"}
+            unread |= {"offset_mix", "gather_rows", "reduce_max", "sub"}
         model = Model(tiny_config(), seed=0)
         imgs = np.random.default_rng(4).random((2, 32, 32, 3)).astype(np.float32)
         loss = softmax_cross_entropy(model.forward(imgs), np.array([0, 1]))
@@ -521,6 +527,28 @@ class TestAutogradGraph:
         held = [node for node in nodes if node.data.size]
         assert {id(node) for node in held} == {id(node) for node in want}, [node.op for node in held]
 
+
+    @pytest.mark.parametrize("layout", SWEPT_LAYOUTS)
+    def test_every_branch_keeps_its_blocks_normalised_input_itself(self, layout):
+        # A block normalises its input once. Each of its branches, the local
+        # one included, is a recompute node over that normalize node, and
+        # keeps its output buffer, not a copy of the branch's columns.
+        cfg = tiny_config(**SWEPT_LAYOUTS[layout])
+        model = Model(cfg, seed=0)
+        imgs = np.random.default_rng(36).random((2, 32, 32, 3)).astype(np.float32)
+        graph = graph_nodes(model.forward(imgs))
+        norms = [node for node in graph if node.op == "normalize"]
+        assert len(norms) == cfg.total_blocks()
+        counts = []
+        for norm in norms:
+            branches = [node for node in graph if node.op == "recompute" and node._parents[0] is norm]
+            counts.append(len(branches))
+            assert norm.data.size
+            for node in branches:
+                cells = [c.cell_contents for c in node._backward.__closure__]
+                (values,) = [c for c in cells if isinstance(c, list) and isinstance(c[0], np.ndarray)]
+                assert values[0] is norm.data and np.shares_memory(values[0], norm.data)
+        assert sorted(counts) == sorted(sum(w > 0 for w in plan.widths) for plan in cfg.blocks())
 
 class TestFfnSublayer:
     """A block's FFN: ``_ffn`` (layer_norm, linear, gate, linear) as one

@@ -24,7 +24,7 @@ from pvg.graphlu import gelu
 from pvg.net import Model, tiny_config
 from pvg.pvgt import read_tensor, write_tensor
 from pvg.tensor import Tensor
-from oracles import max_reference
+from oracles import layer_norm_fused, max_reference
 from test_graphlu import eight_op_chain
 
 
@@ -211,6 +211,43 @@ class TestWholeArrayGate:
             tracemalloc.stop()
         assert y.data.tobytes() == want.tobytes()
         assert peak <= 1.5 * x0.nbytes, peak / x0.nbytes
+
+
+class TestLayerNormSplit:
+    """A layer norm is ``normalize`` then ``affine``: the two nodes give the
+    fused formula's value and gradients bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [16, 48, 128, 160, 256])
+    def test_normalize_then_affine_equals_the_fused_layer_norm(self, dtype, width):
+        rng = np.random.default_rng(width)
+        # Rows of differing offset and spread, as a residual stream's are.
+        x0 = (rng.normal(size=(37, width)) * rng.uniform(0.1, 30.0, size=(37, 1)) + rng.normal(size=(37, 1)) * 5).astype(dtype)
+        gamma0 = rng.uniform(0.5, 1.5, size=width).astype(dtype)
+        beta0 = rng.normal(size=width).astype(dtype)
+        g = rng.normal(size=x0.shape).astype(dtype)
+        want = layer_norm_fused(x0, gamma0, beta0, g)
+        for form in (lambda x, a, b: T.affine(T.normalize(x), a, b), T.layer_norm):
+            x, gamma, beta = (Tensor(a, requires_grad=True) for a in (x0, gamma0, beta0))
+            y = form(x, gamma, beta)
+            y.backward(seed=g)
+            got = (y.data, x.grad, gamma.grad, beta.grad)
+            assert [a.dtype for a in got] == [dtype] * 4
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_normalize_keeps_only_its_output_and_row_scales(self):
+        x = Tensor(np.random.default_rng(5).normal(size=(6, 16)), requires_grad=True)
+        out = T.normalize(x)
+        kept = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert sorted(a.shape for a in kept) == [(6, 1), (6, 16)]
+        assert any(a is out.data for a in kept)
+
+    def test_affine_shape_mismatch(self):
+        x = Tensor(np.zeros((2, 4)))
+        with pytest.raises(DimensionError):
+            T.affine(x, Tensor(np.ones(3)), Tensor(np.zeros(4)))
+        with pytest.raises(DimensionError):
+            T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(5)))
 
 
 class TestElementwise:

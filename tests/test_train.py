@@ -598,9 +598,10 @@ class TestMemoryHeld:
     def test_train_step_peaks_at_most_17_5_mib(self, tmp_path, monkeypatch):
         # One tiny batch-32 step, its moments allocated before step 1.
         # Updating each parameter as soon as its gradient is final drops the
-        # gradients as the sweep goes, and each graph branch and FFN row
-        # block keeps its inputs, not its aggregate or hidden-width values:
-        # 16.5 MiB, set in the backward re-run of stage 3's FFN (18.9 MiB
+        # gradients as the sweep goes, and each branch and FFN row block
+        # keeps its inputs, not its aggregate or hidden-width values, the
+        # branches of a block sharing its normalised input: 13.2 MiB, set in
+        # the backward re-run of stage 3's FFN (18.9 MiB
         # when the branches kept their graphs, 23.0 MiB updating after the
         # sweep).
         starts, peaks = [], []
