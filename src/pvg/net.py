@@ -65,7 +65,6 @@ from .tensor import (
     concat,
     layer_norm,
     linear,
-    mul_rowvec,
     narrow,
     normalize,
     offset_mix,
@@ -319,12 +318,12 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
     cfg = config
     layout: dict[str, tuple[tuple[int, ...], Init]] = {}
 
-    def affine(weight: str, bias: str, rows: int, cols: int) -> None:
+    def weight_and_bias(weight: str, bias: str, rows: int, cols: int) -> None:
         layout[weight] = ((rows, cols), "he")
         layout[bias] = ((cols,), 0.0)
 
     patch_in = cfg.patch_size * cfg.patch_size * IN_CHANNELS
-    affine("stem.weight", "stem.bias", patch_in, cfg.stage_widths[0])
+    weight_and_bias("stem.weight", "stem.bias", patch_in, cfg.stage_widths[0])
 
     n_offsets = (2 * RADIUS + 1) ** 2
     for plan in cfg.blocks():
@@ -332,7 +331,7 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
         c = cfg.stage_widths[s]
         if s and not plan.block:  # the 2x2 merge into stage s
             d = f"downsample{s - 1}."
-            affine(d + "weight", d + "bias", 4 * cfg.stage_widths[s - 1], c)
+            weight_and_bias(d + "weight", d + "bias", 4 * cfg.stage_widths[s - 1], c)
         local_c, first_c, second_c = plan.widths
         layout[pre + "norm1.gamma"] = ((c,), 1.0)
         layout[pre + "norm1.beta"] = ((c,), 0.0)
@@ -346,15 +345,15 @@ def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], Init]]
         if cfg.activation == "graphlu":
             layout[pre + "act1.epsilon"] = ((1,), 0.0)
             layout[pre + "act2.epsilon"] = ((1,), 0.0)
-        affine(pre + "fuse.weight", pre + "fuse.bias", c, c)
+        weight_and_bias(pre + "fuse.weight", pre + "fuse.bias", c, c)
         layout[pre + "norm2.gamma"] = ((c,), 1.0)
         layout[pre + "norm2.beta"] = ((c,), 0.0)
-        affine(pre + "ffn.w1", pre + "ffn.b1", c, FFN_RATIO * c)
-        affine(pre + "ffn.w2", pre + "ffn.b2", FFN_RATIO * c, c)
+        weight_and_bias(pre + "ffn.w1", pre + "ffn.b1", c, FFN_RATIO * c)
+        weight_and_bias(pre + "ffn.w2", pre + "ffn.b2", FFN_RATIO * c, c)
         if plan.layer_scaled:
             layout[pre + "scale1"] = ((c,), LAYER_SCALE_INIT)
             layout[pre + "scale2"] = ((c,), LAYER_SCALE_INIT)
-    affine("head.weight", "head.bias", cfg.stage_widths[-1], cfg.num_classes)
+    weight_and_bias("head.weight", "head.bias", cfg.stage_widths[-1], cfg.num_classes)
     return layout
 
 
@@ -496,7 +495,7 @@ class Model:
         fused = branch_outs[0] if len(branch_outs) == 1 else concat(branch_outs, axis=1)
         y = linear(fused, P[pre + "fuse.weight"], P[pre + "fuse.bias"])
         if plan.layer_scaled:
-            y = mul_rowvec(y, P[pre + "scale1"])
+            y = affine(y, P[pre + "scale1"])
         h = add(h, y)
         # What no backward reads goes before the FFN allocates its own.
         del xhat, branch_outs, fused, y
@@ -504,7 +503,7 @@ class Model:
         names = ("norm2.gamma", "norm2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
         f = _ffn_sublayer(h, [*(P[pre + name] for name in names), act2])
         if plan.layer_scaled:
-            f = mul_rowvec(f, P[pre + "scale2"])
+            f = affine(f, P[pre + "scale2"])
         h = add(h, f)
 
         if collect is not None and "blocks" in collect:

@@ -47,16 +47,18 @@ def adamw_step(
     lr_t: float,
     t: int,
     betas: tuple[float, float] = (0.9, 0.999),
-    weight_decay: float = 0.05,
+    *,
+    weight_decay: float,
 ) -> None:
     """One in-place update of parameter ``p``, whose moments ``state`` keeps
     under ``name`` (:meth:`AdamWState.zeros` allocates them); a ``None``
     gradient changes nothing. Moments are
     bias-corrected for step ``t`` (the first step is 1); ``betas`` defaults
-    to (0.9, 0.999), the only value training uses. Decay is decoupled
-    (applied to the raw weights, not folded into the gradient) and applies to
-    matrices only; vectors and scalars (norm scale/shift, biases, LayerScale,
-    activation relaxations) are exempt.
+    to (0.9, 0.999), the only value training uses. ``weight_decay`` has no
+    default here; its one default is ``OptimizerConfig.weight_decay``. Decay
+    is decoupled (applied to the raw weights, not folded into the gradient)
+    and applies to matrices only; vectors and scalars (norm scale/shift,
+    biases, LayerScale, activation relaxations) are exempt.
     """
     if grad is None:
         return

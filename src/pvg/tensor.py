@@ -10,11 +10,12 @@ The graph holds no values: a :class:`Tensor` holds its value and a
 :class:`Node` (gradient, ``requires_grad``, parent nodes, closure, ``op``,
 shape, dtype). Each op rebinds its arguments to their nodes before it defines
 its closure, which keeps only the arrays its backward reads: the multiplied
-inputs of ``linear``, ``mul_rowvec``, ``affine`` and ``offset_mix``, the
-inputs of ``max0`` and ``cdf_gate`` (with its erf values), ``normalize``'s
-own output and row scales, ``reduce_max``'s winners (found only when its
-output needs a gradient), ``gather_rows``' index and the loss's
-probabilities. Any other value is freed once the forward drops it.
+inputs of ``linear``, ``affine`` and ``offset_mix``, the inputs of ``max0``
+and ``cdf_gate`` (with its erf values), ``normalize``'s own output and row
+scales, ``reduce_max``'s winners (found only when its output needs a
+gradient), ``gather_rows``' index and the loss's probabilities. Any other
+value is freed once the forward drops it. ``affine`` is the one per-channel
+op: a layer norm's scale and shift, and LayerScale's scale without a shift.
 ``layer_norm`` is ``affine(normalize(x), gamma, beta)``: the normalised rows
 are kept once, as ``normalize``'s output and ``affine``'s input.
 ``recompute(fn, inputs)`` is one node that keeps only its inputs' values:
@@ -39,16 +40,15 @@ it computes to ``Node._accumulate`` as ``owned``, so a node's first gradient
 is that array rather than a copy of it.
 
 Scope is deliberately narrow: binary elementwise ops take equal shapes, the
-only broadcasts are explicit (``cdf_gate``'s one-element eps, the row-vector
-scale ``mul_rowvec``, ``affine``'s row-vector scale and shift, the optional
-bias of ``linear`` and the bias map of ``offset_mix``), reductions remove
-their axis, and there is no graph optimization, automatic fusion, or device
-support; the fused ops are written by hand: ``linear`` (the package's one
-matrix product, with an optional bias, one node per affine map),
-``normalize``, ``cdf_gate`` (the Gaussian-CDF gate) and ``offset_mix`` (the
-local branch's grid-window mixing: one ``einsum`` each for the value and its
-gradients, over padded-grid windows with two axes merged into one long
-contiguous axis).
+only broadcasts are explicit (``cdf_gate``'s one-element eps, ``affine``'s
+row-vector scale and optional shift, the optional bias of ``linear`` and the
+bias map of ``offset_mix``), reductions remove their axis, and there is no
+graph optimization, automatic fusion, or device support; the fused ops are
+written by hand: ``linear`` (the package's one matrix product, with an
+optional bias, one node per affine map), ``normalize``, ``cdf_gate`` (the
+Gaussian-CDF gate) and ``offset_mix`` (the local branch's grid-window
+mixing: one ``einsum`` each for the value and its gradients, over
+padded-grid windows with two axes merged into one long contiguous axis).
 Max reductions route the gradient to the lowest index among maximal entries
 so every subgradient choice is deterministic and testable. No op loops in
 Python over offsets, images or rows; ``reduce_max`` loops over its k indices
@@ -89,7 +89,6 @@ DIFFERENTIABLE_OPS = [
     "gather_rows",
     "reshape",
     "permute",
-    "mul_rowvec",
     "linear",
     "normalize",
     "affine",
@@ -619,28 +618,6 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# row-vector broadcast (per-channel scale over leading axes)
-# ---------------------------------------------------------------------------
-
-
-def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Multiply every row of ``x`` by the vector ``v`` (shape = last extent)."""
-    if v.data.ndim != 1 or v.shape[0] != x.shape[-1]:
-        raise DimensionError(f"mul_rowvec: {v.shape} does not match last extent of {x.shape}")
-    out = Tensor._from_op(x.data * v.data, (x, v), "mul_rowvec")
-    xd, vd, x, v = x.data, v.data, x._node, v._node
-
-    def bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * vd, owned=True)
-        if v.requires_grad:
-            v._accumulate((g * xd).reshape(-1, v.shape[0]).sum(axis=0), owned=True)
-
-    _set_backward(out, bw)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # fused operations
 # ---------------------------------------------------------------------------
 
@@ -748,22 +725,31 @@ def normalize(x: Tensor) -> Tensor:
     return out
 
 
-def affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """``x * gamma + beta``, with ``gamma`` and ``beta`` vectors over the last axis.
+def affine(x: Tensor, gamma: Tensor, beta: Tensor | None = None) -> Tensor:
+    """``x * gamma + beta``, with ``gamma`` and ``beta`` vectors over the last
+    axis; ``beta=None`` is the scale ``x * gamma`` alone (LayerScale's
+    learned diagonal).
 
     One node that keeps ``x`` and ``gamma``. d x = g gamma; d gamma and
     d beta are the column sums of g x and of g.
     """
     c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError(f"affine: scale {gamma.shape} and shift {beta.shape} must match channel extent {c}")
-    out = Tensor._from_op(x.data * gamma.data + beta.data, (x, gamma, beta), "affine")
-    xd, gd, x, gamma, beta = x.data, gamma.data, x._node, gamma._node, beta._node
+    if gamma.shape != (c,):
+        raise DimensionError(f"affine: scale {gamma.shape} does not match channel extent {c}")
+    if beta is not None and beta.shape != (c,):
+        raise DimensionError(f"affine: shift {beta.shape} does not match channel extent {c}")
+    y = x.data * gamma.data
+    if beta is not None:
+        y += beta.data
+    parents = (x, gamma) if beta is None else (x, gamma, beta)
+    out = Tensor._from_op(y, parents, "affine")
+    xd, gd, x, gamma = x.data, gamma.data, x._node, gamma._node
+    beta = None if beta is None else beta._node
 
     def bw(g: np.ndarray) -> None:
         if gamma.requires_grad:
             gamma._accumulate((g * xd).reshape(-1, c).sum(axis=0), owned=True)
-        if beta.requires_grad:
+        if beta is not None and beta.requires_grad:
             beta._accumulate(g.reshape(-1, c).sum(axis=0), owned=True)
         if x.requires_grad:
             x._accumulate(np.multiply(g, gd, out=g), owned=True)

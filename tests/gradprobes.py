@@ -60,8 +60,9 @@ def build_cases() -> list[tuple[str, str, callable, np.ndarray]]:
 
     rv = Tensor(_rng(25).normal(size=4))
     rx = Tensor(_rng(26).normal(size=(5, 4)))
-    case("mul_rowvec", "x", lambda x: T.mul_rowvec(x, rv), _rng(27).normal(size=(5, 4)))
-    case("mul_rowvec", "v", lambda x: T.mul_rowvec(rx, x), _rng(28).normal(size=4))
+    # Without a shift, as LayerScale runs.
+    case("affine", "x_no_shift", lambda x: T.affine(x, rv), _rng(27).normal(size=(5, 4)))
+    case("affine", "gamma_no_shift", lambda x: T.affine(rx, x), _rng(28).normal(size=4))
 
     lin_w = Tensor(_rng(29).normal(size=(4, 3)))
     lin_b = Tensor(_rng(30).normal(size=3))

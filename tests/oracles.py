@@ -7,10 +7,10 @@ formulas by hand (tests compare it with ``AGGREGATOR_WEIGHTS`` and
 decomposition identity that motivates MaxE's max-of-differences term, and
 :func:`checked_topology` asserts what every top-k selection promises.
 :func:`cast_model` gives the float64 copies of a model that the gradient and
-oracle checks run on. :func:`offset_mix_einsums`, :func:`max_reference` and
-:func:`layer_norm_fused` are the plain numpy forms that ``offset_mix``,
-``reduce_max`` and ``affine(normalize(x), gamma, beta)`` must match byte for
-byte.
+oracle checks run on. :func:`offset_mix_einsums`, :func:`max_reference`,
+:func:`layer_norm_fused` and :func:`row_scale` are the plain numpy forms that
+``offset_mix``, ``reduce_max``, ``affine(normalize(x), gamma, beta)`` and
+the shift-free ``affine(x, gamma)`` must match byte for byte.
 """
 
 from __future__ import annotations
@@ -169,3 +169,9 @@ def layer_norm_fused(x, gamma, beta, g):
     gh = g * gamma
     gx = (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) * inv
     return xhat * gamma + beta, gx, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)
+
+
+def row_scale(x, v, g):
+    """Every row of ``x`` times the vector ``v``, as one elementwise product:
+    its value and its x and v gradients for the output gradient ``g``."""
+    return x * v, g * v, (g * x).reshape(-1, v.shape[0]).sum(axis=0)

@@ -46,6 +46,7 @@ BIT_TESTS = [
     "tests/test_tensor.py::TestRecompute",
     "tests/test_tensor.py::TestWholeArrayGate::test_cdf_gate_equals_the_elementwise_chain",
     "tests/test_tensor.py::TestLayerNormSplit::test_normalize_then_affine_equals_the_fused_layer_norm",
+    "tests/test_tensor.py::TestShiftFreeAffine::test_affine_without_shift_equals_the_row_scale",
     "tests/test_net.py::TestFfnSublayer::test_row_blocks_equal_the_elementwise_chain",
     "tests/test_graph.py::TestPairwiseSimilarity::test_symmetry",
 ]

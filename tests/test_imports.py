@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every function and class the package defines is used somewhere."""
+no function of the module binds that name for itself; every function and
+class the package defines is used somewhere."""
 
 import ast
 from pathlib import Path
@@ -18,8 +19,8 @@ UNUSED_ALLOWED = {
 }
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+def imported_names(tree: ast.AST) -> dict[str, int]:
+    """Each name an import binds, and the line of that import."""
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -28,8 +29,13 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+    return [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used]
 
 
 def test_unused_import_is_found():
@@ -42,6 +48,40 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def shadowed_imports(source: str) -> list[str]:
+    """The names a function binds for itself, as a parameter, a local
+    assignment or a nested def or class, that its module imports."""
+    tree = ast.parse(source)
+    imported = imported_names(tree)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    bound: set[tuple[int, str]] = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, functions):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.arg):
+                bound.add((node.lineno, node.arg))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add((node.lineno, node.id))
+            elif node is not fn and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add((node.lineno, node.name))
+    return [f"{name} (line {line})" for line, name in sorted(bound) if name in imported]
+
+
+def test_shadowed_import_is_found():
+    source = (
+        "import json\nfrom a import b, c, d\n"
+        "def f(json, e):\n    b = e\n    def c():\n        pass\n    return [d for d in b]\n"
+        "g = lambda c: c\nd = 1\n"
+    )
+    assert shadowed_imports(source) == ["json (line 3)", "b (line 4)", "c (line 5)", "d (line 7)", "c (line 8)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_local_name_shadows_an_import(path):
+    assert shadowed_imports(path.read_text(encoding="utf-8")) == []
 
 
 def definitions(source: str) -> list[str]:

@@ -497,13 +497,15 @@ class TestAutogradGraph:
         # with these exceptions. The head's linear reads the pooled mean.
         # With recompute, each FFN row block keeps its input rows, which are
         # a view of the block's first residual add: one add per block. And
-        # LayerScale's mul_rowvec reads the FFN's recompute output in the
-        # two scaled blocks. Every tiny block concatenates its branches, so
+        # LayerScale's shift-free affine reads the FFN's recompute output in
+        # the two scaled blocks. Every tiny block concatenates its branches, so
         # no linear reads a branch's recompute output, and each branch,
         # the local one included, runs its ops inside its recompute node. In
         # pass-through form the FFN and branch ops show, and only the pooled
-        # mean is held.
-        unread = {"reduce_mean", "add", "mul_rowvec"}
+        # mean is held. Of the affines only LayerScale's, which have no shift,
+        # count: in pass-through form each norm's affine feeds an offset_mix
+        # or a linear, which keeps it.
+        unread = {"reduce_mean", "add", "affine"}
         if form == "recompute":
             unread |= {"recompute"}
         else:
@@ -516,12 +518,12 @@ class TestAutogradGraph:
         pooled = head._parents[0]
         assert pooled.op == "reduce_mean" and pooled.data.shape == (2, model.config.stage_widths[-1])
         graph = graph_nodes(loss)
-        nodes = [node for node in graph if node.op in unread]
+        nodes = [node for node in graph if node.op in unread and (node.op != "affine" or len(node._parents) == 2)]
         assert {node.op for node in nodes} == unread
         want = [pooled]
         if form == "recompute":
             ffn_inputs = [node._parents[0]._parents[0] for node in ffn_blocks(loss, rows=None)]
-            scaled = [node._parents[0] for node in graph if node.op == "mul_rowvec" and node._parents[0].op == "recompute"]
+            scaled = [node._parents[0] for node in graph if node.op == "affine" and node._parents[0].op == "recompute"]
             assert len(ffn_inputs) == model.config.total_blocks() and len(scaled) == 2
             want += ffn_inputs + scaled
         held = [node for node in nodes if node.data.size]

@@ -24,7 +24,7 @@ from pvg.graphlu import gelu
 from pvg.net import Model, tiny_config
 from pvg.pvgt import read_tensor, write_tensor
 from pvg.tensor import Tensor
-from oracles import layer_norm_fused, max_reference
+from oracles import layer_norm_fused, max_reference, row_scale
 from test_graphlu import eight_op_chain
 
 
@@ -248,6 +248,33 @@ class TestLayerNormSplit:
             T.affine(x, Tensor(np.ones(3)), Tensor(np.zeros(4)))
         with pytest.raises(DimensionError):
             T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(5)))
+        with pytest.raises(DimensionError):
+            T.affine(x, Tensor(np.ones(3)))
+        with pytest.raises(DimensionError):
+            T.affine(x, Tensor(np.ones((1, 4))))
+
+
+class TestShiftFreeAffine:
+    """LayerScale is ``affine`` without a shift: one node over ``x`` and
+    ``gamma`` whose value and gradients are the row-vector product's, bit
+    for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [16, 48, 128, 160, 256])
+    @pytest.mark.parametrize("lead", [(37,), (3, 13)], ids=["rank2", "rank3"])
+    def test_affine_without_shift_equals_the_row_scale(self, dtype, width, lead):
+        rng = np.random.default_rng(width + len(lead))
+        x0 = (rng.normal(size=(*lead, width)) * 4).astype(dtype)
+        # LayerScale's scales start at 1e-5 and are learned from there.
+        v0 = (rng.normal(size=width) * 1e-3).astype(dtype)
+        g = rng.normal(size=x0.shape).astype(dtype)
+        x, v = Tensor(x0, requires_grad=True), Tensor(v0, requires_grad=True)
+        y = T.affine(x, v)
+        assert y.op == "affine" and y._parents == (x._node, v._node)
+        y.backward(seed=g)
+        got = (y.data, x.grad, v.grad)
+        assert [a.dtype for a in got] == [dtype] * 3
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in row_scale(x0, v0, g)]
 
 
 class TestElementwise:
